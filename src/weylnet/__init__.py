@@ -7,7 +7,6 @@ from .funcspace import (
     Grid,
     Interval,
     TestFunction,
-    antiderivative,
     chiral_norm_sq,
     constant_function,
     derivative,
@@ -27,7 +26,6 @@ from .weyl import (
     CrossedProduct,
     Staged,
     WeylElement,
-    cocycle_check,
     max_coeff_distance,
     parse_element,
     weyl_add,
@@ -87,89 +85,3 @@ from .nets import (
     sector_apply,
 )
 from .suites import SUITES, run_suite, serialize_report
-
-__all__ = [
-    "WeylnetError",
-    "DEFAULT_GRID",
-    "EMPTY",
-    "Grid",
-    "Interval",
-    "TestFunction",
-    "antiderivative",
-    "chiral_norm_sq",
-    "constant_function",
-    "derivative",
-    "fock_norm_sq",
-    "hermite_gaussian",
-    "localization",
-    "make_grid_function",
-    "make_kink",
-    "pairing",
-    "simpson",
-    "zero_function",
-    "Charges",
-    "PsiImage",
-    "Space",
-    "SymVector",
-    "ZERO",
-    "sigma_plane",
-    "load_registry",
-    "parse_registry",
-    "IDENTITY",
-    "CrossedProduct",
-    "Staged",
-    "WeylElement",
-    "cocycle_check",
-    "max_coeff_distance",
-    "parse_element",
-    "weyl_add",
-    "weyl_mul",
-    "weyl_scale",
-    "weyl_star",
-    "weyl_word",
-    "ChiralPair",
-    "ChiralRegularizers",
-    "dalembert",
-    "dalembert_inverse",
-    "make_regularizers",
-    "sigma_chiral",
-    "sigma_decomposed",
-    "sigma_infinity",
-    "StateSpec",
-    "chiral_vacuum",
-    "eval_state",
-    "field_f",
-    "fock_a",
-    "gram_psd",
-    "hermiticity_defect",
-    "nonregular_elementary",
-    "product_p",
-    "regular_substitute_probe",
-    "state_coincidence_check",
-    "GnsVector",
-    "VACUUM",
-    "apply_elementary",
-    "apply_word",
-    "basis",
-    "gns_expectation",
-    "non_regularity_witness",
-    "norm_distance",
-    "phi_n_apply",
-    "sector_inner",
-    "sector_trace",
-    "GaugeElement",
-    "SectorAutomorphism",
-    "asymptotics",
-    "character_gauge",
-    "diagram_check",
-    "disjoint_sigma",
-    "fixed_point_project",
-    "gauge_apply",
-    "locality_report",
-    "make_sector",
-    "net_generators",
-    "sector_apply",
-    "SUITES",
-    "run_suite",
-    "serialize_report",
-]

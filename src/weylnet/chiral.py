@@ -13,7 +13,6 @@ quadrature cannot do (its half-step ripple is amplified by 1/h).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -23,6 +22,7 @@ import numpy as np
 from .funcspace import (
     Grid,
     TestFunction,
+    _simpson_value,
     derivative,
     make_kink,
     pairing,
@@ -114,11 +114,8 @@ def dalembert(space: Space, v: SymVector) -> ChiralPair:
     return ChiralPair(theta_p, theta_m, (ch.q + ch.c) / 2, (ch.q - ch.c) / 2)
 
 
-_INVERSE_COUNTER = itertools.count()
-
-
-def dalembert_inverse(space: Space, pair: ChiralPair) -> SymVector:
-    """Reconstruct the Cauchy pair and register it as a fresh generator."""
+def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:
+    """Reconstruct the Cauchy pair (f0, f1) from its movers."""
     f_c = pair.c_plus - pair.c_minus
     grid = pair.theta_plus.grid
     k_deriv, k_step = _KINKS.for_grid(grid)
@@ -127,8 +124,6 @@ def dalembert_inverse(space: Space, pair: ChiralPair) -> SymVector:
     f0_samples = float(f_c) * k_deriv.samples + _spectral_deriv(residue, grid.step)
     # restore the constant (DC) component the spectral derivative cannot see:
     # the declared charge pins the Simpson integral exactly
-    from .funcspace import _simpson_value
-
     f0_samples = f0_samples + (float(f_c) - _simpson_value(f0_samples, grid)) / float(
         grid.x1 - grid.x0
     )
@@ -140,8 +135,7 @@ def dalembert_inverse(space: Space, pair: ChiralPair) -> SymVector:
         pair.theta_plus.right_limit + pair.theta_minus.right_limit,
         None,
     )
-    name = f"__dalembert_inv_{next(_INVERSE_COUNTER)}"
-    return space.register_pair(name, f0, f1)
+    return f0, f1
 
 
 def sigma_chiral(sign: int, theta: TestFunction, phi: TestFunction) -> float:

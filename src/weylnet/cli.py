@@ -44,10 +44,16 @@ from .states import (
     nonregular_elementary,
     product_p,
 )
-from .suites import SUITES, run_suite, serialize_report
+from .suites import SUITES, _rand_vector, run_suite, serialize_report
 from .nets import GaugeElement, diagram_check, gauge_apply, locality_report, make_sector, sector_apply
 from .weyl import IDENTITY, parse_element, weyl_add, weyl_word
-from .symplectic import ZERO
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
 
 def _parse_interval(text: str) -> Interval:
@@ -73,16 +79,11 @@ def _state_spec(space, kind: str):
 
 
 def _gram_pool(space, kind: str):
-    names = [n for n in space.generator_names() if not n.startswith("__")]
+    names = space.generator_names()
     if kind == "fock_a":
         return [n for n in names if space.in_space(space.generator(n), "Va")]
     if kind == "nonregular_elementary":
-        out = []
-        for n in names:
-            _, f1 = space.assemble(space.generator(n))
-            if np.ptp(f1.samples) == 0 and f1.left_limit == f1.right_limit:
-                out.append(n)
-        return out
+        return [n for n in names if space.slot1_is_constant(space.generator(n))]
     return names
 
 
@@ -90,11 +91,7 @@ def _rand_words(space, seed: int, count: int, names):
     rng = np.random.default_rng(seed)
     words = [IDENTITY]
     for _ in range(count - 1):
-        v = ZERO
-        for name in rng.choice(names, size=2, replace=False):
-            v = v + space.generator(str(name)).scale(
-                Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
-            )
+        v = _rand_vector(space, rng, names)
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         words.append(weyl_add(weyl_word(v, coeff), IDENTITY))
     return words
@@ -115,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", metavar="N", type=int, default=1)
     parser.add_argument("--out", metavar="PATH", default=None)
     parser.add_argument("--grid-points", metavar="N", type=int, default=4096)
-    parser.add_argument("--window", metavar="X", default="32")
+    parser.add_argument("--window", metavar="X", type=_rational, default=Fraction(32))
 
     sub = parser.add_subparsers(dest="command")
 
@@ -155,10 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_suite_command(args) -> int:
-    grid = Grid(
-        -Fraction(args.window), Fraction(args.window), args.grid_points
-    )
+def _run_suite_command(args, grid: Grid) -> int:
     report = run_suite(args.suite, args.seed, registry_path=args.registry, grid=grid)
     text = serialize_report(report)
     if args.out:
@@ -174,8 +168,7 @@ def _run_suite_command(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _run_subcommand(args) -> int:
-    grid = Grid(-Fraction(args.window), Fraction(args.window), args.grid_points)
+def _run_subcommand(args, grid: Grid) -> int:
     space = load_registry(args.registry, grid)
     if args.command == "state":
         spec = _state_spec(space, args.kind)
@@ -204,9 +197,8 @@ def _run_subcommand(args) -> int:
                 f"{pair.theta_minus.right_limit}"
             )
             return 0
-        w = dalembert_inverse(space, pair)
         f0a, f1a = space.assemble(v)
-        f0b, f1b = space.assemble(w)
+        f0b, f1b = dalembert_inverse(pair)
         err = max(
             float(np.max(np.abs(f0a.samples - f0b.samples))),
             float(np.max(np.abs(f1a.samples - f1b.samples))),
@@ -252,9 +244,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: give --suite NAME or a subcommand", file=sys.stderr)
         return 2
     try:
+        grid = Grid(-args.window, args.window, args.grid_points)
         if args.command is None:
-            return _run_suite_command(args)
-        return _run_subcommand(args)
+            return _run_suite_command(args, grid)
+        return _run_subcommand(args, grid)
     except (WeylnetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

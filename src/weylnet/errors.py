@@ -13,10 +13,6 @@ class BadGrid(WeylnetError):
     """Non-positive step, unresolvable width, or incompatible grids."""
 
 
-class NonDecaying(WeylnetError):
-    """Antidifferentiation requires a zero left limit."""
-
-
 class DivergentTail(WeylnetError):
     """Both pairing factors have nonzero constant tails on the same side."""
 

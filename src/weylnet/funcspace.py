@@ -22,13 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    BadGrid,
-    DivergentTail,
-    EdgeMismatch,
-    NonDecaying,
-    NotInDomain,
-)
+from .errors import BadGrid, DivergentTail, EdgeMismatch, NotInDomain
 
 TOL_EDGE = 1e-9
 TOL_CHARGE = 1e-9
@@ -37,9 +31,14 @@ TOL_SUPP = 1e-12
 _BASE_TOL_QUAD = 1e-6
 
 
+def _tol_scale() -> float:
+    """Tolerance multiplier for coarse grids, from WEYLNET_TOL_SCALE."""
+    return float(os.environ.get("WEYLNET_TOL_SCALE", "1"))
+
+
 def tol_quad() -> float:
-    """Quadrature tolerance, scaled by WEYLNET_TOL_SCALE for coarse grids."""
-    return _BASE_TOL_QUAD * float(os.environ.get("WEYLNET_TOL_SCALE", "1"))
+    """Quadrature tolerance, scaled by _tol_scale()."""
+    return _BASE_TOL_QUAD * _tol_scale()
 
 
 @dataclass(frozen=True, order=True)
@@ -159,6 +158,9 @@ class TestFunction:
             and self.right_limit == 0
             and not np.any(self.samples)
         )
+
+    def is_constant(self) -> bool:
+        return self.left_limit == self.right_limit and not np.ptp(self.samples)
 
 
 def make_grid_function(
@@ -355,36 +357,6 @@ def derivative(f: TestFunction) -> TestFunction:
     return TestFunction(f.grid, d, Fraction(0), Fraction(0), None)
 
 
-def _round_to_charge(value: float) -> Fraction:
-    return Fraction(round(value * 10**9), 10**9)
-
-
-def antiderivative(f: TestFunction) -> TestFunction:
-    """Cumulative composite-Simpson integral from the left window edge.
-
-    The result's right limit is recorded exactly from the declared integral
-    when available, else from quadrature rounded at tol_charge.
-    """
-    if f.left_limit != 0:
-        raise NonDecaying(f"left limit {f.left_limit} != 0")
-    s = f.samples
-    h = f.grid.step
-    n = f.grid.n
-    out = np.zeros(n)
-    # even indices by Simpson pairs
-    m = n if n % 2 == 1 else n - 1
-    pair = (s[0 : m - 2 : 2] + 4.0 * s[1 : m - 1 : 2] + s[2:m:2]) * (h / 3.0)
-    out[2:m:2] = np.cumsum(pair)
-    # odd indices by the half-pair rule
-    out[1:m:2] = out[0 : m - 1 : 2] + (
-        5.0 * s[0 : m - 1 : 2] + 8.0 * s[1:m:2] - s[2 : m + 1 : 2]
-    ) * (h / 12.0)
-    if m != n:
-        out[-1] = out[-2] + (-s[-3] + 8.0 * s[-2] + 5.0 * s[-1]) * (h / 12.0)
-    right = f.integral if f.integral is not None else _round_to_charge(out[-1])
-    return TestFunction(f.grid, out, Fraction(0), right, None)
-
-
 def resample(f: TestFunction, grid: Grid) -> TestFunction:
     """Cubic Lagrange resampling onto another grid; tails stay constant."""
     if f.grid == grid:
@@ -412,12 +384,9 @@ def resample(f: TestFunction, grid: Grid) -> TestFunction:
     return TestFunction(grid, out, f.left_limit, f.right_limit, f.integral, deriv=d)
 
 
-def _union_grid(a: Grid, b: Grid) -> Grid:
-    x0 = min(a.x0, b.x0)
-    x1 = max(a.x1, b.x1)
-    step = min(a.step_exact, b.step_exact)
-    n = int((x1 - x0) / step) + 1
-    return Grid(x0, x0 + (n - 1) * step, n)
+def _same_grid(f: TestFunction, g: TestFunction) -> None:
+    if f.grid != g.grid:
+        raise BadGrid(f"grids differ: {f.grid} and {g.grid}; resample first")
 
 
 def pairing(f: TestFunction, g: TestFunction) -> float:
@@ -432,10 +401,7 @@ def pairing(f: TestFunction, g: TestFunction) -> float:
     ):
         if fl != 0 and gl != 0:
             raise DivergentTail(f"both factors have nonzero {side} tails")
-    if f.grid != g.grid:
-        u = _union_grid(f.grid, g.grid)
-        f = resample(f, u)
-        g = resample(g, u)
+    _same_grid(f, g)
     return _simpson_value(f.samples * g.samples, f.grid)
 
 
@@ -470,12 +436,9 @@ def fock_norm_sq(
         raise NotInDomain("f0 must have zero limits")
     if f1.left_limit != 0 or f1.right_limit != 0:
         raise NotInDomain("f1 must have zero limits")
-    if abs(simpson(f0)) > TOL_CHARGE * float(os.environ.get("WEYLNET_TOL_SCALE", "1")):
+    if abs(simpson(f0)) > TOL_CHARGE * _tol_scale():
         raise NotInDomain("f0 must have zero integral (charge)")
-    if f0.grid != f1.grid:
-        u = _union_grid(f0.grid, f1.grid)
-        f0 = resample(f0, u)
-        f1 = resample(f1, u)
+    _same_grid(f0, f1)
     ft0, p, dp, mult = _weighted_spectrum_sum(f0.samples, f0.grid, pad)
     ft1 = np.fft.rfft(f1.samples, n=pad * f1.grid.n) * (
         f1.grid.step / np.sqrt(2.0 * np.pi)
@@ -508,7 +471,7 @@ def chiral_norm_sq(theta: TestFunction, pad: int = 4) -> float:
 def localization(f0: TestFunction, f1: TestFunction) -> Union[Interval, _Empty]:
     """Smallest interval holding supp f0 and supp (d f1); EMPTY for (0, const)."""
     mask = np.abs(f0.samples) > TOL_SUPP
-    if not (f1.left_limit == f1.right_limit and not np.ptp(f1.samples)):
+    if not f1.is_constant():
         mask |= np.abs(derivative(f1).samples) > TOL_SUPP
     idx = np.nonzero(mask)[0]
     if idx.size == 0:

@@ -103,8 +103,7 @@ def apply_elementary(c, n, v: GnsVector) -> GnsVector:
 
 
 def _plane_coordinates(space: Space, v: SymVector) -> Tuple[Fraction, Fraction]:
-    _, f1 = space.assemble(v)
-    if np.ptp(f1.samples) or f1.left_limit != f1.right_limit:
+    if not space.slot1_is_constant(v):
         raise InvalidKey("key is not an elementary charge-plane vector")
     ch = space.charges(v)
     return ch.c, ch.inf

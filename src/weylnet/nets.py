@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     BadIntervals,
@@ -30,7 +30,7 @@ from .errors import (
     NotInDomain,
     RegularizerNotContained,
 )
-from .funcspace import EMPTY, Interval, tol_quad
+from .funcspace import Interval, tol_quad
 from .symplectic import Space, SymVector
 from .weyl import WeylElement
 
@@ -41,8 +41,6 @@ def net_generators(space: Space, kind: str, I: Interval) -> Tuple[SymVector, ...
     label = NET_LABEL[kind]
     out = []
     for name in space.generator_names():
-        if name.startswith("__"):
-            continue
         v = space.generator(name)
         # pure-central elements enter only through the designated kinds below
         if space.is_central(v):
@@ -187,8 +185,6 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> dict:
     worst = 0.0
     fixed = True
     for name in space.generator_names():
-        if name.startswith("__"):
-            continue
         g = space.generator(name)
         loc = space.localization(g)
         if not space.in_space(g, "Va") or getattr(loc, "is_empty", False):

@@ -13,19 +13,19 @@ A registry file declares named test functions and named Cauchy-data pairs:
     pair T  f0=dtka f1=tka
     pair n1 f0=0    f1=one
 
-Rationals are written p/q.  load_registry returns a Space with one generator
-per pair, all functions resampled onto the requested grid.
+Rationals are written p/q.  load_registry returns a Space built from the
+pairs, one generator each, all functions resampled onto the requested grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import RegistryParseError
+from .errors import RegistryParseError, WeylnetError
 from .funcspace import (
     DEFAULT_GRID,
     Grid,
@@ -95,7 +95,7 @@ def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> T
 
 def parse_registry(text: str, grid: Grid = DEFAULT_GRID) -> Space:
     functions: Dict[str, TestFunction] = {}
-    space = Space(grid)
+    pairs: Dict[str, Tuple[Optional[TestFunction], Optional[TestFunction]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,6 +112,8 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID) -> Space:
             kv = _parse_kv(tokens[3:], lineno)
             functions[name] = _build_function(tokens[2], kv, grid, lineno)
         elif record == "pair":
+            if name in pairs:
+                raise RegistryParseError(f"line {lineno}: duplicate pair {name!r}")
             kv = _parse_kv(tokens[2:], lineno)
             slots = []
             for key in ("f0", "f1"):
@@ -122,13 +124,13 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID) -> Space:
                     slots.append(functions[ref])
                 else:
                     raise RegistryParseError(f"line {lineno}: unknown fn {ref!r}")
-            try:
-                space.register_pair(name, slots[0], slots[1])
-            except Exception as e:
-                raise RegistryParseError(f"line {lineno}: {e}") from None
+            pairs[name] = tuple(slots)
         else:
             raise RegistryParseError(f"line {lineno}: unknown record {record!r}")
-    return space
+    try:
+        return Space(grid, pairs)
+    except WeylnetError as e:
+        raise RegistryParseError(str(e)) from None
 
 
 def load_registry(path: Optional[str] = None, grid: Grid = DEFAULT_GRID) -> Space:

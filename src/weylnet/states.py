@@ -62,35 +62,21 @@ def chiral_vacuum(regs: ChiralRegularizers) -> StateSpec:
     return StateSpec("chiral_vacuum", regs=regs)
 
 
-def _fock_factor(space: Space, v: SymVector) -> float:
-    cache = getattr(space, "_fock_cache", None)
-    if cache is None:
-        cache = {}
-        space._fock_cache = cache
-    if v not in cache:
-        if v.is_zero():
-            cache[v] = 1.0
-        else:
-            cache[v] = math.exp(-0.25 * space.fock_norm_sq(v))
-    return cache[v]
-
-
 def _eval_key(space: Space, spec: StateSpec, v: SymVector) -> complex:
     ch = space.charges(v)
     if spec.kind == "fock_a":
         if not space.in_space(v, "Va"):
             raise NotInDomain("fock_a is defined on fully decaying data only")
-        return complex(_fock_factor(space, v))
+        return complex(space.fock_factor(v))
     if spec.kind == "nonregular_elementary":
-        _, f1 = space.assemble(v)
-        if np.ptp(f1.samples) or f1.left_limit != f1.right_limit:
+        if not space.slot1_is_constant(v):
             raise InvalidKey("key is not an elementary charge-plane vector")
         return (1 + 0j) if ch.c == 0 else 0j
     if spec.kind == "field_f":
         if ch.c != 0 or ch.q != 0:
             return 0j
         tangent = space.psi_T(v, spec.T).tangent
-        return complex(_fock_factor(space, tangent))
+        return complex(space.fock_factor(tangent))
     if spec.kind == "product_p":
         tch = space.charges(spec.T)
         a = ch.c / tch.c
@@ -102,7 +88,7 @@ def _eval_key(space: Space, spec: StateSpec, v: SymVector) -> complex:
         # canonical staging W(v) = e^{i sigma(h,l)/2} W(h) W(l)
         phase = complex(np.exp(0.5j * space.sigma(h_vec, l_vec)))
         h_center, _ = space.split_off_center(h_vec)
-        omega_h = _fock_factor(space, h_center)
+        omega_h = space.fock_factor(h_center)
         if spec.regular_substitute:
             omega_l = math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)
         else:

@@ -30,7 +30,6 @@ from .chiral import (
 )
 from .funcspace import DEFAULT_GRID, Grid, chiral_norm_sq
 from .gns import (
-    VACUUM,
     apply_elementary,
     basis,
     non_regularity_witness,
@@ -90,10 +89,6 @@ def _record(name: str, value: float, tolerance: float, anchor: str, mode: str = 
     }
 
 
-def _pool(space: Space) -> List[str]:
-    return [n for n in space.generator_names() if not n.startswith("__")]
-
-
 def _rand_vector(space: Space, rng, pool: Sequence[str], n_terms: int = 2) -> SymVector:
     v = ZERO
     for name in rng.choice(list(pool), size=min(n_terms, len(pool)), replace=False):
@@ -116,7 +111,7 @@ def _rand_word(space: Space, rng, pool: Sequence[str], n_keys: int = 2) -> WeylE
 
 
 def suite_weyl_axioms(space: Space, rng) -> List[dict]:
-    pool = _pool(space)
+    pool = space.generator_names()
     worst = {"associativity": 0.0, "unitarity": 0.0, "involution": 0.0, "exchange": 0.0}
     worst_cocycle = 0.0
     for _ in range(1000):
@@ -213,7 +208,7 @@ def suite_weyl_axioms(space: Space, rng) -> List[dict]:
 
 
 def suite_psi_t(space: Space, rng) -> List[dict]:
-    pool = _pool(space)
+    pool = space.generator_names()
     T = space.generator("T")
     T2 = space.generator("T3")
     worst_sigma = 0.0
@@ -254,7 +249,7 @@ def suite_psi_t(space: Space, rng) -> List[dict]:
 
 
 def suite_states_positivity(space: Space, rng) -> List[dict]:
-    pool = _pool(space)
+    pool = space.generator_names()
     T = space.generator("T")
     spec = field_f(T)
     words = [IDENTITY] + [_rand_word(space, rng, pool) for _ in range(19)]
@@ -290,7 +285,7 @@ def suite_states_positivity(space: Space, rng) -> List[dict]:
 
 
 def suite_chiral(space: Space, rng) -> List[dict]:
-    pool = _pool(space)
+    pool = space.generator_names()
     worst_round = 0.0
     charge_defect = 0.0
     for _ in range(10):
@@ -299,9 +294,8 @@ def suite_chiral(space: Space, rng) -> List[dict]:
         ch = space.charges(v)
         if ch.c != pair.c_plus - pair.c_minus or ch.q != pair.c_plus + pair.c_minus:
             charge_defect = 1.0
-        w = dalembert_inverse(space, pair)
         f0a, f1a = space.assemble(v)
-        f0b, f1b = space.assemble(w)
+        f0b, f1b = dalembert_inverse(pair)
         worst_round = max(
             worst_round,
             float(np.max(np.abs(f0a.samples - f0b.samples))),

@@ -13,9 +13,10 @@ Gram matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -116,47 +117,51 @@ SPACE_LABELS = ("Va", "Vb", "Vc", "Vq", "Ve", "Vf")
 
 
 class Space:
-    def __init__(self, grid: Grid):
+    """Generators and atoms are fixed at construction; only the Gram and
+    Fock memos fill in as they are read."""
+
+    def __init__(
+        self,
+        grid: Grid,
+        pairs: Mapping[str, Tuple[Optional[TestFunction], Optional[TestFunction]]],
+    ):
         self.grid = grid
-        self.atoms: list[Atom] = []
+        atoms: list[Atom] = []
         self._generators: Dict[str, SymVector] = {}
+        for name, (f0, f1) in pairs.items():
+            parts = []
+            for slot, fn in ((0, f0), (1, f1)):
+                if fn is not None and not fn.is_zero():
+                    atoms.append(self._atom(f"{name}.{slot}", slot, fn))
+                    parts.append((len(atoms) - 1, Fraction(1)))
+            self._generators[name] = SymVector(parts)
+        for unit, atom in enumerate(atoms):
+            if atom.slot == 1 and atom.fn.left_limit == 1 and atom.fn.is_constant():
+                break
+        else:
+            unit = len(atoms)
+            atoms.append(self._atom("__unit__", 1, constant_function(Fraction(1), grid)))
+        self.atoms: Tuple[Atom, ...] = tuple(atoms)
+        self._unit = SymVector([(unit, Fraction(1))])
         self._gram: Dict[Tuple[int, int], float] = {}
-        self._unit_atom: Optional[int] = None
+        self._fock: Dict[SymVector, float] = {}
 
-    # -- registration ------------------------------------------------------
-
-    def _add_atom(self, name: str, slot: int, fn: TestFunction) -> int:
+    def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
         fn = resample(fn, self.grid)
         if slot == 0:
             if fn.integral is None:
                 raise NotInDomain(f"slot-0 function {name!r} needs a declared integral")
             if fn.left_limit != 0 or fn.right_limit != 0:
                 raise NotInDomain(f"slot-0 function {name!r} must have zero limits")
-        self.atoms.append(Atom(name, slot, fn))
-        return len(self.atoms) - 1
-
-    def register_pair(
-        self,
-        name: str,
-        f0: Optional[TestFunction],
-        f1: Optional[TestFunction],
-    ) -> SymVector:
-        if name in self._generators:
-            raise ValueError(f"generator {name!r} already registered")
-        parts = []
-        if f0 is not None and not f0.is_zero():
-            parts.append((self._add_atom(f"{name}.0", 0, f0), Fraction(1)))
-        if f1 is not None and not f1.is_zero():
-            parts.append((self._add_atom(f"{name}.1", 1, f1), Fraction(1)))
-        v = SymVector(parts)
-        self._generators[name] = v
-        return v
+        return Atom(name, slot, fn)
 
     def generator(self, name: str) -> SymVector:
         try:
             return self._generators[name]
         except KeyError:
-            raise UnknownGenerator(name) from None
+            raise UnknownGenerator(
+                f"unknown generator {name!r}; registered: {', '.join(self._generators)}"
+            ) from None
 
     def generator_names(self) -> Tuple[str, ...]:
         return tuple(self._generators)
@@ -174,21 +179,7 @@ class Space:
 
     def unit_vector(self) -> SymVector:
         """The constant-one slot-1 atom (the central direction)."""
-        if self._unit_atom is None:
-            for i, atom in enumerate(self.atoms):
-                if (
-                    atom.slot == 1
-                    and atom.fn.left_limit == 1
-                    and atom.fn.right_limit == 1
-                    and not np.ptp(atom.fn.samples)
-                ):
-                    self._unit_atom = i
-                    break
-            else:
-                self._unit_atom = self._add_atom(
-                    "__unit__", 1, constant_function(Fraction(1), self.grid)
-                )
-        return SymVector([(self._unit_atom, Fraction(1))])
+        return self._unit
 
     # -- symplectic form ----------------------------------------------------
 
@@ -242,10 +233,18 @@ class Space:
             return True
         raise ValueError(f"unknown space label {label!r}")
 
+    def slot1_is_constant(self, v: SymVector) -> bool:
+        """True when the assembled slot-1 part of v is constant.
+
+        Sample-based on purpose: distinct atoms may hold the same function
+        (q0.1 and T0.1 are both tk0), so q0 - T0 has a zero slot-1 part.
+        """
+        return self.assemble(v)[1].is_constant()
+
     def is_central(self, v: SymVector) -> bool:
         """True when v lies on the constant slot-1 line (zero slot 0)."""
         f0, f1 = self.assemble(v)
-        return f0.is_zero() and not np.ptp(f1.samples) and f1.left_limit == f1.right_limit
+        return f0.is_zero() and f1.is_constant()
 
     def split_off_center(self, v: SymVector) -> Tuple[SymVector, Fraction]:
         ch = self.charges(v)
@@ -292,6 +291,12 @@ class Space:
     def fock_norm_sq(self, v: SymVector) -> float:
         f0, f1 = self.assemble(v)
         return fock_norm_sq(f0, f1)
+
+    def fock_factor(self, v: SymVector) -> float:
+        """The quasi-free vacuum value exp(-||v||^2 / 4), memoized per key."""
+        if v not in self._fock:
+            self._fock[v] = 1.0 if v.is_zero() else math.exp(-0.25 * self.fock_norm_sq(v))
+        return self._fock[v]
 
     # -- T-relative moments and the regularized splitting ----------------------
 

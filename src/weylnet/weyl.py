@@ -111,12 +111,6 @@ def cocycle_defect(space: Space, r: SymVector, s: SymVector, t: SymVector) -> fl
     )
 
 
-def cocycle_check(
-    space: Space, r: SymVector, s: SymVector, t: SymVector, tol: float = 1e-9
-) -> bool:
-    return cocycle_defect(space, r, s, t) <= tol
-
-
 # ---------------------------------------------------------------------------
 # staged (crossed-product) presentation
 
@@ -174,9 +168,12 @@ def _parse_coeff(text: str) -> complex:
     if not t:
         raise ElementParseError("empty coefficient")
     try:
-        return complex(t.replace("i", "j").replace(" ", ""))
+        z = complex(t.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise ElementParseError(f"bad coefficient {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ElementParseError(f"non-finite coefficient {t!r}")
+    return z
 
 
 def _parse_combo(space: Space, body: str) -> SymVector:
@@ -197,7 +194,10 @@ def _parse_combo(space: Space, body: str) -> SymVector:
         m = re.match(r"^(?:(\d+(?:/\d+)?)\s+)?([A-Za-z_]\w*)$", part)
         if not m:
             raise ElementParseError(f"bad generator term {part!r}")
-        coeff = sign * (Fraction(m.group(1)) if m.group(1) else Fraction(1))
+        try:
+            coeff = sign * (Fraction(m.group(1)) if m.group(1) else Fraction(1))
+        except ZeroDivisionError:
+            raise ElementParseError(f"zero denominator in {part!r}") from None
         v = v + space.generator(m.group(2)).scale(coeff)
     return v
 
@@ -238,4 +238,7 @@ def parse_element(space: Space, text: str) -> WeylElement:
         else:
             raise ElementParseError(f"expected + or - near {rest!r}")
         pos = len(s) - len(rest) + 1
-    return WeylElement(terms)
+    element = WeylElement(terms)
+    if not all(cmath.isfinite(a) for _, a in element.terms()):
+        raise ElementParseError("coefficient overflows when like terms are summed")
+    return element

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +117,69 @@ def test_suite_isolation_matches_combined():
     sec_combined = next(s for s in combined["sections"] if s["name"] == "gns")
     sec_alone = alone["sections"][0]
     assert sec_combined == sec_alone
+
+
+def exit_code(argv):
+    """cli.main's return value, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "eval", "--kind", "field_f", "--element", "nan * W[aC]"],
+        ["state", "eval", "--kind", "field_f", "--element", "1e400 * W[aC]"],
+        ["state", "eval", "--kind", "field_f", "--element", "W[1/0 aC]"],
+        ["state", "eval", "--kind", "field_f", "--element", "1e308 * W[aC] + 1e308 * W[aC]"],
+        ["--window", "abc", "state", "eval", "--kind", "field_f", "--element", "W[aC]"],
+    ],
+    ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window"],
+)
+def test_bad_input_exits_2(argv, capsys):
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_unknown_generator_names_the_registered_ones(capsys):
+    assert run(["state", "eval", "--kind", "field_f", "--element", "W[nope]"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown generator 'nope'; registered: T, T0, T3, aL, aC, aR, n1," in err
+
+
+def test_nonregular_state_on_cancelling_slot1_atoms(capsys):
+    # q0 - T0 = (-dtk0, 0): on the charge plane, with charge -1
+    argv = ["state", "eval", "--kind", "nonregular_elementary", "--element", "W[q0 - T0]"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "0+0i\n"
+    argv[-1] = "W[q0 - T0 + c0]"  # charge 0
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "1+0i\n"
+
+
+def _assert_report_matches(got, want, path="report"):
+    """Structure, strings and counts exactly; floats to isclose, 0.0 exactly."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and path.endswith(".value") and want != 0.0:
+        assert isinstance(got, float), path
+        assert math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-12), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_golden_report_all_seed_7(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["--suite", "all", "--seed", "7", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "report_all_seed7.json"
+    _assert_report_matches(json.loads(out.read_text()), json.loads(golden.read_text()))

@@ -31,8 +31,48 @@ def test_default_registry_generators(space):
 
 
 def test_unknown_generator(space):
-    with pytest.raises(errors.UnknownGenerator):
+    with pytest.raises(errors.UnknownGenerator) as info:
         space.generator("nope")
+    message = str(info.value)
+    assert message.startswith("unknown generator 'nope'; registered: T, T0, T3, aL,")
+    assert all(name in message for name in space.generator_names())
+
+
+def test_space_is_fixed_after_load():
+    from weylnet.suites import run_suite
+
+    space = load_registry()
+    atoms, names, unit = len(space.atoms), space.generator_names(), space.unit_vector()
+    run_suite("states-positivity", 1, space=space)
+    for seed in (1, 2, 3):
+        run_suite("chiral", seed, space=space)
+    assert len(space.atoms) == atoms
+    assert space.generator_names() == names
+    assert space.unit_vector() == unit
+
+
+def test_unit_atom_resolved_at_load():
+    # a constant 2 is not the unit: the unit atom is added once, at load
+    sp = parse_registry("fn two constant value=2\npair e f0=0 f1=two\n")
+    assert [a.name for a in sp.atoms] == ["e.1", "__unit__"]
+    assert sp.charges(sp.unit_vector()).inf == 1
+    assert sp.generator_names() == ("e",)
+
+
+def test_slot1_is_constant_sees_cancelling_atoms(space):
+    # q0.1 and T0.1 are distinct atoms holding the same function tk0
+    v = space.generator("q0") - space.generator("T0")
+    assert len(space.slot_part(v, 1).items()) == 2
+    assert space.slot1_is_constant(v)
+    assert space.slot1_is_constant(space.generator("n1").scale(3))
+    assert not space.slot1_is_constant(space.generator("q0"))
+    assert not space.is_central(v)  # slot 0 is -dtk0
+
+
+def test_fock_factor(space):
+    v = space.generator("aC")
+    assert space.fock_factor(ZERO) == 1.0
+    assert space.fock_factor(v) == math.exp(-0.25 * space.fock_norm_sq(v))
 
 
 def test_vector_algebra(space):
@@ -217,6 +257,11 @@ def test_registry_parse_errors():
         parse_registry("garbage line here")
     with pytest.raises(errors.RegistryParseError):
         parse_registry("fn one constant value=1\nfn one constant value=2")
+    with pytest.raises(errors.RegistryParseError, match="line 3: duplicate pair 'e'"):
+        parse_registry("fn one constant value=1\npair e f1=one\npair e f1=one\n")
+    # slot 0 needs a declared integral; an even Hermite function has none
+    with pytest.raises(errors.RegistryParseError, match="'P.0' needs a declared integral"):
+        parse_registry("fn h gaussian-hermite order=2\npair P f0=h f1=0\n")
 
 
 def test_registry_grid_kind():

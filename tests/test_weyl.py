@@ -13,7 +13,6 @@ from weylnet.weyl import (
     CrossedProduct,
     Staged,
     WeylElement,
-    cocycle_check,
     cocycle_defect,
     max_coeff_distance,
     parse_element,
@@ -119,7 +118,7 @@ def test_cocycle_identity():
     rng = np.random.default_rng(6)
     for _ in range(50):
         r, s, t = (rand_vector(rng) for _ in range(3))
-        assert cocycle_check(space, r, s, t)
+        assert cocycle_defect(space, r, s, t) <= 1e-9
     assert cocycle_defect(space, rand_vector(rng), rand_vector(rng), ZERO) == 0
 
 
