@@ -36,16 +36,16 @@ from .weyl import (
 )
 from .chiral import (
     ChiralPair,
-    ChiralRegularizers,
     dalembert,
     dalembert_inverse,
-    make_regularizers,
+    roundtrip_error,
     sigma_chiral,
     sigma_decomposed,
     sigma_infinity,
 )
 from .states import (
-    StateSpec,
+    STATES,
+    State,
     chiral_vacuum,
     eval_state,
     field_f,

@@ -138,6 +138,17 @@ def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:
     return f0, f1
 
 
+def roundtrip_error(space: Space, v: SymVector, pair: ChiralPair) -> float:
+    """Max pointwise error of data -> (theta_+, theta_-) -> data, where pair
+    is dalembert(space, v)."""
+    f0a, f1a = space.assemble(v)
+    f0b, f1b = dalembert_inverse(pair)
+    return max(
+        float(np.max(np.abs(f0a.samples - f0b.samples))),
+        float(np.max(np.abs(f1a.samples - f1b.samples))),
+    )
+
+
 def sigma_chiral(sign: int, theta: TestFunction, phi: TestFunction) -> float:
     """sigma_pm(theta, phi) = +/- integral (phi d(theta) - theta d(phi)) dx."""
     val = pairing(phi, derivative(theta)) - pairing(theta, derivative(phi))
@@ -156,69 +167,4 @@ def sigma_decomposed(p: ChiralPair, q: ChiralPair) -> float:
         sigma_chiral(+1, p.theta_plus, q.theta_plus)
         + sigma_chiral(-1, p.theta_minus, q.theta_minus)
         + sigma_infinity(p, q)
-    )
-
-
-def recenter(theta: TestFunction) -> Tuple[TestFunction, Fraction]:
-    """Subtract the mean of the limits so the result has opposite limits."""
-    mid = (theta.left_limit + theta.right_limit) / 2
-    out = TestFunction(
-        theta.grid,
-        theta.samples - float(mid),
-        theta.left_limit - mid,
-        theta.right_limit - mid,
-        None,
-        deriv=theta.deriv,
-    )
-    return out, mid
-
-
-@dataclass(frozen=True)
-class ChiralRegularizers:
-    s_plus: TestFunction
-    s_minus: TestFunction
-    c_plus: Fraction
-    c_minus: Fraction
-
-
-def make_regularizers(space: Space, T: SymVector) -> ChiralRegularizers:
-    """S_+ from the right mover of T; S_- from the charge-reflected copy.
-
-    For T = (dt, t) with unit charges the right mover recenters to t itself
-    and the reflected copy's left mover to -t, so both are taken in that
-    closed form: each has integral S dS = 0 by symmetry and a nonzero chiral
-    charge (+1 and -1).
-    """
-    ch = space.charges(T)
-    if ch.c == 0 or ch.q == 0:
-        from .errors import DegenerateRegularizer
-
-        raise DegenerateRegularizer(f"regularizer charges {ch.c}, {ch.q}")
-    _, t_raw = space.assemble(space.slot_part(T, 1))
-    dt = space.slot1_derivative(T)
-    t_fn = TestFunction(
-        space.grid,
-        t_raw.samples,
-        t_raw.left_limit,
-        t_raw.right_limit,
-        None,
-        deriv=dt,
-    )
-    s_plus, _ = recenter(t_fn)
-    neg_dt = TestFunction(
-        space.grid, -dt.samples, Fraction(0), Fraction(0), None
-    )
-    s_minus = TestFunction(
-        space.grid,
-        -s_plus.samples,
-        -s_plus.left_limit,
-        -s_plus.right_limit,
-        None,
-        deriv=neg_dt,
-    )
-    return ChiralRegularizers(
-        s_plus,
-        s_minus,
-        s_plus.right_limit - s_plus.left_limit,
-        s_minus.right_limit - s_minus.left_limit,
     )

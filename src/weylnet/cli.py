@@ -31,19 +31,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chiral import dalembert, dalembert_inverse, make_regularizers
+from .chiral import dalembert, roundtrip_error
 from .errors import WeylnetError
 from .funcspace import Grid, Interval
 from .registry import load_registry
-from .states import (
-    chiral_vacuum,
-    eval_state,
-    field_f,
-    fock_a,
-    gram_psd,
-    nonregular_elementary,
-    product_p,
-)
+from .states import STATES, eval_state, gram_psd
 from .suites import SUITES, _rand_vector, run_suite, serialize_report
 from .nets import GaugeElement, diagram_check, gauge_apply, locality_report, make_sector, sector_apply
 from .weyl import IDENTITY, parse_element, weyl_add, weyl_word
@@ -56,35 +48,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {n}")
+    return n
+
+
 def _parse_interval(text: str) -> Interval:
     try:
         a, b = text.split(":")
         return Interval(Fraction(a), Fraction(b))
     except (ValueError, ZeroDivisionError) as e:
         raise WeylnetError(f"bad interval {text!r}: {e}") from None
-
-
-def _state_spec(space, kind: str):
-    if kind == "fock_a":
-        return fock_a()
-    if kind == "nonregular_elementary":
-        return nonregular_elementary()
-    if kind == "field_f":
-        return field_f(space.generator("T"))
-    if kind == "product_p":
-        return product_p(space.generator("T"))
-    if kind == "chiral_vacuum":
-        return chiral_vacuum(make_regularizers(space, space.generator("T")))
-    raise WeylnetError(f"unknown state kind {kind!r}")
-
-
-def _gram_pool(space, kind: str):
-    names = space.generator_names()
-    if kind == "fock_a":
-        return [n for n in names if space.in_space(space.generator(n), "Va")]
-    if kind == "nonregular_elementary":
-        return [n for n in names if space.slot1_is_constant(space.generator(n))]
-    return names
 
 
 def _rand_words(space, seed: int, count: int, names):
@@ -119,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     state = sub.add_parser("state", help="evaluate states and Gram matrices")
     state_sub = state.add_subparsers(dest="action", required=True)
     ev = state_sub.add_parser("eval")
-    ev.add_argument("--kind", required=True)
+    ev.add_argument("--kind", required=True, choices=sorted(STATES))
     ev.add_argument("--element", required=True)
     gram = state_sub.add_parser("gram")
-    gram.add_argument("--kind", required=True)
-    gram.add_argument("--count", type=int, default=6)
+    gram.add_argument("--kind", required=True, choices=sorted(STATES))
+    gram.add_argument("--count", type=_count, default=6)
 
     chiral = sub.add_parser("chiral", help="mover decomposition checks")
     chiral_sub = chiral.add_subparsers(dest="action", required=True)
@@ -171,13 +147,14 @@ def _run_suite_command(args, grid: Grid) -> int:
 def _run_subcommand(args, grid: Grid) -> int:
     space = load_registry(args.registry, grid)
     if args.command == "state":
-        spec = _state_spec(space, args.kind)
+        state = STATES[args.kind](space)
         if args.action == "eval":
-            val = eval_state(space, spec, parse_element(space, args.element))
+            val = eval_state(space, state, parse_element(space, args.element))
             print(f"{val.real:.12g}{val.imag:+.12g}i")
             return 0
-        words = _rand_words(space, args.seed, args.count, _gram_pool(space, args.kind))
-        M, min_eig = gram_psd(space, spec, words)
+        pool = [n for n in space.generator_names() if state.domain(space, space.generator(n))]
+        words = _rand_words(space, args.seed, args.count, pool)
+        M, min_eig = gram_psd(space, state, words)
         norm = float(np.linalg.norm(M, 2))
         ok = min_eig >= -1e-8 * max(1.0, norm)
         print(f"gram {len(words)}x{len(words)} min eigenvalue {min_eig:.6g} "
@@ -197,12 +174,7 @@ def _run_subcommand(args, grid: Grid) -> int:
                 f"{pair.theta_minus.right_limit}"
             )
             return 0
-        f0a, f1a = space.assemble(v)
-        f0b, f1b = dalembert_inverse(pair)
-        err = max(
-            float(np.max(np.abs(f0a.samples - f0b.samples))),
-            float(np.max(np.abs(f1a.samples - f1b.samples))),
-        )
+        err = roundtrip_error(space, v, pair)
         print(f"roundtrip max pointwise error {err:.3e}")
         return 0 if err < 1e-8 else 1
     if args.command == "net":

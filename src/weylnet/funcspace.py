@@ -14,7 +14,6 @@ f~(p) = (2*pi)^(-1/2) * integral f(x) exp(-i p x) dx.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -27,18 +26,7 @@ from .errors import BadGrid, DivergentTail, EdgeMismatch, NotInDomain
 TOL_EDGE = 1e-9
 TOL_CHARGE = 1e-9
 TOL_SUPP = 1e-12
-
-_BASE_TOL_QUAD = 1e-6
-
-
-def _tol_scale() -> float:
-    """Tolerance multiplier for coarse grids, from WEYLNET_TOL_SCALE."""
-    return float(os.environ.get("WEYLNET_TOL_SCALE", "1"))
-
-
-def tol_quad() -> float:
-    """Quadrature tolerance, scaled by _tol_scale()."""
-    return _BASE_TOL_QUAD * _tol_scale()
+TOL_QUAD = 1e-6
 
 
 @dataclass(frozen=True, order=True)
@@ -74,20 +62,6 @@ def _grid_xs(grid: Grid) -> np.ndarray:
 
 
 DEFAULT_GRID = Grid(Fraction(-32), Fraction(32), 4096)
-
-
-@dataclass(frozen=True)
-class Asymptotics:
-    minus: Fraction
-    plus: Fraction
-
-    @property
-    def inf(self) -> Fraction:
-        return (self.plus + self.minus) / 2
-
-    @property
-    def charge(self) -> Fraction:
-        return self.plus - self.minus
 
 
 class _Empty:
@@ -147,10 +121,6 @@ class TestFunction:
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
-
-    @property
-    def asymptotics(self) -> Asymptotics:
-        return Asymptotics(self.left_limit, self.right_limit)
 
     def is_zero(self) -> bool:
         return (
@@ -436,7 +406,7 @@ def fock_norm_sq(
         raise NotInDomain("f0 must have zero limits")
     if f1.left_limit != 0 or f1.right_limit != 0:
         raise NotInDomain("f1 must have zero limits")
-    if abs(simpson(f0)) > TOL_CHARGE * _tol_scale():
+    if abs(simpson(f0)) > TOL_CHARGE:
         raise NotInDomain("f0 must have zero integral (charge)")
     _same_grid(f0, f1)
     ft0, p, dp, mult = _weighted_spectrum_sum(f0.samples, f0.grid, pad)

@@ -30,7 +30,7 @@ from .errors import (
     NotInDomain,
     RegularizerNotContained,
 )
-from .funcspace import Interval, tol_quad
+from .funcspace import TOL_QUAD, Interval
 from .symplectic import Space, SymVector
 from .weyl import WeylElement
 
@@ -82,7 +82,7 @@ def locality_report(space: Space, kind: str, I1: Interval, I2: Interval) -> dict
         return {
             "kind": kind,
             "max_sigma": worst,
-            "passed": worst < tol_quad(),
+            "passed": worst < TOL_QUAD,
         }
     expected = [
         [disjoint_sigma(space, F, G, f_left) for G in gens2] for F in gens1
@@ -96,7 +96,7 @@ def locality_report(space: Space, kind: str, I1: Interval, I2: Interval) -> dict
         "phase_matrix": sigma,
         "expected_matrix": expected,
         "max_defect": defect,
-        "passed": defect < tol_quad(),
+        "passed": defect < TOL_QUAD,
     }
 
 
@@ -162,7 +162,6 @@ def fixed_point_project(space: Space, A: WeylElement, subgroup: str) -> WeylElem
 def diagram_check(space: Space, T: SymVector, I: Interval) -> dict:
     if not I.contains(space.localization(T)):
         raise RegularizerNotContained(f"loc T not contained in {I}")
-    tol = tol_quad()
     report = {}
 
     # psi_T kills the C and N plane coordinates of charge-q generators
@@ -173,7 +172,7 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> dict:
         f_c, f_n = img.l_part
         ok = ok and f_c == 0
         worst_n = max(worst_n, abs(f_n))
-    report["q_into_zero_c"] = {"passed": ok and worst_n < tol, "max_f_n": worst_n}
+    report["q_into_zero_c"] = {"passed": ok and worst_n < TOL_QUAD, "max_f_n": worst_n}
 
     # psi_T kills the Q coordinate of charge-c generators
     ok = all(
@@ -194,7 +193,7 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> dict:
         img = space.psi_T(g, T)
         fixed = fixed and img.tangent == g
         worst = max(worst, abs(img.l_part[1]), abs(img.m_part[0]))
-    report["va_disjoint_fixed"] = {"passed": fixed and worst < tol, "max_moment": worst}
+    report["va_disjoint_fixed"] = {"passed": fixed and worst < TOL_QUAD, "max_moment": worst}
 
     # fixed-point nets: the charge filter on F(I) generators is exactly the
     # sub-net membership filter

@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .chiral import ChiralRegularizers, dalembert
+from .chiral import dalembert
 from .errors import InvalidKey, NotInDomain
 from .funcspace import TestFunction, chiral_norm_sq
 from .symplectic import Space, SymVector
@@ -33,110 +33,122 @@ from .weyl import WeylElement, weyl_mul, weyl_star
 
 
 @dataclass(frozen=True)
-class StateSpec:
-    kind: str
-    T: Optional[SymVector] = None
-    regs: Optional[ChiralRegularizers] = None
-    regular_substitute: bool = False
+class State:
+    """A state kind: the value on one key W(v) (raising off the domain), and the domain."""
+
+    key: Callable[[Space, SymVector], complex]
+    domain: Callable[[Space, SymVector], bool] = lambda space, v: True
 
 
-def fock_a() -> StateSpec:
-    return StateSpec("fock_a")
+def _fock_a_key(space: Space, v: SymVector) -> complex:
+    if not space.in_space(v, "Va"):
+        raise NotInDomain("fock_a is defined on fully decaying data only")
+    return complex(space.fock_factor(v))
 
 
-def nonregular_elementary() -> StateSpec:
-    return StateSpec("nonregular_elementary")
+def fock_a() -> State:
+    return State(_fock_a_key, lambda space, v: space.in_space(v, "Va"))
 
 
-def field_f(T: SymVector) -> StateSpec:
-    return StateSpec("field_f", T=T)
+def _elementary_key(space: Space, v: SymVector) -> complex:
+    if not space.slot1_is_constant(v):
+        raise InvalidKey("key is not an elementary charge-plane vector")
+    return (1 + 0j) if space.charges(v).c == 0 else 0j
 
 
-def product_p(T: SymVector, regular_substitute: bool = False) -> StateSpec:
-    return StateSpec("product_p", T=T, regular_substitute=regular_substitute)
+def nonregular_elementary() -> State:
+    return State(_elementary_key, Space.slot1_is_constant)
 
 
-def chiral_vacuum(regs: ChiralRegularizers) -> StateSpec:
-    if regs.c_plus == 0 or regs.c_minus == 0:
-        raise NotInDomain("chiral regularizers need nonzero charges")
-    return StateSpec("chiral_vacuum", regs=regs)
-
-
-def _eval_key(space: Space, spec: StateSpec, v: SymVector) -> complex:
-    ch = space.charges(v)
-    if spec.kind == "fock_a":
-        if not space.in_space(v, "Va"):
-            raise NotInDomain("fock_a is defined on fully decaying data only")
-        return complex(space.fock_factor(v))
-    if spec.kind == "nonregular_elementary":
-        if not space.slot1_is_constant(v):
-            raise InvalidKey("key is not an elementary charge-plane vector")
-        return (1 + 0j) if ch.c == 0 else 0j
-    if spec.kind == "field_f":
+def field_f(T: SymVector) -> State:
+    def key(space: Space, v: SymVector) -> complex:
+        ch = space.charges(v)
         if ch.c != 0 or ch.q != 0:
             return 0j
-        tangent = space.psi_T(v, spec.T).tangent
+        tangent = space.psi_T(v, T).tangent
         return complex(space.fock_factor(tangent))
-    if spec.kind == "product_p":
-        tch = space.charges(spec.T)
+
+    return State(key)
+
+
+def product_p(T: SymVector, regular_substitute: bool = False) -> State:
+    def key(space: Space, v: SymVector) -> complex:
+        ch = space.charges(v)
+        tch = space.charges(T)
         a = ch.c / tch.c
         b = ch.q / tch.q
-        l_vec = space.slot_part(spec.T, 0).scale(a) + space.slot_part(
-            spec.T, 1
-        ).scale(b)
+        l_vec = space.slot_part(T, 0).scale(a) + space.slot_part(T, 1).scale(b)
         h_vec = v - l_vec
         # canonical staging W(v) = e^{i sigma(h,l)/2} W(h) W(l)
         phase = complex(np.exp(0.5j * space.sigma(h_vec, l_vec)))
         h_center, _ = space.split_off_center(h_vec)
         omega_h = space.fock_factor(h_center)
-        if spec.regular_substitute:
+        if regular_substitute:
             omega_l = math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)
         else:
             omega_l = 1.0 if (a == 0 and b == 0) else 0.0
         return phase * omega_h * omega_l
-    if spec.kind == "chiral_vacuum":
-        pair = dalembert(space, v)
-        if pair.c_plus != 0 or pair.c_minus != 0:
-            return 0j
-        half = float(ch.inf) / 2.0
-        total = 0.0
-        for theta in (pair.theta_plus, pair.theta_minus):
-            flat = TestFunction(
-                theta.grid,
-                theta.samples - half,
-                Fraction(0),
-                Fraction(0),
-                None,
-            )
-            total += chiral_norm_sq(flat)
-        return complex(math.exp(-0.5 * total))
-    raise ValueError(f"unknown state kind {spec.kind!r}")
+
+    return State(key)
 
 
-def eval_state(space: Space, spec: StateSpec, A: WeylElement) -> complex:
-    return sum((coeff * _eval_key(space, spec, v) for v, coeff in A.terms()), 0j)
+def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
+    pair = dalembert(space, v)
+    if pair.c_plus != 0 or pair.c_minus != 0:
+        return 0j
+    half = float(space.charges(v).inf) / 2.0
+    total = 0.0
+    for theta in (pair.theta_plus, pair.theta_minus):
+        flat = TestFunction(
+            theta.grid,
+            theta.samples - half,
+            Fraction(0),
+            Fraction(0),
+            None,
+        )
+        total += chiral_norm_sq(flat)
+    return complex(math.exp(-0.5 * total))
+
+
+def chiral_vacuum() -> State:
+    return State(_chiral_vacuum_key)
+
+
+# CLI name -> the state built from a loaded Space; T is the registry's
+# canonical regularizer.
+STATES: Dict[str, Callable[[Space], State]] = {
+    "fock_a": lambda space: fock_a(),
+    "nonregular_elementary": lambda space: nonregular_elementary(),
+    "field_f": lambda space: field_f(space.generator("T")),
+    "product_p": lambda space: product_p(space.generator("T")),
+    "chiral_vacuum": lambda space: chiral_vacuum(),
+}
+
+
+def eval_state(space: Space, state: State, A: WeylElement) -> complex:
+    return sum((coeff * state.key(space, v) for v, coeff in A.terms()), 0j)
 
 
 def gram_psd(
-    space: Space, spec: StateSpec, words: Sequence[WeylElement]
+    space: Space, state: State, words: Sequence[WeylElement]
 ) -> Tuple[np.ndarray, float]:
     n = len(words)
     M = np.zeros((n, n), dtype=complex)
     stars = [weyl_star(w) for w in words]
     for i in range(n):
         for j in range(n):
-            M[i, j] = eval_state(space, spec, weyl_mul(space, stars[i], words[j]))
+            M[i, j] = eval_state(space, state, weyl_mul(space, stars[i], words[j]))
     eigs = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
     return M, float(eigs[0])
 
 
 def hermiticity_defect(
-    space: Space, spec: StateSpec, words: Sequence[WeylElement]
+    space: Space, state: State, words: Sequence[WeylElement]
 ) -> float:
     worst = 0.0
     for A in words:
-        lhs = eval_state(space, spec, A)
-        rhs = eval_state(space, spec, weyl_star(A)).conjugate()
+        lhs = eval_state(space, state, A)
+        rhs = eval_state(space, state, weyl_star(A)).conjugate()
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -165,7 +177,7 @@ def regular_substitute_probe(space: Space, T: SymVector) -> float:
     """
     from .weyl import weyl_word
 
-    spec = product_p(T, regular_substitute=True)
+    state = product_p(T, regular_substitute=True)
     l_vec = space.slot_part(T, 0)
     words = []
     for name in space.generator_names():
@@ -175,4 +187,4 @@ def regular_substitute_probe(space: Space, T: SymVector) -> float:
         if h.is_zero() or space.charges(h).q != 0:
             continue
         words.append(weyl_mul(space, weyl_word(l_vec), weyl_word(h)))
-    return hermiticity_defect(space, spec, words)
+    return hermiticity_defect(space, state, words)

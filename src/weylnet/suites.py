@@ -23,11 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .chiral import (
-    dalembert,
-    dalembert_inverse,
-    sigma_decomposed,
-)
+from .chiral import dalembert, roundtrip_error, sigma_decomposed
+from .errors import WeylnetError
 from .funcspace import DEFAULT_GRID, Grid, chiral_norm_sq
 from .gns import (
     apply_elementary,
@@ -294,13 +291,7 @@ def suite_chiral(space: Space, rng) -> List[dict]:
         ch = space.charges(v)
         if ch.c != pair.c_plus - pair.c_minus or ch.q != pair.c_plus + pair.c_minus:
             charge_defect = 1.0
-        f0a, f1a = space.assemble(v)
-        f0b, f1b = dalembert_inverse(pair)
-        worst_round = max(
-            worst_round,
-            float(np.max(np.abs(f0a.samples - f0b.samples))),
-            float(np.max(np.abs(f1a.samples - f1b.samples))),
-        )
+        worst_round = max(worst_round, roundtrip_error(space, v, pair))
     worst_sigma = 0.0
     for _ in range(200):
         v = _rand_vector(space, rng, pool)
@@ -536,6 +527,9 @@ def run_suite(
 ) -> dict:
     """Execute a named suite (or "all") and return the report dict.
 
+    A suite that raises a WeylnetError becomes one failed record with status
+    "error", the exception class and its message; the other suites still run.
+
     The report carries no timing, so identical inputs give identical bytes;
     the wall-clock duration is returned under the "_duration" key, which
     serialize_report strips.
@@ -549,7 +543,11 @@ def run_suite(
     sections = []
     for name in names:
         rng = np.random.default_rng([seed, _SUITE_INDEX[name]])
-        checks = SUITES[name](space, rng)
+        try:
+            checks = SUITES[name](space, rng)
+        except WeylnetError as e:
+            error = {"name": name, "status": "error", "error": type(e).__name__, "message": str(e)}
+            checks = [error]
         sections.append(
             {
                 "name": name,
@@ -565,7 +563,7 @@ def run_suite(
         "suite": suite,
         "seed": seed,
         "registry": registry_path or "default",
-        "grid": {"points": grid.n, "window": [str(grid.x0), str(grid.x1)]},
+        "grid": {"points": space.grid.n, "window": [str(space.grid.x0), str(space.grid.x1)]},
         "sections": sections,
         "counts": {"pass": n_pass, "fail": n_total - n_pass, "total": n_total},
         "passed": n_pass == n_total,

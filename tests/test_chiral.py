@@ -8,7 +8,6 @@ from weylnet.chiral import (
     ChiralPair,
     dalembert,
     dalembert_inverse,
-    make_regularizers,
     sigma_chiral,
     sigma_decomposed,
     sigma_infinity,
@@ -140,19 +139,3 @@ def test_fock_norm_chiral_identity():
         lhs = space.fock_norm_sq(v)
         rhs = 2 * chiral_norm_sq(pair.theta_plus) + 2 * chiral_norm_sq(pair.theta_minus)
         assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(lhs))
-
-
-def test_make_regularizers():
-    space = sp()
-    reg = make_regularizers(space, space.generator("T"))
-    assert reg.c_plus == 1
-    assert reg.c_minus == -1
-    # integral S dS = 0 by the symmetric construction
-    from weylnet.funcspace import derivative
-
-    assert abs(pairing(reg.s_plus, derivative(reg.s_plus))) < 1e-9
-    assert abs(pairing(reg.s_minus, derivative(reg.s_minus))) < 1e-9
-    # S_+ is the original kink profile itself
-    _, t_fn = space.assemble(space.slot_part(space.generator("T"), 1))
-    assert np.max(np.abs(reg.s_plus.samples - t_fn.samples)) < 1e-9
-    assert np.max(np.abs(reg.s_minus.samples + t_fn.samples)) < 1e-9

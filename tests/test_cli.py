@@ -1,10 +1,15 @@
+import argparse
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from weylnet import cli, suites
+from weylnet.funcspace import Grid
+from weylnet.registry import load_registry
+from weylnet.states import STATES
 
 
 def run(argv):
@@ -76,7 +81,7 @@ def test_state_eval_bad_literal(capsys):
 
 
 def test_state_gram_all_kinds(capsys):
-    for kind in ("fock_a", "nonregular_elementary", "field_f", "product_p", "chiral_vacuum"):
+    for kind in STATES:
         assert run(["state", "gram", "--kind", kind, "--count", "4"]) == 0
         assert "PSD" in capsys.readouterr().out
 
@@ -183,3 +188,84 @@ def test_golden_report_all_seed_7(tmp_path, capsys):
     assert run(["--suite", "all", "--seed", "7", "--out", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "report_all_seed7.json"
     _assert_report_matches(json.loads(out.read_text()), json.loads(golden.read_text()))
+
+
+def _subparser(parser, *path):
+    for name in path:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("action", ["eval", "gram"])
+def test_kind_choices_are_the_state_table(action, capsys):
+    parser = _subparser(cli.build_parser(), "state", action)
+    kind = next(a for a in parser._actions if a.dest == "kind")
+    assert kind.choices == sorted(STATES)
+    argv = ["state", action, "--kind", "nope"]
+    if action == "eval":
+        argv += ["--element", "W[aC]"]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(name in err for name in STATES)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gram_count_below_one_exits_2(count, capsys):
+    assert exit_code(["state", "gram", "--kind", "fock_a", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --count: count must be at least 1, got {count}" in captured.err
+
+
+LOCALITY = {
+    "default": ["net", "locality", "--kind", "C", "--i1=-17/8:-7/8", "--i2=7/8:17/8"],
+    # fails on the coarse grid (defect 3.6e-4 against 1e-6)
+    "coarse": ["--grid-points", "1024", "--window", "16",
+               "net", "locality", "--kind", "B", "--i1=-21:-4", "--i2=4:21"],
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "1000"])
+@pytest.mark.parametrize("case", sorted(LOCALITY))
+def test_tolerance_takes_no_environment_variable(case, value, monkeypatch, capsys):
+    argv = LOCALITY[case]
+    monkeypatch.delenv("WEYLNET_TOL_SCALE", raising=False)
+    unset = (run(argv), capsys.readouterr())
+    monkeypatch.setenv("WEYLNET_TOL_SCALE", value)
+    assert (run(argv), capsys.readouterr()) == unset
+
+
+def test_report_grid_is_the_space_grid():
+    space = load_registry(None, Grid(Fraction(-16), Fraction(16), 1024))
+    report = suites.run_suite("gns", 1, space=space)
+    assert report["grid"] == {"points": 1024, "window": ["-16", "16"]}
+
+
+@pytest.mark.parametrize(
+    "flags, errors",
+    [
+        (["--window", "16"], {"states-positivity": "NotInDomain", "chiral": "NotInDomain"}),
+        (["--grid-points", "1024"], {"nets": "NotInDomain"}),
+    ],
+    ids=["window-16", "grid-points-1024"],
+)
+def test_raising_suite_becomes_an_error_record(flags, errors, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(flags + ["--suite", "all", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    sections = {s["name"]: s for s in report["sections"]}
+    assert list(sections) == list(suites.SUITES)
+    got = {}
+    for name, section in sections.items():
+        if any(c["status"] == "error" for c in section["checks"]):
+            (record,) = section["checks"]
+            assert record["name"] == name and record["message"]
+            assert section["passed"] is False
+            got[name] = record["error"]
+    assert got == errors
+    counts = report["counts"]
+    n_pass = sum(c["status"] == "pass" for s in sections.values() for c in s["checks"])
+    assert counts["pass"] == n_pass
+    assert counts["fail"] == counts["total"] - n_pass >= len(errors)

@@ -8,7 +8,7 @@ import pytest
 from weylnet.errors import InvalidKey, NotInDomain
 from weylnet.registry import load_registry
 from weylnet.states import (
-    chiral_vacuum,
+    STATES,
     eval_state,
     field_f,
     fock_a,
@@ -28,7 +28,6 @@ from weylnet.weyl import (
     weyl_star,
     weyl_word,
 )
-from weylnet.chiral import make_regularizers
 
 
 @lru_cache(maxsize=1)
@@ -59,16 +58,7 @@ def rand_word(rng, pool=GENS, n_keys=2):
 
 
 def all_specs():
-    space = sp()
-    T = space.generator("T")
-    regs = make_regularizers(space, T)
-    return {
-        "fock_a": fock_a(),
-        "nonregular_elementary": nonregular_elementary(),
-        "field_f": field_f(T),
-        "product_p": product_p(T),
-        "chiral_vacuum": chiral_vacuum(regs),
-    }
+    return {name: build(sp()) for name, build in STATES.items()}
 
 
 def test_normalization():
@@ -169,10 +159,7 @@ def test_cauchy_schwarz():
         assert abs(ab) ** 2 <= aa.real * bb.real + 1e-10
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["fock_a", "nonregular_elementary", "field_f", "product_p", "chiral_vacuum"],
-)
+@pytest.mark.parametrize("name", sorted(STATES))
 def test_gram_psd(name):
     space = sp()
     spec = all_specs()[name]
