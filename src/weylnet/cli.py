@@ -137,9 +137,11 @@ def _run_suite_command(args, grid: Grid) -> int:
     else:
         sys.stdout.write(text)
     counts = report["counts"]
+    # with the report on stdout, the summary goes to stderr so stdout stays JSON
     print(
         f"suite {args.suite}: {counts['pass']}/{counts['total']} checks passed "
-        f"in {report['_duration']:.2f}s"
+        f"in {report['_duration']:.2f}s",
+        file=sys.stdout if args.out else sys.stderr,
     )
     return 0 if report["passed"] else 1
 

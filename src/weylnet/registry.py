@@ -93,7 +93,7 @@ def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> T
     raise RegistryParseError(f"line {lineno}: unknown function kind {kind!r}")
 
 
-def parse_registry(text: str, grid: Grid = DEFAULT_GRID) -> Space:
+def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>") -> Space:
     functions: Dict[str, TestFunction] = {}
     pairs: Dict[str, Tuple[Optional[TestFunction], Optional[TestFunction]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -128,16 +128,17 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID) -> Space:
         else:
             raise RegistryParseError(f"line {lineno}: unknown record {record!r}")
     try:
-        return Space(grid, pairs)
+        return Space(grid, pairs, source)
     except WeylnetError as e:
         raise RegistryParseError(str(e)) from None
 
 
 def load_registry(path: Optional[str] = None, grid: Grid = DEFAULT_GRID) -> Space:
-    """Load a registry file; None loads the packaged default."""
+    """Load a registry file; None loads the packaged default.  The Space
+    records its source: the path as given, or "default"."""
     if path is None:
         text = resources.files("weylnet.data").joinpath("default.registry").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_registry(text, grid)
+    return parse_registry(text, grid, path or "default")

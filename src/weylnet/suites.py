@@ -529,6 +529,8 @@ def run_suite(
 
     A suite that raises a WeylnetError becomes one failed record with status
     "error", the exception class and its message; the other suites still run.
+    The report's `grid` and `registry` describe the Space the suites ran on,
+    so a given `space` overrides `registry_path` and `grid`.
 
     The report carries no timing, so identical inputs give identical bytes;
     the wall-clock duration is returned under the "_duration" key, which
@@ -562,7 +564,7 @@ def run_suite(
         "schema": SCHEMA,
         "suite": suite,
         "seed": seed,
-        "registry": registry_path or "default",
+        "registry": space.source,
         "grid": {"points": space.grid.n, "window": [str(space.grid.x0), str(space.grid.x1)]},
         "sections": sections,
         "counts": {"pass": n_pass, "fail": n_total - n_pass, "total": n_total},

@@ -34,16 +34,10 @@ class WeylElement:
         acc: Dict[SymVector, complex] = {}
         for v, a in terms:
             acc[v] = acc.get(v, 0j) + complex(a)
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(
-                sorted(
-                    ((v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS),
-                    key=lambda t: t[0].items(),
-                )
-            ),
-        )
+        kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
+        if len(kept) > 1:
+            kept.sort(key=lambda t: t[0].items())
+        object.__setattr__(self, "_terms", tuple(kept))
 
     def terms(self) -> Tuple[Tuple[SymVector, complex], ...]:
         return self._terms

@@ -33,11 +33,12 @@ def test_suite_run_writes_deterministic_report(tmp_path, capsys):
 
 def test_suite_report_to_stdout(capsys):
     assert run(["--suite", "psi-T", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    body = out[: out.rindex("suite psi-T")]
-    report = json.loads(body)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)  # stdout holds the report and nothing else
     names = {c["name"] for s in report["sections"] for c in s["checks"]}
     assert "sigma-splitting" in names
+    assert captured.err.startswith("suite psi-T: ")
+    assert "checks passed" in captured.err
 
 
 def test_exit_2_on_missing_registry(capsys):
@@ -241,6 +242,17 @@ def test_report_grid_is_the_space_grid():
     space = load_registry(None, Grid(Fraction(-16), Fraction(16), 1024))
     report = suites.run_suite("gns", 1, space=space)
     assert report["grid"] == {"points": 1024, "window": ["-16", "16"]}
+
+
+def test_report_registry_is_the_space_source(tmp_path):
+    path = tmp_path / "my.registry"
+    path.write_text(
+        (Path(suites.__file__).parent / "data" / "default.registry").read_text()
+    )
+    report = suites.run_suite("gns", 1, space=load_registry(str(path)))
+    assert report["registry"] == str(path)
+    assert suites.run_suite("gns", 1, space=load_registry())["registry"] == "default"
+    assert suites.run_suite("gns", 1, registry_path=str(path))["registry"] == str(path)
 
 
 @pytest.mark.parametrize(

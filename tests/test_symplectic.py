@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylnet import errors
-from weylnet.funcspace import DEFAULT_GRID, EMPTY
+from weylnet.funcspace import DEFAULT_GRID, EMPTY, pairing
 from weylnet.registry import load_registry, parse_registry
-from weylnet.symplectic import SymVector, ZERO, sigma_plane
+from weylnet.symplectic import Charges, SymVector, ZERO, sigma_plane
 
 
 from functools import lru_cache
@@ -296,3 +296,113 @@ def test_psi_t_is_linear(a, b):
     assert img.l_part[0] == a * iv.l_part[0] + b * iw.l_part[0]
     assert abs(img.l_part[1] - (float(a) * iv.l_part[1] + float(b) * iw.l_part[1])) < 1e-9
     assert img.m_part[1] == a * iv.m_part[1] + b * iw.m_part[1]
+
+
+# -- SymVector against a dict-of-Fraction oracle ------------------------------
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_terms = st.lists(st.tuples(st.integers(0, 5), _rationals), max_size=6)
+
+
+def _oracle(terms):
+    acc = {}
+    for a, c in terms:
+        acc[a] = acc.get(a, Fraction(0)) + Fraction(c)
+    return {a: c for a, c in acc.items() if c}
+
+
+def _as_dict(v):
+    items = v.items()
+    atoms = [a for a, _ in items]
+    assert atoms == sorted(set(atoms))  # sorted, one entry per atom
+    assert all(isinstance(c, Fraction) and c != 0 for _, c in items)
+    return dict(items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_terms, y=_terms, k=_rationals)
+def test_symvector_matches_fraction_oracle(x, y, k):
+    v, w = SymVector(x), SymVector(y)
+    ox, oy = _oracle(x), _oracle(y)
+    assert _as_dict(v) == ox
+    assert _as_dict(v + w) == _oracle(list(ox.items()) + list(oy.items()))
+    assert _as_dict(v - w) == _oracle(list(ox.items()) + [(a, -c) for a, c in oy.items()])
+    assert _as_dict(-v) == {a: -c for a, c in ox.items()}
+    for factor in (k, -k, 0, 3, Fraction(-2, 7)):
+        assert _as_dict(v.scale(factor)) == _oracle((a, factor * c) for a, c in ox.items())
+    assert v.scale(0) == ZERO and v.scale(0).is_zero()
+    assert (v == w) == (ox == oy)
+    assert v.is_zero() == (not ox)
+    # the same rational vector reached by other routes: equal, same hash
+    routes = [
+        SymVector(sorted(ox.items())),
+        SymVector(reversed(x)),
+        sum((SymVector([t]) for t in reversed(x)), ZERO),
+        (v + w) - w,
+        (v - w) + w,
+        -(-v),
+        v.scale(k).scale(1 / k) if k else v.scale(1),
+        v.scale(Fraction(1, 6)) + v.scale(Fraction(5, 6)),
+    ]
+    for r in routes:
+        assert r == v and hash(r) == hash(v), (r, v)
+
+
+# -- fast paths pinned to the formulas they replace ----------------------------
+
+
+def _random_vectors(space, seed, count=60):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        picks = rng.choice(len(space.atoms), int(rng.integers(1, 6)), replace=False)
+        out.append(
+            SymVector(
+                (int(a), Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))))
+                for a in picks
+            )
+        )
+    return out
+
+
+def test_sigma_matches_fraction_double_loop(space):
+    def reference(v, w):
+        total = 0.0
+        for a, ca in v.items():
+            for b, cb in w.items():
+                fa, fb = space.atoms[a], space.atoms[b]
+                if fa.slot == fb.slot:
+                    continue
+                g = pairing(fa.fn, fb.fn) if fa.slot == 0 else -pairing(fb.fn, fa.fn)
+                total += float(ca) * float(cb) * g
+        return total
+
+    vs = _random_vectors(space, 11)
+    for v, w in zip(vs, vs[1:] + vs[:1]):
+        assert space.sigma(v, w) == reference(v, w)
+
+
+def test_charges_match_fraction_sums(space):
+    for v in _random_vectors(space, 12) + [ZERO, space.unit_vector()]:
+        c = plus = minus = Fraction(0)
+        for a, coeff in v.items():
+            fn = space.atoms[a].fn
+            if space.atoms[a].slot == 0:
+                c += coeff * fn.integral
+            else:
+                plus += coeff * fn.right_limit
+                minus += coeff * fn.left_limit
+        assert space.charges(v) == Charges(c, plus - minus, (plus + minus) / 2)
+        f0, f1 = space.assemble(v)
+        assert (f0.integral, f1.left_limit, f1.right_limit) == (c, minus, plus)
+
+
+def test_slot1_is_constant_matches_samples(space):
+    A0 = space.slot_part(space.generator("T"), 0)
+    e = space.unit_vector()
+    vs = [space.generator("q0") - space.generator("T0"), space.generator("n1").scale(3)]
+    vs += [A0.scale(c) + e.scale(n) for c in (0, 1, Fraction(-3, 2)) for n in (0, 2, Fraction(1, 3))]
+    vs += _random_vectors(space, 13)
+    for v in vs:
+        assert space.slot1_is_constant(v) == space.assemble(v)[1].is_constant(), v
+    assert space.slot1_is_constant(vs[0]) and not space.slot1_is_constant(space.generator("q0"))
