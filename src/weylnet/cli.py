@@ -25,6 +25,7 @@ registry/element/argument parse failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,7 +37,7 @@ from .errors import WeylnetError
 from .funcspace import Grid, Interval
 from .registry import load_registry
 from .states import STATES, eval_state, gram_psd
-from .suites import SUITES, _rand_vector, run_suite, serialize_report
+from .suites import CHECKS, SUITES, _rand_vector, run_suite, serialize_report
 from .nets import GaugeElement, diagram_check, gauge_apply, locality_report, make_sector, sector_apply
 from .weyl import IDENTITY, parse_element, weyl_add, weyl_word
 
@@ -48,11 +49,25 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"count must be at least 1, got {n}")
-    return n
+def _at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {n}")
+        return n
+
+    parse.__name__ = what  # argparse names a non-integer "invalid <what> value"
+    return parse
+
+
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return x
 
 
 def _parse_interval(text: str) -> Interval:
@@ -85,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--registry", metavar="PATH", default=None)
     parser.add_argument("--suite", metavar="NAME", choices=sorted(SUITES) + ["all"])
-    parser.add_argument("--seed", metavar="N", type=int, default=1)
+    parser.add_argument("--seed", metavar="N", type=_at_least(0, "seed"), default=1)
     parser.add_argument("--out", metavar="PATH", default=None)
     parser.add_argument("--grid-points", metavar="N", type=int, default=4096)
     parser.add_argument("--window", metavar="X", type=_rational, default=Fraction(32))
@@ -99,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--element", required=True)
     gram = state_sub.add_parser("gram")
     gram.add_argument("--kind", required=True, choices=sorted(STATES))
-    gram.add_argument("--count", type=_count, default=6)
+    gram.add_argument("--count", type=_at_least(1, "count"), default=6)
 
     chiral = sub.add_parser("chiral", help="mover decomposition checks")
     chiral_sub = chiral.add_subparsers(dest="action", required=True)
@@ -119,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     sec.add_argument("--interval", required=True)
     sec.add_argument("--apply", required=True)
     gauge = net_sub.add_parser("gauge")
-    gauge.add_argument("--n", type=float, default=0.0)
-    gauge.add_argument("--r", type=float, default=0.0)
+    gauge.add_argument("--n", type=_finite, default=0.0)
+    gauge.add_argument("--r", type=_finite, default=0.0)
     gauge.add_argument("--apply", required=True)
     diag = net_sub.add_parser("diagram")
     diag.add_argument("--regularizer", required=True)
@@ -158,7 +173,8 @@ def _run_subcommand(args, grid: Grid) -> int:
         words = _rand_words(space, args.seed, args.count, pool)
         M, min_eig = gram_psd(space, state, words)
         norm = float(np.linalg.norm(M, 2))
-        ok = min_eig >= -1e-8 * max(1.0, norm)
+        floor = next(c.tolerance for c in CHECKS if c.name == "gram-min-eigenvalue")
+        ok = min_eig >= floor * max(1.0, norm)
         print(f"gram {len(words)}x{len(words)} min eigenvalue {min_eig:.6g} "
               f"norm {norm:.6g} {'PSD' if ok else 'NOT PSD'}")
         return 0 if ok else 1

@@ -145,18 +145,21 @@ def gauge_apply(space: Space, g: GaugeElement, A: WeylElement) -> WeylElement:
     return WeylElement(out)
 
 
+# gauge subgroup -> the intermediate net its fixed points on the field net form
+FIXED_POINT_NETS = {"G_q": "C", "G_c": "E", "G_full": "B"}
+
+
+def gauge_invariant(space: Space, F: SymVector, subgroup: str) -> bool:
+    """Every element of the subgroup fixes W(F): G_c needs F_c = 0, G_q needs
+    F_q = 0, G_full needs both."""
+    ch = space.charges(F)
+    return (subgroup == "G_q" or ch.c == 0) and (subgroup == "G_c" or ch.q == 0)
+
+
 def fixed_point_project(space: Space, A: WeylElement, subgroup: str) -> WeylElement:
-    if subgroup not in ("G_c", "G_q", "G_full"):
+    if subgroup not in FIXED_POINT_NETS:
         raise ValueError(f"unknown gauge subgroup {subgroup!r}")
-    out = []
-    for F, a in A.terms():
-        ch = space.charges(F)
-        if subgroup in ("G_c", "G_full") and ch.c != 0:
-            continue
-        if subgroup in ("G_q", "G_full") and ch.q != 0:
-            continue
-        out.append((F, a))
-    return WeylElement(out)
+    return WeylElement((F, a) for F, a in A.terms() if gauge_invariant(space, F, subgroup))
 
 
 def diagram_check(space: Space, T: SymVector, I: Interval) -> dict:
@@ -198,17 +201,10 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> dict:
     # fixed-point nets: the charge filter on F(I) generators is exactly the
     # sub-net membership filter
     f_gens = net_generators(space, "F", I)
-    for sub, kind in (("G_q", "C"), ("G_c", "E"), ("G_full", "B")):
-        ok = True
-        for g in f_gens:
-            ch = space.charges(g)
-            if sub == "G_q":
-                invariant = ch.q == 0
-            elif sub == "G_c":
-                invariant = ch.c == 0
-            else:
-                invariant = ch.c == 0 and ch.q == 0
-            ok = ok and invariant == space.in_space(g, NET_LABEL[kind])
+    for sub, kind in FIXED_POINT_NETS.items():
+        ok = all(
+            gauge_invariant(space, g, sub) == space.in_space(g, NET_LABEL[kind]) for g in f_gens
+        )
         report[f"fixed_points_{sub}"] = {"passed": ok, "net": kind}
 
     report["passed"] = all(

@@ -2,14 +2,49 @@
 
 The full suite is executed twice with the same seed; the criterion tests read
 the check records out of the first report and the determinism criterion
-compares the serialized bytes of both runs.
+compares the serialized bytes of both runs.  `CRITERIA` maps each numbered
+item of the README's acceptance list to the checks that carry it.
 """
 
 import pytest
 
-from weylnet.suites import run_suite, serialize_report
+from weylnet.suites import CHECKS, run_suite, serialize_report
 
 SEED = 7
+
+CRITERIA = {
+    1: [
+        "product-associativity",
+        "product-unitarity",
+        "involution-antihomomorphism",
+        "exchange-relation",
+    ],
+    2: ["staged-product-agreement"],
+    3: ["phase-cocycle-identity"],
+    4: ["sigma-splitting", "charge-coordinates-regularizer-independent"],
+    5: ["gram-min-eigenvalue", "regular-substitute-hermiticity-violation"],
+    6: ["product-state-coincidence"],
+    7: [
+        "central-eigenrelation",
+        "charge-operator-eigenrelation",
+        "trace-property",
+        "distinct-charge-norm-distance",
+        "non-regularity-witness",
+    ],
+    8: [
+        "mover-roundtrip",
+        "chiral-charge-relations",
+        "sigma-chiral-splitting",
+        "fock-norm-mover-identity",
+    ],
+    9: [
+        "locality-observable-nets",
+        "field-net-disjoint-phase",
+        "soliton-phases",
+        "gauge-fixed-point-filters",
+        "splitting-diagram",
+    ],
+}
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +54,19 @@ def reports():
     return first, second
 
 
-def _checks(report, section):
-    sec = next(s for s in report["sections"] if s["name"] == section)
-    return {c["name"]: c for c in sec["checks"]}
+def _checks(report):
+    return {c["name"]: c for s in report["sections"] for c in s["checks"]}
+
+
+def _records(report, num):
+    checks = _checks(report)
+    return [checks[name] for name in CRITERIA[num]]
+
+
+def test_criteria_cover_every_check_once():
+    listed = [name for names in CRITERIA.values() for name in names]
+    assert sorted(listed) == sorted(c.name for c in CHECKS)
+    assert len(set(listed)) == len(listed)
 
 
 def _verdict(num, label, records, extra_ok=True):
@@ -32,34 +77,23 @@ def _verdict(num, label, records, extra_ok=True):
 
 
 def test_criterion_01_weyl_axioms(reports):
-    checks = _checks(reports[0], "weyl-axioms")
-    names = [
-        "product-associativity",
-        "product-unitarity",
-        "involution-antihomomorphism",
-        "exchange-relation",
-    ]
-    records = [checks[n] for n in names]
+    records = _records(reports[0], 1)
     tol_ok = all(c["tolerance"] == 1e-12 for c in records)
     _verdict(1, "weyl axioms", records, tol_ok)
 
 
 def test_criterion_02_crossed_product(reports):
-    c = _checks(reports[0], "weyl-axioms")["staged-product-agreement"]
+    (c,) = _records(reports[0], 2)
     _verdict(2, "crossed-product law", [c], c["tolerance"] == 1e-10)
 
 
 def test_criterion_03_cocycle(reports):
-    c = _checks(reports[0], "weyl-axioms")["phase-cocycle-identity"]
+    (c,) = _records(reports[0], 3)
     _verdict(3, "2-cocycle identity", [c], c["tolerance"] == 1e-9)
 
 
 def test_criterion_04_psi_t_decomposition(reports):
-    checks = _checks(reports[0], "psi-T")
-    records = [
-        checks["sigma-splitting"],
-        checks["charge-coordinates-regularizer-independent"],
-    ]
+    records = _records(reports[0], 4)
     tol_ok = (
         records[0]["tolerance"] == 1e-6 and records[1]["tolerance"] == 0.0
     )
@@ -67,11 +101,7 @@ def test_criterion_04_psi_t_decomposition(reports):
 
 
 def test_criterion_05_positivity(reports):
-    checks = _checks(reports[0], "states-positivity")
-    records = [
-        checks["gram-min-eigenvalue"],
-        checks["regular-substitute-hermiticity-violation"],
-    ]
+    records = _records(reports[0], 5)
     extra = (
         records[1]["mode"] == "at-least"
         and records[1]["tolerance"] == 1e-6
@@ -81,20 +111,13 @@ def test_criterion_05_positivity(reports):
 
 
 def test_criterion_06_state_coincidence(reports):
-    c = _checks(reports[0], "states-positivity")["product-state-coincidence"]
+    (c,) = _records(reports[0], 6)
     _verdict(6, "state coincidence", [c], c["tolerance"] == 1e-10)
 
 
 def test_criterion_07_gns_sector(reports):
-    checks = _checks(reports[0], "gns")
-    names = [
-        "central-eigenrelation",
-        "charge-operator-eigenrelation",
-        "trace-property",
-        "distinct-charge-norm-distance",
-        "non-regularity-witness",
-    ]
-    records = [checks[n] for n in names]
+    checks = _checks(reports[0])
+    records = _records(reports[0], 7)
     tol_ok = (
         checks["central-eigenrelation"]["tolerance"] == 1e-12
         and checks["charge-operator-eigenrelation"]["tolerance"] == 0.0
@@ -106,14 +129,8 @@ def test_criterion_07_gns_sector(reports):
 
 
 def test_criterion_08_dalembert(reports):
-    checks = _checks(reports[0], "chiral")
-    names = [
-        "mover-roundtrip",
-        "chiral-charge-relations",
-        "sigma-chiral-splitting",
-        "fock-norm-mover-identity",
-    ]
-    records = [checks[n] for n in names]
+    checks = _checks(reports[0])
+    records = _records(reports[0], 8)
     tol_ok = (
         checks["mover-roundtrip"]["tolerance"] == 1e-8
         and checks["chiral-charge-relations"]["tolerance"] == 0.0
@@ -124,15 +141,8 @@ def test_criterion_08_dalembert(reports):
 
 
 def test_criterion_09_nets(reports):
-    checks = _checks(reports[0], "nets")
-    names = [
-        "locality-observable-nets",
-        "field-net-disjoint-phase",
-        "soliton-phases",
-        "gauge-fixed-point-filters",
-        "splitting-diagram",
-    ]
-    records = [checks[n] for n in names]
+    checks = _checks(reports[0])
+    records = _records(reports[0], 9)
     tol_ok = all(
         checks[n]["tolerance"] == 1e-6
         for n in ("locality-observable-nets", "field-net-disjoint-phase", "soliton-phases")

@@ -1,12 +1,14 @@
 import argparse
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from weylnet import cli, suites
+from weylnet.errors import NotInDomain
 from weylnet.funcspace import Grid
 from weylnet.registry import load_registry
 from weylnet.states import STATES
@@ -56,12 +58,13 @@ def test_exit_2_without_suite_or_command(capsys):
     assert run([]) == 2
 
 
-def test_exit_1_on_failing_check(monkeypatch, capsys):
-    def failing(space, rng):
-        return [suites._record("forced", 1.0, 0.0, "forced failure for plumbing test")]
-
-    monkeypatch.setitem(suites.SUITES, "gns", failing)
-    assert run(["--suite", "gns"]) == 1
+def test_exit_1_on_failing_check(monkeypatch, capsys, tmp_path):
+    forced = [replace(c, tolerance=-1.0) if c.name == "trace-property" else c for c in suites.CHECKS]
+    monkeypatch.setattr(suites, "CHECKS", tuple(forced))
+    out = tmp_path / "report.json"
+    assert run(["--suite", "gns", "--out", str(out)]) == 1
+    (section,) = json.loads(out.read_text())["sections"]
+    assert [c["name"] for c in section["checks"] if c["status"] != "pass"] == ["trace-property"]
 
 
 def test_state_eval_matches_library(capsys):
@@ -258,26 +261,83 @@ def test_report_registry_is_the_space_source(tmp_path):
 @pytest.mark.parametrize(
     "flags, errors",
     [
-        (["--window", "16"], {"states-positivity": "NotInDomain", "chiral": "NotInDomain"}),
-        (["--grid-points", "1024"], {"nets": "NotInDomain"}),
+        (
+            ["--window", "16"],
+            {
+                "gram-min-eigenvalue": "NotInDomain",
+                "product-state-coincidence": "NotInDomain",
+                "fock-norm-mover-identity": "NotInDomain",
+            },
+        ),
+        (
+            ["--grid-points", "1024"],
+            {"soliton-phases": "NotInDomain", "splitting-diagram": "RegularizerNotContained"},
+        ),
     ],
     ids=["window-16", "grid-points-1024"],
 )
 def test_raising_suite_becomes_an_error_record(flags, errors, tmp_path, capsys):
+    """A raising check is its own error record; its suite's other checks still run."""
     out = tmp_path / "report.json"
     assert run(flags + ["--suite", "all", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    sections = {s["name"]: s for s in report["sections"]}
-    assert list(sections) == list(suites.SUITES)
+    assert [s["name"] for s in report["sections"]] == list(suites.SUITES)
     got = {}
-    for name, section in sections.items():
-        if any(c["status"] == "error" for c in section["checks"]):
-            (record,) = section["checks"]
-            assert record["name"] == name and record["message"]
-            assert section["passed"] is False
-            got[name] = record["error"]
+    for section in report["sections"]:
+        names = [c.name for c in suites.CHECKS if c.suite == section["name"]]
+        assert [c["name"] for c in section["checks"]] == names
+        for record in section["checks"]:
+            if record["status"] == "error":
+                assert sorted(record) == ["error", "message", "name", "status"] and record["message"]
+                assert section["passed"] is False
+                got[record["name"]] = record["error"]
     assert got == errors
     counts = report["counts"]
-    n_pass = sum(c["status"] == "pass" for s in sections.values() for c in s["checks"])
-    assert counts["pass"] == n_pass
-    assert counts["fail"] == counts["total"] - n_pass >= len(errors)
+    n_pass = sum(c["status"] == "pass" for s in report["sections"] for c in s["checks"])
+    assert counts["total"] == len(suites.CHECKS)
+    assert counts["pass"] == n_pass and counts["fail"] == counts["total"] - n_pass
+
+
+def test_raising_shared_loop_errors_each_check_that_reads_it(monkeypatch):
+    calls = []
+
+    def raising(*args):
+        calls.append(args)
+        raise NotInDomain("forced")
+
+    monkeypatch.setattr(suites, "cocycle_defect", raising)
+    (section,) = suites.run_suite("weyl-axioms", 7)["sections"]
+    records = {c["name"]: c for c in section["checks"]}
+    axioms = [
+        "product-associativity",
+        "product-unitarity",
+        "involution-antihomomorphism",
+        "exchange-relation",
+        "phase-cocycle-identity",
+    ]
+    assert list(records) == axioms + ["staged-product-agreement"]
+    for name in axioms:
+        assert records[name] == {
+            "name": name, "status": "error", "error": "NotInDomain", "message": "forced"
+        }
+    assert records["staged-product-agreement"]["status"] in ("pass", "fail")
+    assert len(calls) == 1  # the loop ran once for all five readers
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["--seed", "-1", "--suite", "gns"], "argument --seed: seed must be at least 0, got -1"),
+        (["--seed", "-3", "state", "gram", "--kind", "fock_a"], "seed must be at least 0, got -3"),
+        (["net", "gauge", "--n", "nan", "--apply", "W[T]"], "argument --n: must be a finite number"),
+        (["net", "gauge", "--n", "inf", "--apply", "W[T]"], "argument --n: must be a finite number"),
+        (["net", "gauge", "--r=-inf", "--apply", "W[T]"], "argument --r: must be a finite number"),
+        (["net", "gauge", "--r", "nan", "--apply", "W[T]"], "argument --r: must be a finite number"),
+    ],
+    ids=["seed-suite", "seed-gram", "gauge-n-nan", "gauge-n-inf", "gauge-r-inf", "gauge-r-nan"],
+)
+def test_out_of_range_number_flag_exits_2(argv, cause, capsys):
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert cause in captured.err and "Traceback" not in captured.err
