@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -61,23 +62,17 @@ def _spectral_deriv(samples: np.ndarray, h: float) -> np.ndarray:
     return np.fft.irfft(ft, n=n)
 
 
-class _KinkCache(dict):
-    def for_grid(self, grid: Grid) -> Tuple[TestFunction, np.ndarray]:
-        if grid not in self:
-            k_deriv = make_kink(Fraction(0), Fraction(1), True, grid=grid, form="deriv")
-            k_step = make_kink(Fraction(0), Fraction(1), True, grid=grid, form="step")
-            # unit step from 0 to 1
-            self[grid] = (k_deriv, k_step.samples + 0.5)
-        return self[grid]
-
-
-_KINKS = _KinkCache()
+@lru_cache(maxsize=64)
+def _unit_kink(grid: Grid) -> Tuple[TestFunction, np.ndarray]:
+    """The compact unit kink's derivative and its samples as a step from 0 to 1."""
+    step = make_kink(Fraction(0), Fraction(1), True, grid=grid, form="step")
+    return step.deriv, step.samples + 0.5
 
 
 def _charge_antiderivative(f0: TestFunction, f_c: Fraction) -> np.ndarray:
     """Antiderivative of f0 with exact limits (0, f_c): kink part in closed
     form, spectral integral of the decaying zero-charge remainder."""
-    k_deriv, k_step = _KINKS.for_grid(f0.grid)
+    k_deriv, k_step = _unit_kink(f0.grid)
     fc = float(f_c)
     g = f0.samples - fc * k_deriv.samples
     return fc * k_step + _spectral_int(g, f0.grid.step)
@@ -118,7 +113,7 @@ def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:
     """Reconstruct the Cauchy pair (f0, f1) from its movers."""
     f_c = pair.c_plus - pair.c_minus
     grid = pair.theta_plus.grid
-    k_deriv, k_step = _KINKS.for_grid(grid)
+    k_deriv, k_step = _unit_kink(grid)
     delta = pair.theta_plus.samples - pair.theta_minus.samples
     residue = delta - float(f_c) * k_step
     f0_samples = float(f_c) * k_deriv.samples + _spectral_deriv(residue, grid.step)

@@ -14,6 +14,7 @@ f~(p) = (2*pi)^(-1/2) * integral f(x) exp(-i p x) dx.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,6 @@ from .errors import BadGrid, DivergentTail, EdgeMismatch, NotInDomain
 TOL_EDGE = 1e-9
 TOL_CHARGE = 1e-9
 TOL_SUPP = 1e-12
-TOL_QUAD = 1e-6
 
 
 @dataclass(frozen=True, order=True)
@@ -140,12 +140,16 @@ def make_grid_function(
     right_limit: Fraction,
     integral: Optional[Fraction] = None,
 ) -> TestFunction:
-    """Validated constructor: edge samples must agree with the declared limits."""
+    """Validated constructor: samples must be finite, and the edge samples
+    must agree with the declared limits."""
     if grid.step <= 0:
         raise BadGrid("step must be positive")
     s = np.asarray(samples, dtype=float)
     if s.shape != (grid.n,):
         raise BadGrid(f"expected {grid.n} samples, got {s.shape}")
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise BadGrid(f"non-finite sample {s[bad[0]]} at index {bad[0]}")
     left_limit = Fraction(left_limit)
     right_limit = Fraction(right_limit)
     if abs(s[0] - float(left_limit)) > TOL_EDGE:
@@ -185,11 +189,9 @@ def _bump_antideriv(u: np.ndarray) -> np.ndarray:
     """Integral of (1-v^2)^8 from -1 to u, clipped outside the support."""
     uc = np.clip(u, -1.0, 1.0)
     # expand (1-v^2)^8 and integrate termwise
-    from math import comb
-
     val = np.zeros_like(uc)
     for k in range(_BUMP_EXPONENT + 1):
-        coeff = comb(_BUMP_EXPONENT, k) * (-1) ** k / (2 * k + 1)
+        coeff = math.comb(_BUMP_EXPONENT, k) * (-1) ** k / (2 * k + 1)
         val += coeff * (uc ** (2 * k + 1) - (-1.0) ** (2 * k + 1))
     return val
 
@@ -261,8 +263,6 @@ def hermite_gaussian(order: int, center: Fraction, grid: Grid = DEFAULT_GRID) ->
     else:
         for k in range(1, order):
             h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
-    import math
-
     norm = 1.0 / math.sqrt(2.0**order * math.factorial(order) * math.sqrt(math.pi))
     gauss = np.exp(-0.5 * y**2)
     s = norm * h * gauss

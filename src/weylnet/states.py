@@ -26,10 +26,11 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .chiral import dalembert
-from .errors import InvalidKey, NotInDomain
+from .errors import NotInDomain
 from .funcspace import TestFunction, chiral_norm_sq
+from .gns import _plane_coordinates
 from .symplectic import Space, SymVector
-from .weyl import WeylElement, weyl_mul, weyl_star
+from .weyl import WeylElement, weyl_mul, weyl_star, weyl_word
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,8 @@ def fock_a() -> State:
 
 
 def _elementary_key(space: Space, v: SymVector) -> complex:
-    if not space.slot1_is_constant(v):
-        raise InvalidKey("key is not an elementary charge-plane vector")
-    return (1 + 0j) if space.charges(v).c == 0 else 0j
+    c, _ = _plane_coordinates(space, v)
+    return (1 + 0j) if c == 0 else 0j
 
 
 def nonregular_elementary() -> State:
@@ -155,8 +155,9 @@ def hermiticity_defect(
 
 def state_coincidence_check(
     space: Space, T: SymVector, words: Sequence[WeylElement]
-) -> dict:
-    """Dual-path evaluation: direct charge-delta state vs ordered product."""
+) -> float:
+    """Dual-path evaluation: the largest discrepancy between the direct
+    charge-delta state and the ordered product over `words`."""
     direct = field_f(T)
     product = product_p(T)
     worst = 0.0
@@ -165,7 +166,7 @@ def state_coincidence_check(
             worst,
             abs(eval_state(space, direct, A) - eval_state(space, product, A)),
         )
-    return {"max_discrepancy": worst, "passed": worst < 1e-10}
+    return worst
 
 
 def regular_substitute_probe(space: Space, T: SymVector) -> float:
@@ -175,8 +176,6 @@ def regular_substitute_probe(space: Space, T: SymVector) -> float:
     The probe words are ordered products W(l) W(h) with sigma(h, l) != 0:
     the staging phase then survives the regular weight.
     """
-    from .weyl import weyl_word
-
     state = product_p(T, regular_substitute=True)
     l_vec = space.slot_part(T, 0)
     words = []

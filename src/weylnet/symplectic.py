@@ -27,6 +27,7 @@ from .funcspace import (
     Interval,
     TestFunction,
     constant_function,
+    derivative,
     fock_norm_sq,
     localization,
     pairing,
@@ -148,9 +149,6 @@ class PsiImage:
 def sigma_plane(a: Tuple, b: Tuple) -> float:
     """Standard form on a coordinate plane: (x, y), (x', y') -> x y' - x' y."""
     return float(a[0]) * float(b[1]) - float(b[0]) * float(a[1])
-
-
-SPACE_LABELS = ("Va", "Vb", "Vc", "Vq", "Ve", "Vf")
 
 
 class Space:
@@ -327,8 +325,6 @@ class Space:
 
     def slot1_derivative(self, v: SymVector) -> TestFunction:
         """Derivative of the slot-1 component, using the atoms' closed forms."""
-        from .funcspace import derivative
-
         s = np.zeros(self.grid.n)
         for a, n in v._nums:
             if self._slots[a] == 1:

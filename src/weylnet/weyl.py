@@ -170,7 +170,8 @@ def _parse_coeff(text: str) -> complex:
     return z
 
 
-def _parse_combo(space: Space, body: str) -> SymVector:
+def parse_combo(space: Space, body: str) -> SymVector:
+    """The body of `W[...]`: a signed rational combination of generator names, or 0."""
     body = body.strip()
     if body == "0" or not body:
         return ZERO
@@ -219,7 +220,7 @@ def parse_element(space: Space, text: str) -> WeylElement:
             coeff = complex(-1.0)
         elif head and head != "+":
             raise ElementParseError(f"unexpected text before W[: {head!r}")
-        v = _parse_combo(space, s[bracket + 2 : close])
+        v = parse_combo(space, s[bracket + 2 : close])
         terms.append((v, pending_sign * coeff))
         pos = close + 1
         rest = s[pos:].lstrip()

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -144,8 +145,12 @@ def exit_code(argv):
         ["state", "eval", "--kind", "field_f", "--element", "W[1/0 aC]"],
         ["state", "eval", "--kind", "field_f", "--element", "1e308 * W[aC] + 1e308 * W[aC]"],
         ["--window", "abc", "state", "eval", "--kind", "field_f", "--element", "W[aC]"],
+        # a stray bracket is a bad term, not a cut that drops the rest of the combo
+        ["chiral", "roundtrip", "--combo", "aC]+W[c0"],
+        ["chiral", "decompose", "--combo", "q0]-W[c0"],
     ],
-    ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window"],
+    ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
+         "combo-roundtrip", "combo-decompose"],
 )
 def test_bad_input_exits_2(argv, capsys):
     assert exit_code(argv) == 2
@@ -170,6 +175,11 @@ def test_nonregular_state_on_cancelling_slot1_atoms(capsys):
     assert capsys.readouterr().out == "1+0i\n"
 
 
+def _close(got: float, want: float) -> bool:
+    """A golden number: 0.0 exactly, any other value to a relative 1e-6."""
+    return got == want if want == 0.0 else math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-12)
+
+
 def _assert_report_matches(got, want, path="report"):
     """Structure, strings and counts exactly; floats to isclose, 0.0 exactly."""
     if isinstance(want, dict):
@@ -182,7 +192,7 @@ def _assert_report_matches(got, want, path="report"):
             _assert_report_matches(g, w, f"{path}[{i}]")
     elif isinstance(want, float) and path.endswith(".value") and want != 0.0:
         assert isinstance(got, float), path
-        assert math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-12), (path, got, want)
+        assert _close(got, want), (path, got, want)
     else:
         assert type(got) is type(want) and got == want, (path, got, want)
 
@@ -192,6 +202,23 @@ def test_golden_report_all_seed_7(tmp_path, capsys):
     assert run(["--suite", "all", "--seed", "7", "--out", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "report_all_seed7.json"
     _assert_report_matches(json.loads(out.read_text()), json.loads(golden.read_text()))
+
+
+ADHOC = json.loads((Path(__file__).parent / "data" / "adhoc_commands.json").read_text())
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)")
+
+
+@pytest.mark.parametrize(
+    "case", ADHOC, ids=lambda case: re.sub(r"\W+", "-", " ".join(case["argv"])).strip("-")
+)
+def test_adhoc_command_matches_golden(case, capsys):
+    """The README's ad-hoc commands and `state gram` for every kind at seed 5:
+    exit code and words exactly, numbers as the golden report compares them."""
+    assert run(case["argv"]) == case["exit"]
+    got, want = (NUMBER.split(text) for text in (capsys.readouterr().out, case["stdout"]))
+    assert got[0::2] == want[0::2]
+    for g, w in zip(got[1::2], want[1::2]):
+        assert _close(float(g), float(w)), (g, w)
 
 
 def _subparser(parser, *path):
@@ -341,3 +368,49 @@ def test_out_of_range_number_flag_exits_2(argv, cause, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert cause in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, tolerance, argv, verdict",
+    [
+        ("gram-min-eigenvalue", 1.0, ["state", "gram", "--kind", "fock_a"], " NOT PSD\n"),
+        ("mover-roundtrip", -1.0, ["chiral", "roundtrip", "--combo", "aC + 3/2 c0"], ""),
+        ("locality-observable-nets", -1.0, LOCALITY["default"], " FAIL\n"),
+        ("field-net-disjoint-phase", -1.0,
+         ["net", "locality", "--kind", "F", "--i1=-17/8:-7/8", "--i2=7/8:17/8"], " FAIL\n"),
+    ],
+    ids=["gram", "roundtrip", "locality-C", "locality-F"],
+)
+def test_cli_verdict_is_the_table_check(name, tolerance, argv, verdict, monkeypatch, capsys):
+    """Tightening one check's table bound turns the CLI verdict that uses it to a failure."""
+    monkeypatch.setitem(
+        suites.CHECK_BY_NAME, name, replace(suites.CHECK_BY_NAME[name], tolerance=tolerance)
+    )
+    assert run(argv) == 1
+    assert capsys.readouterr().out.endswith(verdict)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_registry_sample_exits_2(bad, tmp_path, capsys):
+    default = (Path(suites.__file__).parent / "data" / "default.registry").read_text()
+    values = ["0"] * 16
+    values[7] = bad
+    path = tmp_path / "bad.registry"
+    path.write_text(
+        default
+        + f"fn bad grid window=-4:4 limits=0:0 values={','.join(values)} integral=0\n"
+        + "pair zz f0=0 f1=bad\n"
+    )
+    assert run(["--registry", str(path), "--suite", "nets"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = len(default.splitlines()) + 1
+    assert f"error: line {line}: non-finite sample {bad} at index 7" in captured.err
+
+
+def test_cli_bound_is_inclusive(monkeypatch, capsys):
+    """A defect exactly at its table bound passes, as it does in the report."""
+    check = suites.CHECK_BY_NAME["locality-observable-nets"]
+    monkeypatch.setitem(suites.CHECK_BY_NAME, check.name, replace(check, tolerance=0.0))
+    assert run(LOCALITY["default"]) == 0
+    assert capsys.readouterr().out == "kind C defect 0.000e+00 PASS\n"
