@@ -65,8 +65,7 @@ def field_f(T: SymVector) -> State:
         ch = space.charges(v)
         if ch.c != 0 or ch.q != 0:
             return 0j
-        tangent = space.psi_T(v, T).tangent
-        return complex(space.fock_factor(tangent))
+        return complex(space.fock_factor(space.tangent(v, T)))
 
     return State(key)
 
@@ -77,6 +76,8 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
         tch = space.charges(T)
         a = ch.c / tch.c
         b = ch.q / tch.q
+        if not regular_substitute and (a != 0 or b != 0):
+            return 0j  # the exact delta factor; no quadrature needed
         l_vec = space.slot_part(T, 0).scale(a) + space.slot_part(T, 1).scale(b)
         h_vec = v - l_vec
         # canonical staging W(v) = e^{i sigma(h,l)/2} W(h) W(l)
@@ -84,19 +85,19 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
         h_center, _ = space.split_off_center(h_vec)
         omega_h = space.fock_factor(h_center)
         if regular_substitute:
-            omega_l = math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)
-        else:
-            omega_l = 1.0 if (a == 0 and b == 0) else 0.0
-        return phase * omega_h * omega_l
+            return phase * omega_h * math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)
+        return phase * omega_h
 
     return State(key)
 
 
 def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
-    pair = dalembert(space, v)
-    if pair.c_plus != 0 or pair.c_minus != 0:
+    # c_pm = (q +/- c)/2 both vanish exactly when c and q do
+    ch = space.charges(v)
+    if ch.c != 0 or ch.q != 0:
         return 0j
-    half = float(space.charges(v).inf) / 2.0
+    pair = dalembert(space, v)
+    half = float(ch.inf) / 2.0
     total = 0.0
     for theta in (pair.theta_plus, pair.theta_minus):
         flat = TestFunction(

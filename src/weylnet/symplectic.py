@@ -341,7 +341,10 @@ class Space:
         return fock_norm_sq(f0, f1)
 
     def fock_factor(self, v: SymVector) -> float:
-        """The quasi-free vacuum value exp(-||v||^2 / 4), memoized per key."""
+        """The quasi-free vacuum value exp(-||v||^2 / 4), memoized up to sign:
+        negation is exact in floating point, so ||-v||^2 == ||v||^2 bit for bit."""
+        if v._nums and v._nums[0][1] < 0:
+            v = -v
         if v not in self._fock:
             self._fock[v] = 1.0 if v.is_zero() else math.exp(-0.25 * self.fock_norm_sq(v))
         return self._fock[v]
@@ -360,30 +363,30 @@ class Space:
         f0, _ = self.assemble(v)
         return pairing(f0, t1)
 
-    def psi_T(self, v: SymVector, T: SymVector) -> PsiImage:
-        """Split v into a fully decaying part and two symplectic planes.
-
-        The decaying part subtracts rational multiples of T's slots and of the
-        central constant, chosen so all three charges of the remainder vanish
-        exactly.  The plane coordinates are (F_c, F_n) and (F_r, F_q); the
-        total symplectic form is the sum of the three pieces when T's slots
-        have unit charges and pair to zero against each other.
-        """
+    def _tangent(self, v: SymVector, T: SymVector, ch: Charges) -> SymVector:
         tch = self.charges(T)
         if tch.c == 0 or tch.q == 0:
             raise DegenerateRegularizer(f"regularizer charges {tch.c}, {tch.q}")
-        ch = self.charges(v)
         a = ch.c / tch.c
         b = ch.q / tch.q
         gamma = ch.inf - b * tch.inf
-        tangent = (
-            v
-            - self.slot_part(T, 0).scale(a)
-            - self.slot_part(T, 1).scale(b)
-            - self.unit_vector().scale(gamma)
-        )
+        return (v - self.slot_part(T, 0).scale(a) - self.slot_part(T, 1).scale(b)
+                - self.unit_vector().scale(gamma))
+
+    def tangent(self, v: SymVector, T: SymVector) -> SymVector:
+        """The fully decaying part of v: v minus rational multiples of T's
+        slots and of the central constant, chosen so all three charges of the
+        remainder vanish exactly."""
+        return self._tangent(v, T, self.charges(v))
+
+    def psi_T(self, v: SymVector, T: SymVector) -> PsiImage:
+        """Split v into its tangent and two symplectic planes with coordinates
+        (F_c, F_n) and (F_r, F_q); the total symplectic form is the sum of the
+        three pieces when T's slots have unit charges and pair to zero against
+        each other."""
+        ch = self.charges(v)
         return PsiImage(
-            tangent=tangent,
+            tangent=self._tangent(v, T, ch),
             l_part=(ch.c, self.rel_charge_n(v, T)),
             m_part=(self.rel_charge_r(v, T), ch.q),
         )

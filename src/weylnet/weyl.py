@@ -173,7 +173,9 @@ def _parse_coeff(text: str) -> complex:
 def parse_combo(space: Space, body: str) -> SymVector:
     """The body of `W[...]`: a signed rational combination of generator names, or 0."""
     body = body.strip()
-    if body == "0" or not body:
+    if not body:
+        raise ElementParseError("empty generator combination; write W[0] for the identity")
+    if body == "0":
         return ZERO
     # split into signed summands
     parts = re.findall(r"[+-]?[^+-]+", body)

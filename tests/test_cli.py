@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -148,15 +151,40 @@ def exit_code(argv):
         # a stray bracket is a bad term, not a cut that drops the rest of the combo
         ["chiral", "roundtrip", "--combo", "aC]+W[c0"],
         ["chiral", "decompose", "--combo", "q0]-W[c0"],
+        # an empty combination is not the identity, which is written W[0]
+        ["chiral", "roundtrip", "--combo", ""],
+        ["chiral", "roundtrip", "--combo", "   "],
+        ["state", "eval", "--kind", "field_f", "--element", "W[]"],
     ],
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
-         "combo-roundtrip", "combo-decompose"],
+         "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
+         "empty-element-key"],
 )
 def test_bad_input_exits_2(argv, capsys):
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_empty_combination_names_the_identity(capsys):
+    assert run(["state", "eval", "--kind", "field_f", "--element", "W[aC] + W[]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: empty generator combination; write W[0] for the identity\n"
+    )
+
+
+def test_python_dash_m_matches_in_process(capsys):
+    argv = ["--suite", "nets", "--seed", "7"]
+    assert run(argv) == 0
+    in_process = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "weylnet", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == in_process
 
 
 def test_unknown_generator_names_the_registered_ones(capsys):

@@ -5,7 +5,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from weylnet import funcspace, states
+from weylnet.chiral import dalembert
 from weylnet.errors import InvalidKey, NotInDomain
+from weylnet.funcspace import chiral_norm_sq
 from weylnet.registry import load_registry
 from weylnet.states import (
     STATES,
@@ -19,7 +22,7 @@ from weylnet.states import (
     regular_substitute_probe,
     state_coincidence_check,
 )
-from weylnet.symplectic import ZERO
+from weylnet.symplectic import ZERO, Space
 from weylnet.weyl import (
     IDENTITY,
     weyl_add,
@@ -219,3 +222,150 @@ def test_eval_is_linear():
     lhs = eval_state(space, spec, weyl_add(weyl_scale(A, z), B))
     rhs = z * eval_state(space, spec, A) + eval_state(space, spec, B)
     assert abs(lhs - rhs) < 1e-12
+
+
+# -- the parent formulas: every norm computed, then multiplied by the delta ----
+
+
+def _old_fock_factor(space, v):
+    return 1.0 if v.is_zero() else math.exp(-0.25 * space.fock_norm_sq(v))
+
+
+def _old_field_f(T):
+    def key(space, v):
+        ch = space.charges(v)
+        if ch.c != 0 or ch.q != 0:
+            return 0j
+        return complex(_old_fock_factor(space, space.psi_T(v, T).tangent))
+
+    return key
+
+
+def _old_product_p(T, regular_substitute=False):
+    def key(space, v):
+        ch = space.charges(v)
+        tch = space.charges(T)
+        a = ch.c / tch.c
+        b = ch.q / tch.q
+        l_vec = space.slot_part(T, 0).scale(a) + space.slot_part(T, 1).scale(b)
+        h_vec = v - l_vec
+        phase = complex(np.exp(0.5j * space.sigma(h_vec, l_vec)))
+        h_center, _ = space.split_off_center(h_vec)
+        omega_h = _old_fock_factor(space, h_center)
+        if regular_substitute:
+            omega_l = math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)
+        else:
+            omega_l = 1.0 if (a == 0 and b == 0) else 0.0
+        return phase * omega_h * omega_l
+
+    return key
+
+
+def _old_chiral_vacuum(space, v):
+    pair = dalembert(space, v)
+    if pair.c_plus != 0 or pair.c_minus != 0:
+        return 0j
+    half = float(space.charges(v).inf) / 2.0
+    total = 0.0
+    for theta in (pair.theta_plus, pair.theta_minus):
+        flat = funcspace.TestFunction(theta.grid, theta.samples - half, Fraction(0), Fraction(0), None)
+        total += chiral_norm_sq(flat)
+    return complex(math.exp(-0.5 * total))
+
+
+def _oracle_keys(space):
+    """Charged and zero-charge keys, W[q0 - T0], the zero vector, and the
+    negation of each, every key followed by its negation."""
+    g = space.generator
+    neutral = [g("aL"), g("aC"), g("aR"), g("n1"), g("q0") - g("q3"),
+               g("c1") - g("c0"), g("T") - g("T3"), g("T0") - g("c0") - g("q0")]
+    rng = np.random.default_rng(11)
+    keys = [ZERO, g("q0") - g("T0")]
+    for _ in range(6):
+        keys.append(rand_vector(rng))
+        picks = rng.choice(len(neutral), size=3, replace=False)
+        v = ZERO
+        for i in picks:
+            v = v + neutral[i].scale(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))))
+        keys.append(v)
+    out = []
+    for v in keys:
+        out += [v, -v]
+    return out
+
+
+def test_keys_equal_the_compute_then_multiply_formulas():
+    space = load_registry()  # a fresh Fock memo, filled in key order
+    T = space.generator("T")
+    keys = _oracle_keys(space)
+    charged = [v for v in keys if space.charges(v).c != 0 or space.charges(v).q != 0]
+    assert 0 < len(charged) < len(keys)
+    pairs = [
+        (field_f(T).key, _old_field_f(T)),
+        (product_p(T).key, _old_product_p(T)),
+        (product_p(T, regular_substitute=True).key, _old_product_p(T, True)),
+        (STATES["chiral_vacuum"](space).key, _old_chiral_vacuum),
+    ]
+    for new, old in pairs:
+        for v in keys:
+            assert new(space, v) == old(space, v), v
+    # the substitute weight is nonzero on charged keys, so they still run quadrature
+    sub = product_p(T, regular_substitute=True).key
+    assert any(sub(space, v) != 0 for v in charged)
+
+
+def _count_norm_calls(monkeypatch):
+    calls = []
+    fock_norm_sq = Space.fock_norm_sq
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Space, "fock_norm_sq", counted("fock_norm_sq", fock_norm_sq))
+    monkeypatch.setattr(states, "dalembert", counted("dalembert", states.dalembert))
+    monkeypatch.setattr(states, "chiral_norm_sq", counted("chiral_norm_sq", states.chiral_norm_sq))
+    return calls
+
+
+def test_charged_keys_run_no_quadrature(monkeypatch):
+    space = load_registry()
+    T = space.generator("T")
+    calls = _count_norm_calls(monkeypatch)
+    keys = [product_p(T).key, STATES["chiral_vacuum"](space).key]
+    g = space.generator
+    for v in (g("T"), g("q0"), g("c0"), g("aC") + g("c1"), g("q0") - g("T0"), -g("T3")):
+        for key in keys:
+            assert key(space, v) == 0
+    assert calls == []
+    # a zero-charge key does run them
+    for key in keys:
+        key(space, g("aC") + g("q0") - g("q3"))
+    assert {"fock_norm_sq", "dalembert", "chiral_norm_sq"} <= set(calls)
+
+
+def test_fock_memo_is_keyed_up_to_sign(monkeypatch):
+    space = load_registry()
+    calls = _count_norm_calls(monkeypatch)
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        v = rand_vector(rng, VA_GENS)
+        if v.is_zero():
+            continue
+        value = space.fock_factor(v)
+        before = len(calls)
+        assert space.fock_factor(-v) == value
+        assert len(calls) == before
+    assert calls  # the first read of each pair computed its norm
+
+
+def test_fock_norm_is_bit_exact_under_negation():
+    space = sp()
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        v = rand_vector(rng, VA_GENS)
+        if not v.is_zero():
+            assert space.fock_norm_sq(-v) == space.fock_norm_sq(v)

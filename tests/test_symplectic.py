@@ -226,6 +226,27 @@ def test_psi_t_degenerate_regularizer(space):
         space.psi_T(space.generator("aC"), space.generator("q0"))
 
 
+def test_tangent_is_the_psi_t_tangent(space):
+    rng = np.random.default_rng(9)
+    names = space.generator_names()
+    vectors = [space.generator(n) for n in names] + [ZERO]
+    for _ in range(12):
+        picks = rng.choice(len(names), size=3, replace=False)
+        v = ZERO
+        for i in picks:
+            v = v + space.generator(names[i]).scale(
+                Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))))
+        vectors.append(v)
+    for T in (space.generator("T"), space.generator("T3")):
+        for v in vectors:
+            assert space.psi_T(v, T).tangent == space.tangent(v, T)
+    # zero c (q0), zero q (c0), or both (aC)
+    for name in ("q0", "c0", "aC"):
+        for split in (space.psi_T, space.tangent):
+            with pytest.raises(errors.DegenerateRegularizer):
+                split(space.generator("aL"), space.generator(name))
+
+
 def test_sigma_decomposition_identity(space):
     T = space.generator("T0")
     gens = ["T3", "q0", "q3", "c0", "c1", "c2", "aL", "aC", "aR", "n1", "T"]
