@@ -90,7 +90,7 @@ class Interval:
         return self.b <= other.a or other.b <= self.a
 
     def contains(self, other: Union["Interval", _Empty]) -> bool:
-        if getattr(other, "is_empty", False):
+        if other.is_empty:
             return True
         return self.a <= other.a and other.b <= self.b
 

@@ -63,20 +63,12 @@ def net_generators(space: Space, kind: str, I: Interval) -> Tuple[SymVector, ...
     return tuple(out)
 
 
-def asymptotics(space: Space, v: SymVector) -> Tuple[Fraction, Fraction]:
-    """Exact slot-1 limits (F_minus, F_plus)."""
-    ch = space.charges(v)
-    return ch.inf - ch.q / 2, ch.inf + ch.q / 2
-
-
 def disjoint_sigma(space: Space, F: SymVector, G: SymVector, f_left: bool) -> float:
     """Closed form of sigma_f(F, G) for disjointly localized F, G."""
-    fm, fp = asymptotics(space, F)
-    gm, gp = asymptotics(space, G)
-    fc, gc = space.charges(F).c, space.charges(G).c
+    f, g = space.charges(F), space.charges(G)
     if f_left:
-        return float(gm * fc - fp * gc)
-    return float(gp * fc - fm * gc)
+        return float(g.minus * f.c - f.plus * g.c)
+    return float(g.plus * f.c - f.minus * g.c)
 
 
 def locality_report(space: Space, kind: str, I1: Interval, I2: Interval) -> float:
@@ -179,7 +171,7 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> Dict[str, bool]:
     for name in space.generator_names():
         g = space.generator(name)
         loc = space.localization(g)
-        if not space.in_space(g, "Va") or getattr(loc, "is_empty", False):
+        if not space.in_space(g, "Va") or loc.is_empty:
             continue
         if not loc.disjoint(I):
             continue

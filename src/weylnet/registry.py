@@ -139,6 +139,9 @@ def load_registry(path: Optional[str] = None, grid: Grid = DEFAULT_GRID) -> Spac
     if path is None:
         text = resources.files("weylnet.data").joinpath("default.registry").read_text()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise RegistryParseError(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} at offset {e.start})") from None
     return parse_registry(text, grid, path or "default")

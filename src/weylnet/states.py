@@ -73,12 +73,9 @@ def field_f(T: SymVector) -> State:
 def product_p(T: SymVector, regular_substitute: bool = False) -> State:
     def key(space: Space, v: SymVector) -> complex:
         ch = space.charges(v)
-        tch = space.charges(T)
-        a = ch.c / tch.c
-        b = ch.q / tch.q
-        if not regular_substitute and (a != 0 or b != 0):
+        if not regular_substitute and (ch.c != 0 or ch.q != 0):
             return 0j  # the exact delta factor; no quadrature needed
-        l_vec = space.slot_part(T, 0).scale(a) + space.slot_part(T, 1).scale(b)
+        a, b, l_vec = space.charge_part(ch, T)
         h_vec = v - l_vec
         # canonical staging W(v) = e^{i sigma(h,l)/2} W(h) W(l)
         phase = complex(np.exp(0.5j * space.sigma(h_vec, l_vec)))
@@ -181,9 +178,7 @@ def regular_substitute_probe(space: Space, T: SymVector) -> float:
     l_vec = space.slot_part(T, 0)
     words = []
     for name in space.generator_names():
-        h = space.slot_part(space.generator(name), 1) - space.unit_vector().scale(
-            space.charges(space.generator(name)).inf
-        )
+        h, _ = space.split_off_center(space.slot_part(space.generator(name), 1))
         if h.is_zero() or space.charges(h).q != 0:
             continue
         words.append(weyl_mul(space, weyl_word(l_vec), weyl_word(h)))

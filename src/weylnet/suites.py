@@ -40,7 +40,6 @@ from .gns import (
 from .nets import (
     FIXED_POINT_NETS,
     NET_LABEL,
-    asymptotics,
     diagram_check,
     fixed_point_project,
     locality_report,
@@ -345,9 +344,9 @@ def _field_disjoint_phase(space: Space, rng, ctx) -> float:
 def _soliton_phases(space: Space, rng, ctx) -> float:
     F = space.generator("q0")
     rho = make_sector(space, F, I_MID)
-    f_minus, f_plus = asymptotics(space, F)
+    ch = space.charges(F)
     worst = 0.0
-    for name, side in (("c1", f_plus), ("c2", f_minus)):
+    for name, side in (("c1", ch.plus), ("c2", ch.minus)):
         g = space.generator(name)
         got = sector_apply(space, rho, weyl_word(g)).terms()[0][1]
         worst = max(worst, abs(got - cmath.exp(-1j * float(side) * float(space.charges(g).c))))

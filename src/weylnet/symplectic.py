@@ -43,6 +43,16 @@ class Charges:
     q: Fraction
     inf: Fraction
 
+    @property
+    def minus(self) -> Fraction:
+        """The slot-1 left limit."""
+        return self.inf - self.q / 2
+
+    @property
+    def plus(self) -> Fraction:
+        """The slot-1 right limit."""
+        return self.inf + self.q / 2
+
 
 class SymVector:
     """Immutable rational combination of registered atoms.
@@ -351,42 +361,33 @@ class Space:
 
     # -- T-relative moments and the regularized splitting ----------------------
 
-    def rel_charge_n(self, v: SymVector, T: SymVector) -> float:
-        """F_n = integral f1 * (slot-0 part of T) dx."""
-        t0, _ = self.assemble(self.slot_part(T, 0))
-        _, f1 = self.assemble(v)
-        return pairing(f1, t0)
-
-    def rel_charge_r(self, v: SymVector, T: SymVector) -> float:
-        """F_r = integral f0 * (slot-1 part of T) dx."""
-        _, t1 = self.assemble(self.slot_part(T, 1))
-        f0, _ = self.assemble(v)
-        return pairing(f0, t1)
-
-    def _tangent(self, v: SymVector, T: SymVector, ch: Charges) -> SymVector:
+    def charge_part(self, ch: Charges, T: SymVector) -> Tuple[Fraction, Fraction, SymVector]:
+        """(a, b, l) with a = F_c / T_c and b = F_q / T_q for the charges ch:
+        l = a T_0 + b T_1, built on T's slots, carries the charges c and q."""
         tch = self.charges(T)
         if tch.c == 0 or tch.q == 0:
             raise DegenerateRegularizer(f"regularizer charges {tch.c}, {tch.q}")
         a = ch.c / tch.c
         b = ch.q / tch.q
-        gamma = ch.inf - b * tch.inf
-        return (v - self.slot_part(T, 0).scale(a) - self.slot_part(T, 1).scale(b)
-                - self.unit_vector().scale(gamma))
+        return a, b, self.slot_part(T, 0).scale(a) + self.slot_part(T, 1).scale(b)
+
+    def _tangent(self, v: SymVector, T: SymVector, ch: Charges) -> SymVector:
+        return self.split_off_center(v - self.charge_part(ch, T)[2])[0]
 
     def tangent(self, v: SymVector, T: SymVector) -> SymVector:
-        """The fully decaying part of v: v minus rational multiples of T's
-        slots and of the central constant, chosen so all three charges of the
-        remainder vanish exactly."""
+        """The fully decaying part of v: v minus its charge part along T's
+        slots and then minus the central constant, so all three charges of
+        the remainder vanish exactly."""
         return self._tangent(v, T, self.charges(v))
 
     def psi_T(self, v: SymVector, T: SymVector) -> PsiImage:
         """Split v into its tangent and two symplectic planes with coordinates
-        (F_c, F_n) and (F_r, F_q); the total symplectic form is the sum of the
-        three pieces when T's slots have unit charges and pair to zero against
-        each other."""
+        (F_c, F_n) and (F_r, F_q), where F_n = integral f1 t0 dx and
+        F_r = integral f0 t1 dx against T's slots; the total symplectic form
+        is the sum of the three pieces when T's slots have unit charges and
+        pair to zero against each other."""
         ch = self.charges(v)
-        return PsiImage(
-            tangent=self._tangent(v, T, ch),
-            l_part=(ch.c, self.rel_charge_n(v, T)),
-            m_part=(self.rel_charge_r(v, T), ch.q),
-        )
+        tangent = self._tangent(v, T, ch)
+        f0, f1 = self.assemble(v)
+        t0, t1 = self.assemble(T)
+        return PsiImage(tangent, (ch.c, pairing(f1, t0)), (pairing(f0, t1), ch.q))

@@ -48,9 +48,6 @@ class WeylElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self._terms == other._terms
 
-    def __hash__(self):
-        return hash(tuple((v, round(a.real, 12), round(a.imag, 12)) for v, a in self._terms))
-
     def __repr__(self):
         if not self._terms:
             return "WeylElement(0)"

@@ -140,6 +140,16 @@ def exit_code(argv):
         return e.code
 
 
+NON_UTF8 = "<non-UTF-8 registry>"
+
+
+def _non_utf8_registry(tmp_path) -> str:
+    """A registry path whose file holds a 0xff byte in a comment."""
+    path = tmp_path / "bad-byte.registry"
+    path.write_bytes(b"fn one constant value=1\n# \xff\npair n1 f0=0 f1=one\n")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -155,16 +165,26 @@ def exit_code(argv):
         ["chiral", "roundtrip", "--combo", ""],
         ["chiral", "roundtrip", "--combo", "   "],
         ["state", "eval", "--kind", "field_f", "--element", "W[]"],
+        ["--registry", NON_UTF8, "--suite", "nets"],
     ],
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
          "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
-         "empty-element-key"],
+         "empty-element-key", "non-utf8-registry"],
 )
-def test_bad_input_exits_2(argv, capsys):
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    argv = [_non_utf8_registry(tmp_path) if arg == NON_UTF8 else arg for arg in argv]
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_non_utf8_registry_names_the_path(tmp_path, capsys):
+    path = _non_utf8_registry(tmp_path)
+    assert run(["--registry", path, "--suite", "nets"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text (byte 0xff at offset 26)\n"
+    )
 
 
 def test_empty_combination_names_the_identity(capsys):
@@ -442,3 +462,41 @@ def test_cli_bound_is_inclusive(monkeypatch, capsys):
     monkeypatch.setitem(suites.CHECK_BY_NAME, check.name, replace(check, tolerance=0.0))
     assert run(LOCALITY["default"]) == 0
     assert capsys.readouterr().out == "kind C defect 0.000e+00 PASS\n"
+
+
+DEFAULT_T = "pair T  f0=dtka f1=tka"
+# the checks that split data against the registry's regularizer T
+T_SPLIT_CHECKS = (
+    "sigma-splitting",
+    "charge-coordinates-regularizer-independent",
+    "gram-min-eigenvalue",
+    "regular-substitute-hermiticity-violation",
+    "product-state-coincidence",
+)
+
+
+@pytest.mark.parametrize(
+    "pair, charges",
+    [("pair T f0=0 f1=tka", "0, 1"), ("pair T f0=dtka f1=0", "1, 0")],
+    ids=["zero-c", "zero-q"],
+)
+def test_degenerate_regularizer_is_an_error_record(pair, charges, tmp_path, capsys):
+    """A registry T with a zero charge errors each check that splits against
+    it; the run still writes every record, and `state eval` exits 2."""
+    default = (Path(suites.__file__).parent / "data" / "default.registry").read_text()
+    assert default.count(DEFAULT_T) == 1
+    path = tmp_path / "degenerate.registry"
+    path.write_text(default.replace(DEFAULT_T, pair))
+    out = tmp_path / "report.json"
+    assert run(["--registry", str(path), "--suite", "all", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    records = [c for s in report["sections"] for c in s["checks"]]
+    assert [c["name"] for c in records] == [c.name for c in suites.CHECKS]
+    errors = {c["name"]: (c["error"], c["message"]) for c in records if c["status"] == "error"}
+    message = f"regularizer charges {charges}"
+    assert errors == dict.fromkeys(T_SPLIT_CHECKS, ("DegenerateRegularizer", message))
+
+    argv = ["--registry", str(path), "state", "eval", "--kind", "product_p", "--element", "W[aC]"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -14,7 +14,6 @@ from weylnet.errors import (
 from weylnet.funcspace import Interval
 from weylnet.nets import (
     GaugeElement,
-    asymptotics,
     character_gauge,
     diagram_check,
     disjoint_sigma,
@@ -117,7 +116,8 @@ def test_soliton_phases_per_side():
     space = sp()
     F = space.generator("q0")
     rho = make_sector(space, F, I_MID)
-    f_minus, f_plus = asymptotics(space, F)
+    ch = space.charges(F)
+    f_minus, f_plus = ch.minus, ch.plus
     assert (f_minus, f_plus) == (Fraction(-1, 2), Fraction(1, 2))
     g_right = space.generator("c1")  # supported in [1, 2]
     g_left = space.generator("c2")  # supported in [-2, -1]

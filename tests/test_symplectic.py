@@ -247,6 +247,70 @@ def test_tangent_is_the_psi_t_tangent(space):
                 split(space.generator("aL"), space.generator(name))
 
 
+# the T-relative formulas as they stood before `Space.charge_part`: each
+# moment assembled its own slot of T and v, and the tangent subtracted the
+# central constant gamma = F_inf - b T_inf in the same step
+
+def _old_rel_charge_n(space, v, T):
+    t0, _ = space.assemble(space.slot_part(T, 0))
+    _, f1 = space.assemble(v)
+    return pairing(f1, t0)
+
+
+def _old_rel_charge_r(space, v, T):
+    _, t1 = space.assemble(space.slot_part(T, 1))
+    f0, _ = space.assemble(v)
+    return pairing(f0, t1)
+
+
+def _old_tangent(space, v, T):
+    ch, tch = space.charges(v), space.charges(T)
+    a = ch.c / tch.c
+    b = ch.q / tch.q
+    gamma = ch.inf - b * tch.inf
+    return (v - space.slot_part(T, 0).scale(a) - space.slot_part(T, 1).scale(b)
+            - space.unit_vector().scale(gamma))
+
+
+def _regularizers(space):
+    g = space.generator
+    # the last has T_c = 3/2 != T_q = 1/2, so a and b are told apart
+    return [g("T"), g("T0"), g("T3"), g("T3").scale(Fraction(3, 2)) - g("q0")]
+
+
+def test_psi_t_equals_the_old_formulas(space):
+    vectors = [space.generator(n) for n in space.generator_names()]
+    vectors += [ZERO, space.unit_vector()] + _random_vectors(space, 14, count=30)
+    for T in _regularizers(space):
+        for v in vectors:
+            img = space.psi_T(v, T)
+            ch = space.charges(v)
+            assert img.tangent == _old_tangent(space, v, T), v
+            assert img.l_part == (ch.c, _old_rel_charge_n(space, v, T)), v
+            assert img.m_part == (_old_rel_charge_r(space, v, T), ch.q), v
+
+
+def test_charge_part_carries_the_charges(space):
+    for T in _regularizers(space):
+        tch = space.charges(T)
+        for v in _random_vectors(space, 15, count=20):
+            ch = space.charges(v)
+            a, b, l = space.charge_part(ch, T)
+            assert (a * tch.c, b * tch.q) == (ch.c, ch.q)
+            lch = space.charges(l)
+            assert (lch.c, lch.q) == (ch.c, ch.q)
+
+
+def test_charges_carry_the_exact_limits(space):
+    vectors = [space.generator(n) for n in space.generator_names()]
+    for v in vectors + [space.unit_vector()] + _random_vectors(space, 16):
+        ch = space.charges(v)
+        _, f1 = space.assemble(v)
+        assert (ch.minus, ch.plus) == (f1.left_limit, f1.right_limit), v
+    q0 = space.charges(space.generator("q0"))
+    assert (q0.minus, q0.plus) == (Fraction(-1, 2), Fraction(1, 2))
+
+
 def test_sigma_decomposition_identity(space):
     T = space.generator("T0")
     gens = ["T3", "q0", "q3", "c0", "c1", "c2", "aL", "aC", "aR", "n1", "T"]

@@ -4,6 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylnet import errors
 from weylnet.registry import load_registry
@@ -198,3 +200,69 @@ def test_parse_errors():
     for bad in ("", "W[nope]", "W[q0", "2.0 ** W[q0]", "W[q0] * W[q0]", "xyz"):
         with pytest.raises((errors.ElementParseError, errors.UnknownGenerator)):
             parse_element(space, bad)
+
+
+_gap = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def _body(draw):
+    """A W[...] body and its combination: `0`, or 1-4 signed rational
+    generator terms, with random spacing."""
+    if draw(st.integers(0, 4)) == 0:
+        return f"{draw(_gap)}0{draw(_gap)}", {}
+    text, combo = draw(_gap), {}
+    names = draw(st.lists(st.sampled_from(GENS), min_size=1, max_size=4, unique=True))
+    for i, name in enumerate(names):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        p, q = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+        coeff, value = draw(st.sampled_from(
+            [("", Fraction(1)), (f"{p} ", Fraction(p)), (f"{p}/{q} ", Fraction(p, q))]
+        ))
+        if coeff:
+            coeff += draw(_gap)
+        text += f"{draw(_gap) if i else ''}{sign}{draw(_gap)}{coeff}{name}{draw(_gap)}"
+        combo[name] = -value if sign == "-" else value
+    return text, combo
+
+
+@st.composite
+def _summand(draw):
+    """A summand's head and coefficient: none, a leading `-`, or a complex
+    coefficient followed by `*`."""
+    form = draw(st.sampled_from(["none", "minus", "complex"]))
+    if form == "none":
+        return "", 1 + 0j
+    if form == "minus":
+        return "-", -1 + 0j
+    re_, im = (draw(st.integers(-40, 40)) / 4 for _ in range(2))
+    text, value = draw(st.sampled_from(
+        [(f"{re_}", complex(re_)), (f"{im}i", complex(0, im)), (f"{re_}{im:+}i", complex(re_, im))]
+    ))
+    return f"{text}{draw(_gap)}*{draw(_gap)}", value
+
+
+@st.composite
+def _literal(draw):
+    """Element literal text with 1-4 summands, and its (combo, coefficient) terms."""
+    text, terms = draw(_gap), []
+    for i in range(draw(st.integers(1, 4))):
+        sign = 1.0
+        if i:
+            sep = draw(st.sampled_from(["+", "-"]))
+            sign = -1.0 if sep == "-" else 1.0
+            text += f"{draw(_gap)}{sep}{draw(_gap)}"
+        head, coeff = draw(_summand())
+        body, combo = draw(_body())
+        text += f"{head}W[{body}]"
+        terms.append((combo, sign * coeff))
+    return text + draw(_gap), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_literal())
+def test_parse_element_matches_the_direct_element(case):
+    space = sp()
+    text, terms = case
+    expected = WeylElement([(space.vector(combo), coeff) for combo, coeff in terms])
+    assert parse_element(space, text) == expected, text
