@@ -8,26 +8,20 @@ the declared charge multiple of a reference compact kink is split off in
 closed form, and the decaying zero-mean remainder is integrated and
 differentiated spectrally on the same DFT grid.  This keeps the round trip at
 machine precision, which a finite-difference derivative of a cumulative
-quadrature cannot do (its half-step ripple is amplified by 1/h).
+quadrature cannot do (its half-step ripple is amplified by 1/h).  The
+antiderivative is linear in the data, so `dalembert` sums the per-atom
+antiderivatives its Space builds once (`Space.antiderivative`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .funcspace import (
-    Grid,
-    TestFunction,
-    _simpson_value,
-    derivative,
-    make_kink,
-    pairing,
-)
+from .funcspace import TestFunction, _simpson_value, _unit_kink, derivative, pairing
 from .symplectic import Space, SymVector
 
 
@@ -37,19 +31,6 @@ class ChiralPair:
     theta_minus: TestFunction
     c_plus: Fraction
     c_minus: Fraction
-
-
-def _spectral_int(samples: np.ndarray, h: float) -> np.ndarray:
-    """Periodic antiderivative of a decaying zero-mean sample set, G(x0) = 0."""
-    n = len(samples)
-    ft = np.fft.rfft(samples)
-    p = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-    out = np.zeros_like(ft)
-    out[1:] = ft[1:] / (1j * p[1:])
-    if n % 2 == 0:
-        out[-1] = 0.0
-    g = np.fft.irfft(out, n=n)
-    return g - g[0]
 
 
 def _spectral_deriv(samples: np.ndarray, h: float) -> np.ndarray:
@@ -62,26 +43,10 @@ def _spectral_deriv(samples: np.ndarray, h: float) -> np.ndarray:
     return np.fft.irfft(ft, n=n)
 
 
-@lru_cache(maxsize=64)
-def _unit_kink(grid: Grid) -> Tuple[TestFunction, np.ndarray]:
-    """The compact unit kink's derivative and its samples as a step from 0 to 1."""
-    step = make_kink(Fraction(0), Fraction(1), True, grid=grid, form="step")
-    return step.deriv, step.samples + 0.5
-
-
-def _charge_antiderivative(f0: TestFunction, f_c: Fraction) -> np.ndarray:
-    """Antiderivative of f0 with exact limits (0, f_c): kink part in closed
-    form, spectral integral of the decaying zero-charge remainder."""
-    k_deriv, k_step = _unit_kink(f0.grid)
-    fc = float(f_c)
-    g = f0.samples - fc * k_deriv.samples
-    return fc * k_step + _spectral_int(g, f0.grid.step)
-
-
 def dalembert(space: Space, v: SymVector) -> ChiralPair:
     f0, f1 = space.assemble(v)
     ch = space.charges(v)
-    cum = _charge_antiderivative(f0, ch.c)
+    cum = space.antiderivative(v)
     # d(theta_pm) = (d f1 +/- f0)/2, with d f1 from the atoms' closed forms
     df1 = space.slot1_derivative(v)
     d_p = TestFunction(

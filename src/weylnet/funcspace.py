@@ -7,8 +7,10 @@ from -1/2 to 1/2 is an honest element of the space even though its samples
 stop at the window edge.
 
 Quadrature is composite Simpson, differentiation is a 4th-order central
-stencil (one-sided at the edges), and the Fock norm is a discrete Fourier
-transform on the zero-padded grid.  The Fourier convention is unitary,
+stencil (one-sided at the edges), the antiderivative of a charged density
+is a closed-form kink plus the spectral integral of the zero-charge
+remainder, and the Fock norm is a discrete Fourier transform on the
+zero-padded grid.  The Fourier convention is unitary,
 f~(p) = (2*pi)^(-1/2) * integral f(x) exp(-i p x) dx.
 """
 
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -373,6 +375,35 @@ def pairing(f: TestFunction, g: TestFunction) -> float:
             raise DivergentTail(f"both factors have nonzero {side} tails")
     _same_grid(f, g)
     return _simpson_value(f.samples * g.samples, f.grid)
+
+
+def _spectral_int(samples: np.ndarray, h: float) -> np.ndarray:
+    """Periodic antiderivative of a decaying zero-mean sample set, G(x0) = 0."""
+    n = len(samples)
+    ft = np.fft.rfft(samples)
+    p = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    out = np.zeros_like(ft)
+    out[1:] = ft[1:] / (1j * p[1:])
+    if n % 2 == 0:
+        out[-1] = 0.0
+    g = np.fft.irfft(out, n=n)
+    return g - g[0]
+
+
+@lru_cache(maxsize=64)
+def _unit_kink(grid: Grid) -> Tuple[TestFunction, np.ndarray]:
+    """The compact unit kink's derivative and its samples as a step from 0 to 1."""
+    step = make_kink(Fraction(0), Fraction(1), True, grid=grid, form="step")
+    return step.deriv, step.samples + 0.5
+
+
+def _charge_antiderivative(f0: TestFunction, f_c: Fraction) -> np.ndarray:
+    """Antiderivative of f0 with exact limits (0, f_c): kink part in closed
+    form, spectral integral of the decaying zero-charge remainder."""
+    k_deriv, k_step = _unit_kink(f0.grid)
+    fc = float(f_c)
+    g = f0.samples - fc * k_deriv.samples
+    return fc * k_step + _spectral_int(g, f0.grid.step)
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,10 @@ def _worst(loop, key: str):
 
 def _rand_vector(space: Space, rng, pool: Sequence[str], n_terms: int = 2) -> SymVector:
     v = ZERO
-    for name in rng.choice(list(pool), size=min(n_terms, len(pool)), replace=False):
+    for i in rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False):
         num = int(rng.integers(-2, 3))
         den = int(rng.integers(1, 3))
-        v = v + space.generator(str(name)).scale(Fraction(num, den))
+        v = v + space.generator(pool[i]).scale(Fraction(num, den))
     return v
 
 

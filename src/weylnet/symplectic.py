@@ -26,6 +26,7 @@ from .funcspace import (
     Grid,
     Interval,
     TestFunction,
+    _charge_antiderivative,
     constant_function,
     derivative,
     fock_norm_sq,
@@ -162,9 +163,10 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 
 class Space:
-    """Generators and atoms are fixed at construction; only the Gram and
-    Fock memos fill in as they are read.  `source` names where the pairs
-    came from (a registry path, or "default" for the packaged registry)."""
+    """Generators and atoms are fixed at construction; only the Gram, Fock
+    and antiderivative memos fill in as they are read.  `source` names where
+    the pairs came from (a registry path, or "default" for the packaged
+    registry)."""
 
     def __init__(
         self,
@@ -207,6 +209,7 @@ class Space:
         )
         self._gram: Dict[Tuple[int, int], float] = {}
         self._fock: Dict[SymVector, float] = {}
+        self._antideriv: Dict[int, np.ndarray] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
         fn = resample(fn, self.grid)
@@ -341,6 +344,19 @@ class Space:
                 s += n / v._den * derivative(self.atoms[a].fn).samples
         den, _, plus, minus = self._charge_sums(v)
         return TestFunction(self.grid, s, Fraction(0), Fraction(0), Fraction(plus - minus, den))
+
+    def antiderivative(self, v: SymVector) -> np.ndarray:
+        """Samples of the antiderivative of v's slot-0 part, with exact limits
+        (0, c): the sum of each slot-0 atom's antiderivative, built once per
+        atom the first time it is read."""
+        s = np.zeros(self.grid.n)
+        for a, n in v._nums:
+            if self._slots[a] == 0:
+                if a not in self._antideriv:
+                    fn = self.atoms[a].fn
+                    self._antideriv[a] = _charge_antiderivative(fn, fn.integral)
+                s += n / v._den * self._antideriv[a]
+        return s
 
     def localization(self, v: SymVector) -> Union[Interval, type(EMPTY)]:
         f0, f1 = self.assemble(v)

@@ -7,8 +7,9 @@ stay exact, only the phases are floats.
 Also provides the two-stage (crossed-product) presentation: an element is a
 triple (zeta, h, l) standing for zeta * W(h) * W(l), where h is an observable
 vector and l = (c, n) lives on the elementary charge plane spanned by the
-regularizer's density A and the central unit e.  The staged product law is
-checked against the embedded global product in the tests.
+regularizer's density A, scaled to unit charge, and the central unit e.  The
+staged product law is checked against the embedded global product in the
+tests.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .errors import ElementParseError
+from .errors import DegenerateRegularizer, ElementParseError
 from .symplectic import Space, SymVector, ZERO, sigma_plane
 
 COEFF_EPS = 1e-15
@@ -115,11 +116,18 @@ class Staged:
 
 
 class CrossedProduct:
-    """Two-stage presentation relative to a regularizer's charge plane."""
+    """Two-stage presentation relative to a regularizer's charge plane.
+
+    The plane is spanned by A = T_0 / T_c and the central unit e: A has
+    exact c-charge 1, so sigma(A, e) = 1 and the plane form is the standard
+    one."""
 
     def __init__(self, space: Space, T: SymVector):
+        tch = space.charges(T)
+        if tch.c == 0:
+            raise DegenerateRegularizer(f"regularizer charges {tch.c}, {tch.q}")
         self.space = space
-        self.A = space.slot_part(T, 0)
+        self.A = space.slot_part(T, 0).scale(1 / tch.c)
         self.e = space.unit_vector()
 
     def plane_vector(self, c: Fraction, n: Fraction) -> SymVector:

@@ -12,10 +12,19 @@ from weylnet.chiral import (
     sigma_decomposed,
     sigma_infinity,
     _spectral_deriv,
-    _spectral_int,
 )
-from weylnet.funcspace import DEFAULT_GRID, chiral_norm_sq, fock_norm_sq, pairing
+from weylnet import funcspace
+from weylnet.funcspace import (
+    DEFAULT_GRID,
+    Grid,
+    _spectral_int,
+    chiral_norm_sq,
+    fock_norm_sq,
+    make_kink,
+    pairing,
+)
 from weylnet.registry import load_registry
+from weylnet.suites import run_suite
 from weylnet.symplectic import ZERO
 
 
@@ -139,3 +148,81 @@ def test_fock_norm_chiral_identity():
         lhs = space.fock_norm_sq(v)
         rhs = 2 * chiral_norm_sq(pair.theta_plus) + 2 * chiral_norm_sq(pair.theta_minus)
         assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(lhs))
+
+
+# --- the per-atom antiderivative memo ------------------------------------------
+
+
+def _oracle_antiderivative(f0, f_c):
+    """The per-vector antiderivative dalembert once took: the compact unit
+    kink times f_c in closed form, plus the periodic spectral integral of the
+    zero-charge remainder, pinned to 0 at the left edge."""
+    step = make_kink(Fraction(0), Fraction(1), True, grid=f0.grid, form="step")
+    fc = float(f_c)
+    g = f0.samples - fc * step.deriv.samples
+    n, h = len(g), f0.grid.step
+    ft = np.fft.rfft(g)
+    p = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    out = np.zeros_like(ft)
+    out[1:] = ft[1:] / (1j * p[1:])
+    out[-1] = 0.0  # both grids have an even point count
+    rest = np.fft.irfft(out, n=n)
+    return fc * (step.samples + 0.5) + rest - rest[0]
+
+
+@lru_cache(maxsize=2)
+def sp_at(points):
+    return load_registry(None, Grid(Fraction(-32), Fraction(32), points))
+
+
+@pytest.mark.parametrize("points", [4096, 16384])
+def test_dalembert_matches_the_per_vector_antiderivative(points):
+    space = sp_at(points)
+    names = space.generator_names()
+    rng = np.random.default_rng(8)
+    vectors = [space.generator(name) for name in names]
+    for _ in range(30):
+        v = ZERO
+        for name in rng.choice(names, size=3, replace=False):
+            v = v + space.generator(str(name)).scale(
+                Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            )
+        vectors.append(v)
+    for v in vectors:
+        f0, f1 = space.assemble(v)
+        ch = space.charges(v)
+        cum = _oracle_antiderivative(f0, ch.c)
+        pair = dalembert(space, v)
+        bound = 1e-14 * float(np.max(np.abs(cum)))
+        for theta, sign in ((pair.theta_plus, 1), (pair.theta_minus, -1)):
+            assert np.max(np.abs(theta.samples - (f1.samples + sign * cum) / 2.0)) <= bound
+            assert theta.left_limit == f1.left_limit / 2
+            assert theta.right_limit == (f1.right_limit + sign * ch.c) / 2
+        assert pair.c_plus == (ch.q + ch.c) / 2 and pair.c_minus == (ch.q - ch.c) / 2
+
+
+def test_chiral_suite_integrates_each_slot0_atom_once(monkeypatch):
+    calls = []
+    spectral_int = funcspace._spectral_int
+
+    def counted(samples, h):
+        calls.append(len(samples))
+        return spectral_int(samples, h)
+
+    monkeypatch.setattr(funcspace, "_spectral_int", counted)
+    space = load_registry()
+    slot0 = sum(1 for atom in space.atoms if atom.slot == 0)
+    assert slot0 == 9
+    run_suite("chiral", 7, space=space)
+    assert 0 < len(calls) <= slot0
+    assert len(space._antideriv) == len(calls)
+
+
+def test_space_holds_no_antiderivative_before_dalembert():
+    space = load_registry()
+    assert space._antideriv == {}
+    space.fock_norm_sq(space.generator("aC"))
+    dalembert(space, space.generator("q0"))  # slot 1 only
+    assert space._antideriv == {}
+    dalembert(space, space.generator("T") + space.generator("c0"))
+    assert len(space._antideriv) == 2

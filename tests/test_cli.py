@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weylnet import cli, suites
@@ -16,6 +17,8 @@ from weylnet.errors import NotInDomain
 from weylnet.funcspace import Grid
 from weylnet.registry import load_registry
 from weylnet.states import STATES
+from weylnet.symplectic import ZERO
+from weylnet.weyl import CrossedProduct, Staged, max_coeff_distance, weyl_mul
 
 
 def run(argv):
@@ -476,13 +479,17 @@ T_SPLIT_CHECKS = (
 
 
 @pytest.mark.parametrize(
-    "pair, charges",
-    [("pair T f0=0 f1=tka", "0, 1"), ("pair T f0=dtka f1=0", "1, 0")],
+    "pair, charges, plane_checks",
+    [
+        ("pair T f0=0 f1=tka", "0, 1", ("staged-product-agreement",)),
+        ("pair T f0=dtka f1=0", "1, 0", ()),
+    ],
     ids=["zero-c", "zero-q"],
 )
-def test_degenerate_regularizer_is_an_error_record(pair, charges, tmp_path, capsys):
+def test_degenerate_regularizer_is_an_error_record(pair, charges, plane_checks, tmp_path, capsys):
     """A registry T with a zero charge errors each check that splits against
-    it; the run still writes every record, and `state eval` exits 2."""
+    it, and with T_c = 0 the crossed product's charge plane as well; the run
+    still writes every record, and `state eval` exits 2."""
     default = (Path(suites.__file__).parent / "data" / "default.registry").read_text()
     assert default.count(DEFAULT_T) == 1
     path = tmp_path / "degenerate.registry"
@@ -495,8 +502,50 @@ def test_degenerate_regularizer_is_an_error_record(pair, charges, tmp_path, caps
     assert [c["name"] for c in records] == [c.name for c in suites.CHECKS]
     errors = {c["name"]: (c["error"], c["message"]) for c in records if c["status"] == "error"}
     message = f"regularizer charges {charges}"
-    assert errors == dict.fromkeys(T_SPLIT_CHECKS, ("DegenerateRegularizer", message))
+    assert errors == dict.fromkeys(T_SPLIT_CHECKS + plane_checks, ("DegenerateRegularizer", message))
 
     argv = ["--registry", str(path), "state", "eval", "--kind", "product_p", "--element", "W[aC]"]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("scale", [Fraction(2), Fraction(-1, 3)])
+def test_crossed_product_plane_has_unit_charge(scale):
+    """The staged product law holds for a regularizer whose slot 0 does not
+    have unit charge: the plane vector A is T_0 / T_c."""
+    space = load_registry()
+    cp = CrossedProduct(space, space.generator("T").scale(scale))
+    assert space.charges(cp.A).c == 1
+    rng = np.random.default_rng(4)
+    h_pool = [space.generator(name) for name in ("aL", "aC", "aR", "n1")]
+    for _ in range(20):
+        x, y = (
+            Staged(
+                complex(rng.standard_normal(), rng.standard_normal()),
+                h_pool[rng.integers(4)].scale(Fraction(int(rng.integers(-2, 3)), 2)),
+                Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3))),
+                Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3))),
+            )
+            for _ in range(2)
+        )
+        staged = cp.embed(cp.product(x, y))
+        direct = weyl_mul(space, cp.embed(x), cp.embed(y))
+        assert max_coeff_distance(staged, direct) < 1e-10
+
+
+def test_pool_draw_by_index_matches_the_name_population():
+    """`suites._rand_vector` draws indices into its pool. numpy draws the same
+    indices from `len(pool)` as from an array of the names, so the picks,
+    the vector and every following draw are those of the name form."""
+    space = load_registry()
+    pools = [space.generator_names(), ["aL", "aC", "aR"]]
+    for seed in range(100):
+        for pool in pools:
+            for n_terms in (2, 3):
+                old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = ZERO
+                for name in old.choice(list(pool), size=n_terms, replace=False):
+                    coeff = Fraction(int(old.integers(-2, 3)), int(old.integers(1, 3)))
+                    expected = expected + space.generator(str(name)).scale(coeff)
+                assert suites._rand_vector(space, new, pool, n_terms) == expected
+                assert old.integers(0, 2**62, size=4).tolist() == new.integers(0, 2**62, size=4).tolist()
