@@ -223,35 +223,28 @@ def make_kink(
     xs = grid.xs()
     u = (xs - float(center)) / float(width)
     if compact:
-        if form == "step":
-            s = float(Fraction(109395, 65536)) * _bump_antideriv(u) - 0.5
-            s[u >= 1.0] = 0.5
-            s[u <= -1.0] = -0.5
-            d = make_kink(center, width, True, grid=grid, form="deriv")
-            return TestFunction(
-                grid, s, Fraction(-1, 2), Fraction(1, 2), None, deriv=d
-            )
-        s = _bump_poly(u) / (float(_BUMP_MASS) * float(width))
+        d = _bump_poly(u) / (float(_BUMP_MASS) * float(width))
     else:
         # symmetric scale from the nearer window edge; clamp on the far side
         near = min(float(grid.x1 - center), float(center - grid.x0)) / float(width)
         scale = 0.5 / np.arctan(near)
-        if form == "step":
-            s = np.clip(scale * np.arctan(u), -0.5, 0.5)
-            s[0] = -0.5 if center - grid.x0 <= grid.x1 - center else s[0]
-            s[-1] = 0.5 if grid.x1 - center <= center - grid.x0 else s[-1]
-            if abs(s[0] + 0.5) > TOL_EDGE or abs(s[-1] - 0.5) > TOL_EDGE:
-                raise EdgeMismatch("kink does not reach its limits on this window")
-            d = make_kink(center, width, False, grid=grid, form="deriv")
-            return TestFunction(
-                grid, s, Fraction(-1, 2), Fraction(1, 2), None, deriv=d
-            )
-        s = scale / (float(width) * (1.0 + u**2))
-        s[np.abs(scale * np.arctan(u)) > 0.5] = 0.0
-    # derivative form: snap the Simpson value of the charge to exactly 1
-    q = _simpson_value(s, grid)
-    s = s / q
-    return TestFunction(grid, s, Fraction(0), Fraction(0), Fraction(1))
+        d = scale / (float(width) * (1.0 + u**2))
+        d[np.abs(scale * np.arctan(u)) > 0.5] = 0.0
+    # snap the Simpson value of the charge to exactly 1
+    deriv = TestFunction(grid, d / _simpson_value(d, grid), Fraction(0), Fraction(0), Fraction(1))
+    if form != "step":
+        return deriv
+    if compact:
+        s = float(Fraction(109395, 65536)) * _bump_antideriv(u) - 0.5
+        s[u >= 1.0] = 0.5
+        s[u <= -1.0] = -0.5
+    else:
+        s = np.clip(scale * np.arctan(u), -0.5, 0.5)
+        s[0] = -0.5 if center - grid.x0 <= grid.x1 - center else s[0]
+        s[-1] = 0.5 if grid.x1 - center <= center - grid.x0 else s[-1]
+        if abs(s[0] + 0.5) > TOL_EDGE or abs(s[-1] - 0.5) > TOL_EDGE:
+            raise EdgeMismatch("kink does not reach its limits on this window")
+    return TestFunction(grid, s, Fraction(-1, 2), Fraction(1, 2), None, deriv=deriv)
 
 
 def hermite_gaussian(order: int, center: Fraction, grid: Grid = DEFAULT_GRID) -> TestFunction:

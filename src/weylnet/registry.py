@@ -13,8 +13,10 @@ A registry file declares named test functions and named Cauchy-data pairs:
     pair T  f0=dtka f1=tka
     pair n1 f0=0    f1=one
 
-Rationals are written p/q.  load_registry returns a Space built from the
-pairs, one generator each, all functions resampled onto the requested grid.
+Each kind takes only the keys FN_KEYS lists for it, and a pair only f0 and
+f1; any other key is a parse error.  Rationals are written p/q.
+load_registry returns a Space built from the pairs, one generator each, all
+functions resampled onto the requested grid.
 """
 
 from __future__ import annotations
@@ -45,7 +47,17 @@ def _frac(tok: str) -> Fraction:
         raise RegistryParseError(f"bad rational {tok!r}: {e}") from None
 
 
-def _parse_kv(tokens, lineno) -> Dict[str, str]:
+# the keys each function kind takes
+FN_KEYS = {
+    "kink": ("center", "width", "compact", "form"),
+    "gaussian-hermite": ("order", "center"),
+    "constant": ("value",),
+    "grid": ("window", "limits", "values", "integral"),
+}
+PAIR_KEYS = ("f0", "f1")
+
+
+def _parse_kv(tokens, allowed, what, lineno) -> Dict[str, str]:
     kv = {}
     for tok in tokens:
         if "=" not in tok:
@@ -53,6 +65,8 @@ def _parse_kv(tokens, lineno) -> Dict[str, str]:
         k, v = tok.split("=", 1)
         if k in kv:
             raise RegistryParseError(f"line {lineno}: duplicate key {k!r}")
+        if k not in allowed:
+            raise RegistryParseError(f"line {lineno}: unknown key {k!r} for {what}")
         kv[k] = v
     return kv
 
@@ -77,20 +91,19 @@ def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> T
             return hermite_gaussian(int(kv["order"]), _frac(kv.get("center", "0")), grid)
         if kind == "constant":
             return constant_function(_frac(kv["value"]), grid)
-        if kind == "grid":
-            w0, w1 = (_frac(t) for t in kv["window"].split(":"))
-            values = np.array([float(t) for t in kv["values"].split(",")])
-            g = Grid(w0, w1, len(values))
-            l0, l1 = (_frac(t) for t in kv["limits"].split(":"))
-            integral = _frac(kv["integral"]) if "integral" in kv else None
-            return make_grid_function(values, g, l0, l1, integral)
+        # grid, the last kind in FN_KEYS
+        w0, w1 = (_frac(t) for t in kv["window"].split(":"))
+        values = np.array([float(t) for t in kv["values"].split(",")])
+        g = Grid(w0, w1, len(values))
+        l0, l1 = (_frac(t) for t in kv["limits"].split(":"))
+        integral = _frac(kv["integral"]) if "integral" in kv else None
+        return make_grid_function(values, g, l0, l1, integral)
     except RegistryParseError:
         raise
     except KeyError as e:
         raise RegistryParseError(f"line {lineno}: missing key {e}") from None
     except Exception as e:
         raise RegistryParseError(f"line {lineno}: {e}") from None
-    raise RegistryParseError(f"line {lineno}: unknown function kind {kind!r}")
 
 
 def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>") -> Space:
@@ -109,14 +122,17 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>
                 raise RegistryParseError(f"line {lineno}: fn needs a kind")
             if name in functions:
                 raise RegistryParseError(f"line {lineno}: duplicate fn {name!r}")
-            kv = _parse_kv(tokens[3:], lineno)
-            functions[name] = _build_function(tokens[2], kv, grid, lineno)
+            kind = tokens[2]
+            if kind not in FN_KEYS:
+                raise RegistryParseError(f"line {lineno}: unknown function kind {kind!r}")
+            kv = _parse_kv(tokens[3:], FN_KEYS[kind], kind, lineno)
+            functions[name] = _build_function(kind, kv, grid, lineno)
         elif record == "pair":
             if name in pairs:
                 raise RegistryParseError(f"line {lineno}: duplicate pair {name!r}")
-            kv = _parse_kv(tokens[2:], lineno)
+            kv = _parse_kv(tokens[2:], PAIR_KEYS, "pair", lineno)
             slots = []
-            for key in ("f0", "f1"):
+            for key in PAIR_KEYS:
                 ref = kv.get(key, "0")
                 if ref == "0":
                     slots.append(None)

@@ -161,6 +161,22 @@ class CrossedProduct:
 
 # ---------------------------------------------------------------------------
 # element literals:  2.0+0.0i * W[gen1 + 3/2 gen4] - W[0] + 1i * W[q0]
+#
+# Each pattern is matched exactly where the previous token ended, so every
+# character belongs to a token or the literal is refused.
+
+# A summand: its `+`/`-` separator (after every summand but the first), then
+# `coeff *`, a sign or nothing, then W[body].
+_SUMMAND = re.compile(
+    r"(?:(?<=\])\s*(?P<sep>[+-])|(?<!\]))"
+    r"\s*(?:(?P<coeff>[^*\[\]]*)\*|(?P<sign>[+-]))?\s*W\[(?P<body>[^\]]*)\]"
+)
+# A body term: a sign (required after the first term), an optional p or p/q
+# followed by whitespace, then a generator name.
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+(?:/\d+)?)\s+)?(?P<name>[A-Za-z_]\w*)\s*"
+)
+
 
 def _parse_coeff(text: str) -> complex:
     t = text.strip()
@@ -182,64 +198,37 @@ def parse_combo(space: Space, body: str) -> SymVector:
         raise ElementParseError("empty generator combination; write W[0] for the identity")
     if body == "0":
         return ZERO
-    # split into signed summands
-    parts = re.findall(r"[+-]?[^+-]+", body)
-    v = ZERO
-    for part in parts:
-        part = part.strip()
-        sign = Fraction(1)
-        if part.startswith("-"):
-            sign = Fraction(-1)
-            part = part[1:].strip()
-        elif part.startswith("+"):
-            part = part[1:].strip()
-        m = re.match(r"^(?:(\d+(?:/\d+)?)\s+)?([A-Za-z_]\w*)$", part)
-        if not m:
-            raise ElementParseError(f"bad generator term {part!r}")
+    v, pos = ZERO, 0
+    while pos < len(body):
+        m = _TERM.match(body, pos)
+        if not m or (pos and not m["sign"]):
+            raise ElementParseError(f"bad generator term near {body[pos:]!r}")
         try:
-            coeff = sign * (Fraction(m.group(1)) if m.group(1) else Fraction(1))
+            coeff = Fraction(m["num"] or 1)
         except ZeroDivisionError:
-            raise ElementParseError(f"zero denominator in {part!r}") from None
-        v = v + space.generator(m.group(2)).scale(coeff)
+            raise ElementParseError(f"zero denominator in {m[0].strip()!r}") from None
+        v = v + space.generator(m["name"]).scale(-coeff if m["sign"] == "-" else coeff)
+        pos = m.end()
     return v
 
 
 def parse_element(space: Space, text: str) -> WeylElement:
     """Parse `coeff * W[combo] +/- ...` into a WeylElement."""
-    terms = []
-    pos = 0
-    pending_sign = 1.0
     s = text.strip()
     if not s:
         raise ElementParseError("empty element literal")
+    terms, pos = [], 0
     while pos < len(s):
-        bracket = s.find("W[", pos)
-        if bracket < 0:
-            raise ElementParseError(f"expected W[...] near {s[pos:]!r}")
-        close = s.find("]", bracket)
-        if close < 0:
-            raise ElementParseError("unterminated W[")
-        head = s[pos:bracket].strip()
-        coeff = complex(1.0)
-        if head.endswith("*"):
-            coeff = _parse_coeff(head[:-1])
-        elif head == "-":
-            coeff = complex(-1.0)
-        elif head and head != "+":
-            raise ElementParseError(f"unexpected text before W[: {head!r}")
-        v = parse_combo(space, s[bracket + 2 : close])
-        terms.append((v, pending_sign * coeff))
-        pos = close + 1
-        rest = s[pos:].lstrip()
-        if not rest:
-            break
-        if rest[0] == "+":
-            pending_sign = 1.0
-        elif rest[0] == "-":
-            pending_sign = -1.0
-        else:
-            raise ElementParseError(f"expected + or - near {rest!r}")
-        pos = len(s) - len(rest) + 1
+        m = _SUMMAND.match(s, pos)
+        if not m:
+            expected = "+ or - then [coeff *] W[...]" if pos else "[coeff *] W[...]"
+            raise ElementParseError(f"expected {expected} near {s[pos:]!r}")
+        coeff = complex(-1.0 if m["sign"] == "-" else 1.0)
+        if m["coeff"] is not None:
+            coeff = _parse_coeff(m["coeff"])
+        sep = -1.0 if m["sep"] == "-" else 1.0
+        terms.append((parse_combo(space, m["body"]), sep * coeff))
+        pos = m.end()
     element = WeylElement(terms)
     if not all(cmath.isfinite(a) for _, a in element.terms()):
         raise ElementParseError("coefficient overflows when like terms are summed")

@@ -144,12 +144,20 @@ def exit_code(argv):
 
 
 NON_UTF8 = "<non-UTF-8 registry>"
+UNKNOWN_KEY = "<registry with an unknown key>"
 
 
 def _non_utf8_registry(tmp_path) -> str:
     """A registry path whose file holds a 0xff byte in a comment."""
     path = tmp_path / "bad-byte.registry"
     path.write_bytes(b"fn one constant value=1\n# \xff\npair n1 f0=0 f1=one\n")
+    return str(path)
+
+
+def _unknown_key_registry(tmp_path) -> str:
+    """A registry path whose Gaussian misspells `center`."""
+    path = tmp_path / "unknown-key.registry"
+    path.write_text("fn g gaussian-hermite order=2 centre=12\npair g f0=0 f1=g\n")
     return str(path)
 
 
@@ -169,13 +177,19 @@ def _non_utf8_registry(tmp_path) -> str:
         ["chiral", "roundtrip", "--combo", "   "],
         ["state", "eval", "--kind", "field_f", "--element", "W[]"],
         ["--registry", NON_UTF8, "--suite", "nets"],
+        # a stacked or dangling sign is refused, not dropped
+        ["chiral", "decompose", "--combo", "T-+T"],
+        ["state", "eval", "--kind", "field_f", "--element", "W[aC] -"],
+        ["--registry", UNKNOWN_KEY, "--suite", "nets"],
     ],
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
          "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
-         "empty-element-key", "non-utf8-registry"],
+         "empty-element-key", "non-utf8-registry", "stacked-sign", "dangling-sign",
+         "unknown-registry-key"],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    argv = [_non_utf8_registry(tmp_path) if arg == NON_UTF8 else arg for arg in argv]
+    registries = {NON_UTF8: _non_utf8_registry, UNKNOWN_KEY: _unknown_key_registry}
+    argv = [registries[arg](tmp_path) if arg in registries else arg for arg in argv]
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

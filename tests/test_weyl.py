@@ -197,7 +197,9 @@ def test_parse_leading_minus():
 
 def test_parse_errors():
     space = sp()
-    for bad in ("", "W[nope]", "W[q0", "2.0 ** W[q0]", "W[q0] * W[q0]", "xyz"):
+    for bad in ("", "W[nope]", "W[q0", "2.0 ** W[q0]", "W[q0] * W[q0]", "xyz",
+                # a stacked or dangling sign is refused, not dropped
+                "W[aC-+q0]", "W[aC--q0]", "W[-+q0]", "W[aC] -", "W[aC] +"):
         with pytest.raises((errors.ElementParseError, errors.UnknownGenerator)):
             parse_element(space, bad)
 
