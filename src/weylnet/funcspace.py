@@ -10,7 +10,9 @@ Quadrature is composite Simpson, differentiation is a 4th-order central
 stencil (one-sided at the edges), the antiderivative of a charged density
 is a closed-form kink plus the spectral integral of the zero-charge
 remainder, and the Fock norm is a discrete Fourier transform on the
-zero-padded grid.  The Fourier convention is unitary,
+zero-padded grid; fock_column turns one function into a column of that
+quadratic form, so a norm over fixed atoms needs no transform per vector.
+The Fourier convention is unitary,
 f~(p) = (2*pi)^(-1/2) * integral f(x) exp(-i p x) dx.
 """
 
@@ -208,7 +210,9 @@ def make_kink(
     """Smooth monotone step with limits (-1/2, 1/2), or its derivative.
 
     compact=True uses the polynomial smoothstep whose derivative is supported
-    in [center - width, center + width].  compact=False is the arctan profile,
+    in [center - width, center + width], which must lie in the window: a
+    support cut by the window edge would be silently renormalized, or have
+    no mass at all.  compact=False is the arctan profile,
     rescaled so the declared limits are attained exactly at the window edges
     (the raw arctan misses them by O(width/window)).
     form="deriv" returns the derivative function in closed form, with its
@@ -220,6 +224,9 @@ def make_kink(
         raise BadGrid("width must be positive")
     if float(width) < 4 * grid.step:
         raise BadGrid(f"width {width} below 4*step {4 * grid.step}")
+    if compact and not grid.x0 <= center - width < center + width <= grid.x1:
+        raise BadGrid(f"compact kink support [{center - width}, {center + width}] "
+                      f"leaves the window [{grid.x0}, {grid.x1}]")
     xs = grid.xs()
     u = (xs - float(center)) / float(width)
     if compact:
@@ -418,14 +425,9 @@ def _weighted_spectrum_sum(samples: np.ndarray, grid: Grid, pad: int):
     return ft, p, dp, mult
 
 
-def fock_norm_sq(
-    f0: TestFunction, f1: TestFunction, pad: int = 4
-) -> float:
-    """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp on the padded DFT grid.
-
-    The p = 0 term of the |p|^-1 part is set to zero; this is exact because
-    the precondition forces f0~(0) = 0.
-    """
+def check_fock_domain(f0: TestFunction, f1: TestFunction) -> None:
+    """Raise NotInDomain unless (f0, f1) is fully decaying: zero limits in
+    both slots and a zero Simpson integral of f0."""
     if f0.left_limit != 0 or f0.right_limit != 0:
         raise NotInDomain("f0 must have zero limits")
     if f1.left_limit != 0 or f1.right_limit != 0:
@@ -433,6 +435,18 @@ def fock_norm_sq(
     if abs(simpson(f0)) > TOL_CHARGE:
         raise NotInDomain("f0 must have zero integral (charge)")
     _same_grid(f0, f1)
+
+
+def fock_norm_sq(
+    f0: TestFunction, f1: TestFunction, pad: int = 4
+) -> float:
+    """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp on the padded DFT grid.
+
+    The p = 0 term of the |p|^-1 part is set to zero; this is exact because
+    the precondition forces f0~(0) = 0.  This is the per-vector reference;
+    Space.fock_norm_sq sums the same form over fock_column products.
+    """
+    check_fock_domain(f0, f1)
     ft0, p, dp, mult = _weighted_spectrum_sum(f0.samples, f0.grid, pad)
     ft1 = np.fft.rfft(f1.samples, n=pad * f1.grid.n) * (
         f1.grid.step / np.sqrt(2.0 * np.pi)
@@ -447,6 +461,30 @@ def fock_norm_sq(
     slope1 = np.abs(ft1[0]) ** 2
     total += dp**2 / 6.0 * (slope0 + slope1)
     return float(total)
+
+
+def fock_column(f: TestFunction, slot: int, pad: int = 4) -> np.ndarray:
+    """y = irfft(W_slot * rfft(f)): for g in the same slot, g.samples @ y is
+    the product of g and f in the form fock_norm_sq sums, corner term
+    included, so fock_norm_sq(f0, f1) = f0.samples @ fock_column(f0, 0)
+    + f1.samples @ fock_column(f1, 1) up to rounding."""
+    n, h = f.grid.n, f.grid.step
+    m = pad * n
+    w = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)  # p
+    dp = 2.0 * np.pi / (m * h)
+    if slot == 0:
+        np.divide(dp, w[1:], out=w[1:])
+        w[1] += 1.0 / 12.0  # |f0~(dp)|^2 / 6, halved: irfft counts bin 1 twice
+    else:
+        w *= dp
+        w[0] += dp**2 / 6.0
+    # irfft divides by m; both sides' h / sqrt(2 pi) go into W
+    w *= m * h * h / (2.0 * np.pi)
+    # in place, and copied out of the padded result, so a column holds one
+    # padded spectrum at a time and keeps only n floats afterwards
+    ft = np.fft.rfft(f.samples, n=m)
+    ft *= w
+    return np.fft.irfft(ft, n=m)[:n].copy()
 
 
 def chiral_norm_sq(theta: TestFunction, pad: int = 4) -> float:

@@ -27,9 +27,10 @@ from .funcspace import (
     Interval,
     TestFunction,
     _charge_antiderivative,
+    check_fock_domain,
     constant_function,
     derivative,
-    fock_norm_sq,
+    fock_column,
     localization,
     pairing,
     resample,
@@ -163,10 +164,11 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 
 class Space:
-    """Generators and atoms are fixed at construction; only the Gram, Fock
-    and antiderivative memos fill in as they are read.  `source` names where
-    the pairs came from (a registry path, or "default" for the packaged
-    registry)."""
+    """Generators and atoms are fixed at construction; only four memos fill
+    in as they are read: the Gram entries, the Fock factor per vector, the
+    Fock product Q per atom pair and the antiderivative per slot-0 atom.
+    `source` names where the pairs came from (a registry path, or "default"
+    for the packaged registry)."""
 
     def __init__(
         self,
@@ -209,6 +211,7 @@ class Space:
         )
         self._gram: Dict[Tuple[int, int], float] = {}
         self._fock: Dict[SymVector, float] = {}
+        self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
@@ -363,8 +366,24 @@ class Space:
         return localization(f0, f1)
 
     def fock_norm_sq(self, v: SymVector) -> float:
-        f0, f1 = self.assemble(v)
-        return fock_norm_sq(f0, f1)
+        """||v||^2 = sum c_a c_b Q(a, b) over v's atoms, in atom order with
+        cross terms counted twice.  Q(a, b) = a.samples @ fock_column(b) for
+        same-slot atoms a <= b: b's row is filled the first time b is read,
+        so Q does not depend on the read order."""
+        check_fock_domain(*self.assemble(v))
+        total = 0.0
+        for i, (b, nb) in enumerate(v._nums):
+            slot = self._slots[b]
+            if b not in self._fock_q:
+                y = fock_column(self.atoms[b].fn, slot)
+                self._fock_q[b] = {a: float(self.atoms[a].fn.samples @ y)
+                                   for a in range(b + 1) if self._slots[a] == slot}
+            row, cb = self._fock_q[b], nb / v._den
+            for a, na in v._nums[:i]:
+                if a in row:
+                    total += 2.0 * (na / v._den) * cb * row[a]
+            total += cb * cb * row[b]
+        return total
 
     def fock_factor(self, v: SymVector) -> float:
         """The quasi-free vacuum value exp(-||v||^2 / 4), memoized up to sign:

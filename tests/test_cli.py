@@ -181,11 +181,13 @@ def _unknown_key_registry(tmp_path) -> str:
         ["chiral", "decompose", "--combo", "T-+T"],
         ["state", "eval", "--kind", "field_f", "--element", "W[aC] -"],
         ["--registry", UNKNOWN_KEY, "--suite", "nets"],
+        # tk3's support [2, 4] leaves the window [-2, 2]
+        ["--window", "2", "state", "eval", "--kind", "field_f", "--element", "W[aC]"],
     ],
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
          "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
          "empty-element-key", "non-utf8-registry", "stacked-sign", "dangling-sign",
-         "unknown-registry-key"],
+         "unknown-registry-key", "kink-outside-window"],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     registries = {NON_UTF8: _non_utf8_registry, UNKNOWN_KEY: _unknown_key_registry}
@@ -194,6 +196,16 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_kink_outside_the_window_names_its_line(capsys):
+    assert run(["--window", "5/2", "--suite", "chiral"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 11: compact kink support [2, 4] leaves the window [-5/2, 5/2]\n"
+    )
+    for window in ("16", "32"):
+        assert run(["--window", window, "state", "eval", "--kind", "field_f",
+                    "--element", "W[aC]"]) == 0
 
 
 def test_non_utf8_registry_names_the_path(tmp_path, capsys):

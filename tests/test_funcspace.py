@@ -80,6 +80,16 @@ def test_compact_kink_support():
     assert np.all(k.samples[xs >= 4.0] == 0.5)
 
 
+def test_compact_kink_support_must_fit_the_window():
+    # a cut support was renormalized, and one outside the window divided by 0
+    for center in (Fraction(63, 2), Fraction(-63, 2), Fraction(40)):
+        for form in ("step", "deriv"):
+            with pytest.raises(errors.BadGrid, match="leaves the window"):
+                make_kink(center, Fraction(1), True, form=form)
+    d = make_kink(Fraction(31), Fraction(1), True, form="deriv")  # ends at the edge
+    assert abs(simpson(d) - 1.0) < 1e-14
+
+
 def test_kink_deriv_charge_is_snapped():
     for compact in (True, False):
         d = make_kink(Fraction(0), Fraction(1), compact, form="deriv")

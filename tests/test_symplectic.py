@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylnet import errors
-from weylnet.funcspace import DEFAULT_GRID, EMPTY, pairing
+from weylnet.funcspace import DEFAULT_GRID, EMPTY, Grid, fock_norm_sq, pairing
 from weylnet.registry import load_registry, parse_registry
 from weylnet.symplectic import Charges, SymVector, ZERO, sigma_plane
 
@@ -491,3 +491,77 @@ def test_slot1_is_constant_matches_samples(space):
     for v in vs:
         assert space.slot1_is_constant(v) == space.assemble(v)[1].is_constant(), v
     assert space.slot1_is_constant(vs[0]) and not space.slot1_is_constant(space.generator("q0"))
+
+
+# -- the Fock norm as a quadratic form over per-atom columns -------------------
+
+
+def _fock_vectors(space, seed, count=200):
+    """Every fully decaying generator, then `count` nonzero tangents of
+    random 4-term combinations, against each regularizer in turn."""
+    vs = [space.generator(n) for n in space.generator_names()
+          if space.in_space(space.generator(n), "Va")]
+    assert len(vs) >= 3
+    names = space.generator_names()
+    regs = [space.generator(n) for n in ("T", "T0", "T3")]
+    rng = np.random.default_rng(seed)
+    tangents = []
+    while len(tangents) < count:
+        picks = rng.choice(len(names), 4, replace=False)
+        v = space.vector({names[i]: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+                          for i in picks})
+        t = space.tangent(v, regs[len(tangents) % 3])
+        if not t.is_zero():
+            tangents.append(t)
+    return vs + tangents
+
+
+@pytest.mark.parametrize("points", [1024, 4096, 16384])
+def test_fock_columns_match_the_per_vector_reference(points):
+    space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
+    for v in _fock_vectors(space, points):
+        want = fock_norm_sq(*space.assemble(v))
+        assert abs(space.fock_norm_sq(v) - want) <= 1e-13 * abs(want), v
+
+
+def _count_columns(monkeypatch):
+    from weylnet import symplectic
+
+    built = []
+    column = symplectic.fock_column
+
+    def counted(fn, slot, *args):
+        built.append(slot)
+        return column(fn, slot, *args)
+
+    monkeypatch.setattr(symplectic, "fock_column", counted)
+    return built
+
+
+def test_fock_columns_are_built_lazily(monkeypatch):
+    from weylnet.states import STATES, eval_state
+    from weylnet.weyl import parse_element
+
+    space = load_registry()
+    assert space._fock_q == {}
+    built = _count_columns(monkeypatch)
+    eval_state(space, STATES["field_f"](space), parse_element(space, "W[aC]"))
+    aC = {a for a, _ in space.generator("aC").items()}
+    assert len(aC) == 2 and set(space._fock_q) == aC and len(built) == 2
+
+
+def test_each_fock_column_is_built_once_per_space(monkeypatch):
+    from weylnet.suites import run_suite
+
+    space = load_registry()
+    built = _count_columns(monkeypatch)
+    run_suite("states-positivity", 7, space=space)
+    assert 0 < len(built) == len(space._fock_q) <= len(space.atoms)
+
+
+def test_fock_norms_do_not_depend_on_read_order():
+    forward, backward = load_registry(), load_registry()
+    vs = _fock_vectors(forward, 5, count=40)
+    first = [forward.fock_norm_sq(v) for v in vs]
+    second = [backward.fock_norm_sq(v) for v in reversed(vs)]
+    assert first == second[::-1]
