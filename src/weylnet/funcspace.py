@@ -409,6 +409,9 @@ def _charge_antiderivative(f0: TestFunction, f_c: Fraction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fourier norms
 
+# zero padding of the Fourier norms; Space's Fock product table assumes it
+PAD = 4
+
 
 def _weighted_spectrum_sum(samples: np.ndarray, grid: Grid, pad: int):
     n = grid.n
@@ -438,7 +441,7 @@ def check_fock_domain(f0: TestFunction, f1: TestFunction) -> None:
 
 
 def fock_norm_sq(
-    f0: TestFunction, f1: TestFunction, pad: int = 4
+    f0: TestFunction, f1: TestFunction, pad: int = PAD
 ) -> float:
     """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp on the padded DFT grid.
 
@@ -463,13 +466,13 @@ def fock_norm_sq(
     return float(total)
 
 
-def fock_column(f: TestFunction, slot: int, pad: int = 4) -> np.ndarray:
+def fock_column(f: TestFunction, slot: int) -> np.ndarray:
     """y = irfft(W_slot * rfft(f)): for g in the same slot, g.samples @ y is
     the product of g and f in the form fock_norm_sq sums, corner term
     included, so fock_norm_sq(f0, f1) = f0.samples @ fock_column(f0, 0)
     + f1.samples @ fock_column(f1, 1) up to rounding."""
     n, h = f.grid.n, f.grid.step
-    m = pad * n
+    m = PAD * n
     w = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)  # p
     dp = 2.0 * np.pi / (m * h)
     if slot == 0:
@@ -487,7 +490,7 @@ def fock_column(f: TestFunction, slot: int, pad: int = 4) -> np.ndarray:
     return np.fft.irfft(ft, n=m)[:n].copy()
 
 
-def chiral_norm_sq(theta: TestFunction, pad: int = 4) -> float:
+def chiral_norm_sq(theta: TestFunction, pad: int = PAD) -> float:
     """integral |p| |theta~|^2 dp for a decaying chiral function."""
     if theta.left_limit != 0 or theta.right_limit != 0:
         raise NotInDomain("chiral norm needs zero limits")
