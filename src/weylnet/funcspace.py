@@ -10,8 +10,9 @@ Quadrature is composite Simpson, differentiation is a 4th-order central
 stencil (one-sided at the edges), the antiderivative of a charged density
 is a closed-form kink plus the spectral integral of the zero-charge
 remainder, and the Fock norm is a discrete Fourier transform on the
-zero-padded grid; fock_column turns one function into a column of that
-quadratic form, so a norm over fixed atoms needs no transform per vector.
+zero-padded grid, whose |p| half is the chiral norm; fock_column turns one
+function into a column of that quadratic form, so a norm over fixed atoms
+needs no transform per vector.
 The Fourier convention is unitary,
 f~(p) = (2*pi)^(-1/2) * integral f(x) exp(-i p x) dx.
 """
@@ -428,9 +429,18 @@ def _weighted_spectrum_sum(samples: np.ndarray, grid: Grid, pad: int):
     return ft, p, dp, mult
 
 
-def check_fock_domain(f0: TestFunction, f1: TestFunction) -> None:
-    """Raise NotInDomain unless (f0, f1) is fully decaying: zero limits in
-    both slots and a zero Simpson integral of f0."""
+def fock_norm_sq(
+    f0: TestFunction, f1: TestFunction, pad: int = PAD
+) -> float:
+    """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp on the padded DFT grid;
+    NotInDomain, before any transform, unless both slots have zero limits
+    and f0 a zero Simpson integral.
+
+    The p = 0 term of the |p|^-1 part is set to zero; this is exact because
+    the precondition forces f0~(0) = 0.  The |p| part is chiral_norm_sq(f1).
+    This is the per-vector reference; Space.fock_norm_sq sums the same form
+    over fock_column products.
+    """
     if f0.left_limit != 0 or f0.right_limit != 0:
         raise NotInDomain("f0 must have zero limits")
     if f1.left_limit != 0 or f1.right_limit != 0:
@@ -438,32 +448,15 @@ def check_fock_domain(f0: TestFunction, f1: TestFunction) -> None:
     if abs(simpson(f0)) > TOL_CHARGE:
         raise NotInDomain("f0 must have zero integral (charge)")
     _same_grid(f0, f1)
-
-
-def fock_norm_sq(
-    f0: TestFunction, f1: TestFunction, pad: int = PAD
-) -> float:
-    """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp on the padded DFT grid.
-
-    The p = 0 term of the |p|^-1 part is set to zero; this is exact because
-    the precondition forces f0~(0) = 0.  This is the per-vector reference;
-    Space.fock_norm_sq sums the same form over fock_column products.
-    """
-    check_fock_domain(f0, f1)
     ft0, p, dp, mult = _weighted_spectrum_sum(f0.samples, f0.grid, pad)
-    ft1 = np.fft.rfft(f1.samples, n=pad * f1.grid.n) * (
-        f1.grid.step / np.sqrt(2.0 * np.pi)
-    )
     inv = np.zeros_like(p)
     inv[1:] = 1.0 / p[1:]
-    total = np.sum(mult * (inv * np.abs(ft0) ** 2 + p * np.abs(ft1) ** 2)) * dp
-    # Euler-Maclaurin corner correction at p = 0: both integrands are even
-    # with a slope discontinuity there, which a plain Riemann sum feels at
-    # O(dp^2).  The one-sided slopes are |f1~(0)|^2 and |d f0~/dp (0)|^2.
-    slope0 = (np.abs(ft0[1]) / dp) ** 2
-    slope1 = np.abs(ft1[0]) ** 2
-    total += dp**2 / 6.0 * (slope0 + slope1)
-    return float(total)
+    total = np.sum(mult * inv * np.abs(ft0) ** 2) * dp
+    # Euler-Maclaurin corner correction at p = 0: the integrand is even with
+    # a slope discontinuity there, which a plain Riemann sum feels at
+    # O(dp^2).  The one-sided slope is |d f0~/dp (0)|^2.
+    total += dp**2 / 6.0 * (np.abs(ft0[1]) / dp) ** 2
+    return float(total) + chiral_norm_sq(f1, pad)
 
 
 def fock_column(f: TestFunction, slot: int) -> np.ndarray:

@@ -23,17 +23,18 @@ import numpy as np
 from .errors import DegenerateRegularizer, NotInDomain, UnknownGenerator
 from .funcspace import (
     EMPTY,
+    TOL_CHARGE,
     Grid,
     Interval,
     TestFunction,
     _charge_antiderivative,
-    check_fock_domain,
     constant_function,
     derivative,
     fock_column,
     localization,
     pairing,
     resample,
+    simpson,
 )
 
 
@@ -164,9 +165,9 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 
 class Space:
-    """Generators and atoms are fixed at construction; only four memos fill
-    in as they are read: the Gram entries, the Fock factor per vector, the
-    Fock product Q per atom pair and the antiderivative per slot-0 atom.
+    """Generators and atoms are fixed at construction; only three memos fill
+    in as they are read: the Gram entries, the Fock product Q per atom pair
+    and the antiderivative per slot-0 atom.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
 
@@ -209,8 +210,9 @@ class Space:
         self._charge_nums = tuple(
             tuple(x.numerator * (den // x.denominator) for x in row) for row in charges
         )
+        # Simpson value of each slot-0 atom (0.0 in slot 1) for the Fock domain
+        self._simpson0 = tuple(simpson(atom.fn) if atom.slot == 0 else 0.0 for atom in atoms)
         self._gram: Dict[Tuple[int, int], float] = {}
-        self._fock: Dict[SymVector, float] = {}
         self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
 
@@ -369,8 +371,13 @@ class Space:
         """||v||^2 = sum c_a c_b Q(a, b) over v's atoms, in atom order with
         cross terms counted twice.  Q(a, b) = a.samples @ fock_column(b) for
         same-slot atoms a <= b: b's row is filled the first time b is read,
-        so Q does not depend on the read order."""
-        check_fock_domain(*self.assemble(v))
+        so Q does not depend on the read order.  NotInDomain off Va, or when
+        v's slot-0 Simpson values do not sum to zero (a window cut an atom)."""
+        _, c, plus, minus = self._charge_sums(v)
+        if c or plus or minus:
+            raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")
+        if abs(sum(n / v._den * self._simpson0[a] for a, n in v._nums)) > TOL_CHARGE:
+            raise NotInDomain("f0 must have zero integral (charge)")
         total = 0.0
         for i, (b, nb) in enumerate(v._nums):
             slot = self._slots[b]
@@ -386,13 +393,8 @@ class Space:
         return total
 
     def fock_factor(self, v: SymVector) -> float:
-        """The quasi-free vacuum value exp(-||v||^2 / 4), memoized up to sign:
-        negation is exact in floating point, so ||-v||^2 == ||v||^2 bit for bit."""
-        if v._nums and v._nums[0][1] < 0:
-            v = -v
-        if v not in self._fock:
-            self._fock[v] = 1.0 if v.is_zero() else math.exp(-0.25 * self.fock_norm_sq(v))
-        return self._fock[v]
+        """The quasi-free vacuum value exp(-||v||^2 / 4); 1.0 on ZERO."""
+        return math.exp(-0.25 * self.fock_norm_sq(v))
 
     # -- T-relative moments and the regularized splitting ----------------------
 

@@ -7,10 +7,12 @@ here as text, never imported or run, so this test changes nothing there.
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import weylnet
 from weylnet import suites, weyl
+from weylnet.symplectic import Space
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,6 +35,15 @@ def test_every_span_target_is_a_function():
             for part in name.split("."):
                 obj = getattr(obj, part)
             assert inspect.isfunction(obj), f"{layer}.{name}"
+
+
+def test_every_space_method_bound_by_name_is_a_function():
+    # spans.py also wraps Space methods it names as `__dict__["..."]`
+    # literals outside TARGETS (the `states.fock_computed` counter)
+    names = re.findall(r'__dict__\["(\w+)"\]', SPANS.read_text())
+    assert names
+    for name in names:
+        assert inspect.isfunction(Space.__dict__.get(name)), f"Space.{name}"
 
 
 def test_package_root_binds_weyl_mul_and_suites_bind_their_entry_points():

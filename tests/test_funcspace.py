@@ -15,6 +15,7 @@ from weylnet.funcspace import (
     chiral_norm_sq,
     constant_function,
     derivative,
+    fock_column,
     fock_norm_sq,
     hermite_gaussian,
     localization,
@@ -225,8 +226,10 @@ def test_fock_norm_domain_checks():
 
 
 def test_chiral_norm_matches_fock_slot1():
+    # the reference's slot-1 half is chiral_norm_sq itself, so compare with
+    # the Fock column path, which builds its weights on its own
     f1 = hermite_gaussian(3, Fraction(1))
-    assert abs(chiral_norm_sq(f1) - fock_norm_sq(zero_function(), f1)) < 1e-12
+    assert abs(chiral_norm_sq(f1) - f1.samples @ fock_column(f1, 1)) < 1e-12
 
 
 # --- localization ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from weylnet import errors
 from weylnet.funcspace import DEFAULT_GRID, EMPTY, Grid, fock_norm_sq, pairing
 from weylnet.registry import load_registry, parse_registry
-from weylnet.symplectic import Charges, SymVector, ZERO, sigma_plane
+from weylnet.symplectic import Charges, Space, SymVector, ZERO, sigma_plane
 
 
 from functools import lru_cache
@@ -565,3 +566,34 @@ def test_fock_norms_do_not_depend_on_read_order():
     first = [forward.fock_norm_sq(v) for v in vs]
     second = [backward.fock_norm_sq(v) for v in reversed(vs)]
     assert first == second[::-1]
+
+
+@pytest.mark.parametrize("points", [4096, 16384])
+def test_fock_norm_reads_no_assembled_samples(points, monkeypatch):
+    space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
+    vs = _fock_vectors(space, points, count=20)
+    want = [space.fock_norm_sq(v) for v in vs]
+
+    def refuse(self, v):
+        raise AssertionError("assemble called")
+
+    monkeypatch.setattr(Space, "assemble", refuse)
+    assert [space.fock_norm_sq(v) for v in vs] == want
+
+
+@pytest.mark.parametrize("name", ["T", "n1", "c0"])
+def test_fock_norm_refuses_charged_vectors_before_any_column(name):
+    space = load_registry()
+    with pytest.raises(errors.NotInDomain, match=re.escape("fully decaying data (Va) only")):
+        space.fock_norm_sq(space.generator(name))
+    assert space._fock_q == {}
+
+
+def test_fock_norm_refuses_a_window_cut_generator():
+    # at --window 16 the window cuts the Hermite atoms at +-12: aR's exact
+    # charges are zero, but its slot-0 samples integrate to about -0.031
+    space = load_registry(None, Grid(Fraction(-16), Fraction(16), 4096))
+    aR = space.generator("aR")
+    assert space.in_space(aR, "Va")
+    with pytest.raises(errors.NotInDomain, match=re.escape("f0 must have zero integral (charge)")):
+        space.fock_norm_sq(aR)
