@@ -11,6 +11,12 @@ machine precision, which a finite-difference derivative of a cumulative
 quadrature cannot do (its half-step ripple is amplified by 1/h).  The
 antiderivative is linear in the data, so `dalembert` sums the per-atom
 antiderivatives its Space builds once (`Space.antiderivative`).
+
+The split sigma = sigma_+ + sigma_- + sigma_inf is bilinear for the same
+reason.  `split_table` builds it once per check run as a table over atom
+pairs, read from the arrays the Space already holds, and `sigma_split` sums
+it over two vectors; `sigma_decomposed` of two `dalembert` pairs is the
+per-vector reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .funcspace import TestFunction, _simpson_value, _unit_kink, derivative, pairing
+from .funcspace import (
+    TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, pairing,
+)
 from .symplectic import Space, SymVector
 
 
@@ -123,8 +131,48 @@ def sigma_infinity(p: ChiralPair, q: ChiralPair) -> float:
 
 
 def sigma_decomposed(p: ChiralPair, q: ChiralPair) -> float:
+    """sigma_+ + sigma_- + sigma_inf of two mover pairs: the per-vector
+    reference for `split_table`."""
     return (
         sigma_chiral(+1, p.theta_plus, q.theta_plus)
         + sigma_chiral(-1, p.theta_minus, q.theta_minus)
         + sigma_infinity(p, q)
     )
+
+
+def split_table(space: Space) -> np.ndarray:
+    """S[a, b] = sigma_decomposed(dalembert(e_a), dalembert(e_b)) for atoms
+    a, b, so sigma_decomposed(dalembert(v), dalembert(w)) = sum c_a d_b S[a, b].
+
+    Atom a's movers are theta_+ = (A_a, f_a) / 2 and theta_- = eps_a theta_+
+    in slot 0 (A_a its antiderivative, eps_a = -1), and (f_a, f_a') / 2 with
+    eps_a = 1 in slot 1.  So sigma_- = -eps_a eps_b sigma_+ exactly: same-slot
+    entries are exactly 0, cross-slot ones 2 sigma_+ + sigma_inf.  Each row
+    takes one weighted derivative and a dot product with every theta_+."""
+    atoms = space.atoms
+    weights = _simpson_weights(space.grid.n) * space.grid.step
+    theta = [space.atom_antiderivative(a) if atom.slot == 0 else atom.fn.samples
+             for a, atom in enumerate(atoms)]
+    # P[a, b] = 4 integral theta_+b d(theta_+a), summed as `pairing` sums it
+    P = np.empty((len(atoms), len(atoms)))
+    for a, atom in enumerate(atoms):
+        y = weights * (atom.fn if atom.slot == 0 else derivative(atom.fn)).samples
+        P[a] = [y @ t for t in theta]
+    eps = [-1.0 if atom.slot == 0 else 1.0 for atom in atoms]
+    # exact right limits: theta_+ has L_a / 2 and theta_- eps_a L_a / 2
+    half = [(atom.fn.integral if atom.slot == 0 else atom.fn.right_limit) / 2 for atom in atoms]
+    sigma_inf = np.array([[float(la * lb) * (eb - ea) for lb, eb in zip(half, eps)]
+                          for la, ea in zip(half, eps)])
+    # sigma_+ + sigma_- + sigma_inf
+    return (1.0 - np.outer(eps, eps)) * ((P - P.T) / 4) + sigma_inf
+
+
+def sigma_split(table: np.ndarray, v: SymVector, w: SymVector) -> float:
+    """sum c_a d_b S[a, b] over the atoms of v and w, as `Space.sigma` sums."""
+    dw = w._den
+    total = 0.0
+    for a, na in v._nums:
+        ca, row = na / v._den, table[a]
+        for b, nb in w._nums:
+            total += ca * (nb / dw) * row[b]
+    return float(total)

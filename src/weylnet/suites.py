@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .chiral import dalembert, roundtrip_error, sigma_decomposed
+from .chiral import dalembert, roundtrip_error, sigma_split, split_table
 from .errors import WeylnetError
 from .funcspace import DEFAULT_GRID, Grid, Interval, chiral_norm_sq
 from .gns import (
@@ -254,12 +254,12 @@ def _mover_defects(space: Space, rng) -> dict:
 
 def _sigma_chiral_splitting(space: Space, rng, ctx) -> float:
     pool = space.generator_names()
+    table = split_table(space)
     worst = 0.0
     for _ in range(200):
         v = _rand_vector(space, rng, pool)
         w = _rand_vector(space, rng, pool)
-        split = sigma_decomposed(dalembert(space, v), dalembert(space, w))
-        worst = max(worst, abs(space.sigma(v, w) - split))
+        worst = max(worst, abs(space.sigma(v, w) - sigma_split(table, v, w)))
     return worst
 
 

@@ -357,11 +357,16 @@ class Space:
         s = np.zeros(self.grid.n)
         for a, n in v._nums:
             if self._slots[a] == 0:
-                if a not in self._antideriv:
-                    fn = self.atoms[a].fn
-                    self._antideriv[a] = _charge_antiderivative(fn, fn.integral)
-                s += n / v._den * self._antideriv[a]
+                s += n / v._den * self.atom_antiderivative(a)
         return s
+
+    def atom_antiderivative(self, a: int) -> np.ndarray:
+        """Samples of slot-0 atom a's antiderivative, limits (0, c_a), built
+        the first time it is read."""
+        if a not in self._antideriv:
+            fn = self.atoms[a].fn
+            self._antideriv[a] = _charge_antiderivative(fn, fn.integral)
+        return self._antideriv[a]
 
     def localization(self, v: SymVector) -> Union[Interval, type(EMPTY)]:
         f0, f1 = self.assemble(v)

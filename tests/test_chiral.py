@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,9 +12,11 @@ from weylnet.chiral import (
     sigma_chiral,
     sigma_decomposed,
     sigma_infinity,
+    sigma_split,
+    split_table,
     _spectral_deriv,
 )
-from weylnet import funcspace
+from weylnet import chiral, funcspace, symplectic
 from weylnet.funcspace import (
     DEFAULT_GRID,
     Grid,
@@ -25,7 +28,7 @@ from weylnet.funcspace import (
 )
 from weylnet.registry import load_registry
 from weylnet.suites import run_suite
-from weylnet.symplectic import ZERO
+from weylnet.symplectic import ZERO, Space, SymVector
 
 
 @lru_cache(maxsize=1)
@@ -226,3 +229,83 @@ def test_space_holds_no_antiderivative_before_dalembert():
     assert space._antideriv == {}
     dalembert(space, space.generator("T") + space.generator("c0"))
     assert len(space._antideriv) == 2
+
+
+# --- the per-atom split table ----------------------------------------------------
+
+
+@lru_cache(maxsize=2)
+def split_at(points):
+    """The split table, and the per-vector splits of each atom pair it is
+    pinned against, at `points` points on [-32, 32]."""
+    space = sp_at(points)
+    pairs = [dalembert(space, SymVector([(a, 1)])) for a in range(len(space.atoms))]
+    ref = np.array([[sigma_decomposed(p, q) for q in pairs] for p in pairs])
+    inf = np.array([[sigma_infinity(p, q) for q in pairs] for p in pairs])
+    return split_table(space), ref, inf
+
+
+@pytest.mark.parametrize("points", [4096, 16384])
+def test_split_table_matches_the_per_vector_split(points):
+    table, ref, _ = split_at(points)
+    assert table.shape == (len(sp_at(points).atoms),) * 2 == (18, 18)
+    assert np.max(np.abs(table - ref)) <= 1e-14
+    assert np.array_equal(table, -table.T)
+    assert not np.any(np.diag(table))
+
+
+@pytest.mark.parametrize("points", [4096, 16384])
+def test_sigma_split_matches_the_per_vector_path(points):
+    space = sp_at(points)
+    table = split_at(points)[0]
+    rng = np.random.default_rng(11)
+
+    def combo():
+        v = ZERO
+        for name in rng.choice(space.generator_names(), size=2, replace=False):
+            v = v + space.generator(str(name)).scale(Fraction(int(rng.integers(-3, 4)), 2))
+        return v
+
+    for _ in range(50):
+        v, w = combo(), combo()
+        ref = sigma_decomposed(dalembert(space, v), dalembert(space, w))
+        assert abs(sigma_split(table, v, w) - ref) <= 1e-13
+
+
+def test_split_table_compares_cross_slot_integrals_and_limits():
+    space = sp_at(4096)
+    table, _, inf = split_at(4096)
+    slots = np.array([atom.slot for atom in space.atoms])
+    same = slots[:, None] == slots[None, :]
+    assert np.all(table[same] == 0.0)
+    # T's slot-0 atom (c = 1) against q0's slot-1 atom (nonzero right limit)
+    names = [atom.name for atom in space.atoms]
+    assert inf[names.index("T.0"), names.index("q0.1")] != 0.0
+    assert np.count_nonzero((table - inf)[~same]) > 0
+
+
+def _scaled(fn, factor=1 + 1e-4):
+    return lambda *args: fn(*args) * factor
+
+
+@pytest.mark.parametrize("mutant", ["antiderivative", "gram", "derivative"])
+def test_sigma_chiral_splitting_fails_under_each_mutant(mutant, monkeypatch):
+    if mutant == "antiderivative":
+        monkeypatch.setattr(
+            symplectic, "_charge_antiderivative", _scaled(symplectic._charge_antiderivative)
+        )
+    elif mutant == "gram":
+        monkeypatch.setattr(Space, "_gram_entry", _scaled(Space._gram_entry))
+    else:
+        derivative = chiral.derivative
+
+        def scaled(f):
+            d = derivative(f)
+            return replace(d, samples=d.samples * (1 + 1e-4))
+
+        monkeypatch.setattr(chiral, "derivative", scaled)
+    report = run_suite("chiral", 7, space=load_registry())
+    checks = report["sections"][0]["checks"]
+    (record,) = [c for c in checks if c["name"] == "sigma-chiral-splitting"]
+    assert record["status"] == "fail", record
+    assert record["value"] > 10 * record["tolerance"]
