@@ -41,7 +41,11 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.x1 <= self.x0 or self.n < 8:
+        try:  # samples sit at float positions: the ends and the width must be floats
+            finite = all(math.isfinite(float(x)) for x in (self.x0, self.x1, self.x1 - self.x0))
+        except OverflowError:
+            finite = False
+        if self.x1 <= self.x0 or self.n < 8 or not finite:
             raise BadGrid(f"bad grid window/size: {self.x0}..{self.x1} n={self.n}")
 
     @property

@@ -136,7 +136,9 @@ def _rand_vector(space: Space, rng, pool: Sequence[str], n_terms: int = 2) -> Sy
     for i in rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False):
         num = int(rng.integers(-2, 3))
         den = int(rng.integers(1, 3))
-        v = v + space.generator(pool[i]).scale(Fraction(num, den))
+        if num:
+            g = space.generator(pool[i])
+            v = v + SymVector([(a, n * num) for a, n in g._nums], g._den * den)
     return v
 
 
@@ -158,18 +160,19 @@ def _axiom_defects(space: Space, rng) -> dict:
     for _ in range(1000):
         r, s, t = (_rand_vector(space, rng, pool) for _ in range(3))
         A, B, C = weyl_word(r), weyl_word(s), weyl_word(t)
+        AB = weyl_mul(space, A, B)
         defects = {
             "associativity": max_coeff_distance(
-                weyl_mul(space, weyl_mul(space, A, B), C),
+                weyl_mul(space, AB, C),
                 weyl_mul(space, A, weyl_mul(space, B, C)),
             ),
             "unitarity": max_coeff_distance(weyl_mul(space, A, weyl_word(-r)), IDENTITY),
             "involution": max_coeff_distance(
-                weyl_star(weyl_mul(space, A, B)),
+                weyl_star(AB),
                 weyl_mul(space, weyl_star(B), weyl_star(A)),
             ),
             "exchange": max_coeff_distance(
-                weyl_mul(space, A, B),
+                AB,
                 weyl_scale(weyl_mul(space, B, A), cmath.exp(-1j * space.sigma(r, s))),
             ),
             "cocycle": cocycle_defect(space, r, s, t),

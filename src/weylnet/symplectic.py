@@ -63,6 +63,11 @@ class SymVector:
     Held as integer numerators over one positive common denominator, in
     lowest terms: `_den` and a tuple of (atom, nonzero int) sorted by atom.
     Equal vectors have equal (den, nums), whatever route built them.
+
+    The arithmetic takes short cuts that keep that form: a sum or difference
+    with ZERO returns the other operand (negated for ZERO - w), equal
+    denominators are added without an lcm, `scale` returns ZERO for 0 and
+    the vector itself for 1, and numerators over den 1 need no gcd.
     """
 
     __slots__ = ("_den", "_nums")
@@ -85,7 +90,7 @@ class SymVector:
             )
         else:
             nums = tuple(items)
-            g = math.gcd(den, *[n for _, n in nums])
+            g = 1 if den == 1 else math.gcd(den, *[n for _, n in nums])
             if g > 1:
                 den //= g
                 nums = tuple([(a, n // g) for a, n in nums])
@@ -99,10 +104,18 @@ class SymVector:
         return not self._nums
 
     def _combine(self, other: "SymVector", sign: int) -> "SymVector":
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other if sign > 0 else -other
         d1, d2 = self._den, other._den
-        den = math.lcm(d1, d2)
-        m1, m2 = den // d1, sign * (den // d2)
-        acc = {a: n * m1 for a, n in self._nums}
+        if d1 == d2:
+            den, m2 = d1, sign
+            acc = dict(self._nums)
+        else:
+            den = math.lcm(d1, d2)
+            m1, m2 = den // d1, sign * (den // d2)
+            acc = {a: n * m1 for a, n in self._nums}
         for a, n in other._nums:
             acc[a] = acc.get(a, 0) + n * m2
         return SymVector([(a, n) for a, n in sorted(acc.items()) if n], den)
@@ -117,9 +130,12 @@ class SymVector:
         return SymVector([(a, -n) for a, n in self._nums], self._den)
 
     def scale(self, k) -> "SymVector":
-        k = Fraction(k)
+        if not isinstance(k, (int, Fraction)):
+            k = Fraction(k)
         if not k:
-            return SymVector()
+            return ZERO
+        if k == 1:
+            return self
         return SymVector(
             [(a, n * k.numerator) for a, n in self._nums], self._den * k.denominator
         )
@@ -261,7 +277,7 @@ class Space:
     def sigma(self, v: SymVector, w: SymVector) -> float:
         # n / den is the correctly rounded float of the coefficient, as
         # float(Fraction) is
-        slots = self._slots
+        slots, gram = self._slots, self._gram
         dw = w._den
         total = 0.0
         for a, na in v._nums:
@@ -269,8 +285,12 @@ class Space:
             sa = slots[a]
             for b, nb in w._nums:
                 if sa != slots[b]:
-                    g = self._gram_entry(a, b) if sa == 0 else -self._gram_entry(b, a)
-                    total += ca * (nb / dw) * g
+                    key = (b, a) if sa else (a, b)
+                    try:
+                        g = gram[key]
+                    except KeyError:
+                        g = self._gram_entry(*key)
+                    total += ca * (nb / dw) * (-g if sa else g)
         return total
 
     # -- charges and membership ----------------------------------------------

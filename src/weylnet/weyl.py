@@ -32,12 +32,19 @@ class WeylElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[Tuple[SymVector, complex]]):
-        acc: Dict[SymVector, complex] = {}
-        for v, a in terms:
-            acc[v] = acc.get(v, 0j) + complex(a)
-        kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
-        if len(kept) > 1:
-            kept.sort(key=lambda t: t[0].items())
+        if isinstance(terms, (list, tuple)) and len(terms) == 1:
+            # one term (a word, or a product of two words) needs no dict;
+            # 0j + a is the dict's sum, so a -0.0 part reads +0.0 either way
+            (v, a), = terms
+            a = 0j + complex(a)
+            kept = [(v, a)] if abs(a) >= COEFF_EPS else []
+        else:
+            acc: Dict[SymVector, complex] = {}
+            for v, a in terms:
+                acc[v] = acc.get(v, 0j) + complex(a)
+            kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
+            if len(kept) > 1:
+                kept.sort(key=lambda t: t[0].items())
         object.__setattr__(self, "_terms", tuple(kept))
 
     def terms(self) -> Tuple[Tuple[SymVector, complex], ...]:
@@ -67,7 +74,7 @@ def weyl_add(A: WeylElement, B: WeylElement) -> WeylElement:
 
 
 def weyl_scale(A: WeylElement, z: complex) -> WeylElement:
-    return WeylElement((v, z * a) for v, a in A.terms())
+    return WeylElement([(v, z * a) for v, a in A.terms()])
 
 
 def weyl_mul(space: Space, A: WeylElement, B: WeylElement) -> WeylElement:
@@ -80,7 +87,7 @@ def weyl_mul(space: Space, A: WeylElement, B: WeylElement) -> WeylElement:
 
 
 def weyl_star(A: WeylElement) -> WeylElement:
-    return WeylElement(((-v), a.conjugate()) for v, a in A.terms())
+    return WeylElement([(-v, a.conjugate()) for v, a in A.terms()])
 
 
 def max_coeff_distance(A: WeylElement, B: WeylElement) -> float:

@@ -208,6 +208,18 @@ def test_kink_outside_the_window_names_its_line(capsys):
                     "--element", "W[aC]"]) == 0
 
 
+def test_window_wider_than_a_float_is_a_bad_grid(capsys):
+    """A window whose width overflows a float is the grid's fault, refused
+    before the registry is read; one that fits reaches the registry."""
+    assert run(["--window", "1e400", "--suite", "nets"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad grid window/size: -1") and "line" not in err
+    assert run(["--window", "1e308", "--suite", "nets"]) == 2  # the width 2e308 overflows
+    assert capsys.readouterr().err.startswith("error: bad grid window/size:")
+    assert run(["--window", "1e300", "--suite", "nets"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 7: width 1 below 4*step")
+
+
 def test_non_utf8_registry_names_the_path(tmp_path, capsys):
     path = _non_utf8_registry(tmp_path)
     assert run(["--registry", path, "--suite", "nets"]) == 2
@@ -279,6 +291,20 @@ def test_golden_report_all_seed_7(tmp_path, capsys):
     assert run(["--suite", "all", "--seed", "7", "--out", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "report_all_seed7.json"
     _assert_report_matches(json.loads(out.read_text()), json.loads(golden.read_text()))
+
+
+def test_golden_algebra_reports_seed_1_are_byte_identical(tmp_path, capsys):
+    """The algebra suites at seed 1 write the same bytes as the file was made
+    from: every value, bit for bit, not only to a relative 1e-6.  The file
+    holds both reports, keyed by suite, in the report serialization."""
+    text = (Path(__file__).parent / "data" / "report_algebra_seed1.json").read_text()
+    golden = json.loads(text)
+    assert suites.serialize_report(golden) == text
+    assert sorted(golden) == ["psi-T", "weyl-axioms"]
+    for suite, report in golden.items():
+        out = tmp_path / f"{suite}.json"
+        assert run(["--suite", suite, "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_text() == suites.serialize_report(report), suite
 
 
 ADHOC = json.loads((Path(__file__).parent / "data" / "adhoc_commands.json").read_text())

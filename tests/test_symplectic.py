@@ -434,6 +434,42 @@ def test_symvector_matches_fraction_oracle(x, y, k):
         assert r == v and hash(r) == hash(v), (r, v)
 
 
+_scales = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-6, 6), _rationals)
+
+
+def _assert_canonical(got, items):
+    """`got` is the vector `SymVector(items)` builds from exact Fraction sums:
+    the same denominator, numerators and hash, whatever path built it."""
+    want = SymVector(items)
+    assert (got._den, got._nums) == (want._den, want._nums), (got, want)
+    assert hash(got) == hash(want)
+    assert got._den > 0 and math.gcd(got._den, *[n for _, n in got._nums]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_terms, y=_terms, z=st.lists(st.tuples(st.integers(0, 5), st.integers(-9, 9)), max_size=6),
+       k=_scales)
+def test_symvector_fast_paths_give_the_canonical_form(x, y, z, k):
+    """Sums with ZERO, sums over equal denominators and scales by 0, 1 and
+    -1 take short cuts; each result is the canonical vector of the exact
+    rational sum.  u holds z's integer numerators over v's denominator (the
+    1/den term on atom 7 keeps it there), so v and u always share one."""
+    v, w = SymVector(x), SymVector(y)
+    ox, oy = _oracle(x), _oracle(y)
+    zu = [(a, Fraction(n, v._den)) for a, n in z] + [(7, Fraction(1, v._den))]
+    u, ou = SymVector(zu), _oracle(zu)
+    assert u._den == v._den
+    for left, right, ol, orr in ((v, w, ox, oy), (v, u, ox, ou), (u, v, ou, ox),
+                                 (v, ZERO, ox, {}), (ZERO, v, {}, ox), (ZERO, ZERO, {}, {})):
+        _assert_canonical(left + right, list(ol.items()) + list(orr.items()))
+        _assert_canonical(left - right, list(ol.items()) + [(a, -c) for a, c in orr.items()])
+    for vec, o in ((v, ox), (u, ou), (ZERO, {})):
+        _assert_canonical(-vec, [(a, -c) for a, c in o.items()])
+        _assert_canonical(vec.scale(k), [(a, k * c) for a, c in o.items()])
+    assert u.scale(1) is u and u.scale(Fraction(1)) is u and u.scale(0) is ZERO
+    assert u + ZERO is u and ZERO + u is u and u - ZERO is u
+
+
 # -- fast paths pinned to the formulas they replace ----------------------------
 
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from weylnet import errors
 from weylnet.registry import load_registry
 from weylnet.symplectic import ZERO
+from weylnet.suites import run_suite
 from weylnet.weyl import (
+    COEFF_EPS,
     IDENTITY,
     CrossedProduct,
     Staged,
@@ -122,6 +124,56 @@ def test_cocycle_identity():
         r, s, t = (rand_vector(rng) for _ in range(3))
         assert cocycle_defect(space, r, s, t) <= 1e-9
     assert cocycle_defect(space, rand_vector(rng), rand_vector(rng), ZERO) == 0
+
+
+def _reference_mul(space, A, B):
+    """The general double loop over terms, summed into a dict from 0j."""
+    acc = {}
+    for v, a in A.terms():
+        for w, b in B.terms():
+            acc[v + w] = acc.get(v + w, 0j) + a * b * cmath.exp(-0.5j * space.sigma(v, w))
+    kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
+    return sorted(kept, key=lambda t: t[0].items())
+
+
+def _bits(terms):
+    return [(v, a.real.hex(), a.imag.hex()) for v, a in terms]
+
+
+def test_single_term_product_matches_the_double_loop():
+    """W(v) W(w) is one term and skips WeylElement's dict: the same key and
+    the same coefficient bits, signed zeros included, as the dict path; a
+    coefficient below COEFF_EPS gives the zero element on both."""
+    space = sp()
+    rng = np.random.default_rng(8)
+    coeffs = [1.0, -1.0, complex(1.0, -0.0), complex(-0.0, 2.5), 0.3 - 0.7j, 1e-8]
+    words = [weyl_word(ZERO), IDENTITY]
+    for _ in range(40):
+        v = rand_vector(rng)
+        words.append(weyl_word(v, coeffs[int(rng.integers(len(coeffs)))]))
+        words.append(weyl_word(-v))
+    for A in words:
+        for B in words[:12]:
+            got = weyl_mul(space, A, B)
+            assert _bits(got.terms()) == _bits(_reference_mul(space, A, B))
+    A, B = (weyl_word(space.generator(name), 1e-8) for name in ("aC", "q0"))
+    assert weyl_mul(space, A, B).is_zero() and _reference_mul(space, A, B) == []
+    # signed zeros: the one-term element reads 0j + a, as the dict does
+    one = WeylElement([(ZERO, complex(-0.0, -1.0))])
+    assert _bits(one.terms()) == [(ZERO, "0x0.0p+0", "-0x1.0000000000000p+0")]
+
+
+def test_sigma_fills_the_gram_memo_lazily():
+    """A fresh Space holds no Gram entry; one sigma adds only the cross-slot
+    pairs it reads, and weyl-axioms at seed 7 ends with 81 entries, the 9 x 9
+    slot-0/slot-1 atom pairs of the default registry."""
+    space = load_registry()
+    assert len(space._gram) == 0
+    space.sigma(space.generator("aC"), space.unit_vector())
+    assert len(space._gram) == 1  # aC's slot-0 atom against the unit atom
+    space = load_registry()
+    run_suite("weyl-axioms", 7, space=space)
+    assert len(space._gram) == 81
 
 
 # --- staged crossed product --------------------------------------------------
