@@ -183,14 +183,8 @@ def _run_subcommand(args, grid: Grid) -> int:
         pair = dalembert(space, v)
         if args.action == "decompose":
             print(f"c_plus {pair.c_plus}  c_minus {pair.c_minus}")
-            print(
-                f"theta_plus limits {pair.theta_plus.left_limit} .. "
-                f"{pair.theta_plus.right_limit}"
-            )
-            print(
-                f"theta_minus limits {pair.theta_minus.left_limit} .. "
-                f"{pair.theta_minus.right_limit}"
-            )
+            for side, theta in (("plus", pair.theta_plus), ("minus", pair.theta_minus)):
+                print(f"theta_{side} limits {theta.left_limit} .. {theta.right_limit}")
             return 0
         err = roundtrip_error(space, v, pair)
         print(f"roundtrip max pointwise error {err:.3e}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple, Union
@@ -41,12 +42,14 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        try:  # samples sit at float positions: the ends and the width must be floats
-            finite = all(math.isfinite(float(x)) for x in (self.x0, self.x1, self.x1 - self.x0))
-        except OverflowError:
-            finite = False
-        if self.x1 <= self.x0 or self.n < 8 or not finite:
-            raise BadGrid(f"bad grid window/size: {self.x0}..{self.x1} n={self.n}")
+        # samples sit at float positions, so the float ends must differ, and
+        # the Fourier weights square 1/step, so step**-2 must be a float too
+        try:
+            fits = self.n >= 8 and float(self.x0) < float(self.x1) and math.isfinite(self.step**-2)
+        except (OverflowError, ZeroDivisionError):
+            fits = False
+        if self.x1 <= self.x0 or not fits:
+            raise BadGrid(f"bad grid window/size: {short(self.x0)}..{short(self.x1)} n={self.n}")
 
     @property
     def step(self) -> float:
@@ -61,6 +64,14 @@ class Grid:
 
     def xs(self) -> np.ndarray:
         return _grid_xs(self)
+
+
+def short(x: Fraction) -> str:
+    """x for a message: as p/q when that is short, else to six digits."""
+    if x.numerator.bit_length() + x.denominator.bit_length() <= 64:
+        return str(x)
+    ctx = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return f"{ctx.divide(Decimal(x.numerator), x.denominator).normalize(ctx):g}"
 
 
 @lru_cache(maxsize=64)
@@ -93,7 +104,7 @@ class Interval:
 
     def __post_init__(self):
         if not self.a < self.b:
-            raise BadGrid(f"interval needs a < b, got [{self.a}, {self.b}]")
+            raise BadGrid(f"interval needs a < b, got {self!r}")
 
     def disjoint(self, other: "Interval") -> bool:
         return self.b <= other.a or other.b <= self.a
@@ -107,7 +118,7 @@ class Interval:
         return self.b <= other.a
 
     def __repr__(self):
-        return f"[{self.a}, {self.b}]"
+        return f"[{short(self.a)}, {short(self.b)}]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +239,10 @@ def make_kink(
     if width <= 0:
         raise BadGrid("width must be positive")
     if float(width) < 4 * grid.step:
-        raise BadGrid(f"width {width} below 4*step {4 * grid.step}")
+        raise BadGrid(f"width {short(width)} below 4*step {4 * grid.step}")
     if compact and not grid.x0 <= center - width < center + width <= grid.x1:
-        raise BadGrid(f"compact kink support [{center - width}, {center + width}] "
-                      f"leaves the window [{grid.x0}, {grid.x1}]")
+        support, window = Interval(center - width, center + width), Interval(grid.x0, grid.x1)
+        raise BadGrid(f"compact kink support {support} leaves the window {window}")
     xs = grid.xs()
     u = (xs - float(center)) / float(width)
     if compact:

@@ -3,7 +3,8 @@
 Nets are finite generator sets: a registered generator belongs to kind(I)
 when its exact charges match the kind's membership filter and its
 localization (support of f0 union support of df1) is contained in I.
-Constants have empty localization and belong to every interval.
+A generator with empty localization is central: it is skipped, and the
+centre enters kinds B and E of every interval through the unit alone.
 
 For disjoint intervals the symplectic form between localized elements reduces
 to the asymptotic closed form G_minus F_c - F_plus G_c (left element F): each
@@ -51,15 +52,14 @@ def net_generators(space: Space, kind: str, I: Interval) -> Tuple[SymVector, ...
     out = []
     for name in space.generator_names():
         v = space.generator(name)
-        # pure-central elements enter only through the designated kinds below
-        if space.is_central(v):
+        if not space.in_space(v, label):
             continue
-        if space.in_space(v, label) and I.contains(space.localization(v)):
+        # an empty localization marks a central generator; the unit stands in
+        loc = space.localization(v)
+        if not loc.is_empty and I.contains(loc):
             out.append(v)
     if kind in ("B", "E"):
-        unit = space.unit_vector()
-        if unit not in out:
-            out.append(unit)
+        out.append(space.unit_vector())
     return tuple(out)
 
 
@@ -170,10 +170,10 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> Dict[str, bool]:
     fixed = True
     for name in space.generator_names():
         g = space.generator(name)
-        loc = space.localization(g)
-        if not space.in_space(g, "Va") or loc.is_empty:
+        if not space.in_space(g, "Va"):
             continue
-        if not loc.disjoint(I):
+        loc = space.localization(g)
+        if loc.is_empty or not loc.disjoint(I):
             continue
         img = space.psi_T(g, T)
         moment = max(abs(img.l_part[1]), abs(img.m_part[0]))

@@ -126,7 +126,11 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>
             if kind not in FN_KEYS:
                 raise RegistryParseError(f"line {lineno}: unknown function kind {kind!r}")
             kv = _parse_kv(tokens[3:], FN_KEYS[kind], kind, lineno)
-            functions[name] = _build_function(kind, kv, grid, lineno)
+            with np.errstate(all="ignore"):  # an overflow shows as a non-finite sample
+                fn = functions[name] = _build_function(kind, kv, grid, lineno)
+            for part, what in ((fn, "function"), (fn.deriv, "derivative")):
+                if part is not None and not np.isfinite(part.samples).all():
+                    raise RegistryParseError(f"line {lineno}: {what} has a non-finite sample")
         elif record == "pair":
             if name in pairs:
                 raise RegistryParseError(f"line {lineno}: duplicate pair {name!r}")

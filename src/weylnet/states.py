@@ -95,13 +95,7 @@ def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
     half = float(ch.inf) / 2.0
     total = 0.0
     for theta in (pair.theta_plus, pair.theta_minus):
-        flat = TestFunction(
-            theta.grid,
-            theta.samples - half,
-            Fraction(0),
-            Fraction(0),
-            None,
-        )
+        flat = TestFunction(theta.grid, theta.samples - half, Fraction(0), Fraction(0))
         total += chiral_norm_sq(flat)
     return complex(math.exp(-0.5 * total))
 

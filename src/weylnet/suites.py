@@ -358,8 +358,9 @@ def _soliton_phases(space: Space, rng, ctx) -> float:
 
 def _fixed_point_filters(space: Space, rng, ctx) -> float:
     """1 unless each projection fixes exactly the F(I) generators of its net."""
+    f_gens = net_generators(space, "F", I_MID)
     for sub, kind in FIXED_POINT_NETS.items():
-        for g in net_generators(space, "F", I_MID):
+        for g in f_gens:
             word = weyl_word(g)
             invariant = fixed_point_project(space, word, sub) == word
             if invariant != space.in_space(g, NET_LABEL[kind]):

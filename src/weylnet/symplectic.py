@@ -34,7 +34,6 @@ from .funcspace import (
     localization,
     pairing,
     resample,
-    simpson,
 )
 
 
@@ -226,8 +225,6 @@ class Space:
         self._charge_nums = tuple(
             tuple(x.numerator * (den // x.denominator) for x in row) for row in charges
         )
-        # Simpson value of each slot-0 atom (0.0 in slot 1) for the Fock domain
-        self._simpson0 = tuple(simpson(atom.fn) if atom.slot == 0 else 0.0 for atom in atoms)
         self._gram: Dict[Tuple[int, int], float] = {}
         self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
@@ -341,11 +338,6 @@ class Space:
             return True
         return self.assemble(v)[1].is_constant()
 
-    def is_central(self, v: SymVector) -> bool:
-        """True when v lies on the constant slot-1 line (zero slot 0)."""
-        f0, f1 = self.assemble(v)
-        return f0.is_zero() and f1.is_constant()
-
     def split_off_center(self, v: SymVector) -> Tuple[SymVector, Fraction]:
         ch = self.charges(v)
         return v - self.unit_vector().scale(ch.inf), ch.inf
@@ -397,11 +389,12 @@ class Space:
         cross terms counted twice.  Q(a, b) = a.samples @ fock_column(b) for
         same-slot atoms a <= b: b's row is filled the first time b is read,
         so Q does not depend on the read order.  NotInDomain off Va, or when
-        v's slot-0 Simpson values do not sum to zero (a window cut an atom)."""
+        the numeric charge sigma(v, e), the Simpson value of v's slot 0
+        against the unit e, is not zero (a window cut an atom)."""
         _, c, plus, minus = self._charge_sums(v)
         if c or plus or minus:
             raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")
-        if abs(sum(n / v._den * self._simpson0[a] for a, n in v._nums)) > TOL_CHARGE:
+        if abs(self.sigma(v, self._unit)) > TOL_CHARGE:
             raise NotInDomain("f0 must have zero integral (charge)")
         total = 0.0
         for i, (b, nb) in enumerate(v._nums):

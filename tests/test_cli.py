@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -161,6 +162,50 @@ def _unknown_key_registry(tmp_path) -> str:
     return str(path)
 
 
+NAN_HERMITE = "<registry whose Hermite functions overflow>"
+SWAPPED_DEFAULT = "<default registry with overflowing hgC2 and hgC3>"
+KINK_FREE = "<registry without compact kinks>"
+DEFAULT_TEXT = (Path(cli.__file__).parent / "data" / "default.registry").read_text()
+# order 160 and 161 overflow the Hermite recursion: the samples are NaN
+HG160 = "fn hgC2 gaussian-hermite order=160 center=12"
+HG161 = "fn hgC3 gaussian-hermite order=161 center=12"
+
+
+def _nan_hermite_registry(tmp_path) -> str:
+    path = tmp_path / "nan-hermite.registry"
+    path.write_text(f"{HG161.replace('hgC3', 'h')}\n{HG160.replace('hgC2', 'g')}\n"
+                    "pair aX f0=h f1=g\n")
+    return str(path)
+
+
+def _swapped_default_registry(tmp_path) -> str:
+    path = tmp_path / "swapped.registry"
+    lines = DEFAULT_TEXT.splitlines()
+    lines = [HG160 if l.startswith("fn hgC2 ") else HG161 if l.startswith("fn hgC3 ") else l
+             for l in lines]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _kink_free_registry(tmp_path) -> str:
+    """tka/dtka, hgC2/hgC3 and one: every function loads on any window."""
+    path = tmp_path / "kink-free.registry"
+    path.write_text("\n".join(
+        l for l in DEFAULT_TEXT.splitlines()
+        if l.split()[:2] in (["fn", "tka"], ["fn", "dtka"], ["fn", "hgC2"], ["fn", "hgC3"],
+                             ["fn", "one"], ["pair", "T"], ["pair", "aC"], ["pair", "n1"])
+    ) + "\n")
+    return str(path)
+
+
+REGISTRIES = {
+    NON_UTF8: _non_utf8_registry, UNKNOWN_KEY: _unknown_key_registry,
+    NAN_HERMITE: _nan_hermite_registry, SWAPPED_DEFAULT: _swapped_default_registry,
+    KINK_FREE: _kink_free_registry,
+}
+NARROW_LOCALITY = ["net", "locality", "--kind", "F", "--i1=-17/8:-7/8", "--i2=7/8:17/8"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -183,19 +228,81 @@ def _unknown_key_registry(tmp_path) -> str:
         ["--registry", UNKNOWN_KEY, "--suite", "nets"],
         # tk3's support [2, 4] leaves the window [-2, 2]
         ["--window", "2", "state", "eval", "--kind", "field_f", "--element", "W[aC]"],
+        # a registry function with NaN samples is refused at its line
+        ["--registry", NAN_HERMITE, "state", "eval", "--kind", "fock_a", "--element", "W[aX]"],
+        ["--registry", SWAPPED_DEFAULT, "--suite", "all"],
+        # a window whose float step is 0 is a bad grid, whatever the registry
+        ["--window", "1e-400", "--registry", KINK_FREE, "state", "eval", "--kind",
+         "product_p", "--element", "W[aC]"],
+        ["--window", "1e-400", "--registry", KINK_FREE] + NARROW_LOCALITY,
+        ["--window", "1e-400", "--suite", "nets"],
     ],
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
          "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
          "empty-element-key", "non-utf8-registry", "stacked-sign", "dangling-sign",
-         "unknown-registry-key", "kink-outside-window"],
+         "unknown-registry-key", "kink-outside-window", "nan-hermite-registry",
+         "nan-hermite-default", "zero-step-eval", "zero-step-locality", "zero-step-suite"],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    registries = {NON_UTF8: _non_utf8_registry, UNKNOWN_KEY: _unknown_key_registry}
-    argv = [registries[arg](tmp_path) if arg in registries else arg for arg in argv]
+    argv = [REGISTRIES[arg](tmp_path) if arg in REGISTRIES else arg for arg in argv]
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--window", "1e400", "--suite", "nets"],
+        ["--window", "1e5000", "--suite", "nets"],
+        ["--window", "1e-300", "--suite", "nets"],
+        ["--window", "1e-400", "--suite", "nets"],
+        ["--window", "1e-20", "--suite", "nets"],
+        ["--window", "1e-300", "--registry", KINK_FREE] + NARROW_LOCALITY,
+        ["--window", "1e-400", "--registry", KINK_FREE, "state", "eval", "--kind",
+         "product_p", "--element", "W[aC]"],
+        ["--registry", NAN_HERMITE, "state", "eval", "--kind", "fock_a", "--element", "W[aX]"],
+        ["--registry", SWAPPED_DEFAULT, "--suite", "all"],
+    ],
+)
+def test_bad_window_or_function_is_one_short_line(argv, tmp_path, capsys):
+    """Exit 2 with one stderr line of at most 200 bytes and no warning:
+    window ends print in short form, however many digits they have."""
+    argv = [REGISTRIES[arg](tmp_path) if arg in REGISTRIES else arg for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 200, err
+
+
+def test_window_too_narrow_for_a_float_is_a_bad_grid(tmp_path, capsys):
+    """A float step of 0, or one whose inverse square overflows (the Fourier
+    weights square it), is the grid's fault; a narrow window above that
+    reaches the registry."""
+    assert run(["--registry", _kink_free_registry(tmp_path)] + NARROW_LOCALITY) == 0
+    assert capsys.readouterr().out == "kind F defect 0.000e+00 PASS\n"
+    for window in ("1e-400", "1e-300", "1e-160"):
+        assert run(["--window", window, "--suite", "nets"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad grid window/size: -{window}..{window} n=4096\n"
+        )
+    assert run(["--window", "1e-150", "--suite", "nets"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 9: compact kink support [-1, 1] leaves the window [-1e-150, 1e-150]\n"
+    )
+
+
+def test_registry_function_with_nan_samples_names_its_line(tmp_path, capsys):
+    path = _nan_hermite_registry(tmp_path)
+    assert run(["--registry", path, "--suite", "nets"]) == 2
+    assert capsys.readouterr().err == "error: line 1: function has a non-finite sample\n"
+    # order 159 overflows only in the closed-form derivative
+    Path(path).write_text("fn h gaussian-hermite order=159 center=12\npair aX f0=h f1=0\n")
+    assert run(["--registry", path, "--suite", "nets"]) == 2
+    assert capsys.readouterr().err == "error: line 1: derivative has a non-finite sample\n"
 
 
 def test_kink_outside_the_window_names_its_line(capsys):

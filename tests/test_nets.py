@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from weylnet.errors import (
 )
 from weylnet.funcspace import Interval
 from weylnet.nets import (
+    NET_LABEL,
     GaugeElement,
     character_gauge,
     diagram_check,
@@ -24,7 +26,7 @@ from weylnet.nets import (
     net_generators,
     sector_apply,
 )
-from weylnet.registry import load_registry
+from weylnet.registry import load_registry, parse_registry
 from weylnet.symplectic import ZERO
 from weylnet.weyl import (
     IDENTITY,
@@ -268,3 +270,57 @@ def test_disjoint_sigma_matches_quadrature():
     lhs = space.sigma(F, G)
     rhs = disjoint_sigma(space, F, G, f_left=True)
     assert abs(lhs - rhs) < 1e-6
+
+
+def _net_generators_by_is_central(space, kind, I):
+    """The earlier definition of net_generators, kept as an oracle: it skips
+    a generator whose assembled pair is (0, constant) before reading its
+    charges, and appends the unit to B and E unless already present."""
+    out = []
+    for name in space.generator_names():
+        v = space.generator(name)
+        f0, f1 = space.assemble(v)
+        if f0.is_zero() and f1.is_constant():
+            continue
+        if space.in_space(v, NET_LABEL[kind]) and I.contains(space.localization(v)):
+            out.append(v)
+    if kind in ("B", "E"):
+        unit = space.unit_vector()
+        if unit not in out:
+            out.append(unit)
+    return tuple(out)
+
+
+DEFAULT_TEXT = resources.files("weylnet.data").joinpath("default.registry").read_text()
+SECOND_CENTRAL = "fn two constant value=2\npair n2 f0=0 f1=two\n"
+
+
+@pytest.mark.parametrize("extra", ["", SECOND_CENTRAL], ids=["default", "second-central"])
+def test_net_generators_match_the_is_central_definition(extra):
+    space = parse_registry(DEFAULT_TEXT + extra)
+    window = Interval(space.grid.x0, space.grid.x1)
+    intervals = (iv(-21, -4), iv(4, 21), iv("-17/8", "-7/8"), iv("7/8", "17/8"), I_MID, window)
+    for kind in "ABCQEF":
+        for I in intervals:
+            assert net_generators(space, kind, I) == _net_generators_by_is_central(space, kind, I)
+    if extra:
+        # the second central generator enters no net; the unit enters B and E
+        n2 = space.generator("n2")
+        assert not any(n2 in net_generators(space, k, window) for k in "ABCQEF")
+        assert space.unit_vector() in net_generators(space, "B", window)
+
+
+def test_faint_generator_has_empty_localization_and_joins_no_net():
+    """Where the two definitions part: slot-0 samples that are not zero but
+    all sit below TOL_SUPP localize nowhere, so the generator is taken as
+    central and skipped; the is_central definition put it in every net."""
+    faint = ",".join(["0"] + ["1e-13", "-1e-13"] * 4 + ["0"])
+    space = parse_registry(
+        DEFAULT_TEXT + f"fn faint grid window=-4:4 limits=0:0 values={faint} integral=0\n"
+        "pair faint f0=faint f1=0\n"
+    )
+    v = space.generator("faint")
+    assert space.localization(v).is_empty and not space.assemble(v)[0].is_zero()
+    for kind in "ABCQEF":
+        assert v not in net_generators(space, kind, I_MID)
+        assert v in _net_generators_by_is_central(space, kind, I_MID)

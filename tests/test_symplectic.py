@@ -67,7 +67,7 @@ def test_slot1_is_constant_sees_cancelling_atoms(space):
     assert space.slot1_is_constant(v)
     assert space.slot1_is_constant(space.generator("n1").scale(3))
     assert not space.slot1_is_constant(space.generator("q0"))
-    assert not space.is_central(v)  # slot 0 is -dtk0
+    assert not space.localization(v).is_empty  # slot 0 is -dtk0
 
 
 def test_fock_factor(space):
@@ -132,8 +132,8 @@ def test_membership_table(space):
 
 def test_central_line(space):
     n1 = space.generator("n1")
-    assert space.is_central(n1.scale(Fraction(7, 2)))
-    assert not space.is_central(space.generator("q0"))
+    assert space.localization(n1.scale(Fraction(7, 2))).is_empty
+    assert not space.localization(space.generator("q0")).is_empty
     v = space.generator("aC") + n1.scale(Fraction(3, 4))
     rest, coeff = space.split_off_center(v)
     assert coeff == Fraction(3, 4)
@@ -633,3 +633,27 @@ def test_fock_norm_refuses_a_window_cut_generator():
     assert space.in_space(aR, "Va")
     with pytest.raises(errors.NotInDomain, match=re.escape("f0 must have zero integral (charge)")):
         space.fock_norm_sq(aR)
+
+
+@pytest.mark.parametrize("window, accepted", [(16, False), (32, True)])
+def test_fock_domain_reads_sigma_against_the_unit(window, accepted):
+    """The Fock domain's numeric charge is sigma(v, e): bit for bit the sum
+    of v's slot-0 atoms' Simpson values, so aR is refused where the window
+    cuts its atoms and accepted where it does not."""
+    from weylnet.funcspace import simpson
+
+    space = load_registry(None, Grid(Fraction(-window), Fraction(window), 4096))
+    e = space.unit_vector()
+    for name in space.generator_names():
+        v = space.generator(name).scale(Fraction(3, 7))
+        want = sum(
+            float(c) * simpson(space.atoms[a].fn)
+            for a, c in v.items() if space.atoms[a].slot == 0
+        )
+        assert space.sigma(v, e) == want, name
+    aR = space.generator("aR")
+    if accepted:
+        assert space.fock_norm_sq(aR) > 0
+    else:
+        with pytest.raises(errors.NotInDomain, match=re.escape("f0 must have zero integral (charge)")):
+            space.fock_norm_sq(aR)
