@@ -162,8 +162,6 @@ def make_grid_function(
 ) -> TestFunction:
     """Validated constructor: samples must be finite, and the edge samples
     must agree with the declared limits."""
-    if grid.step <= 0:
-        raise BadGrid("step must be positive")
     s = np.asarray(samples, dtype=float)
     if s.shape != (grid.n,):
         raise BadGrid(f"expected {grid.n} samples, got {s.shape}")
