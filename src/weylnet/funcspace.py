@@ -284,6 +284,8 @@ def hermite_gaussian(order: int, center: Fraction, grid: Grid = DEFAULT_GRID) ->
     s = norm * h * gauss
     # closed-form derivative: H_k' = 2k H_{k-1}
     ds = norm * (2.0 * order * h_prev - y * h) * gauss if order > 0 else -norm * y * gauss
+    if norm == 0 and np.isfinite(ds).all():  # orders 151-158; above, the samples overflow
+        raise ValueError(f"gaussian-hermite order {order}: normalization underflows to 0")
     d = TestFunction(grid, ds, Fraction(0), Fraction(0), Fraction(0))
     integral = Fraction(0) if order % 2 == 1 else None
     return TestFunction(grid, s, Fraction(0), Fraction(0), integral, deriv=d)

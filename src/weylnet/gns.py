@@ -102,28 +102,25 @@ def apply_elementary(c, n, v: GnsVector) -> GnsVector:
     )
 
 
-def _plane_coordinates(space: Space, v: SymVector) -> Tuple[Fraction, Fraction]:
+def _plane_sums(space: Space, v: SymVector) -> Tuple[int, int, int]:
+    """(den, c, 2 inf): v's charge c and twice its mean limit as integers over den."""
     if not space.slot1_is_constant(v):
         raise InvalidKey("key is not an elementary charge-plane vector")
-    ch = space.charges(v)
-    return ch.c, ch.inf
+    den, c, plus, minus = space._charge_sums(v)
+    return den, c, plus + minus
 
 
 def apply_word(space: Space, A: WeylElement, v: GnsVector) -> GnsVector:
     out = GnsVector(())
     for key, coeff in A.terms():
-        c, n = _plane_coordinates(space, key)
-        out = out + apply_elementary(c, n, v).scale(coeff)
+        den, c, twice_n = _plane_sums(space, key)
+        out = out + apply_elementary(Fraction(c, den), twice_n / (2 * den), v).scale(coeff)
     return out
 
 
 def sector_trace(space: Space, A: WeylElement) -> complex:
-    total = 0j
-    for key, coeff in A.terms():
-        c, n = _plane_coordinates(space, key)
-        if c == 0 and n == 0:
-            total += coeff
-    return total
+    """The coefficient of the zero key, read from its integer charge sums."""
+    return sum((coeff for key, coeff in A.terms() if _plane_sums(space, key)[1:] == (0, 0)), 0j)
 
 
 def gns_expectation(space: Space, A: WeylElement) -> complex:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .chiral import dalembert
 from .funcspace import TestFunction, chiral_norm_sq
-from .gns import _plane_coordinates
+from .gns import _plane_sums
 from .symplectic import Space, SymVector
 from .weyl import WeylElement, weyl_mul, weyl_star, weyl_word
 
@@ -50,7 +50,7 @@ def fock_a() -> State:
 
 
 def _elementary_key(space: Space, v: SymVector) -> complex:
-    c, _ = _plane_coordinates(space, v)
+    _, c, _ = _plane_sums(space, v)
     return (1 + 0j) if c == 0 else 0j
 
 

@@ -131,15 +131,39 @@ def _worst(loop, key: str):
     return lambda space, rng, ctx: loop(space, rng, ctx)[key]
 
 
+def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: int = 2):
+    """Yield `count` vectors, each the sum of num/den times the generators at
+    `rng.choice(len(pool), min(n_terms, len(pool)), replace=False)`, drawing
+    `num = rng.integers(-2, 3)` and `den = rng.integers(1, 3)` per pick.
+
+    numpy's choice is Floyd's algorithm plus a partial shuffle, one bounded
+    draw per step, so one `rng.integers(lows, highs)` per 64 vectors, replayed
+    here, gives the same values and `rng` state, for pools up to 10,000 names
+    (above, choice shuffles a tail).  Draws are made a block ahead: the loop
+    must draw nothing else from `rng`, and one left early leaves it further on.
+    """
+    size, k = len(pool), min(n_terms, len(pool))
+    floyd = range(size - k, size)
+    lows = np.array([0] * (2 * k - 1) + [-2, 1] * k)
+    highs = np.array([j + 1 for j in floyd] + list(range(k, 1, -1)) + [3, 3] * k)
+    for start in range(0, count, 64):
+        block = (min(64, count - start), 1)
+        for row in rng.integers(np.tile(lows, block), np.tile(highs, block)).tolist():
+            picks: List[int] = []
+            for j, i in zip(floyd, row):
+                picks.append(j if i in picks else i)
+            for i, j in zip(range(k - 1, 0, -1), row[k:]):
+                picks[i], picks[j] = picks[j], picks[i]
+            v = ZERO
+            for i, num, den in zip(picks, row[2 * k - 1::2], row[2 * k::2]):
+                if num:
+                    g = space.generator(pool[i])
+                    v = v + SymVector([(a, n * num) for a, n in g._nums], g._den * den)
+            yield v
+
+
 def _rand_vector(space: Space, rng, pool: Sequence[str], n_terms: int = 2) -> SymVector:
-    v = ZERO
-    for i in rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False):
-        num = int(rng.integers(-2, 3))
-        den = int(rng.integers(1, 3))
-        if num:
-            g = space.generator(pool[i])
-            v = v + SymVector([(a, n * num) for a, n in g._nums], g._den * den)
-    return v
+    return next(_rand_vectors(space, rng, pool, 1, n_terms))
 
 
 def _rand_word(space: Space, rng, pool: Sequence[str]) -> WeylElement:
@@ -157,8 +181,8 @@ def _rand_word(space: Space, rng, pool: Sequence[str]) -> WeylElement:
 def _axiom_defects(space: Space, rng) -> dict:
     pool = space.generator_names()
     worst = dict.fromkeys(("associativity", "unitarity", "involution", "exchange", "cocycle"), 0.0)
-    for _ in range(1000):
-        r, s, t = (_rand_vector(space, rng, pool) for _ in range(3))
+    vs = _rand_vectors(space, rng, pool, 3000)
+    for r, s, t in zip(vs, vs, vs):
         A, B, C = weyl_word(r), weyl_word(s), weyl_word(t)
         AB = weyl_mul(space, A, B)
         defects = {
@@ -203,9 +227,8 @@ def _sigma_splitting(space: Space, rng, ctx) -> float:
     pool = space.generator_names()
     T = space.generator("T")
     worst = 0.0
-    for _ in range(200):
-        v = _rand_vector(space, rng, pool)
-        w = _rand_vector(space, rng, pool)
+    vs = _rand_vectors(space, rng, pool, 400)
+    for v, w in zip(vs, vs):
         iv = space.psi_T(v, T)
         iw = space.psi_T(w, T)
         rhs = (
@@ -245,8 +268,7 @@ def _state_coincidence(space: Space, rng, ctx) -> float:
 def _mover_defects(space: Space, rng) -> dict:
     pool = space.generator_names()
     worst = {"roundtrip": 0.0, "charges": 0.0}
-    for _ in range(10):
-        v = _rand_vector(space, rng, pool, n_terms=3)
+    for v in _rand_vectors(space, rng, pool, 10, n_terms=3):
         pair = dalembert(space, v)
         ch = space.charges(v)
         if ch.c != pair.c_plus - pair.c_minus or ch.q != pair.c_plus + pair.c_minus:
@@ -259,9 +281,8 @@ def _sigma_chiral_splitting(space: Space, rng, ctx) -> float:
     pool = space.generator_names()
     table = split_table(space)
     worst = 0.0
-    for _ in range(200):
-        v = _rand_vector(space, rng, pool)
-        w = _rand_vector(space, rng, pool)
+    vs = _rand_vectors(space, rng, pool, 400)
+    for v, w in zip(vs, vs):
         worst = max(worst, abs(space.sigma(v, w) - sigma_split(table, v, w)))
     return worst
 

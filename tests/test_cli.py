@@ -16,7 +16,7 @@ import pytest
 from weylnet import cli, suites
 from weylnet.errors import NotInDomain
 from weylnet.funcspace import Grid
-from weylnet.registry import load_registry
+from weylnet.registry import load_registry, parse_registry
 from weylnet.states import STATES
 from weylnet.symplectic import ZERO
 from weylnet.weyl import CrossedProduct, Staged, max_coeff_distance, weyl_mul
@@ -78,7 +78,7 @@ def test_exit_1_on_failing_check(monkeypatch, capsys, tmp_path):
 def test_state_eval_matches_library(capsys):
     import math
 
-    from weylnet.registry import load_registry
+    from weylnet.registry import load_registry, parse_registry
 
     assert run(["state", "eval", "--kind", "field_f", "--element", "1+0i * W[aC]"]) == 0
     printed = capsys.readouterr().out.strip()
@@ -692,10 +692,31 @@ def test_crossed_product_plane_has_unit_charge(scale):
         assert max_coeff_distance(staged, direct) < 1e-10
 
 
+def _scalar_rand_vectors(space, rng, pool, count, n_terms=2):
+    """The oracle of `suites._rand_vectors`: per vector, one `choice` of
+    indices and then two scalar `integers` draws per pick."""
+    for _ in range(count):
+        v = ZERO
+        for i in rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False):
+            coeff = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
+            v = v + space.generator(pool[i]).scale(coeff)
+        yield v
+
+
+# 24 generators, one distinct atom each, so every pick shows in the vector
+WIDE_REGISTRY = "".join(f"fn h{k} gaussian-hermite order={k}\npair p{k} f0=0 f1=h{k}\n"
+                        for k in range(24))
+
+
 def test_pool_draw_by_index_matches_the_name_population():
     """`suites._rand_vector` draws indices into its pool. numpy draws the same
     indices from `len(pool)` as from an array of the names, so the picks,
-    the vector and every following draw are those of the name form."""
+    the vector and every following draw are those of the name form.
+    `suites._rand_vectors` draws many vectors at once and must give the
+    vectors, the generator state and the next draw of the per-scalar calls:
+    every pool size 1-24 (n_terms >= size included, where a Floyd step draws
+    nothing), n_terms 1-4, counts on both sides of its 64-vector block, and
+    30 seeds, all for one vector and rotating through the larger counts."""
     space = load_registry()
     pools = [space.generator_names(), ["aL", "aC", "aR"]]
     for seed in range(100):
@@ -708,3 +729,40 @@ def test_pool_draw_by_index_matches_the_name_population():
                     expected = expected + space.generator(str(name)).scale(coeff)
                 assert suites._rand_vector(space, new, pool, n_terms) == expected
                 assert old.integers(0, 2**62, size=4).tolist() == new.integers(0, 2**62, size=4).tolist()
+    wide = parse_registry(WIDE_REGISTRY)
+    names = wide.generator_names()
+    combos = [(size, n_terms) for size in range(1, 25) for n_terms in range(1, 5)]
+    for index, (size, n_terms) in enumerate(combos):
+        pool = names[:size]
+        for count in (1, 63, 64, 65, 200):
+            for seed in range(30) if count == 1 else [index % 30]:
+                old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = list(suites._rand_vectors(wide, new, pool, count, n_terms))
+                assert got == list(_scalar_rand_vectors(wide, old, pool, count, n_terms))
+                assert new.bit_generator.state == old.bit_generator.state
+                assert new.standard_normal() == old.standard_normal()
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_batched_draws_give_the_per_scalar_report(seed, monkeypatch):
+    """The whole report, chiral values included, is the same byte for byte
+    when every random vector is drawn by the per-scalar oracle."""
+    batched = suites.serialize_report(suites.run_suite("all", seed))
+    monkeypatch.setattr(suites, "_rand_vectors", _scalar_rand_vectors)
+    assert suites.serialize_report(suites.run_suite("all", seed)) == batched
+
+
+@pytest.mark.parametrize("order", [151, 155, 158])
+def test_hermite_order_whose_normalization_underflows_names_its_line(order, tmp_path, capsys):
+    """Orders 151-158 would load as the zero function, and Space would drop
+    the atom: W[aX] would read as its slot-1 part alone."""
+    path = tmp_path / "underflow.registry"
+    path.write_text(f"fn h gaussian-hermite order={order} center=12\n"
+                    "fn g gaussian-hermite order=2\npair aX f0=h f1=g\n")
+    argv = ["--registry", str(path), "state", "eval", "--kind", "fock_a", "--element", "W[aX]"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: line 1: gaussian-hermite order {order}: normalization underflows to 0\n"
+    )
