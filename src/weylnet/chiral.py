@@ -13,17 +13,18 @@ antiderivative is linear in the data, so `dalembert` sums the per-atom
 antiderivatives its Space builds once (`Space.antiderivative`).
 
 The split sigma = sigma_+ + sigma_- + sigma_inf is bilinear for the same
-reason.  `split_table` builds it once per check run as a table over atom
-pairs, read from the arrays the Space already holds, and `sigma_split` sums
-it over two vectors; `sigma_decomposed` of two `dalembert` pairs is the
-per-vector reference the table is tested against.
+reason.  `split_table` builds it once per check run as rows over atom pairs,
+read from the arrays the Space already holds, and `symplectic.bilinear` sums
+them over two vectors, as it sums the Space's own sigma rows;
+`sigma_decomposed` of two `dalembert` pairs is the per-vector reference the
+table is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -140,9 +141,10 @@ def sigma_decomposed(p: ChiralPair, q: ChiralPair) -> float:
     )
 
 
-def split_table(space: Space) -> np.ndarray:
-    """S[a, b] = sigma_decomposed(dalembert(e_a), dalembert(e_b)) for atoms
-    a, b, so sigma_decomposed(dalembert(v), dalembert(w)) = sum c_a d_b S[a, b].
+def split_table(space: Space) -> List[List[float]]:
+    """Rows S[a][b] = sigma_decomposed(dalembert(e_a), dalembert(e_b)) for
+    atoms a, b, so sigma_decomposed(dalembert(v), dalembert(w)) is
+    bilinear(S, v, w) = sum c_a d_b S[a][b].
 
     Atom a's movers are theta_+ = (A_a, f_a) / 2 and theta_- = eps_a theta_+
     in slot 0 (A_a its antiderivative, eps_a = -1), and (f_a, f_a') / 2 with
@@ -164,15 +166,4 @@ def split_table(space: Space) -> np.ndarray:
     sigma_inf = np.array([[float(la * lb) * (eb - ea) for lb, eb in zip(half, eps)]
                           for la, ea in zip(half, eps)])
     # sigma_+ + sigma_- + sigma_inf
-    return (1.0 - np.outer(eps, eps)) * ((P - P.T) / 4) + sigma_inf
-
-
-def sigma_split(table: np.ndarray, v: SymVector, w: SymVector) -> float:
-    """sum c_a d_b S[a, b] over the atoms of v and w, as `Space.sigma` sums."""
-    dw = w._den
-    total = 0.0
-    for a, na in v._nums:
-        ca, row = na / v._den, table[a]
-        for b, nb in w._nums:
-            total += ca * (nb / dw) * row[b]
-    return float(total)
+    return ((1.0 - np.outer(eps, eps)) * ((P - P.T) / 4) + sigma_inf).tolist()

@@ -34,10 +34,6 @@ class InvalidKey(WeylnetError):
     """Weyl element keyed outside the elementary (c, n) coordinates."""
 
 
-class MissingCharacterValue(WeylnetError):
-    """Gauge character table lacks a value for a charge present in the element."""
-
-
 class BadIntervals(WeylnetError):
     """Interval arguments violate the required disjointness/ordering."""
 

@@ -26,15 +26,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .errors import (
-    BadIntervals,
-    MissingCharacterValue,
-    NotInDomain,
-    RegularizerNotContained,
-)
+from .errors import BadIntervals, NotInDomain, RegularizerNotContained
 from .funcspace import Interval
 from .symplectic import Space, SymVector
 from .weyl import WeylElement
@@ -109,26 +103,13 @@ def sector_apply(space: Space, rho: SectorAutomorphism, A: WeylElement) -> WeylE
 class GaugeElement:
     n: float = 0.0
     r: float = 0.0
-    table: Optional[Tuple[Tuple[Tuple[Fraction, Fraction], complex], ...]] = None
-
-
-def character_gauge(table: Dict[Tuple[Fraction, Fraction], complex]) -> GaugeElement:
-    return GaugeElement(table=tuple(sorted(table.items())))
 
 
 def gauge_apply(space: Space, g: GaugeElement, A: WeylElement) -> WeylElement:
-    lookup = dict(g.table) if g.table is not None else None
     out = []
     for F, a in A.terms():
         ch = space.charges(F)
-        if lookup is not None:
-            key = (ch.c, ch.q)
-            if key not in lookup:
-                raise MissingCharacterValue(f"no character value for charge {key}")
-            phase = lookup[key]
-        else:
-            phase = cmath.exp(-1j * (g.n * float(ch.c) + g.r * float(ch.q)))
-        out.append((F, a * phase))
+        out.append((F, a * cmath.exp(-1j * (g.n * float(ch.c) + g.r * float(ch.q)))))
     return WeylElement(out)
 
 

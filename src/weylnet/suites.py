@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .chiral import dalembert, roundtrip_error, sigma_split, split_table
+from .chiral import dalembert, roundtrip_error, split_table
 from .errors import WeylnetError
 from .funcspace import DEFAULT_GRID, Grid, Interval, chiral_norm_sq
 from .gns import (
@@ -49,7 +49,7 @@ from .nets import (
 )
 from .registry import load_registry
 from .states import field_f, gram_psd, regular_substitute_probe, state_coincidence_check
-from .symplectic import Space, SymVector, ZERO, sigma_plane
+from .symplectic import Space, SymVector, ZERO, bilinear, sigma_plane
 from .weyl import (
     IDENTITY,
     CrossedProduct,
@@ -283,7 +283,7 @@ def _sigma_chiral_splitting(space: Space, rng, ctx) -> float:
     worst = 0.0
     vs = _rand_vectors(space, rng, pool, 400)
     for v, w in zip(vs, vs):
-        worst = max(worst, abs(space.sigma(v, w) - sigma_split(table, v, w)))
+        worst = max(worst, abs(space.sigma(v, w) - bilinear(table, v, w)))
     return worst
 
 

@@ -7,8 +7,9 @@ only the symplectic form itself and the T-relative moments are quadrature
 values.
 
 The symplectic form is sigma(F, G) = integral (f0*g1 - g0*f1) dx, so atoms in
-the same slot pair to zero and cross-slot pairs reduce to a cached integral
-Gram matrix.
+the same slot pair to zero and cross-slot pairs reduce to an integral Gram
+matrix.  A Space builds it once, at load, as a signed per-atom table, and
+`bilinear` sums any such table over two vectors.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .funcspace import (
     Interval,
     TestFunction,
     _charge_antiderivative,
+    _simpson_value,
     constant_function,
     derivative,
     fock_column,
@@ -174,15 +176,32 @@ class PsiImage:
     m_part: Tuple[float, Fraction]  # (F_r, F_q)
 
 
+def bilinear(rows, v: SymVector, w: SymVector) -> float:
+    """sum c_a d_b rows[a][b] over the atoms a of v and b of w, in that order.
+    n / den is the correctly rounded float of a coefficient, as
+    float(Fraction) is; `weyl.parse_combo` refuses a coefficient that no
+    float holds."""
+    dw = w._den
+    ds = [(b, nb / dw) for b, nb in w._nums]
+    total = 0.0
+    for a, na in v._nums:
+        ca, row = na / v._den, rows[a]
+        for b, db in ds:
+            total += ca * db * row[b]
+    return total
+
+
 def sigma_plane(a: Tuple, b: Tuple) -> float:
     """Standard form on a coordinate plane: (x, y), (x', y') -> x y' - x' y."""
     return float(a[0]) * float(b[1]) - float(b[0]) * float(a[1])
 
 
 class Space:
-    """Generators and atoms are fixed at construction; only three memos fill
-    in as they are read: the Gram entries, the Fock product Q per atom pair
-    and the antiderivative per slot-0 atom.
+    """Generators, atoms, charges and the symplectic form are fixed at
+    construction.  Two memos fill in as they are read, the Fock product Q per
+    atom pair and the antiderivative per slot-0 atom: each costs an FFT per
+    atom, and built at load they would take about as long as a short CLI
+    command takes in all.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
 
@@ -225,7 +244,19 @@ class Space:
         self._charge_nums = tuple(
             tuple(x.numerator * (den // x.denominator) for x in row) for row in charges
         )
-        self._gram: Dict[Tuple[int, int], float] = {}
+        # the Gram entries integral f_i g_j dx for slot-0 atoms i and slot-1
+        # atoms j, summed as `pairing` sums them; sigma's rows hold g at
+        # [i][j], -g at [j][i] and 0.0 for same-slot pairs
+        n = len(atoms)
+        self._gram: Dict[Tuple[int, int], float] = {
+            (i, j): _simpson_value(atoms[i].fn.samples * atoms[j].fn.samples, grid)
+            for i in range(n) if self._slots[i] == 0
+            for j in range(n) if self._slots[j] == 1
+        }
+        rows = [[0.0] * n for _ in range(n)]
+        for (i, j), g in self._gram.items():
+            rows[i][j], rows[j][i] = g, -g
+        self._sigma_rows = tuple(tuple(row) for row in rows)
         self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
 
@@ -264,31 +295,8 @@ class Space:
 
     # -- symplectic form ----------------------------------------------------
 
-    def _gram_entry(self, i: int, j: int) -> float:
-        """integral f_i g_j dx for a slot-0 atom i and a slot-1 atom j, memoized."""
-        key = (i, j)
-        if key not in self._gram:
-            self._gram[key] = pairing(self.atoms[i].fn, self.atoms[j].fn)
-        return self._gram[key]
-
     def sigma(self, v: SymVector, w: SymVector) -> float:
-        # n / den is the correctly rounded float of the coefficient, as
-        # float(Fraction) is
-        slots, gram = self._slots, self._gram
-        dw = w._den
-        total = 0.0
-        for a, na in v._nums:
-            ca = na / v._den
-            sa = slots[a]
-            for b, nb in w._nums:
-                if sa != slots[b]:
-                    key = (b, a) if sa else (a, b)
-                    try:
-                        g = gram[key]
-                    except KeyError:
-                        g = self._gram_entry(*key)
-                    total += ca * (nb / dw) * (-g if sa else g)
-        return total
+        return bilinear(self._sigma_rows, v, w)
 
     # -- charges and membership ----------------------------------------------
 

@@ -216,6 +216,13 @@ def parse_combo(space: Space, body: str) -> SymVector:
             raise ElementParseError(f"zero denominator in {m[0].strip()!r}") from None
         v = v + space.generator(m["name"]).scale(-coeff if m["sign"] == "-" else coeff)
         pos = m.end()
+    for a, coeff in v.items():
+        try:
+            float(coeff)
+        except OverflowError:
+            raise ElementParseError(
+                f"coefficient of atom {space.atoms[a].name!r} overflows a float"
+            ) from None
     return v
 
 

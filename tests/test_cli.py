@@ -166,9 +166,10 @@ NAN_HERMITE = "<registry whose Hermite functions overflow>"
 SWAPPED_DEFAULT = "<default registry with overflowing hgC2 and hgC3>"
 KINK_FREE = "<registry without compact kinks>"
 DEFAULT_TEXT = (Path(cli.__file__).parent / "data" / "default.registry").read_text()
-# order 160 and 161 overflow the Hermite recursion: the samples are NaN
-HG160 = "fn hgC2 gaussian-hermite order=160 center=12"
-HG161 = "fn hgC3 gaussian-hermite order=161 center=12"
+# order 150 centred near the window's edge overflows the Hermite recursion at
+# the far end: the samples are NaN
+HG160 = "fn hgC2 gaussian-hermite order=150 center=26"
+HG161 = "fn hgC3 gaussian-hermite order=150 center=28"
 
 
 def _nan_hermite_registry(tmp_path) -> str:
@@ -278,6 +279,27 @@ def test_bad_window_or_function_is_one_short_line(argv, tmp_path, capsys):
     assert len(err.encode()) <= 200, err
 
 
+BIG, HUGE = "1" + "0" * 308, "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, atom",
+    [
+        (["state", "eval", "--kind", "fock_a", "--element", f"W[{BIG} aC + {BIG} aC]"], "aC.0"),
+        (["chiral", "roundtrip", "--combo", f"{HUGE} c0"], "c0.0"),
+        (["net", "gauge", "--apply", f"W[{HUGE} T]"], "T.0"),
+    ],
+    ids=["summed-state-eval", "chiral-roundtrip", "net-gauge"],
+)
+def test_combo_coefficient_beyond_a_float_exits_2(argv, atom, capsys):
+    """A generator coefficient that a float cannot hold, alone or once like
+    terms are summed, is refused where the combination is parsed."""
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: coefficient of atom '{atom}' overflows a float\n"
+
+
 def test_window_too_narrow_for_a_float_is_a_bad_grid(tmp_path, capsys):
     """A float step of 0, or one whose inverse square overflows (the Fourier
     weights square it), is the grid's fault; a narrow window above that
@@ -299,8 +321,9 @@ def test_registry_function_with_nan_samples_names_its_line(tmp_path, capsys):
     path = _nan_hermite_registry(tmp_path)
     assert run(["--registry", path, "--suite", "nets"]) == 2
     assert capsys.readouterr().err == "error: line 1: function has a non-finite sample\n"
-    # order 159 overflows only in the closed-form derivative
-    Path(path).write_text("fn h gaussian-hermite order=159 center=12\npair aX f0=h f1=0\n")
+    # order 150, the largest the registry takes, centred at 24 overflows only
+    # in the closed-form derivative
+    Path(path).write_text("fn h gaussian-hermite order=150 center=24\npair aX f0=h f1=0\n")
     assert run(["--registry", path, "--suite", "nets"]) == 2
     assert capsys.readouterr().err == "error: line 1: derivative has a non-finite sample\n"
 
@@ -401,13 +424,14 @@ def test_golden_report_all_seed_7(tmp_path, capsys):
 
 
 def test_golden_algebra_reports_seed_1_are_byte_identical(tmp_path, capsys):
-    """The algebra suites at seed 1 write the same bytes as the file was made
-    from: every value, bit for bit, not only to a relative 1e-6.  The file
-    holds both reports, keyed by suite, in the report serialization."""
+    """The algebra suites, nets and chiral at seed 1 write the same bytes as
+    the file was made from: every value, bit for bit, not only to a relative
+    1e-6.  The file holds the four reports, keyed by suite, in the report
+    serialization."""
     text = (Path(__file__).parent / "data" / "report_algebra_seed1.json").read_text()
     golden = json.loads(text)
     assert suites.serialize_report(golden) == text
-    assert sorted(golden) == ["psi-T", "weyl-axioms"]
+    assert sorted(golden) == ["chiral", "nets", "psi-T", "weyl-axioms"]
     for suite, report in golden.items():
         out = tmp_path / f"{suite}.json"
         assert run(["--suite", suite, "--seed", "1", "--out", str(out)]) == 0
@@ -752,10 +776,12 @@ def test_batched_draws_give_the_per_scalar_report(seed, monkeypatch):
     assert suites.serialize_report(suites.run_suite("all", seed)) == batched
 
 
-@pytest.mark.parametrize("order", [151, 155, 158])
+@pytest.mark.parametrize("order", [-1, 151, 155, 158, 171, 2000])
 def test_hermite_order_whose_normalization_underflows_names_its_line(order, tmp_path, capsys):
     """Orders 151-158 would load as the zero function, and Space would drop
-    the atom: W[aX] would read as its slot-1 part alone."""
+    the atom: W[aX] would read as its slot-1 part alone.  Below 0 and above
+    170 the normalization fails in Python's factorial or float conversion.
+    The registry refuses every order outside 0..150 by its range."""
     path = tmp_path / "underflow.registry"
     path.write_text(f"fn h gaussian-hermite order={order} center=12\n"
                     "fn g gaussian-hermite order=2\npair aX f0=h f1=g\n")
@@ -764,5 +790,5 @@ def test_hermite_order_whose_normalization_underflows_names_its_line(order, tmp_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: line 1: gaussian-hermite order {order}: normalization underflows to 0\n"
+        f"error: line 1: gaussian-hermite order {order} outside 0..150\n"
     )

@@ -6,17 +6,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from weylnet.errors import (
-    BadIntervals,
-    MissingCharacterValue,
-    NotInDomain,
-    RegularizerNotContained,
-)
+from weylnet.errors import BadIntervals, NotInDomain, RegularizerNotContained
 from weylnet.funcspace import Interval
 from weylnet.nets import (
     NET_LABEL,
     GaugeElement,
-    character_gauge,
     diagram_check,
     disjoint_sigma,
     fixed_point_project,
@@ -186,18 +180,6 @@ def test_gauge_fixes_observables():
     for v in net_generators(space, "B", I_MID):
         A = weyl_word(v)
         assert max_coeff_distance(gauge_apply(space, g, A), A) == 0.0
-
-
-def test_character_table_gauge():
-    space = sp()
-    A = weyl_add(weyl_word(space.generator("T")), weyl_word(space.generator("aC")))
-    table = {(Fraction(1), Fraction(1)): -1.0 + 0j, (Fraction(0), Fraction(0)): 1.0 + 0j}
-    out = gauge_apply(space, character_gauge(table), A)
-    coeffs = dict(out.terms())
-    assert coeffs[space.generator("T")] == pytest.approx(-1.0)
-    assert coeffs[space.generator("aC")] == pytest.approx(1.0)
-    with pytest.raises(MissingCharacterValue):
-        gauge_apply(space, character_gauge({}), A)
 
 
 def test_gauge_sector_commutation():

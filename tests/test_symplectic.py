@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from weylnet import errors
 from weylnet.funcspace import DEFAULT_GRID, EMPTY, Grid, fock_norm_sq, pairing
 from weylnet.registry import load_registry, parse_registry
+from weylnet.suites import run_suite
 from weylnet.symplectic import Charges, Space, SymVector, ZERO, sigma_plane
 
 
@@ -40,8 +41,6 @@ def test_unknown_generator(space):
 
 
 def test_space_is_fixed_after_load():
-    from weylnet.suites import run_suite
-
     space = load_registry()
     atoms, names, unit = len(space.atoms), space.generator_names(), space.unit_vector()
     run_suite("states-positivity", 1, space=space)
@@ -487,21 +486,46 @@ def _random_vectors(space, seed, count=60):
     return out
 
 
-def test_sigma_matches_fraction_double_loop(space):
-    def reference(v, w):
-        total = 0.0
-        for a, ca in v.items():
-            for b, cb in w.items():
-                fa, fb = space.atoms[a], space.atoms[b]
-                if fa.slot == fb.slot:
-                    continue
-                g = pairing(fa.fn, fb.fn) if fa.slot == 0 else -pairing(fb.fn, fa.fn)
-                total += float(ca) * float(cb) * g
-        return total
+def _pairing_sigma(space, v, w):
+    """sigma(v, w) as a sum of cross-slot `pairing`s, over v's atoms and then
+    w's, in atom order."""
+    total = 0.0
+    for a, ca in v.items():
+        for b, cb in w.items():
+            fa, fb = space.atoms[a], space.atoms[b]
+            if fa.slot == fb.slot:
+                continue
+            g = pairing(fa.fn, fb.fn) if fa.slot == 0 else -pairing(fb.fn, fa.fn)
+            total += float(ca) * float(cb) * g
+    return total
 
+
+def test_sigma_matches_fraction_double_loop(space):
     vs = _random_vectors(space, 11)
     for v, w in zip(vs, vs[1:] + vs[:1]):
-        assert space.sigma(v, w) == reference(v, w)
+        assert space.sigma(v, w) == _pairing_sigma(space, v, w)
+
+
+@pytest.mark.parametrize("points", [1024, 4096])
+def test_sigma_is_the_sum_of_cross_slot_pairings(points):
+    """The table built at load gives sigma bit for bit as the per-pair
+    quadrature does, on 200 random pairs."""
+    space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
+    vs = _random_vectors(space, points, count=400)
+    for v, w in zip(vs[0::2], vs[1::2]):
+        assert space.sigma(v, w) == _pairing_sigma(space, v, w)
+
+
+def test_gram_table_is_complete_at_load():
+    """`_gram` holds every slot-0/slot-1 atom pair as soon as the registry is
+    loaded, the 9 x 9 of the default registry, and reading sigma leaves it as
+    it was."""
+    space = load_registry()
+    n0 = sum(atom.slot == 0 for atom in space.atoms)
+    assert len(space._gram) == n0 * (len(space.atoms) - n0) == 81
+    gram = dict(space._gram)
+    run_suite("weyl-axioms", 7, space=space)
+    assert space._gram == gram
 
 
 def test_charges_match_fraction_sums(space):
@@ -588,8 +612,6 @@ def test_fock_columns_are_built_lazily(monkeypatch):
 
 
 def test_each_fock_column_is_built_once_per_space(monkeypatch):
-    from weylnet.suites import run_suite
-
     space = load_registry()
     built = _count_columns(monkeypatch)
     run_suite("states-positivity", 7, space=space)

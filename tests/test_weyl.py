@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from weylnet import errors
 from weylnet.registry import load_registry
 from weylnet.symplectic import ZERO
-from weylnet.suites import run_suite
 from weylnet.weyl import (
     COEFF_EPS,
     IDENTITY,
@@ -161,19 +160,6 @@ def test_single_term_product_matches_the_double_loop():
     # signed zeros: the one-term element reads 0j + a, as the dict does
     one = WeylElement([(ZERO, complex(-0.0, -1.0))])
     assert _bits(one.terms()) == [(ZERO, "0x0.0p+0", "-0x1.0000000000000p+0")]
-
-
-def test_sigma_fills_the_gram_memo_lazily():
-    """A fresh Space holds no Gram entry; one sigma adds only the cross-slot
-    pairs it reads, and weyl-axioms at seed 7 ends with 81 entries, the 9 x 9
-    slot-0/slot-1 atom pairs of the default registry."""
-    space = load_registry()
-    assert len(space._gram) == 0
-    space.sigma(space.generator("aC"), space.unit_vector())
-    assert len(space._gram) == 1  # aC's slot-0 atom against the unit atom
-    space = load_registry()
-    run_suite("weyl-axioms", 7, space=space)
-    assert len(space._gram) == 81
 
 
 # --- staged crossed product --------------------------------------------------
