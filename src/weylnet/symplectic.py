@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -176,7 +176,7 @@ class PsiImage:
     m_part: Tuple[float, Fraction]  # (F_r, F_q)
 
 
-def bilinear(rows, v: SymVector, w: SymVector) -> float:
+def bilinear(rows: Sequence[Sequence[float]], v: SymVector, w: SymVector) -> float:
     """sum c_a d_b rows[a][b] over the atoms a of v and b of w, in that order.
     n / den is the correctly rounded float of a coefficient, as
     float(Fraction) is; `weyl.parse_combo` refuses a coefficient that no

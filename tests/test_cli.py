@@ -168,13 +168,13 @@ KINK_FREE = "<registry without compact kinks>"
 DEFAULT_TEXT = (Path(cli.__file__).parent / "data" / "default.registry").read_text()
 # order 150 centred near the window's edge overflows the Hermite recursion at
 # the far end: the samples are NaN
-HG160 = "fn hgC2 gaussian-hermite order=150 center=26"
-HG161 = "fn hgC3 gaussian-hermite order=150 center=28"
+NAN_HG2 = "fn hgC2 gaussian-hermite order=150 center=26"
+NAN_HG3 = "fn hgC3 gaussian-hermite order=150 center=28"
 
 
 def _nan_hermite_registry(tmp_path) -> str:
     path = tmp_path / "nan-hermite.registry"
-    path.write_text(f"{HG161.replace('hgC3', 'h')}\n{HG160.replace('hgC2', 'g')}\n"
+    path.write_text(f"{NAN_HG3.replace('hgC3', 'h')}\n{NAN_HG2.replace('hgC2', 'g')}\n"
                     "pair aX f0=h f1=g\n")
     return str(path)
 
@@ -182,7 +182,7 @@ def _nan_hermite_registry(tmp_path) -> str:
 def _swapped_default_registry(tmp_path) -> str:
     path = tmp_path / "swapped.registry"
     lines = DEFAULT_TEXT.splitlines()
-    lines = [HG160 if l.startswith("fn hgC2 ") else HG161 if l.startswith("fn hgC3 ") else l
+    lines = [NAN_HG2 if l.startswith("fn hgC2 ") else NAN_HG3 if l.startswith("fn hgC3 ") else l
              for l in lines]
     path.write_text("\n".join(lines) + "\n")
     return str(path)

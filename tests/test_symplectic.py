@@ -500,12 +500,6 @@ def _pairing_sigma(space, v, w):
     return total
 
 
-def test_sigma_matches_fraction_double_loop(space):
-    vs = _random_vectors(space, 11)
-    for v, w in zip(vs, vs[1:] + vs[:1]):
-        assert space.sigma(v, w) == _pairing_sigma(space, v, w)
-
-
 @pytest.mark.parametrize("points", [1024, 4096])
 def test_sigma_is_the_sum_of_cross_slot_pairings(points):
     """The table built at load gives sigma bit for bit as the per-pair
