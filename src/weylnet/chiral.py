@@ -17,19 +17,20 @@ reason.  `split_table` builds it once per check run as rows over atom pairs,
 read from the arrays the Space already holds, and `symplectic.bilinear` sums
 them over two vectors, as it sums the Space's own sigma rows;
 `sigma_decomposed` of two `dalembert` pairs is the per-vector reference the
-table is tested against.
+table is tested against; `mover_table` holds the mover side of the Fock-norm
+identity in the same form, against `chiral_norm_sq` of the two movers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from .funcspace import (
-    TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, pairing,
+    TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, fock_column, pairing,
 )
 from .symplectic import Space, SymVector
 
@@ -167,3 +168,19 @@ def split_table(space: Space) -> List[List[float]]:
                           for la, ea in zip(half, eps)])
     # sigma_+ + sigma_- + sigma_inf
     return ((1.0 - np.outer(eps, eps)) * ((P - P.T) / 4) + sigma_inf).tolist()
+
+
+def mover_table(space: Space, atoms: Iterable[int]) -> List[List[float]]:
+    """Rows M[a][b] = u_a . fock_column(u_b, 1) for same-slot atoms a, b in
+    `atoms`, else 0.0; u_a is a's antiderivative in slot 0, its samples in slot
+    1.  bilinear(M, v, v) = ||F_1||^2 + ||A||^2 = 2||theta_+||^2 + 2||theta_-||^2."""
+    u = {a: TestFunction(space.grid, space.atom_antiderivative(a), Fraction(0),
+                         space.atoms[a].fn.integral, None)
+         if space.atoms[a].slot == 0 else space.atoms[a].fn for a in atoms}
+    rows = [[0.0] * len(space.atoms) for _ in space.atoms]
+    for b, ub in u.items():
+        y = fock_column(ub, 1)
+        for a, ua in u.items():
+            if space.atoms[a].slot == space.atoms[b].slot:
+                rows[a][b] = float(ua.samples @ y)
+    return rows

@@ -10,8 +10,8 @@ class EdgeMismatch(WeylnetError):
 
 
 class BadGrid(WeylnetError):
-    """Non-positive step, unresolvable width, a compact support outside the
-    window, or incompatible grids."""
+    """Non-positive step, unresolvable width, a compact support or a Hermite
+    center outside the window, or incompatible grids."""
 
 
 class DivergentTail(WeylnetError):

@@ -274,8 +274,12 @@ HERMITE_MAX_ORDER = 150
 
 def hermite_gaussian(order: int, center: Fraction, grid: Grid = DEFAULT_GRID) -> TestFunction:
     """L2-normalized Hermite function H_k(x-c) exp(-(x-c)^2/2), for orders
-    0..HERMITE_MAX_ORDER."""
-    center = Fraction(center)
+    0..HERMITE_MAX_ORDER and a center c in the window."""
+    if not 0 <= order <= HERMITE_MAX_ORDER:
+        raise ValueError(f"gaussian-hermite order {order} outside 0..{HERMITE_MAX_ORDER}")
+    center, window = Fraction(center), Interval(grid.x0, grid.x1)
+    if not window.a <= center <= window.b:
+        raise BadGrid(f"gaussian-hermite center {short(center)} outside the window {window}")
     y = grid.xs() - float(center)
     h_prev = np.ones_like(y)
     h = 2.0 * y

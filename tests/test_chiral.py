@@ -9,13 +9,14 @@ from weylnet.chiral import (
     ChiralPair,
     dalembert,
     dalembert_inverse,
+    mover_table,
     sigma_chiral,
     sigma_decomposed,
     sigma_infinity,
     split_table,
     _spectral_deriv,
 )
-from weylnet import chiral, funcspace, symplectic
+from weylnet import chiral, funcspace, suites, symplectic
 from weylnet.funcspace import (
     DEFAULT_GRID,
     Grid,
@@ -309,3 +310,79 @@ def test_sigma_chiral_splitting_fails_under_each_mutant(mutant, monkeypatch):
     (record,) = [c for c in checks if c["name"] == "sigma-chiral-splitting"]
     assert record["status"] == "fail", record
     assert record["value"] > 10 * record["tolerance"]
+
+
+# --- the per-atom mover table -----------------------------------------------------
+
+POOL = ["aL", "aC", "aR"]
+
+
+def pool_atoms(space):
+    return [a for name in POOL for a, _ in space.generator(name).items()]
+
+
+@pytest.mark.parametrize("points", [1024, 4096])
+def test_mover_table_matches_the_per_vector_movers(points):
+    """bilinear(M, v, v) is 2||theta_+||^2 + 2||theta_-||^2 of v's dalembert
+    movers, each a chiral_norm_sq, for 20 pool vectors; M is 0.0 across slots
+    and off the pool."""
+    space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
+    atoms = pool_atoms(space)
+    table = mover_table(space, atoms)
+    slots = np.array([atom.slot for atom in space.atoms])
+    inside = np.isin(np.arange(len(slots)), atoms)
+    same = (slots[:, None] == slots[None, :]) & inside[:, None] & inside[None, :]
+    assert np.all(np.array(table)[~same] == 0.0)
+    assert np.all(np.array(table)[same] != 0.0) and np.count_nonzero(same) == 18
+    rng = np.random.default_rng(13)
+    done = 0
+    while done < 20:
+        v = ZERO
+        for name in rng.choice(POOL, size=3, replace=False):
+            v = v + space.generator(str(name)).scale(
+                Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            )
+        if v.is_zero():
+            continue
+        done += 1
+        pair = dalembert(space, v)
+        ref = 2 * chiral_norm_sq(pair.theta_plus) + 2 * chiral_norm_sq(pair.theta_minus)
+        assert abs(bilinear(table, v, v) - ref) <= 1e-13 * ref
+
+
+def test_fock_norm_mover_identity_fails_under_a_scaled_antiderivative(monkeypatch):
+    """The identity compares |p|^-1 |f0~|^2 with |p| |A~|^2 of f0's
+    antiderivative A: a 0.1% error in A fails it."""
+    atom_antiderivative = symplectic.Space.atom_antiderivative
+    monkeypatch.setattr(symplectic.Space, "atom_antiderivative",
+                        lambda self, a: 1.001 * atom_antiderivative(self, a))
+    report = run_suite("chiral", 7, space=load_registry())
+    checks = report["sections"][0]["checks"]
+    (record,) = [c for c in checks if c["name"] == "fock-norm-mover-identity"]
+    assert record["status"] == "fail", record
+    assert record["value"] > 10 * record["tolerance"]
+
+
+def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
+    """On a fresh Space: one rfft per Fock column and per slot-0
+    antiderivative of the six pool atoms, and one per mover column; no
+    per-vector movers or chiral norms."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return rfft(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("per-vector path")
+
+    space = load_registry()
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    monkeypatch.setattr(suites, "dalembert", refused)
+    monkeypatch.setattr(chiral, "dalembert", refused)
+    monkeypatch.setattr(suites, "chiral_norm_sq", refused, raising=False)
+    monkeypatch.setattr(funcspace, "chiral_norm_sq", refused)
+    check = suites.CHECK_BY_NAME["fock-norm-mover-identity"]
+    assert check.passes(check.measure(space, np.random.default_rng(7), {}))
+    assert 0 < len(calls) <= 15

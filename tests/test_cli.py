@@ -199,10 +199,26 @@ def _kink_free_registry(tmp_path) -> str:
     return str(path)
 
 
+def _hermite_registry(keys):
+    """A registry maker: one Hermite function h, written with `keys`, in pair hX."""
+    def make(tmp_path) -> str:
+        path = tmp_path / "hermite.registry"
+        path.write_text(f"fn h gaussian-hermite {keys}\npair hX f0=0 f1=h\n")
+        return str(path)
+    return make
+
+
+# Hermite keys the registry refuses, each with the cause it names at line 1
+HERMITE_BAD = {
+    "order=2 center=40": "center 40 outside the window [-32, 32]",
+    "order=2 center=1e400": "center 1e+400 outside the window [-32, 32]",
+    "order=2.0": "order must be an integer",
+}
 REGISTRIES = {
     NON_UTF8: _non_utf8_registry, UNKNOWN_KEY: _unknown_key_registry,
     NAN_HERMITE: _nan_hermite_registry, SWAPPED_DEFAULT: _swapped_default_registry,
     KINK_FREE: _kink_free_registry,
+    **{f"<hermite {keys}>": _hermite_registry(keys) for keys in HERMITE_BAD},
 }
 NARROW_LOCALITY = ["net", "locality", "--kind", "F", "--i1=-17/8:-7/8", "--i2=7/8:17/8"]
 
@@ -237,12 +253,14 @@ NARROW_LOCALITY = ["net", "locality", "--kind", "F", "--i1=-17/8:-7/8", "--i2=7/
          "product_p", "--element", "W[aC]"],
         ["--window", "1e-400", "--registry", KINK_FREE] + NARROW_LOCALITY,
         ["--window", "1e-400", "--suite", "nets"],
-    ],
+    ] + [["--registry", f"<hermite {keys}>", "--suite", "nets"] for keys in HERMITE_BAD],
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
          "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
          "empty-element-key", "non-utf8-registry", "stacked-sign", "dangling-sign",
          "unknown-registry-key", "kink-outside-window", "nan-hermite-registry",
-         "nan-hermite-default", "zero-step-eval", "zero-step-locality", "zero-step-suite"],
+         "nan-hermite-default", "zero-step-eval", "zero-step-locality", "zero-step-suite",
+         "hermite-center-outside-window", "hermite-center-beyond-a-float",
+         "hermite-order-not-an-integer"],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     argv = [REGISTRIES[arg](tmp_path) if arg in REGISTRIES else arg for arg in argv]
@@ -792,3 +810,23 @@ def test_hermite_order_whose_normalization_underflows_names_its_line(order, tmp_
     assert captured.err == (
         f"error: line 1: gaussian-hermite order {order} outside 0..150\n"
     )
+
+
+@pytest.mark.parametrize(
+    "keys, cause",
+    list(HERMITE_BAD.items()) + [
+        (f"order=2 center=-{'1' * 500}", "center -1.11111e+499 outside the window [-32, 32]"),
+        ("order=1_0", "order must be an integer"),
+    ],
+    ids=["center-40", "center-1e400", "order-2.0", "long-center", "order-1_0"],
+)
+def test_hermite_center_outside_the_window_or_fractional_order_names_its_line(
+        keys, cause, tmp_path, capsys):
+    """A Hermite center outside the window once loaded as the function's cut
+    tail (center=40 read 1+0i), or failed in a float conversion (1e400); a
+    fractional order failed in int().  Each names its line, and a center
+    prints in short form, as window ends do."""
+    argv = ["--registry", _hermite_registry(keys)(tmp_path), "state", "eval", "--kind",
+            "fock_a", "--element", "W[hX]"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: line 1: gaussian-hermite {cause}\n")
