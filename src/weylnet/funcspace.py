@@ -10,9 +10,9 @@ Quadrature is composite Simpson, differentiation is a 4th-order central
 stencil (one-sided at the edges), the antiderivative of a charged density
 is a closed-form kink plus the spectral integral of the zero-charge
 remainder, and the Fock norm is a discrete Fourier transform on the
-zero-padded grid, whose |p| half is the chiral norm; fock_column turns one
-function into a column of that quadratic form, so a norm over fixed atoms
-needs no transform per vector.
+zero-padded grid, whose |p| half is the chiral norm; fock_column turns a
+function into a column of that form, by a 2n-point convolution with a
+per-grid kernel, so a norm over fixed atoms needs no FFT per vector.
 The Fourier convention is unitary,
 f~(p) = (2*pi)^(-1/2) * integral f(x) exp(-i p x) dx.
 """
@@ -481,12 +481,14 @@ def fock_norm_sq(
     return float(total) + chiral_norm_sq(f1, pad)
 
 
-def fock_column(f: TestFunction, slot: int) -> np.ndarray:
-    """y = irfft(W_slot * rfft(f)): for g in the same slot, g.samples @ y is
-    the product of g and f in the form fock_norm_sq sums, corner term
-    included, so fock_norm_sq(f0, f1) = f0.samples @ fock_column(f0, 0)
-    + f1.samples @ fock_column(f1, 1) up to rounding."""
-    n, h = f.grid.n, f.grid.step
+@lru_cache(maxsize=64)
+def _fock_kernel(grid: Grid, slot: int) -> np.ndarray:
+    """K_slot = rfft(k2), n + 1 read-only floats: k2 is 2n-periodic, k2(d) =
+    k(|d|) for |d| <= n, with k = irfft(W_slot) on m = PAD * n points.  As k
+    summed over period 2n has spectrum W_slot[::2], K = W_slot[::2] - rfft(r),
+    r(d) = k(n + |n - d|), and r comes from the irfft of W_slot's second
+    difference, -4 sin^2(pi d / m) k(d), to full precision where k is small."""
+    n, h = grid.n, grid.step
     m = PAD * n
     w = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)  # p
     dp = 2.0 * np.pi / (m * h)
@@ -498,11 +500,22 @@ def fock_column(f: TestFunction, slot: int) -> np.ndarray:
         w[0] += dp**2 / 6.0
     # irfft divides by m; both sides' h / sqrt(2 pi) go into W
     w *= m * h * h / (2.0 * np.pi)
-    # in place, and copied out of the padded result, so a column holds one
-    # padded spectrum at a time and keeps only n floats afterwards
-    ft = np.fft.rfft(f.samples, n=m)
-    ft *= w
-    return np.fft.irfft(ft, n=m)[:n].copy()
+    far = np.fft.irfft(np.diff(np.pad(w, 1, mode="reflect"), 2), n=m)[n:2 * n + 1]
+    far /= -4.0 * np.sin(np.pi * np.arange(n, 2 * n + 1) / m) ** 2  # k(n..2n)
+    kernel = w[::2] - np.fft.rfft(np.concatenate((far[:0:-1], far[:-1]))).real
+    kernel.setflags(write=False)
+    return kernel
+
+
+def fock_column(f: TestFunction, slot: int) -> np.ndarray:
+    """y = irfft(rfft(f) * K_slot) on 2n points, cut to n: for g in the same
+    slot, g.samples @ y is the product of g and f in the form fock_norm_sq
+    sums, corner term included.  That form convolves f, zero-padded, with
+    the even k = irfft(W_slot); f and y's n points lie on 0..n-1, so only
+    k's lags |d| < n enter, and the 2n-periodic k2 holds exactly those."""
+    ft = np.fft.rfft(f.samples, n=2 * f.grid.n)
+    ft *= _fock_kernel(f.grid, slot)
+    return np.fft.irfft(ft, n=2 * f.grid.n)[:f.grid.n].copy()
 
 
 def chiral_norm_sq(theta: TestFunction, pad: int = PAD) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import RegistryParseError, WeylnetError
 from .funcspace import (
     DEFAULT_GRID,
+    HERMITE_MAX_ORDER,
     Grid,
     TestFunction,
     constant_function,
@@ -41,11 +42,17 @@ from .funcspace import (
 from .symplectic import Space
 
 
-def _frac(tok: str) -> Fraction:
+def _clip(tok: str) -> str:
+    """tok quoted for a message; past 24 characters, its first 10 and its length."""
+    return repr(tok) if len(tok) <= 24 else f"{tok[:10]!r}... ({len(tok)} chars)"
+
+
+def _parse(tok: str, key: str, parse=Fraction):
+    """parse(tok), a Fraction by default; a token it refuses is named with its key."""
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as e:
-        raise RegistryParseError(f"bad rational {tok!r}: {e}") from None
+        return parse(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {key} {_clip(tok)}") from None
 
 
 # the keys each function kind takes
@@ -82,24 +89,29 @@ def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> T
             if form not in ("step", "deriv"):
                 raise RegistryParseError(f"line {lineno}: form must be step/deriv")
             return make_kink(
-                _frac(kv["center"]),
-                _frac(kv["width"]),
+                _parse(kv["center"], "center"),
+                _parse(kv["width"], "width"),
                 compact == "true",
                 grid=grid,
                 form=form,
             )
         if kind == "gaussian-hermite":
-            if not re.fullmatch(r"[+-]?[0-9]+", kv["order"]):
+            order = re.fullmatch(r"([+-]?)0*([0-9]+)", kv["order"])
+            if not order:
                 raise ValueError("gaussian-hermite order must be an integer")
-            return hermite_gaussian(int(kv["order"]), _frac(kv.get("center", "0")), grid)
+            if len(order[2]) > 9:  # int() would echo every digit, up to 4300 of them
+                shown = _clip(order[0])
+                raise ValueError(f"gaussian-hermite order {shown} outside 0..{HERMITE_MAX_ORDER}")
+            center = _parse(kv.get("center", "0"), "center")
+            return hermite_gaussian(int(order[1] + order[2]), center, grid)
         if kind == "constant":
-            return constant_function(_frac(kv["value"]), grid)
+            return constant_function(_parse(kv["value"], "value"), grid)
         # grid, the last kind in FN_KEYS
-        w0, w1 = (_frac(t) for t in kv["window"].split(":"))
-        values = np.array([float(t) for t in kv["values"].split(",")])
+        w0, w1 = (_parse(t, "window") for t in kv["window"].split(":"))
+        values = np.array([_parse(t, "values", float) for t in kv["values"].split(",")])
         g = Grid(w0, w1, len(values))
-        l0, l1 = (_frac(t) for t in kv["limits"].split(":"))
-        integral = _frac(kv["integral"]) if "integral" in kv else None
+        l0, l1 = (_parse(t, "limits") for t in kv["limits"].split(":"))
+        integral = _parse(kv["integral"], "integral") if "integral" in kv else None
         return make_grid_function(values, g, l0, l1, integral)
     except RegistryParseError:
         raise

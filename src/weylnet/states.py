@@ -60,8 +60,8 @@ def nonregular_elementary() -> State:
 
 def field_f(T: SymVector) -> State:
     def key(space: Space, v: SymVector) -> complex:
-        ch = space.charges(v)
-        if ch.c != 0 or ch.q != 0:
+        _, c, plus, minus = space._charge_sums(v)
+        if c or plus != minus:
             return 0j
         return complex(space.fock_factor(space.tangent(v, T)))
 
@@ -70,10 +70,10 @@ def field_f(T: SymVector) -> State:
 
 def product_p(T: SymVector, regular_substitute: bool = False) -> State:
     def key(space: Space, v: SymVector) -> complex:
-        ch = space.charges(v)
-        if not regular_substitute and (ch.c != 0 or ch.q != 0):
+        _, c, plus, minus = space._charge_sums(v)
+        if not regular_substitute and (c or plus != minus):
             return 0j  # the exact delta factor; no quadrature needed
-        a, b, l_vec = space.charge_part(ch, T)
+        a, b, l_vec = space.charge_part(v, T)
         h_vec = v - l_vec
         # canonical staging W(v) = e^{i sigma(h,l)/2} W(h) W(l)
         phase = complex(np.exp(0.5j * space.sigma(h_vec, l_vec)))

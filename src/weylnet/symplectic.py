@@ -347,8 +347,9 @@ class Space:
         return self.assemble(v)[1].is_constant()
 
     def split_off_center(self, v: SymVector) -> Tuple[SymVector, Fraction]:
-        ch = self.charges(v)
-        return v - self.unit_vector().scale(ch.inf), ch.inf
+        den, _, plus, minus = self._charge_sums(v)
+        inf = Fraction(plus + minus, 2 * den)
+        return v - self._unit.scale(inf), inf
 
     # -- assembly ------------------------------------------------------------
 
@@ -424,24 +425,24 @@ class Space:
 
     # -- T-relative moments and the regularized splitting ----------------------
 
-    def charge_part(self, ch: Charges, T: SymVector) -> Tuple[Fraction, Fraction, SymVector]:
-        """(a, b, l) with a = F_c / T_c and b = F_q / T_q for the charges ch:
-        l = a T_0 + b T_1, built on T's slots, carries the charges c and q."""
-        tch = self.charges(T)
-        if tch.c == 0 or tch.q == 0:
-            raise DegenerateRegularizer(f"regularizer charges {tch.c}, {tch.q}")
-        a = ch.c / tch.c
-        b = ch.q / tch.q
+    def charge_part(self, v: SymVector, T: SymVector) -> Tuple[Fraction, Fraction, SymVector]:
+        """(a, b, l) with a = F_c / T_c and b = F_q / T_q, read from v's and
+        T's integer charge sums: l = a T_0 + b T_1, built on T's slots,
+        carries v's charges c and q."""
+        den, c, plus, minus = self._charge_sums(v)
+        tden, tc, tplus, tminus = self._charge_sums(T)
+        if tc == 0 or tplus == tminus:
+            raise DegenerateRegularizer(
+                f"regularizer charges {Fraction(tc, tden)}, {Fraction(tplus - tminus, tden)}")
+        a = Fraction(c * tden, den * tc)
+        b = Fraction((plus - minus) * tden, den * (tplus - tminus))
         return a, b, self.slot_part(T, 0).scale(a) + self.slot_part(T, 1).scale(b)
-
-    def _tangent(self, v: SymVector, T: SymVector, ch: Charges) -> SymVector:
-        return self.split_off_center(v - self.charge_part(ch, T)[2])[0]
 
     def tangent(self, v: SymVector, T: SymVector) -> SymVector:
         """The fully decaying part of v: v minus its charge part along T's
         slots and then minus the central constant, so all three charges of
         the remainder vanish exactly."""
-        return self._tangent(v, T, self.charges(v))
+        return self.split_off_center(v - self.charge_part(v, T)[2])[0]
 
     def psi_T(self, v: SymVector, T: SymVector) -> PsiImage:
         """Split v into its tangent and two symplectic planes with coordinates
@@ -450,7 +451,6 @@ class Space:
         is the sum of the three pieces when T's slots have unit charges and
         pair to zero against each other."""
         ch = self.charges(v)
-        tangent = self._tangent(v, T, ch)
         f0, f1 = self.assemble(v)
         t0, t1 = self.assemble(T)
-        return PsiImage(tangent, (ch.c, pairing(f1, t0)), (pairing(f0, t1), ch.q))
+        return PsiImage(self.tangent(v, T), (ch.c, pairing(f1, t0)), (pairing(f0, t1), ch.q))

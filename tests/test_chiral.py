@@ -362,18 +362,22 @@ def test_fock_norm_mover_identity_fails_under_a_scaled_antiderivative(monkeypatc
 def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
     """On a fresh Space: one rfft per Fock column and per slot-0
     antiderivative of the six pool atoms, and one per mover column; no
-    per-vector movers or chiral norms."""
-    calls = []
+    per-vector movers or chiral norms.  A column's rfft is 2n points long.
+    Both Fock kernels are built first, as an earlier test in the same
+    process may already have built them."""
+    sizes = []
     rfft = np.fft.rfft
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
+    def counted(a, n=None, *args, **kwargs):
+        sizes.append(len(a) if n is None else n)
+        return rfft(a, n, *args, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("per-vector path")
 
     space = load_registry()
+    for slot in (0, 1):
+        funcspace._fock_kernel(space.grid, slot)
     monkeypatch.setattr(np.fft, "rfft", counted)
     monkeypatch.setattr(suites, "dalembert", refused)
     monkeypatch.setattr(chiral, "dalembert", refused)
@@ -381,4 +385,6 @@ def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
     monkeypatch.setattr(funcspace, "chiral_norm_sq", refused)
     check = suites.CHECK_BY_NAME["fock-norm-mover-identity"]
     assert check.passes(check.measure(space, np.random.default_rng(7), {}))
-    assert 0 < len(calls) <= 15
+    assert 0 < len(sizes) <= 15
+    n = space.grid.n
+    assert set(sizes) == {n, 2 * n} and 2 * n == 8192

@@ -830,3 +830,41 @@ def test_hermite_center_outside_the_window_or_fractional_order_names_its_line(
             "fock_a", "--element", "W[hX]"]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: line 1: gaussian-hermite {cause}\n")
+
+
+@pytest.mark.parametrize(
+    "fn, cause",
+    [
+        ("kink center=0 width=abc", "bad width 'abc'"),
+        (f"kink center=0 width={'a' * 300}", "bad width 'aaaaaaaaaa'... (300 chars)"),
+        ("kink center=1/0 width=1", "bad center '1/0'"),
+        ("grid window=-4:4 limits=0:0 values=0,a,0,0,0,0,0,0", "bad values 'a'"),
+        (f"gaussian-hermite order={'1' * 300}",
+         "gaussian-hermite order '1111111111'... (300 chars) outside 0..150"),
+        (f"gaussian-hermite order=-{'1' * 300}",
+         "gaussian-hermite order '-111111111'... (301 chars) outside 0..150"),
+        (f"gaussian-hermite order={'7' * 5000}",
+         "gaussian-hermite order '7777777777'... (5000 chars) outside 0..150"),
+    ],
+    ids=["width-abc", "width-300-chars", "center-1/0", "values-a", "order-300-digits",
+         "order-minus-300-digits", "order-5000-digits"],
+)
+def test_bad_registry_value_names_its_line_and_key_in_short(fn, cause, tmp_path, capsys):
+    """A value the registry cannot read gives one line that names the line
+    number and the key, and a long token in short form: these once printed
+    no line number, or Python's own text with every character echoed."""
+    path = tmp_path / "bad.registry"
+    path.write_text(f"fn f {fn}\npair p f0=0 f1=f\n")
+    argv = ["--registry", str(path), "state", "eval", "--kind", "fock_a", "--element", "W[p]"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: line 1: {cause}\n")
+    assert len(err.encode()) <= 200
+
+
+def test_zero_padded_hermite_order_reads_as_its_value():
+    """Leading zeros do not count against the order's length: 5000 of them
+    read as order 5, which int() alone would refuse past 4300 digits."""
+    space = parse_registry(f"fn h gaussian-hermite order={'0' * 5000}5\npair p f0=0 f1=h\n")
+    want = parse_registry("fn h gaussian-hermite order=5\npair p f0=0 f1=h\n")
+    assert np.array_equal(space.atoms[0].fn.samples, want.atoms[0].fn.samples)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylnet import errors
+from weylnet import errors, funcspace
 from weylnet.funcspace import (
     DEFAULT_GRID,
     EMPTY,
+    PAD,
     Grid,
     Interval,
     chiral_norm_sq,
@@ -26,6 +27,7 @@ from weylnet.funcspace import (
     simpson,
     zero_function,
 )
+from weylnet.registry import load_registry
 
 G = DEFAULT_GRID
 
@@ -230,6 +232,76 @@ def test_chiral_norm_matches_fock_slot1():
     # the Fock column path, which builds its weights on its own
     f1 = hermite_gaussian(3, Fraction(1))
     assert abs(chiral_norm_sq(f1) - f1.samples @ fock_column(f1, 1)) < 1e-12
+
+
+def _padded_weights(grid, slot):
+    """W_slot on the PAD * n padded grid, corner term included, scaled for irfft."""
+    n, h = grid.n, grid.step
+    m = PAD * n
+    w = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
+    dp = 2.0 * np.pi / (m * h)
+    if slot == 0:
+        np.divide(dp, w[1:], out=w[1:])
+        w[1] += 1.0 / 12.0
+    else:
+        w *= dp
+        w[0] += dp**2 / 6.0
+    return w * (m * h * h / (2.0 * np.pi))
+
+
+def _padded_column(f, slot):
+    """The Fock column as one transform pair on the padded grid: the oracle
+    for the 2n-point convolution, which shares no transform length with it."""
+    m = PAD * f.grid.n
+    ft = np.fft.rfft(f.samples, n=m) * _padded_weights(f.grid, slot)
+    return np.fft.irfft(ft, n=m)[:f.grid.n]
+
+
+def _worst_atom_pair(points):
+    """max |Q(a, b) - Q_pad(a, b)| / sqrt(Q_pad(a, a) Q_pad(b, b)) over the
+    same-slot atom pairs of the default registry on a `points` grid."""
+    space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
+    worst = 0.0
+    for slot in (0, 1):
+        fns = [atom.fn for atom in space.atoms if atom.slot == slot]
+        s = np.array([f.samples for f in fns])
+        q = s @ np.array([fock_column(f, slot) for f in fns]).T
+        want = s @ np.array([_padded_column(f, slot) for f in fns]).T
+        scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        worst = max(worst, float(np.max(np.abs(q - want) / scale)))
+    return worst
+
+
+@pytest.mark.parametrize("points", [1024, 4096, 16384])
+def test_fock_columns_match_the_padded_transform_on_every_atom_pair(points):
+    assert _worst_atom_pair(points) <= 1e-13
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_fock_kernel_is_the_even_wrap_of_the_padded_kernel(slot):
+    """k2 holds the padded kernel's lags |d| <= n on 2n points: its spectrum
+    is real, and it is the kernel fock_column reads."""
+    n = G.n
+    k = np.fft.irfft(_padded_weights(G, slot), n=PAD * n)
+    k2 = np.concatenate((k[:n + 1], k[n - 1:0:-1]))
+    spectrum = np.fft.rfft(k2)
+    scale = np.max(np.abs(spectrum))
+    assert np.max(np.abs(spectrum.imag)) <= 1e-15 * scale
+    assert np.max(np.abs(spectrum.real - funcspace._fock_kernel(G, slot))) <= 1e-14 * scale
+
+
+def test_a_one_sided_fock_kernel_fails_the_atom_pairs(monkeypatch):
+    """Zeroing the kernel's negative lags (k2[n + 1:] = 0) drops half of
+    every convolution sum: the pair check must see it."""
+    kernel = funcspace._fock_kernel
+
+    def one_sided(grid, slot):
+        k2 = np.fft.irfft(kernel(grid, slot), n=2 * grid.n)
+        k2[grid.n + 1:] = 0.0
+        return np.fft.rfft(k2)
+
+    monkeypatch.setattr(funcspace, "_fock_kernel", one_sided)
+    assert _worst_atom_pair(1024) > 1e-3
 
 
 # --- localization ------------------------------------------------------------

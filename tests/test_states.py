@@ -314,6 +314,23 @@ def test_keys_equal_the_compute_then_multiply_formulas():
     assert any(sub(space, v) != 0 for v in charged)
 
 
+def test_delta_keys_build_no_charges(monkeypatch):
+    """field_f and product_p read the charge delta, the charge part and the
+    central constant from the integer charge sums: no key builds a Charges,
+    charged or not, with the delta or its regular substitute."""
+    space = load_registry()
+    T = space.generator("T")
+    keys = _oracle_keys(space)
+
+    def refused(self, v):
+        raise AssertionError("a key built a Charges")
+
+    monkeypatch.setattr(Space, "charges", refused)
+    for key in (field_f(T).key, product_p(T).key, product_p(T, regular_substitute=True).key):
+        for v in keys:
+            key(space, v)
+
+
 def _count_norm_calls(monkeypatch):
     calls = []
     fock_norm_sq = Space.fock_norm_sq

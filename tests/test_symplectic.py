@@ -295,7 +295,7 @@ def test_charge_part_carries_the_charges(space):
         tch = space.charges(T)
         for v in _random_vectors(space, 15, count=20):
             ch = space.charges(v)
-            a, b, l = space.charge_part(ch, T)
+            a, b, l = space.charge_part(v, T)
             assert (a * tch.c, b * tch.q) == (ch.c, ch.q)
             lch = space.charges(l)
             assert (lch.c, lch.q) == (ch.c, ch.q)
