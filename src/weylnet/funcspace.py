@@ -204,13 +204,12 @@ def _bump_poly(u: np.ndarray) -> np.ndarray:
 
 
 def _bump_antideriv(u: np.ndarray) -> np.ndarray:
-    """Integral of (1-v^2)^8 from -1 to u, clipped outside the support."""
-    uc = np.clip(u, -1.0, 1.0)
+    """Integral of (1-v^2)^8 from -1 to u, for u in the support [-1, 1]."""
     # expand (1-v^2)^8 and integrate termwise
-    val = np.zeros_like(uc)
+    val = np.zeros_like(u)
     for k in range(_BUMP_EXPONENT + 1):
         coeff = math.comb(_BUMP_EXPONENT, k) * (-1) ** k / (2 * k + 1)
-        val += coeff * (uc ** (2 * k + 1) - (-1.0) ** (2 * k + 1))
+        val += coeff * (u ** (2 * k + 1) - (-1.0) ** (2 * k + 1))
     return val
 
 
@@ -230,7 +229,10 @@ def make_kink(
     rescaled so the declared limits are attained exactly at the window edges
     (the raw arctan misses them by O(width/window)).
     form="deriv" returns the derivative function in closed form, with its
-    quadrature value snapped to the exact declared integral 1.
+    quadrature value snapped to the exact declared integral 1; a step
+    carries that same function as its `deriv`.  The compact step evaluates
+    its polynomial only on the support |u| < 1 and holds the limits -1/2
+    and 1/2 exactly off it.
     """
     center = Fraction(center)
     width = Fraction(width)
@@ -256,9 +258,10 @@ def make_kink(
     if form != "step":
         return deriv
     if compact:
-        s = float(Fraction(109395, 65536)) * _bump_antideriv(u) - 0.5
-        s[u >= 1.0] = 0.5
-        s[u <= -1.0] = -0.5
+        # the limits off the support; the polynomial only on it
+        s = np.where(u > 0.0, 0.5, -0.5)
+        inside = np.abs(u) < 1.0
+        s[inside] = float(Fraction(109395, 65536)) * _bump_antideriv(u[inside]) - 0.5
     else:
         s = np.clip(scale * np.arctan(u), -0.5, 0.5)
         s[0] = -0.5 if center - grid.x0 <= grid.x1 - center else s[0]

@@ -55,6 +55,14 @@ def _parse(tok: str, key: str, parse=Fraction):
         raise ValueError(f"bad {key} {_clip(tok)}") from None
 
 
+def _parse_range(tok: str, key: str) -> Tuple[Fraction, Fraction]:
+    """An a:b value as two Fractions; any other number of parts is named with its key."""
+    parts = tok.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"bad {key} {_clip(tok)} (expected a:b)")
+    return _parse(parts[0], key), _parse(parts[1], key)
+
+
 # the keys each function kind takes
 FN_KEYS = {
     "kink": ("center", "width", "compact", "form"),
@@ -79,7 +87,12 @@ def _parse_kv(tokens, allowed, what, lineno) -> Dict[str, str]:
     return kv
 
 
-def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> TestFunction:
+def _build_function(
+    kind: str, kv: Dict[str, str], grid: Grid, lineno: int, steps: Dict[tuple, TestFunction]
+) -> TestFunction:
+    """The function a `fn` line declares.  `steps` holds the kink steps built
+    so far, by (center, width, compact): a derivative kink with a step twin
+    is that step's `deriv`, the same samples make_kink would build again."""
     try:
         if kind == "kink":
             compact = kv.get("compact", "true").lower()
@@ -88,13 +101,14 @@ def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> T
             form = kv.get("form", "step")
             if form not in ("step", "deriv"):
                 raise RegistryParseError(f"line {lineno}: form must be step/deriv")
-            return make_kink(
-                _parse(kv["center"], "center"),
-                _parse(kv["width"], "width"),
-                compact == "true",
-                grid=grid,
-                form=form,
-            )
+            center, width = _parse(kv["center"], "center"), _parse(kv["width"], "width")
+            shape = (center, width, compact == "true")
+            if form == "deriv" and shape in steps:
+                return steps[shape].deriv
+            fn = make_kink(*shape, grid=grid, form=form)
+            if form == "step":
+                steps[shape] = fn
+            return fn
         if kind == "gaussian-hermite":
             order = re.fullmatch(r"([+-]?)0*([0-9]+)", kv["order"])
             if not order:
@@ -107,10 +121,10 @@ def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> T
         if kind == "constant":
             return constant_function(_parse(kv["value"], "value"), grid)
         # grid, the last kind in FN_KEYS
-        w0, w1 = (_parse(t, "window") for t in kv["window"].split(":"))
+        w0, w1 = _parse_range(kv["window"], "window")
         values = np.array([_parse(t, "values", float) for t in kv["values"].split(",")])
         g = Grid(w0, w1, len(values))
-        l0, l1 = (_parse(t, "limits") for t in kv["limits"].split(":"))
+        l0, l1 = _parse_range(kv["limits"], "limits")
         integral = _parse(kv["integral"], "integral") if "integral" in kv else None
         return make_grid_function(values, g, l0, l1, integral)
     except RegistryParseError:
@@ -123,6 +137,7 @@ def _build_function(kind: str, kv: Dict[str, str], grid: Grid, lineno: int) -> T
 
 def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>") -> Space:
     functions: Dict[str, TestFunction] = {}
+    steps: Dict[tuple, TestFunction] = {}
     pairs: Dict[str, Tuple[Optional[TestFunction], Optional[TestFunction]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,7 +157,7 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>
                 raise RegistryParseError(f"line {lineno}: unknown function kind {kind!r}")
             kv = _parse_kv(tokens[3:], FN_KEYS[kind], kind, lineno)
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite sample
-                fn = functions[name] = _build_function(kind, kv, grid, lineno)
+                fn = functions[name] = _build_function(kind, kv, grid, lineno, steps)
             for part, what in ((fn, "function"), (fn.deriv, "derivative")):
                 if part is not None and not np.isfinite(part.samples).all():
                     raise RegistryParseError(f"line {lineno}: {what} has a non-finite sample")

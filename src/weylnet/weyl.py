@@ -15,6 +15,7 @@ tests.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,13 @@ COEFF_EPS = 1e-15
 
 
 class WeylElement:
-    """Finite combination sum_k a_k W(v_k), canonically normalized."""
+    """Finite combination sum_k a_k W(v_k), canonically normalized.
+
+    Like keys are summed, coefficients below COEFF_EPS dropped, and the terms
+    sorted by key in the order of `SymVector.items()`: atom by atom, then
+    coefficient by coefficient.  The sort reads the coefficients as integer
+    numerators over the keys' common denominator, which is that order with
+    no Fraction built."""
 
     __slots__ = ("_terms",)
 
@@ -44,7 +51,8 @@ class WeylElement:
                 acc[v] = acc.get(v, 0j) + complex(a)
             kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
             if len(kept) > 1:
-                kept.sort(key=lambda t: t[0].items())
+                den = math.lcm(*[v._den for v, _ in kept])
+                kept.sort(key=lambda t: [(a, n * (den // t[0]._den)) for a, n in t[0]._nums])
         object.__setattr__(self, "_terms", tuple(kept))
 
     def terms(self) -> Tuple[Tuple[SymVector, complex], ...]:

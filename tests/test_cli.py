@@ -417,28 +417,21 @@ def _close(got: float, want: float) -> bool:
     return got == want if want == 0.0 else math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-12)
 
 
-def _assert_report_matches(got, want, path="report"):
-    """Structure, strings and counts exactly; floats to isclose, 0.0 exactly."""
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), path
-        for key in want:
-            _assert_report_matches(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_report_matches(g, w, f"{path}[{i}]")
-    elif isinstance(want, float) and path.endswith(".value") and want != 0.0:
-        assert isinstance(got, float), path
-        assert _close(got, want), (path, got, want)
-    else:
-        assert type(got) is type(want) and got == want, (path, got, want)
+def _assert_golden_bytes(tmp_path, argv, name):
+    """The report a run writes is the golden file, byte for byte.
+    `tests/make_goldens.py` regenerates the files and prints what moved."""
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == (Path(__file__).parent / "data" / name).read_text()
 
 
 def test_golden_report_all_seed_7(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert run(["--suite", "all", "--seed", "7", "--out", str(out)]) == 0
-    golden = Path(__file__).parent / "data" / "report_all_seed7.json"
-    _assert_report_matches(json.loads(out.read_text()), json.loads(golden.read_text()))
+    _assert_golden_bytes(tmp_path, ["--suite", "all", "--seed", "7"], "report_all_seed7.json")
+
+
+def test_golden_report_all_seed_7_at_16384_points(tmp_path, capsys):
+    argv = ["--suite", "all", "--seed", "7", "--grid-points", "16384"]
+    _assert_golden_bytes(tmp_path, argv, "report_all_seed7_16384.json")
 
 
 def test_golden_algebra_reports_seed_1_are_byte_identical(tmp_path, capsys):
@@ -839,6 +832,12 @@ def test_hermite_center_outside_the_window_or_fractional_order_names_its_line(
         (f"kink center=0 width={'a' * 300}", "bad width 'aaaaaaaaaa'... (300 chars)"),
         ("kink center=1/0 width=1", "bad center '1/0'"),
         ("grid window=-4:4 limits=0:0 values=0,a,0,0,0,0,0,0", "bad values 'a'"),
+        ("grid window=-4:4:5 limits=0:0 values=0,0,0,0,0,0,0,0",
+         "bad window '-4:4:5' (expected a:b)"),
+        ("grid window=-4 limits=0:0 values=0,0,0,0,0,0,0,0", "bad window '-4' (expected a:b)"),
+        ("grid window=-4:4 limits=0:0:0 values=0,0,0,0,0,0,0,0",
+         "bad limits '0:0:0' (expected a:b)"),
+        ("grid window=-4:4 limits=0 values=0,0,0,0,0,0,0,0", "bad limits '0' (expected a:b)"),
         (f"gaussian-hermite order={'1' * 300}",
          "gaussian-hermite order '1111111111'... (300 chars) outside 0..150"),
         (f"gaussian-hermite order=-{'1' * 300}",
@@ -846,7 +845,8 @@ def test_hermite_center_outside_the_window_or_fractional_order_names_its_line(
         (f"gaussian-hermite order={'7' * 5000}",
          "gaussian-hermite order '7777777777'... (5000 chars) outside 0..150"),
     ],
-    ids=["width-abc", "width-300-chars", "center-1/0", "values-a", "order-300-digits",
+    ids=["width-abc", "width-300-chars", "center-1/0", "values-a", "window-three-parts",
+         "window-one-part", "limits-three-parts", "limits-one-part", "order-300-digits",
          "order-minus-300-digits", "order-5000-digits"],
 )
 def test_bad_registry_value_names_its_line_and_key_in_short(fn, cause, tmp_path, capsys):

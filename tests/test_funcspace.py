@@ -27,7 +27,7 @@ from weylnet.funcspace import (
     simpson,
     zero_function,
 )
-from weylnet.registry import load_registry
+from weylnet.registry import load_registry, parse_registry
 
 G = DEFAULT_GRID
 
@@ -91,6 +91,65 @@ def test_compact_kink_support_must_fit_the_window():
                 make_kink(center, Fraction(1), True, form=form)
     d = make_kink(Fraction(31), Fraction(1), True, form="deriv")  # ends at the edge
     assert abs(simpson(d) - 1.0) < 1e-14
+
+
+def _full_grid_compact_step(center, width, grid):
+    """The compact step evaluated on every sample: the antiderivative of
+    (1-u^2)^8 at the clipped u, then the limits written over |u| >= 1."""
+    u = (grid.xs() - float(center)) / float(width)
+    uc = np.clip(u, -1.0, 1.0)
+    val = np.zeros_like(uc)
+    for k in range(9):
+        coeff = math.comb(8, k) * (-1) ** k / (2 * k + 1)
+        val += coeff * (uc ** (2 * k + 1) - (-1.0) ** (2 * k + 1))
+    s = float(Fraction(109395, 65536)) * val - 0.5
+    s[u >= 1.0] = 0.5
+    s[u <= -1.0] = -0.5
+    return s
+
+
+@pytest.mark.parametrize("points", [1024, 4096, 16384])
+def test_compact_step_on_its_support_is_the_full_grid_formula(points):
+    """The compact step evaluates its polynomial only where |u| < 1: the
+    same bits as the full-grid formula, for each width and for supports
+    that end at either window edge."""
+    grid = Grid(Fraction(-32), Fraction(32), points)
+    shapes = [(0, Fraction(1, 2)), (0, 1), (0, 2), (Fraction(3, 2), Fraction(1, 2)),
+              (3, 1), (31, 1), (-31, 1), (Fraction(-29, 3), 2)]
+    for center, width in shapes:
+        step = make_kink(Fraction(center), Fraction(width), True, grid, "step")
+        assert np.array_equal(step.samples, _full_grid_compact_step(center, width, grid)), (
+            center, width)
+
+
+def test_registry_derivative_kink_is_its_step_twins_deriv():
+    """dtka, dtk0 and dtk3 follow a step with the same center, width and
+    compact: each is that step's deriv, with the samples a standalone
+    make_kink(form="deriv") builds."""
+    fns = {atom.name: atom.fn for atom in load_registry().atoms}
+    for pair, center, compact in (("T", 0, False), ("T0", 0, True), ("T3", 3, True)):
+        d, step = fns[f"{pair}.0"], fns[f"{pair}.1"]
+        assert d is step.deriv
+        want = make_kink(Fraction(center), Fraction(1), compact, form="deriv")
+        assert np.array_equal(d.samples, want.samples)
+        assert (d.left_limit, d.right_limit, d.integral) == (0, 0, 1)
+
+
+def test_registry_derivative_kink_without_an_earlier_twin_builds_on_its_own():
+    """A derivative kink declared before its step, or with another width or
+    compact, is built by make_kink and is no step's deriv."""
+    text = (
+        "fn d kink center=0 width=1 form=deriv\n"
+        "fn s kink center=0 width=1 form=step\n"
+        "fn w kink center=0 width=2 form=deriv\n"
+        "fn c kink center=0 width=1 compact=false form=deriv\n"
+        "pair P f0=d f1=s\npair W f0=w f1=0\npair C f0=c f1=0\n"
+    )
+    fns = {atom.name: atom.fn for atom in parse_registry(text).atoms}
+    for name, width, compact in (("P.0", 1, True), ("W.0", 2, True), ("C.0", 1, False)):
+        assert fns[name] is not fns["P.1"].deriv
+        want = make_kink(Fraction(0), Fraction(width), compact, form="deriv")
+        assert np.array_equal(fns[name].samples, want.samples)
 
 
 def test_kink_deriv_charge_is_snapped():

@@ -162,6 +162,40 @@ def test_single_term_product_matches_the_double_loop():
     assert _bits(one.terms()) == [(ZERO, "0x0.0p+0", "-0x1.0000000000000p+0")]
 
 
+def test_multi_term_products_sort_as_the_items_order():
+    """Products of 2- and 3-term elements whose keys share leading atoms
+    with coefficients over 1, 2, 3 and 6: the same keys in the same order,
+    and the same coefficient bits, as the dict summed and sorted by
+    `items()`.  A sort by the raw numerators, without the common
+    denominator, puts 2/3 after 1 and fails."""
+    space = sp()
+    T, aC, q0 = (space.generator(name) for name in ("T", "aC", "q0"))
+    A = WeylElement([(T.scale(Fraction(1, 2)) + aC, 1 + 1j), (T.scale(Fraction(2, 3)), 2.0)])
+    B = WeylElement([(T.scale(Fraction(1, 6)) + q0, 1j), (T, 0.5)])
+    cases = [(A, B)]
+    leads = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 6)})
+    rng = np.random.default_rng(21)
+    for size in (2, 3):
+        for _ in range(25):
+            elements = []
+            for _ in range(2):
+                terms = []
+                for i in rng.choice(len(leads), size, replace=False):
+                    tail = space.generator(str(rng.choice(["aC", "q0", "c1", "n1"])))
+                    terms.append((T.scale(leads[i]) + tail.scale(Fraction(int(rng.integers(3)), 2)),
+                                  complex(rng.standard_normal(), rng.standard_normal())))
+                elements.append(WeylElement(terms))
+            cases.append(tuple(elements))
+    for A, B in cases:
+        assert len(A.terms()) > 1 and len(B.terms()) > 1
+        want = _reference_mul(space, A, B)
+        assert _bits(weyl_mul(space, A, B).terms()) == _bits(want)
+    # the hand-made pair: leading coefficients 2/3, 5/6, 3/2, 5/3 in that order
+    lead = [v.items()[0] for v, _ in weyl_mul(space, *cases[0]).terms()]
+    assert lead == [(0, Fraction(2, 3)), (0, Fraction(5, 6)), (0, Fraction(3, 2)),
+                    (0, Fraction(5, 3))]
+
+
 # --- staged crossed product --------------------------------------------------
 
 
