@@ -167,7 +167,7 @@ def test_multi_term_products_sort_as_the_items_order():
     with coefficients over 1, 2, 3 and 6: the same keys in the same order,
     and the same coefficient bits, as the dict summed and sorted by
     `items()`.  A sort by the raw numerators, without the common
-    denominator, puts 2/3 after 1 and fails."""
+    denominator, puts 3/2 before 5/6 and fails."""
     space = sp()
     T, aC, q0 = (space.generator(name) for name in ("T", "aC", "q0"))
     A = WeylElement([(T.scale(Fraction(1, 2)) + aC, 1 + 1j), (T.scale(Fraction(2, 3)), 2.0)])
