@@ -2,46 +2,62 @@
 
     PYTHONPATH=src python tests/make_goldens.py
 
-Writes, each in the report serialization:
-
-- report_all_seed7.json: `weylnet --suite all --seed 7`;
-- report_all_seed7_16384.json: the same at `--grid-points 16384`;
-- report_algebra_seed1.json: `--suite S --seed 1` for S in chiral, nets,
-  psi-T and weyl-axioms, keyed by suite.
+`GOLDENS` maps each file to the `weylnet` argv of the runs it holds.  A
+file of one run holds that report; report_algebra_seed1.json holds
+`--suite S --seed 1` for S in chiral, nets, psi-T and weyl-axioms, keyed by
+suite.  The ladder covers `--suite all` at seeds 7 and 1 on 1024, 4096 and
+16384 points and at seed 7 with `--window 12` and `--window 16`.  Some of
+these runs fail checks today: their files hold the `fail` and `error`
+records, so they detect change and do not claim a pass.
 
 For each file it prints one line per value that differs from the file it
 replaces, as `path: old -> new`, so a change that moves a check value says
-which one and by how much.  The tests in test_cli.py compare the reports a
-run writes with these files byte for byte.
+which one and by how much.  test_cli.py runs each argv through the CLI and
+compares the report it writes with these files byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from weylnet import suites
+from weylnet import cli, suites
 from weylnet.funcspace import Grid
 
 DATA = Path(__file__).parent / "data"
 ALGEBRA_SUITES = ("chiral", "nets", "psi-T", "weyl-axioms")
+ALL = ["--suite", "all"]
+
+GOLDENS = {
+    "report_all_seed7.json": ALL + ["--seed", "7"],
+    "report_all_seed7_1024.json": ALL + ["--seed", "7", "--grid-points", "1024"],
+    "report_all_seed7_16384.json": ALL + ["--seed", "7", "--grid-points", "16384"],
+    "report_all_seed7_window12.json": ALL + ["--seed", "7", "--window", "12"],
+    "report_all_seed7_window16.json": ALL + ["--seed", "7", "--window", "16"],
+    "report_all_seed1_1024.json": ALL + ["--seed", "1", "--grid-points", "1024"],
+    "report_all_seed1_16384.json": ALL + ["--seed", "1", "--grid-points", "16384"],
+    "report_algebra_seed1.json": {s: ["--suite", s, "--seed", "1"] for s in ALGEBRA_SUITES},
+}
 
 
-def _grid(points: int) -> Grid:
-    return Grid(Fraction(-32), Fraction(32), points)
+def runs(name: str) -> dict:
+    """The runs a golden file holds, as key -> argv; None keys a lone run."""
+    argv = GOLDENS[name]
+    return argv if isinstance(argv, dict) else {None: argv}
 
 
-def goldens() -> dict:
+def report(argv) -> dict:
+    """The report `weylnet argv` writes, as a dict."""
+    args = cli.build_parser().parse_args(argv)
+    grid = Grid(-args.window, args.window, args.grid_points)
+    return suites.run_suite(args.suite, args.seed, registry_path=args.registry, grid=grid)
+
+
+def golden(name: str) -> dict:
     """File name -> report dict, as the CLI would write it."""
-    return {
-        "report_all_seed7.json": suites.run_suite("all", 7, grid=_grid(4096)),
-        "report_all_seed7_16384.json": suites.run_suite("all", 7, grid=_grid(16384)),
-        "report_algebra_seed1.json": {
-            name: suites.run_suite(name, 1, grid=_grid(4096)) for name in ALGEBRA_SUITES
-        },
-    }
+    reports = {key: report(argv) for key, argv in runs(name).items()}
+    return reports[None] if None in reports else reports
 
 
 def moved(old, new, path=""):
@@ -59,12 +75,12 @@ def moved(old, new, path=""):
 
 
 def main() -> int:
-    for name, report in goldens().items():
+    for name in GOLDENS:
         path = DATA / name
-        text = suites.serialize_report(report)
+        new = golden(name)
         old = json.loads(path.read_text()) if path.exists() else None
-        changes = list(moved(old, report)) if old is not None else []
-        path.write_text(text)
+        changes = list(moved(old, new)) if old is not None else []
+        path.write_text(suites.serialize_report(new))
         state = "new" if old is None else f"{len(changes)} value(s) moved"
         print(f"{name}: {state}")
         for where, a, b in changes:

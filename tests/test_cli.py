@@ -21,6 +21,8 @@ from weylnet.states import STATES
 from weylnet.symplectic import ZERO
 from weylnet.weyl import CrossedProduct, Staged, max_coeff_distance, weyl_mul
 
+import make_goldens  # tests/make_goldens.py: the golden files and their runs
+
 
 def run(argv):
     return cli.main(argv)
@@ -417,36 +419,21 @@ def _close(got: float, want: float) -> bool:
     return got == want if want == 0.0 else math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-12)
 
 
-def _assert_golden_bytes(tmp_path, argv, name):
-    """The report a run writes is the golden file, byte for byte.
-    `tests/make_goldens.py` regenerates the files and prints what moved."""
-    out = tmp_path / "report.json"
-    assert run(argv + ["--out", str(out)]) == 0
-    assert out.read_text() == (Path(__file__).parent / "data" / name).read_text()
-
-
-def test_golden_report_all_seed_7(tmp_path, capsys):
-    _assert_golden_bytes(tmp_path, ["--suite", "all", "--seed", "7"], "report_all_seed7.json")
-
-
-def test_golden_report_all_seed_7_at_16384_points(tmp_path, capsys):
-    argv = ["--suite", "all", "--seed", "7", "--grid-points", "16384"]
-    _assert_golden_bytes(tmp_path, argv, "report_all_seed7_16384.json")
-
-
-def test_golden_algebra_reports_seed_1_are_byte_identical(tmp_path, capsys):
-    """The algebra suites, nets and chiral at seed 1 write the same bytes as
-    the file was made from: every value, bit for bit, not only to a relative
-    1e-6.  The file holds the four reports, keyed by suite, in the report
-    serialization."""
-    text = (Path(__file__).parent / "data" / "report_algebra_seed1.json").read_text()
+@pytest.mark.parametrize("name", list(make_goldens.GOLDENS))
+def test_golden_report_is_byte_identical(name, tmp_path, capsys):
+    """Each run of a golden file writes that file's report byte for byte and
+    exits as its checks say: 0 when all pass, 1 when one fails.  The files
+    come from `tests/make_goldens.py`, which prints what moved."""
+    text = (Path(__file__).parent / "data" / name).read_text()
     golden = json.loads(text)
     assert suites.serialize_report(golden) == text
-    assert sorted(golden) == ["chiral", "nets", "psi-T", "weyl-axioms"]
-    for suite, report in golden.items():
-        out = tmp_path / f"{suite}.json"
-        assert run(["--suite", suite, "--seed", "1", "--out", str(out)]) == 0
-        assert out.read_text() == suites.serialize_report(report), suite
+    runs = make_goldens.runs(name)
+    reports = {None: golden} if None in runs else golden
+    assert sorted(reports, key=str) == sorted(runs, key=str)
+    for key, argv in runs.items():
+        out = tmp_path / "report.json"
+        assert run(argv + ["--out", str(out)]) == (0 if reports[key]["passed"] else 1), key
+        assert out.read_text() == suites.serialize_report(reports[key]), key
 
 
 ADHOC = json.loads((Path(__file__).parent / "data" / "adhoc_commands.json").read_text())
