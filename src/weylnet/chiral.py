@@ -55,7 +55,7 @@ def _spectral_deriv(samples: np.ndarray, h: float) -> np.ndarray:
 
 def dalembert(space: Space, v: SymVector) -> ChiralPair:
     f0, f1 = space.assemble(v)
-    ch = space.charges(v)
+    c, q = f0.integral, f1.right_limit - f1.left_limit
     cum = space.antiderivative(v)
     # d(theta_pm) = (d f1 +/- f0)/2, with d f1 from the atoms' closed forms
     df1 = space.slot1_derivative(v)
@@ -69,7 +69,7 @@ def dalembert(space: Space, v: SymVector) -> ChiralPair:
         space.grid,
         (f1.samples + cum) / 2.0,
         f1.left_limit / 2,
-        (f1.right_limit + ch.c) / 2,
+        (f1.right_limit + c) / 2,
         None,
         deriv=d_p,
     )
@@ -77,11 +77,11 @@ def dalembert(space: Space, v: SymVector) -> ChiralPair:
         space.grid,
         (f1.samples - cum) / 2.0,
         f1.left_limit / 2,
-        (f1.right_limit - ch.c) / 2,
+        (f1.right_limit - c) / 2,
         None,
         deriv=d_m,
     )
-    return ChiralPair(theta_p, theta_m, (ch.q + ch.c) / 2, (ch.q - ch.c) / 2)
+    return ChiralPair(theta_p, theta_m, (q + c) / 2, (q - c) / 2)
 
 
 def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:

@@ -34,6 +34,10 @@ class InvalidKey(WeylnetError):
     """Weyl element keyed outside the elementary (c, n) coordinates."""
 
 
+class PhaseOverflow(WeylnetError):
+    """An automorphism's phase angle is not a finite float."""
+
+
 class BadIntervals(WeylnetError):
     """Interval arguments violate the required disjointness/ordering."""
 

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidKey
-from .symplectic import Space, SymVector
+from .symplectic import Charges, Space, SymVector
 from .weyl import WeylElement
 
 
@@ -102,25 +102,24 @@ def apply_elementary(c, n, v: GnsVector) -> GnsVector:
     )
 
 
-def _plane_sums(space: Space, v: SymVector) -> Tuple[int, int, int]:
-    """(den, c, 2 inf): v's charge c and twice its mean limit as integers over den."""
+def _plane_key(space: Space, v: SymVector) -> Charges:
+    """v's charges; InvalidKey unless v is an elementary charge-plane vector."""
     if not space.slot1_is_constant(v):
         raise InvalidKey("key is not an elementary charge-plane vector")
-    den, c, plus, minus = space._charge_sums(v)
-    return den, c, plus + minus
+    return space.charges(v)
 
 
 def apply_word(space: Space, A: WeylElement, v: GnsVector) -> GnsVector:
     out = GnsVector(())
     for key, coeff in A.terms():
-        den, c, twice_n = _plane_sums(space, key)
-        out = out + apply_elementary(Fraction(c, den), twice_n / (2 * den), v).scale(coeff)
+        den, c, plus, minus = _plane_key(space, key)
+        out = out + apply_elementary(Fraction(c, den), (plus + minus) / (2 * den), v).scale(coeff)
     return out
 
 
 def sector_trace(space: Space, A: WeylElement) -> complex:
-    """The coefficient of the zero key, read from its integer charge sums."""
-    return sum((coeff for key, coeff in A.terms() if _plane_sums(space, key)[1:] == (0, 0)), 0j)
+    """The coefficient of the zero key, read from its integer charges."""
+    return sum((coeff for key, coeff in A.terms() if not any(_plane_key(space, key)[1:])), 0j)
 
 
 def gns_expectation(space: Space, A: WeylElement) -> complex:

@@ -13,9 +13,11 @@ B, C are local (the closed form vanishes); kinds Q, E, F fail locality by
 exactly that phase.
 
 Sector automorphisms act by e^{i sigma_f(F, G)} per key; gauge elements by
-the character e^{-i (n F_c + r F_q)}.  Fixed-point projections are exact
-charge filters: averaging a character over the compact dual group is a
-Kronecker delta on the charge, so no group integration is needed.
+the character e^{-i (n F_c + r F_q)}; an angle that overflows a float raises
+PhaseOverflow.  Fixed-point projections are exact charge filters: averaging a
+character over the compact dual group is a Kronecker delta on the charge.
+Filters and the closed form read `Space.charges`, integers over one
+denominator, and divide only for the float they return.
 
 The checks here return measurements: `locality_report` the largest defect
 against the closed form, `diagram_check` whether each clause of the splitting
@@ -25,10 +27,11 @@ diagram holds.  Their bounds live in `weylnet.suites.CHECKS`.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .errors import BadIntervals, NotInDomain, RegularizerNotContained
+from .errors import BadIntervals, NotInDomain, PhaseOverflow, RegularizerNotContained
 from .funcspace import Interval
 from .symplectic import Space, SymVector
 from .weyl import WeylElement
@@ -61,8 +64,8 @@ def disjoint_sigma(space: Space, F: SymVector, G: SymVector, f_left: bool) -> fl
     """Closed form of sigma_f(F, G) for disjointly localized F, G."""
     f, g = space.charges(F), space.charges(G)
     if f_left:
-        return float(g.minus * f.c - f.plus * g.c)
-    return float(g.plus * f.c - f.minus * g.c)
+        return (g.minus * f.c - f.plus * g.c) / (f.den * g.den)
+    return (g.plus * f.c - f.minus * g.c) / (f.den * g.den)
 
 
 def locality_report(space: Space, kind: str, I1: Interval, I2: Interval) -> float:
@@ -93,10 +96,15 @@ def make_sector(space: Space, F: SymVector, I: Interval) -> SectorAutomorphism:
     return SectorAutomorphism(F, I)
 
 
+def _phase(angle: float, what: str) -> complex:
+    """e^{i angle}; a nan phase would drop the term from a WeylElement."""
+    if not math.isfinite(angle):
+        raise PhaseOverflow(f"{what} phase angle {angle} is not a finite float")
+    return cmath.exp(1j * angle)
+
+
 def sector_apply(space: Space, rho: SectorAutomorphism, A: WeylElement) -> WeylElement:
-    return WeylElement(
-        (G, a * cmath.exp(1j * space.sigma(rho.F, G))) for G, a in A.terms()
-    )
+    return WeylElement((G, a * _phase(space.sigma(rho.F, G), "sector")) for G, a in A.terms())
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,8 @@ class GaugeElement:
 def gauge_apply(space: Space, g: GaugeElement, A: WeylElement) -> WeylElement:
     out = []
     for F, a in A.terms():
-        ch = space.charges(F)
-        out.append((F, a * cmath.exp(-1j * (g.n * float(ch.c) + g.r * float(ch.q)))))
+        den, c, plus, minus = space.charges(F)
+        out.append((F, a * _phase(-(g.n * (c / den) + g.r * ((plus - minus) / den)), "gauge")))
     return WeylElement(out)
 
 
@@ -120,8 +128,8 @@ FIXED_POINT_NETS = {"G_q": "C", "G_c": "E", "G_full": "B"}
 def gauge_invariant(space: Space, F: SymVector, subgroup: str) -> bool:
     """Every element of the subgroup fixes W(F): G_c needs F_c = 0, G_q needs
     F_q = 0, G_full needs both."""
-    ch = space.charges(F)
-    return (subgroup == "G_q" or ch.c == 0) and (subgroup == "G_c" or ch.q == 0)
+    _, c, plus, minus = space.charges(F)
+    return (subgroup == "G_q" or c == 0) and (subgroup == "G_c" or plus == minus)
 
 
 def fixed_point_project(space: Space, A: WeylElement, subgroup: str) -> WeylElement:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .chiral import dalembert
 from .funcspace import TestFunction, chiral_norm_sq
-from .gns import _plane_sums
+from .gns import _plane_key
 from .symplectic import Space, SymVector
 from .weyl import WeylElement, weyl_mul, weyl_star, weyl_word
 
@@ -50,8 +50,7 @@ def fock_a() -> State:
 
 
 def _elementary_key(space: Space, v: SymVector) -> complex:
-    _, c, _ = _plane_sums(space, v)
-    return (1 + 0j) if c == 0 else 0j
+    return 0j if _plane_key(space, v).c else (1 + 0j)
 
 
 def nonregular_elementary() -> State:
@@ -60,7 +59,7 @@ def nonregular_elementary() -> State:
 
 def field_f(T: SymVector) -> State:
     def key(space: Space, v: SymVector) -> complex:
-        _, c, plus, minus = space._charge_sums(v)
+        _, c, plus, minus = space.charges(v)
         if c or plus != minus:
             return 0j
         return complex(space.fock_factor(space.tangent(v, T)))
@@ -70,7 +69,7 @@ def field_f(T: SymVector) -> State:
 
 def product_p(T: SymVector, regular_substitute: bool = False) -> State:
     def key(space: Space, v: SymVector) -> complex:
-        _, c, plus, minus = space._charge_sums(v)
+        _, c, plus, minus = space.charges(v)
         if not regular_substitute and (c or plus != minus):
             return 0j  # the exact delta factor; no quadrature needed
         a, b, l_vec = space.charge_part(v, T)
@@ -87,12 +86,12 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
 
 
 def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
-    # c_pm = (q +/- c)/2 both vanish exactly when c and q do
-    ch = space.charges(v)
-    if ch.c != 0 or ch.q != 0:
+    # c_pm = (q +/- c)/2 both vanish exactly when c and q do; then plus is the mean limit
+    den, c, plus, minus = space.charges(v)
+    if c or plus != minus:
         return 0j
     pair = dalembert(space, v)
-    half = float(ch.inf) / 2.0
+    half = plus / (2 * den)
     total = 0.0
     for theta in (pair.theta_plus, pair.theta_minus):
         flat = TestFunction(theta.grid, theta.samples - half, Fraction(0), Fraction(0))
@@ -171,7 +170,7 @@ def regular_substitute_probe(space: Space, T: SymVector) -> float:
     words = []
     for name in space.generator_names():
         h, _ = space.split_off_center(space.slot_part(space.generator(name), 1))
-        if h.is_zero() or space.charges(h).q != 0:
+        if h.is_zero() or not space.in_space(h, "Vc"):
             continue
         words.append(weyl_mul(space, weyl_word(l_vec), weyl_word(h)))
     return hermiticity_defect(space, state, words)

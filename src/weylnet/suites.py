@@ -270,8 +270,9 @@ def _mover_defects(space: Space, rng) -> dict:
     worst = {"roundtrip": 0.0, "charges": 0.0}
     for v in _rand_vectors(space, rng, pool, 10, n_terms=3):
         pair = dalembert(space, v)
-        ch = space.charges(v)
-        if ch.c != pair.c_plus - pair.c_minus or ch.q != pair.c_plus + pair.c_minus:
+        den, c, plus, minus = space.charges(v)
+        f_c, f_q = pair.c_plus - pair.c_minus, pair.c_plus + pair.c_minus
+        if f_c * den != c or f_q * den != plus - minus:
             worst["charges"] = 1.0
         worst["roundtrip"] = max(worst["roundtrip"], roundtrip_error(space, v, pair))
     return worst
@@ -373,7 +374,8 @@ def _soliton_phases(space: Space, rng, ctx) -> float:
     for name, side in (("c1", ch.plus), ("c2", ch.minus)):
         g = space.generator(name)
         got = sector_apply(space, rho, weyl_word(g)).terms()[0][1]
-        worst = max(worst, abs(got - cmath.exp(-1j * float(side) * float(space.charges(g).c))))
+        gch = space.charges(g)
+        worst = max(worst, abs(got - cmath.exp(-1j * (side / ch.den) * (gch.c / gch.den))))
     return worst
 
 

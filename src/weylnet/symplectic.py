@@ -4,7 +4,8 @@ A generator is a pair (f0, f1) of test functions; internally every pair is
 split into slot atoms and a vector is a finite rational combination of atoms.
 This keeps vector identity, charges, and the regularized decomposition exact:
 only the symplectic form itself and the T-relative moments are quadrature
-values.
+values.  `Space.charges` is the one charge view, integers over one
+denominator that callers divide only where they need a number.
 
 The symplectic form is sigma(F, G) = integral (f0*g1 - g0*f1) dx, so atoms in
 the same slot pair to zero and cross-slot pairs reduce to an integral Gram
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,23 +40,15 @@ from .funcspace import (
 )
 
 
-@dataclass(frozen=True)
-class Charges:
-    """Exact charges: c = slot-0 integral, q = slot-1 limit jump, inf = mean limit."""
+class Charges(NamedTuple):
+    """Exact charges as integers over den > 0: c the slot-0 integral, plus
+    and minus the slot-1 right and left limits.  F_c = c / den,
+    F_q = (plus - minus) / den and the mean limit is (plus + minus) / 2 den."""
 
-    c: Fraction
-    q: Fraction
-    inf: Fraction
-
-    @property
-    def minus(self) -> Fraction:
-        """The slot-1 left limit."""
-        return self.inf - self.q / 2
-
-    @property
-    def plus(self) -> Fraction:
-        """The slot-1 right limit."""
-        return self.inf + self.q / 2
+    den: int
+    c: int
+    plus: int
+    minus: int
 
 
 class SymVector:
@@ -300,9 +293,9 @@ class Space:
 
     # -- charges and membership ----------------------------------------------
 
-    def _charge_sums(self, v: SymVector) -> Tuple[int, int, int, int]:
-        """(den, c, plus, minus): v's slot-0 integral and slot-1 right and
-        left limits as integers over den."""
+    def charges(self, v: SymVector) -> Charges:
+        """v's slot-0 integral and slot-1 right and left limits, summed
+        exactly from the per-atom integers."""
         c = plus = minus = 0
         table = self._charge_nums
         for a, n in v._nums:
@@ -310,26 +303,20 @@ class Space:
             c += n * ca
             plus += n * pa
             minus += n * ma
-        return v._den * self._charge_den, c, plus, minus
-
-    def charges(self, v: SymVector) -> Charges:
-        den, c, plus, minus = self._charge_sums(v)
-        return Charges(
-            Fraction(c, den), Fraction(plus - minus, den), Fraction(plus + minus, 2 * den)
-        )
+        return Charges(v._den * self._charge_den, c, plus, minus)
 
     def in_space(self, v: SymVector, label: str) -> bool:
-        ch = self.charges(v)
+        _, c, plus, minus = self.charges(v)
         if label == "Va":
-            return ch.c == 0 and ch.q == 0 and ch.inf == 0
+            return c == plus == minus == 0
         if label == "Vb":
-            return ch.c == 0 and ch.q == 0
+            return c == 0 and plus == minus
         if label == "Vc":
-            return ch.q == 0
+            return plus == minus
         if label == "Vq":
-            return ch.c == 0 and ch.inf == 0
+            return c == 0 and plus == -minus
         if label == "Ve":
-            return ch.c == 0
+            return c == 0
         if label == "Vf":
             return True
         raise ValueError(f"unknown space label {label!r}")
@@ -347,7 +334,7 @@ class Space:
         return self.assemble(v)[1].is_constant()
 
     def split_off_center(self, v: SymVector) -> Tuple[SymVector, Fraction]:
-        den, _, plus, minus = self._charge_sums(v)
+        den, _, plus, minus = self.charges(v)
         inf = Fraction(plus + minus, 2 * den)
         return v - self._unit.scale(inf), inf
 
@@ -357,7 +344,7 @@ class Space:
         samples = [np.zeros(self.grid.n), np.zeros(self.grid.n)]
         for a, n in v._nums:
             samples[self._slots[a]] += n / v._den * self.atoms[a].fn.samples
-        den, c, plus, minus = self._charge_sums(v)
+        den, c, plus, minus = self.charges(v)
         f0 = TestFunction(self.grid, samples[0], Fraction(0), Fraction(0), Fraction(c, den))
         f1 = TestFunction(self.grid, samples[1], Fraction(minus, den), Fraction(plus, den), None)
         return f0, f1
@@ -368,7 +355,7 @@ class Space:
         for a, n in v._nums:
             if self._slots[a] == 1:
                 s += n / v._den * derivative(self.atoms[a].fn).samples
-        den, _, plus, minus = self._charge_sums(v)
+        den, _, plus, minus = self.charges(v)
         return TestFunction(self.grid, s, Fraction(0), Fraction(0), Fraction(plus - minus, den))
 
     def antiderivative(self, v: SymVector) -> np.ndarray:
@@ -400,7 +387,7 @@ class Space:
         so Q does not depend on the read order.  NotInDomain off Va, or when
         the numeric charge sigma(v, e), the Simpson value of v's slot 0
         against the unit e, is not zero (a window cut an atom)."""
-        _, c, plus, minus = self._charge_sums(v)
+        _, c, plus, minus = self.charges(v)
         if c or plus or minus:
             raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")
         if abs(self.sigma(v, self._unit)) > TOL_CHARGE:
@@ -427,10 +414,10 @@ class Space:
 
     def charge_part(self, v: SymVector, T: SymVector) -> Tuple[Fraction, Fraction, SymVector]:
         """(a, b, l) with a = F_c / T_c and b = F_q / T_q, read from v's and
-        T's integer charge sums: l = a T_0 + b T_1, built on T's slots,
-        carries v's charges c and q."""
-        den, c, plus, minus = self._charge_sums(v)
-        tden, tc, tplus, tminus = self._charge_sums(T)
+        T's integer charges: l = a T_0 + b T_1, built on T's slots, carries
+        v's charges c and q."""
+        den, c, plus, minus = self.charges(v)
+        tden, tc, tplus, tminus = self.charges(T)
         if tc == 0 or tplus == tminus:
             raise DegenerateRegularizer(
                 f"regularizer charges {Fraction(tc, tden)}, {Fraction(tplus - tminus, tden)}")
@@ -450,7 +437,7 @@ class Space:
         F_r = integral f0 t1 dx against T's slots; the total symplectic form
         is the sum of the three pieces when T's slots have unit charges and
         pair to zero against each other."""
-        ch = self.charges(v)
         f0, f1 = self.assemble(v)
         t0, t1 = self.assemble(T)
-        return PsiImage(self.tangent(v, T), (ch.c, pairing(f1, t0)), (pairing(f0, t1), ch.q))
+        f_q = f1.right_limit - f1.left_limit
+        return PsiImage(self.tangent(v, T), (f0.integral, pairing(f1, t0)), (pairing(f0, t1), f_q))

@@ -138,11 +138,11 @@ class CrossedProduct:
     one."""
 
     def __init__(self, space: Space, T: SymVector):
-        tch = space.charges(T)
-        if tch.c == 0:
-            raise DegenerateRegularizer(f"regularizer charges {tch.c}, {tch.q}")
+        den, c, plus, minus = space.charges(T)
+        if c == 0:
+            raise DegenerateRegularizer(f"regularizer charges 0, {Fraction(plus - minus, den)}")
         self.space = space
-        self.A = space.slot_part(T, 0).scale(1 / tch.c)
+        self.A = space.slot_part(T, 0).scale(Fraction(den, c))
         self.e = space.unit_vector()
 
     def plane_vector(self, c: Fraction, n: Fraction) -> SymVector:

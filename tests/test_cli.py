@@ -22,6 +22,7 @@ from weylnet.symplectic import ZERO
 from weylnet.weyl import CrossedProduct, Staged, max_coeff_distance, weyl_mul
 
 import make_goldens  # tests/make_goldens.py: the golden files and their runs
+from charge_rationals import rationals
 
 
 def run(argv):
@@ -223,6 +224,15 @@ REGISTRIES = {
     **{f"<hermite {keys}>": _hermite_registry(keys) for keys in HERMITE_BAD},
 }
 NARROW_LOCALITY = ["net", "locality", "--kind", "F", "--i1=-17/8:-7/8", "--i2=7/8:17/8"]
+N308 = str(10**308)
+# automorphism phase angles that overflow to inf: each would give a nan
+# coefficient, which WeylElement drops as zero
+PHASE_OVERFLOW = [
+    ["net", "gauge", "--n=1e308", "--r=1e308", "--apply", "W[T]"],
+    ["net", "gauge", "--n=1e308", "--apply", "W[2 T]"],
+    ["net", "sector", "--element", "T0", "--interval=-9/8:9/8",
+     "--apply", f"W[{N308} c1 + {N308} q3 + {N308} T3]"],
+]
 
 
 @pytest.mark.parametrize(
@@ -255,14 +265,16 @@ NARROW_LOCALITY = ["net", "locality", "--kind", "F", "--i1=-17/8:-7/8", "--i2=7/
          "product_p", "--element", "W[aC]"],
         ["--window", "1e-400", "--registry", KINK_FREE] + NARROW_LOCALITY,
         ["--window", "1e-400", "--suite", "nets"],
-    ] + [["--registry", f"<hermite {keys}>", "--suite", "nets"] for keys in HERMITE_BAD],
+    ] + [["--registry", f"<hermite {keys}>", "--suite", "nets"] for keys in HERMITE_BAD]
+    + PHASE_OVERFLOW,
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
          "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
          "empty-element-key", "non-utf8-registry", "stacked-sign", "dangling-sign",
          "unknown-registry-key", "kink-outside-window", "nan-hermite-registry",
          "nan-hermite-default", "zero-step-eval", "zero-step-locality", "zero-step-suite",
          "hermite-center-outside-window", "hermite-center-beyond-a-float",
-         "hermite-order-not-an-integer"],
+         "hermite-order-not-an-integer", "gauge-phase-overflow", "gauge-phase-overflow-2T",
+         "sector-phase-overflow"],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     argv = [REGISTRIES[arg](tmp_path) if arg in REGISTRIES else arg for arg in argv]
@@ -297,6 +309,14 @@ def test_bad_window_or_function_is_one_short_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) <= 200, err
+
+
+@pytest.mark.parametrize("argv", PHASE_OVERFLOW, ids=["gauge", "gauge-2T", "sector"])
+def test_overflowing_phase_is_one_named_line(argv, capsys):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: (gauge|sector) phase angle -inf is not a finite float\n", err)
+    assert len(err.encode()) <= 200
 
 
 BIG, HUGE = "1" + "0" * 308, "1" + "0" * 400
@@ -696,7 +716,7 @@ def test_crossed_product_plane_has_unit_charge(scale):
     have unit charge: the plane vector A is T_0 / T_c."""
     space = load_registry()
     cp = CrossedProduct(space, space.generator("T").scale(scale))
-    assert space.charges(cp.A).c == 1
+    assert rationals(space, cp.A).c == 1
     rng = np.random.default_rng(4)
     h_pool = [space.generator(name) for name in ("aL", "aC", "aR", "n1")]
     for _ in range(20):

@@ -21,6 +21,7 @@ from weylnet.nets import (
     sector_apply,
 )
 from weylnet.registry import load_registry, parse_registry
+from weylnet.suites import _soliton_phases
 from weylnet.symplectic import ZERO
 from weylnet.weyl import (
     IDENTITY,
@@ -30,6 +31,8 @@ from weylnet.weyl import (
     weyl_star,
     weyl_word,
 )
+
+from charge_rationals import fraction_sums, rationals
 
 
 @lru_cache(maxsize=1)
@@ -107,12 +110,49 @@ def test_field_net_phase_matrix():
     assert locality_report(space, "E", left, right) <= 1e-6
 
 
+def test_charge_floats_equal_the_fraction_formulas():
+    """disjoint_sigma, the gauge character and the soliton check divide the
+    integer charges only for the float they return: each equals, bit for
+    bit, the Fraction formula it replaced, over the per-atom Fraction sums."""
+    space = sp()
+    rng = np.random.default_rng(22)
+    names = space.generator_names()
+    vs = [space.generator(n) for n in names]
+    for _ in range(30):
+        v = ZERO
+        for name in rng.choice(names, size=3, replace=False):
+            coeff = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+            v = v + space.generator(name).scale(coeff)
+        vs.append(v)
+    for F in vs:
+        f = fraction_sums(space, F)
+        for G in vs[::3]:
+            g = fraction_sums(space, G)
+            assert disjoint_sigma(space, F, G, True) == float(g.minus * f.c - f.plus * g.c)
+            assert disjoint_sigma(space, F, G, False) == float(g.plus * f.c - f.minus * g.c)
+        n, r = (float(x) for x in rng.standard_normal(2) * 10.0 ** rng.integers(-3, 4, size=2))
+        a = complex(*rng.standard_normal(2))
+        (_, got), = gauge_apply(space, GaugeElement(n, r), weyl_word(F, a)).terms()
+        assert got == a * cmath.exp(-1j * (n * float(f.c) + r * float(f.q)))
+
+    q0 = space.generator("q0")
+    rho = make_sector(space, q0, I_MID)
+    ch = fraction_sums(space, q0)
+    worst = 0.0
+    for name, side in (("c1", ch.plus), ("c2", ch.minus)):
+        g = space.generator(name)
+        got = sector_apply(space, rho, weyl_word(g)).terms()[0][1]
+        want = cmath.exp(-1j * float(side) * float(fraction_sums(space, g).c))
+        worst = max(worst, abs(got - want))
+    assert _soliton_phases(space, None, None) == worst
+
+
 def test_soliton_phases_per_side():
     # F in Ve(I) acts on disjoint charge carriers by e^{-i F_side G_c}
     space = sp()
     F = space.generator("q0")
     rho = make_sector(space, F, I_MID)
-    ch = space.charges(F)
+    ch = rationals(space, F)
     f_minus, f_plus = ch.minus, ch.plus
     assert (f_minus, f_plus) == (Fraction(-1, 2), Fraction(1, 2))
     g_right = space.generator("c1")  # supported in [1, 2]
@@ -198,9 +238,9 @@ def test_transportability_surrogate():
     space = sp()
     F = space.generator("c1")
     F2 = space.generator("c2")
-    assert space.charges(F).c == space.charges(F2).c
+    assert rationals(space, F).c == rationals(space, F2).c
     diff = F - F2
-    ch = space.charges(diff)
+    ch = rationals(space, diff)
     assert ch.c == 0 and ch.q == 0
     assert space.in_space(diff, "Vb")
 

@@ -32,6 +32,8 @@ from weylnet.weyl import (
     weyl_word,
 )
 
+from charge_rationals import rationals
+
 
 @lru_cache(maxsize=1)
 def sp():
@@ -233,7 +235,7 @@ def _old_fock_factor(space, v):
 
 def _old_field_f(T):
     def key(space, v):
-        ch = space.charges(v)
+        ch = rationals(space, v)
         if ch.c != 0 or ch.q != 0:
             return 0j
         return complex(_old_fock_factor(space, space.psi_T(v, T).tangent))
@@ -243,8 +245,8 @@ def _old_field_f(T):
 
 def _old_product_p(T, regular_substitute=False):
     def key(space, v):
-        ch = space.charges(v)
-        tch = space.charges(T)
+        ch = rationals(space, v)
+        tch = rationals(space, T)
         a = ch.c / tch.c
         b = ch.q / tch.q
         l_vec = space.slot_part(T, 0).scale(a) + space.slot_part(T, 1).scale(b)
@@ -265,7 +267,7 @@ def _old_chiral_vacuum(space, v):
     pair = dalembert(space, v)
     if pair.c_plus != 0 or pair.c_minus != 0:
         return 0j
-    half = float(space.charges(v).inf) / 2.0
+    half = float(rationals(space, v).inf) / 2.0
     total = 0.0
     for theta in (pair.theta_plus, pair.theta_minus):
         flat = funcspace.TestFunction(theta.grid, theta.samples - half, Fraction(0), Fraction(0), None)
@@ -298,7 +300,7 @@ def test_keys_equal_the_compute_then_multiply_formulas():
     space = load_registry()  # a fresh Fock table, filled in key order
     T = space.generator("T")
     keys = _oracle_keys(space)
-    charged = [v for v in keys if space.charges(v).c != 0 or space.charges(v).q != 0]
+    charged = [v for v in keys if rationals(space, v).c != 0 or rationals(space, v).q != 0]
     assert 0 < len(charged) < len(keys)
     pairs = [
         (field_f(T).key, _old_field_f(T)),
@@ -312,23 +314,6 @@ def test_keys_equal_the_compute_then_multiply_formulas():
     # the substitute weight is nonzero on charged keys, so they still run quadrature
     sub = product_p(T, regular_substitute=True).key
     assert any(sub(space, v) != 0 for v in charged)
-
-
-def test_delta_keys_build_no_charges(monkeypatch):
-    """field_f and product_p read the charge delta, the charge part and the
-    central constant from the integer charge sums: no key builds a Charges,
-    charged or not, with the delta or its regular substitute."""
-    space = load_registry()
-    T = space.generator("T")
-    keys = _oracle_keys(space)
-
-    def refused(self, v):
-        raise AssertionError("a key built a Charges")
-
-    monkeypatch.setattr(Space, "charges", refused)
-    for key in (field_f(T).key, product_p(T).key, product_p(T, regular_substitute=True).key):
-        for v in keys:
-            key(space, v)
 
 
 def _count_norm_calls(monkeypatch):

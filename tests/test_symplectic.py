@@ -13,6 +13,8 @@ from weylnet.registry import load_registry, parse_registry
 from weylnet.suites import run_suite
 from weylnet.symplectic import Charges, Space, SymVector, ZERO, sigma_plane
 
+from charge_rationals import fraction_sums, rationals
+
 
 from functools import lru_cache
 
@@ -55,7 +57,7 @@ def test_unit_atom_resolved_at_load():
     # a constant 2 is not the unit: the unit atom is added once, at load
     sp = parse_registry("fn two constant value=2\npair e f0=0 f1=two\n")
     assert [a.name for a in sp.atoms] == ["e.1", "__unit__"]
-    assert sp.charges(sp.unit_vector()).inf == 1
+    assert rationals(sp, sp.unit_vector()).inf == 1
     assert sp.generator_names() == ("e",)
 
 
@@ -98,17 +100,17 @@ def test_charges_exact(space):
         "c1": (1, 0),
         "c2": (1, 0),
     }.items():
-        ch = space.charges(space.generator(name))
+        ch = rationals(space, space.generator(name))
         assert ch.c == c and ch.q == q, name
     # n1 carries pure central charge
-    assert space.charges(space.generator("n1")).inf == 1
-    assert space.charges(space.generator("aL")).inf == 0
-    assert space.charges(space.generator("q0")).inf == 0
+    assert rationals(space, space.generator("n1")).inf == 1
+    assert rationals(space, space.generator("aL")).inf == 0
+    assert rationals(space, space.generator("q0")).inf == 0
 
 
 def test_charges_linear(space):
     v = space.generator("T").scale(Fraction(2, 3)) - space.generator("q0").scale(5)
-    ch = space.charges(v)
+    ch = rationals(space, v)
     assert ch.c == Fraction(2, 3)
     assert ch.q == Fraction(2, 3) - 5
 
@@ -136,7 +138,7 @@ def test_central_line(space):
     v = space.generator("aC") + n1.scale(Fraction(3, 4))
     rest, coeff = space.split_off_center(v)
     assert coeff == Fraction(3, 4)
-    assert space.charges(rest).inf == 0
+    assert rationals(space, rest).inf == 0
     assert rest == space.generator("aC")  # aC is decaying, unit atom split exactly
 
 
@@ -173,8 +175,8 @@ def test_sigma_disjoint_supports_charge_formula(space):
     assert abs(space.sigma(F, G)) < 1e-12
     # now give G a kink component centered at 3
     G2 = space.generator("T3")
-    ch_F = space.charges(F)
-    ch_G2 = space.charges(G2)
+    ch_F = rationals(space, F)
+    ch_G2 = rationals(space, G2)
     # F sits entirely left of loc(G2): f0 sees g1's left tail -1/2
     expected = float(Fraction(-1, 2) * ch_F.c) - 0.0  # F has no slot-1 part
     assert abs(space.sigma(F, G2) - expected) < 1e-9
@@ -202,10 +204,10 @@ def test_psi_t_kills_all_charges(space):
     for name in ("T3", "q3", "c1", "aR"):
         v = space.generator(name) + space.generator("aC").scale(Fraction(1, 3))
         img = space.psi_T(v, T)
-        ch = space.charges(img.tangent)
+        ch = rationals(space, img.tangent)
         assert ch.c == 0 and ch.q == 0 and ch.inf == 0
-        assert img.l_part[0] == space.charges(v).c
-        assert img.m_part[1] == space.charges(v).q
+        assert img.l_part[0] == rationals(space, v).c
+        assert img.m_part[1] == rationals(space, v).q
 
 
 def test_psi_t_central_invariance(space):
@@ -264,7 +266,7 @@ def _old_rel_charge_r(space, v, T):
 
 
 def _old_tangent(space, v, T):
-    ch, tch = space.charges(v), space.charges(T)
+    ch, tch = rationals(space, v), rationals(space, T)
     a = ch.c / tch.c
     b = ch.q / tch.q
     gamma = ch.inf - b * tch.inf
@@ -284,7 +286,7 @@ def test_psi_t_equals_the_old_formulas(space):
     for T in _regularizers(space):
         for v in vectors:
             img = space.psi_T(v, T)
-            ch = space.charges(v)
+            ch = rationals(space, v)
             assert img.tangent == _old_tangent(space, v, T), v
             assert img.l_part == (ch.c, _old_rel_charge_n(space, v, T)), v
             assert img.m_part == (_old_rel_charge_r(space, v, T), ch.q), v
@@ -292,22 +294,22 @@ def test_psi_t_equals_the_old_formulas(space):
 
 def test_charge_part_carries_the_charges(space):
     for T in _regularizers(space):
-        tch = space.charges(T)
+        tch = rationals(space, T)
         for v in _random_vectors(space, 15, count=20):
-            ch = space.charges(v)
+            ch = rationals(space, v)
             a, b, l = space.charge_part(v, T)
             assert (a * tch.c, b * tch.q) == (ch.c, ch.q)
-            lch = space.charges(l)
+            lch = rationals(space, l)
             assert (lch.c, lch.q) == (ch.c, ch.q)
 
 
 def test_charges_carry_the_exact_limits(space):
     vectors = [space.generator(n) for n in space.generator_names()]
     for v in vectors + [space.unit_vector()] + _random_vectors(space, 16):
-        ch = space.charges(v)
+        ch = rationals(space, v)
         _, f1 = space.assemble(v)
         assert (ch.minus, ch.plus) == (f1.left_limit, f1.right_limit), v
-    q0 = space.charges(space.generator("q0"))
+    q0 = rationals(space, space.generator("q0"))
     assert (q0.minus, q0.plus) == (Fraction(-1, 2), Fraction(1, 2))
 
 
@@ -355,13 +357,13 @@ def test_registry_grid_kind():
         f"fn g grid window=-4:4 limits=0:0 values={vals} integral=0\npair P f0=0 f1=g\n"
     )
     assert sp.generator_names() == ("P",)
-    ch = sp.charges(sp.generator("P"))
+    ch = rationals(sp, sp.generator("P"))
     assert ch.q == 0 and ch.inf == 0
 
 
 def test_registry_comments_and_blanks():
     sp = parse_registry("\n# nothing\n   \nfn one constant value=1\npair e f0=0 f1=one # tail\n")
-    assert sp.charges(sp.generator("e")).inf == 1
+    assert rationals(sp, sp.generator("e")).inf == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -523,18 +525,17 @@ def test_gram_table_is_complete_at_load():
 
 
 def test_charges_match_fraction_sums(space):
+    """Space.charges is four ints, (den, c, plus, minus), and the rationals
+    built from them are the per-atom Fraction sums, which assemble's limits
+    carry too."""
     for v in _random_vectors(space, 12) + [ZERO, space.unit_vector()]:
-        c = plus = minus = Fraction(0)
-        for a, coeff in v.items():
-            fn = space.atoms[a].fn
-            if space.atoms[a].slot == 0:
-                c += coeff * fn.integral
-            else:
-                plus += coeff * fn.right_limit
-                minus += coeff * fn.left_limit
-        assert space.charges(v) == Charges(c, plus - minus, (plus + minus) / 2)
+        ch = space.charges(v)
+        assert type(ch) is Charges and ch._fields == ("den", "c", "plus", "minus")
+        assert all(type(x) is int for x in ch) and ch.den > 0
+        want = fraction_sums(space, v)
+        assert rationals(space, v) == want
         f0, f1 = space.assemble(v)
-        assert (f0.integral, f1.left_limit, f1.right_limit) == (c, minus, plus)
+        assert (f0.integral, f1.left_limit, f1.right_limit) == (want.c, want.minus, want.plus)
 
 
 def test_slot1_is_constant_matches_samples(space):

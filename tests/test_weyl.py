@@ -26,6 +26,8 @@ from weylnet.weyl import (
     weyl_word,
 )
 
+from charge_rationals import rationals
+
 
 @lru_cache(maxsize=1)
 def sp():
@@ -111,7 +113,7 @@ def test_charge_additivity_under_mul():
     B = weyl_word(space.generator("c1"))
     prod = weyl_mul(space, A, B)
     charges = sorted(
-        (space.charges(k).c, space.charges(k).q) for k, _ in prod.terms()
+        (rationals(space, k).c, rationals(space, k).q) for k, _ in prod.terms()
     )
     assert charges == [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))]
 
