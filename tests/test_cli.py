@@ -449,7 +449,7 @@ def test_golden_report_is_byte_identical(name, tmp_path, capsys):
     assert suites.serialize_report(golden) == text
     runs = make_goldens.runs(name)
     reports = {None: golden} if None in runs else golden
-    assert sorted(reports, key=str) == sorted(runs, key=str)
+    assert reports.keys() == runs.keys()
     for key, argv in runs.items():
         out = tmp_path / "report.json"
         assert run(argv + ["--out", str(out)]) == (0 if reports[key]["passed"] else 1), key
