@@ -316,6 +316,41 @@ def test_keys_equal_the_compute_then_multiply_formulas():
     assert any(sub(space, v) != 0 for v in charged)
 
 
+def test_delta_keys_build_no_charges(monkeypatch):
+    """field_f and product_p read the charge delta, the charge part and the
+    central constant from the integer charges: every Charges a key reads is
+    four ints, and on charged vectors the delta keys return 0 from those
+    integers alone, building no charge part and no Fock factor."""
+    space = load_registry()
+    T = space.generator("T")
+    keys = _oracle_keys(space)
+    read = []
+    charges = Space.charges
+
+    def recorded(self, v):
+        ch = charges(self, v)
+        read.append(ch)
+        return ch
+
+    monkeypatch.setattr(Space, "charges", recorded)
+    for key in (field_f(T).key, product_p(T).key, product_p(T, regular_substitute=True).key):
+        for v in keys:
+            key(space, v)
+    assert read and all(type(x) is int for ch in read for x in ch)
+
+    charged = [v for v in keys if rationals(space, v).c != 0 or rationals(space, v).q != 0]
+    assert charged
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a delta key read past the charge delta")
+
+    monkeypatch.setattr(Space, "charge_part", refused)
+    monkeypatch.setattr(Space, "fock_factor", refused)
+    for key in (field_f(T).key, product_p(T).key):
+        for v in charged:
+            assert key(space, v) == 0j
+
+
 def _count_norm_calls(monkeypatch):
     calls = []
     fock_norm_sq = Space.fock_norm_sq
