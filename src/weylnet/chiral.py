@@ -29,6 +29,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from .errors import FloatOverflow
 from .funcspace import (
     TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, fock_column, pairing,
 )
@@ -54,6 +55,13 @@ def _spectral_deriv(samples: np.ndarray, h: float) -> np.ndarray:
 
 
 def dalembert(space: Space, v: SymVector) -> ChiralPair:
+    """v's movers; FloatOverflow when F_c or F_q does not fit a float."""
+    den, c, plus, minus = space.charges(v)
+    for name, x in (("F_c", c), ("F_q", plus - minus)):
+        try:
+            x / den
+        except OverflowError:
+            raise FloatOverflow(f"charge {name} of the combination overflows a float") from None
     f0, f1 = space.assemble(v)
     c, q = f0.integral, f1.right_limit - f1.left_limit
     cum = space.antiderivative(v)
@@ -119,27 +127,17 @@ def roundtrip_error(space: Space, v: SymVector, pair: ChiralPair) -> float:
     )
 
 
-def sigma_chiral(sign: int, theta: TestFunction, phi: TestFunction) -> float:
-    """sigma_pm(theta, phi) = +/- integral (phi d(theta) - theta d(phi)) dx."""
-    val = pairing(phi, derivative(theta)) - pairing(theta, derivative(phi))
-    return sign * val
-
-
-def sigma_infinity(p: ChiralPair, q: ChiralPair) -> float:
-    """Plane form on the right-limit data (theta_+(+inf), theta_-(+inf))."""
+def sigma_decomposed(p: ChiralPair, q: ChiralPair) -> float:
+    """sigma_+ + sigma_- + sigma_inf of two mover pairs, the per-vector
+    reference for `split_table`: sigma_pm(theta, phi) = +/- integral (phi
+    d(theta) - theta d(phi)) dx, and sigma_inf is the plane form on the
+    right limits (theta_+(+inf), theta_-(+inf))."""
+    plus, minus = [sign * (pairing(phi, derivative(theta)) - pairing(theta, derivative(phi)))
+                   for sign, theta, phi in ((+1, p.theta_plus, q.theta_plus),
+                                            (-1, p.theta_minus, q.theta_minus))]
     a1, b1 = p.theta_plus.right_limit, p.theta_minus.right_limit
     a2, b2 = q.theta_plus.right_limit, q.theta_minus.right_limit
-    return float(a1 * b2 - b1 * a2)
-
-
-def sigma_decomposed(p: ChiralPair, q: ChiralPair) -> float:
-    """sigma_+ + sigma_- + sigma_inf of two mover pairs: the per-vector
-    reference for `split_table`."""
-    return (
-        sigma_chiral(+1, p.theta_plus, q.theta_plus)
-        + sigma_chiral(-1, p.theta_minus, q.theta_minus)
-        + sigma_infinity(p, q)
-    )
+    return plus + minus + float(a1 * b2 - b1 * a2)
 
 
 def split_table(space: Space) -> List[List[float]]:

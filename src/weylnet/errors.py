@@ -34,8 +34,8 @@ class InvalidKey(WeylnetError):
     """Weyl element keyed outside the elementary (c, n) coordinates."""
 
 
-class PhaseOverflow(WeylnetError):
-    """An automorphism's phase angle is not a finite float."""
+class FloatOverflow(WeylnetError):
+    """A phase angle, charge or norm of finite input does not fit a float."""
 
 
 class BadIntervals(WeylnetError):

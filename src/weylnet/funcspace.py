@@ -177,10 +177,6 @@ def make_grid_function(
     return TestFunction(grid, s, left_limit, right_limit, integral)
 
 
-def zero_function(grid: Grid = DEFAULT_GRID) -> TestFunction:
-    return TestFunction(grid, np.zeros(grid.n), Fraction(0), Fraction(0), Fraction(0))
-
-
 def constant_function(value: Fraction, grid: Grid = DEFAULT_GRID) -> TestFunction:
     value = Fraction(value)
     dz = TestFunction(grid, np.zeros(grid.n), Fraction(0), Fraction(0), Fraction(0))

@@ -122,20 +122,9 @@ def sector_trace(space: Space, A: WeylElement) -> complex:
     return sum((coeff for key, coeff in A.terms() if not any(_plane_key(space, key)[1:])), 0j)
 
 
-def gns_expectation(space: Space, A: WeylElement) -> complex:
-    """<0| pi(A) |0>: the (non-tracial) delta state defining the sector."""
-    return sector_inner(VACUUM, apply_word(space, A, VACUUM))
-
-
 def phi_n_apply(v: GnsVector) -> GnsVector:
     """The central generator: Phi_N |c> = c |c>."""
     return GnsVector((c, float(c) * a) for c, a in v.amps())
-
-
-def phi_n_difference_defect(v: GnsVector, n: float) -> float:
-    """|| (pi(W(0, n)) - I) / (i n) v - Phi_N v ||, O(n) as n -> 0."""
-    diff = (apply_elementary(0, n, v) - v).scale(1.0 / (1j * n))
-    return (diff - phi_n_apply(v)).norm()
 
 
 def norm_distance(

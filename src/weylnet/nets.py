@@ -14,7 +14,7 @@ exactly that phase.
 
 Sector automorphisms act by e^{i sigma_f(F, G)} per key; gauge elements by
 the character e^{-i (n F_c + r F_q)}; an angle that overflows a float raises
-PhaseOverflow.  Fixed-point projections are exact charge filters: averaging a
+FloatOverflow.  Fixed-point projections are exact charge filters: averaging a
 character over the compact dual group is a Kronecker delta on the charge.
 Filters and the closed form read `Space.charges`, integers over one
 denominator, and divide only for the float they return.
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .errors import BadIntervals, NotInDomain, PhaseOverflow, RegularizerNotContained
+from .errors import BadIntervals, FloatOverflow, NotInDomain, RegularizerNotContained
 from .funcspace import Interval
 from .symplectic import Space, SymVector
 from .weyl import WeylElement
@@ -99,7 +99,7 @@ def make_sector(space: Space, F: SymVector, I: Interval) -> SectorAutomorphism:
 def _phase(angle: float, what: str) -> complex:
     """e^{i angle}; a nan phase would drop the term from a WeylElement."""
     if not math.isfinite(angle):
-        raise PhaseOverflow(f"{what} phase angle {angle} is not a finite float")
+        raise FloatOverflow(f"{what} phase angle {angle} is not a finite float")
     return cmath.exp(1j * angle)
 
 

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .chiral import dalembert
+from .errors import FloatOverflow
 from .funcspace import TestFunction, chiral_norm_sq
 from .gns import _plane_key
 from .symplectic import Space, SymVector
@@ -90,12 +91,16 @@ def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
     den, c, plus, minus = space.charges(v)
     if c or plus != minus:
         return 0j
-    pair = dalembert(space, v)
-    half = plus / (2 * den)
     total = 0.0
-    for theta in (pair.theta_plus, pair.theta_minus):
-        flat = TestFunction(theta.grid, theta.samples - half, Fraction(0), Fraction(0))
-        total += chiral_norm_sq(flat)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pair = dalembert(space, v)
+            half = plus / (2 * den)
+            for theta in (pair.theta_plus, pair.theta_minus):
+                flat = TestFunction(theta.grid, theta.samples - half, Fraction(0), Fraction(0))
+                total += chiral_norm_sq(flat)
+    except FloatingPointError:
+        raise FloatOverflow("chiral Fock norm of the movers overflows a float") from None
     return complex(math.exp(-0.5 * total))
 
 

@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ from .nets import (
 )
 from .registry import load_registry
 from .states import field_f, gram_psd, regular_substitute_probe, state_coincidence_check
-from .symplectic import Space, SymVector, ZERO, bilinear, sigma_plane
+from .symplectic import Space, SymVector, bilinear, sigma_plane
 from .weyl import (
     IDENTITY,
     CrossedProduct,
@@ -131,6 +132,16 @@ def _worst(loop, key: str):
     return lambda space, rng, ctx: loop(space, rng, ctx)[key]
 
 
+@lru_cache(maxsize=32)
+def _draw_bounds(size: int, k: int, rows: int):
+    """Read-only bounds of `rows` draws for `_rand_vectors`, one row each."""
+    floyd = range(size - k, size)
+    lows = np.tile([0] * (2 * k - 1) + [-2, 1] * k, (rows, 1))
+    highs = np.tile([j + 1 for j in floyd] + list(range(k, 1, -1)) + [3, 3] * k, (rows, 1))
+    lows.flags.writeable = highs.flags.writeable = False
+    return lows, highs
+
+
 def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: int = 2):
     """Yield `count` vectors, each the sum of num/den times the generators at
     `rng.choice(len(pool), min(n_terms, len(pool)), replace=False)`, drawing
@@ -141,25 +152,26 @@ def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: i
     here, gives the same values and `rng` state, for pools up to 10,000 names
     (above, choice shuffles a tail).  Draws are made a block ahead: the loop
     must draw nothing else from `rng`, and one left early leaves it further on.
+    A block's bounds are built once per shape, and each vector is built once,
+    from the picks' numerators over the lcm of their denominators.
     """
     size, k = len(pool), min(n_terms, len(pool))
     floyd = range(size - k, size)
-    lows = np.array([0] * (2 * k - 1) + [-2, 1] * k)
-    highs = np.array([j + 1 for j in floyd] + list(range(k, 1, -1)) + [3, 3] * k)
     for start in range(0, count, 64):
-        block = (min(64, count - start), 1)
-        for row in rng.integers(np.tile(lows, block), np.tile(highs, block)).tolist():
+        for row in rng.integers(*_draw_bounds(size, k, min(64, count - start))).tolist():
             picks: List[int] = []
             for j, i in zip(floyd, row):
                 picks.append(j if i in picks else i)
             for i, j in zip(range(k - 1, 0, -1), row[k:]):
                 picks[i], picks[j] = picks[j], picks[i]
-            v = ZERO
-            for i, num, den in zip(picks, row[2 * k - 1::2], row[2 * k::2]):
-                if num:
-                    g = space.generator(pool[i])
-                    v = v + SymVector([(a, n * num) for a, n in g._nums], g._den * den)
-            yield v
+            terms = [(space.generator(pool[i]), num, den)
+                     for i, num, den in zip(picks, row[2 * k - 1::2], row[2 * k::2]) if num]
+            lcm = math.lcm(*[g._den * den for g, _, den in terms])
+            acc: Dict[int, int] = {}
+            for g, num, den in terms:
+                for a, n in g._nums:
+                    acc[a] = acc.get(a, 0) + n * num * (lcm // (g._den * den))
+            yield SymVector([(a, n) for a, n in sorted(acc.items()) if n], lcm)
 
 
 def _rand_vector(space: Space, rng, pool: Sequence[str], n_terms: int = 2) -> SymVector:

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .errors import DegenerateRegularizer, NotInDomain, UnknownGenerator
+from .errors import DegenerateRegularizer, FloatOverflow, NotInDomain, UnknownGenerator
 from .funcspace import (
     EMPTY,
     TOL_CHARGE,
@@ -59,9 +59,10 @@ class SymVector:
     Equal vectors have equal (den, nums), whatever route built them.
 
     The arithmetic takes short cuts that keep that form: a sum or difference
-    with ZERO returns the other operand (negated for ZERO - w), equal
-    denominators are added without an lcm, `scale` returns ZERO for 0 and
-    the vector itself for 1, and numerators over den 1 need no gcd.
+    with ZERO returns the other operand (negated for ZERO - w), other sums
+    merge the two sorted tuples (with no lcm for equal denominators) and
+    reduce once, numerators over den 1 need no gcd, `scale` returns ZERO for
+    0 and the vector itself for 1, and a negation skips `__init__`.
     """
 
     __slots__ = ("_den", "_nums")
@@ -98,21 +99,37 @@ class SymVector:
         return not self._nums
 
     def _combine(self, other: "SymVector", sign: int) -> "SymVector":
+        """self + sign * other: a merge by atom over the lcm, reduced once."""
         if not other._nums:
             return self
         if not self._nums:
             return other if sign > 0 else -other
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            den, m2 = d1, sign
-            acc = dict(self._nums)
-        else:
-            den = math.lcm(d1, d2)
-            m1, m2 = den // d1, sign * (den // d2)
-            acc = {a: n * m1 for a, n in self._nums}
-        for a, n in other._nums:
-            acc[a] = acc.get(a, 0) + n * m2
-        return SymVector([(a, n) for a, n in sorted(acc.items()) if n], den)
+        x, y, den = self._nums, other._nums, self._den
+        if den != other._den:
+            den = math.lcm(den, other._den)
+            if den != self._den:
+                m = den // self._den
+                x = [(a, n * m) for a, n in x]
+            sign *= den // other._den
+        if sign != 1:
+            y = [(b, k * sign) for b, k in y]
+        out, i, j, nx, ny = [], 0, 0, len(x), len(y)
+        while i < nx and j < ny:
+            a, n = x[i]
+            b, k = y[j]
+            if a < b:
+                out.append(x[i])
+                i += 1
+            elif b < a:
+                out.append(y[j])
+                j += 1
+            else:
+                if n + k:
+                    out.append((a, n + k))
+                i, j = i + 1, j + 1
+        out += x[i:]
+        out += y[j:]
+        return SymVector(out, den)
 
     def __add__(self, other: "SymVector") -> "SymVector":
         return self._combine(other, 1)
@@ -121,7 +138,9 @@ class SymVector:
         return self._combine(other, -1)
 
     def __neg__(self) -> "SymVector":
-        return SymVector([(a, -n) for a, n in self._nums], self._den)
+        v = object.__new__(SymVector)  # already in lowest terms: past __init__
+        v._den, v._nums = self._den, tuple([(a, -n) for a, n in self._nums])
+        return v
 
     def scale(self, k) -> "SymVector":
         if not isinstance(k, (int, Fraction)):
@@ -173,14 +192,19 @@ def bilinear(rows: Sequence[Sequence[float]], v: SymVector, w: SymVector) -> flo
     """sum c_a d_b rows[a][b] over the atoms a of v and b of w, in that order.
     n / den is the correctly rounded float of a coefficient, as
     float(Fraction) is; `weyl.parse_combo` refuses a coefficient that no
-    float holds."""
+    float holds.  Zero entries, as sigma's same-slot ones, are skipped
+    bit-exactly: the total starts at +0.0 and a sum rounds to -0.0 only from
+    -0.0 + -0.0, so it is never -0.0 and a signed zero added leaves it as it
+    is (a product c_a d_b beyond a float, nan there, aside)."""
     dw = w._den
     ds = [(b, nb / dw) for b, nb in w._nums]
     total = 0.0
     for a, na in v._nums:
         ca, row = na / v._den, rows[a]
         for b, db in ds:
-            total += ca * db * row[b]
+            g = row[b]
+            if g:
+                total += ca * db * g
     return total
 
 
@@ -191,10 +215,10 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 class Space:
     """Generators, atoms, charges and the symplectic form are fixed at
-    construction.  Two memos fill in as they are read, the Fock product Q per
-    atom pair and the antiderivative per slot-0 atom: each costs an FFT per
-    atom, and built at load they would take about as long as a short CLI
-    command takes in all.
+    construction.  Memos fill in as they are read: the Fock product Q per
+    atom pair and the antiderivative per slot-0 atom (an FFT per atom, about
+    a short CLI command in all if built at load), and each `psi_T`
+    regularizer's assembled slots.  Their arrays are read-only.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
 
@@ -252,6 +276,7 @@ class Space:
         self._sigma_rows = tuple(tuple(row) for row in rows)
         self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
+        self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
         fn = resample(fn, self.grid)
@@ -374,6 +399,7 @@ class Space:
         if a not in self._antideriv:
             fn = self.atoms[a].fn
             self._antideriv[a] = _charge_antiderivative(fn, fn.integral)
+            self._antideriv[a].flags.writeable = False
         return self._antideriv[a]
 
     def localization(self, v: SymVector) -> Union[Interval, type(EMPTY)]:
@@ -386,11 +412,17 @@ class Space:
         same-slot atoms a <= b: b's row is filled the first time b is read,
         so Q does not depend on the read order.  NotInDomain off Va, or when
         the numeric charge sigma(v, e), the Simpson value of v's slot 0
-        against the unit e, is not zero (a window cut an atom)."""
+        against the unit e, is not zero (a window cut an atom).  FloatOverflow
+        first when a coefficient's square, and so the norm, overflows."""
         _, c, plus, minus = self.charges(v)
         if c or plus or minus:
             raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")
-        if abs(self.sigma(v, self._unit)) > TOL_CHARGE:
+        charge = self.sigma(v, self._unit)
+        top = max([abs(n) for _, n in v._nums], default=0) / v._den
+        if top * top == math.inf:
+            raise FloatOverflow(f"Fock norm overflows a float at coefficient {top:.3g} "
+                                f"(numeric charge sigma(v, e) {charge:.3g})")
+        if abs(charge) > TOL_CHARGE:
             raise NotInDomain("f0 must have zero integral (charge)")
         total = 0.0
         for i, (b, nb) in enumerate(v._nums):
@@ -438,6 +470,8 @@ class Space:
         is the sum of the three pieces when T's slots have unit charges and
         pair to zero against each other."""
         f0, f1 = self.assemble(v)
-        t0, t1 = self.assemble(T)
+        if T not in self._regularizers:  # TestFunction samples are read-only
+            self._regularizers[T] = self.assemble(T)
+        t0, t1 = self._regularizers[T]
         f_q = f1.right_limit - f1.left_limit
         return PsiImage(self.tangent(v, T), (f0.integral, pairing(f1, t0)), (pairing(f0, t1), f_q))

@@ -39,20 +39,13 @@ class WeylElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[Tuple[SymVector, complex]]):
-        if isinstance(terms, (list, tuple)) and len(terms) == 1:
-            # one term (a word, or a product of two words) needs no dict;
-            # 0j + a is the dict's sum, so a -0.0 part reads +0.0 either way
-            (v, a), = terms
-            a = 0j + complex(a)
-            kept = [(v, a)] if abs(a) >= COEFF_EPS else []
-        else:
-            acc: Dict[SymVector, complex] = {}
-            for v, a in terms:
-                acc[v] = acc.get(v, 0j) + complex(a)
-            kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
-            if len(kept) > 1:
-                den = math.lcm(*[v._den for v, _ in kept])
-                kept.sort(key=lambda t: [(a, n * (den // t[0]._den)) for a, n in t[0]._nums])
+        acc: Dict[SymVector, complex] = {}
+        for v, a in terms:
+            acc[v] = acc.get(v, 0j) + complex(a)
+        kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
+        if len(kept) > 1:
+            den = math.lcm(*[v._den for v, _ in kept])
+            kept.sort(key=lambda t: [(a, n * (den // t[0]._den)) for a, n in t[0]._nums])
         object.__setattr__(self, "_terms", tuple(kept))
 
     def terms(self) -> Tuple[Tuple[SymVector, complex], ...]:
@@ -70,8 +63,17 @@ class WeylElement:
         return "WeylElement(" + " + ".join(f"({a:.6g})W[{v}]" for v, a in self._terms) + ")"
 
 
+def _word(v: SymVector, a: complex) -> WeylElement:
+    """a W(v) as `WeylElement([(v, a)])` builds it, a summed from 0j (so a
+    -0.0 part reads +0.0) and dropped below COEFF_EPS, past the dict."""
+    a = 0j + a
+    word = object.__new__(WeylElement)
+    word._terms = ((v, a),) if abs(a) >= COEFF_EPS else ()
+    return word
+
+
 def weyl_word(v: SymVector, coeff: complex = 1.0) -> WeylElement:
-    return WeylElement([(v, coeff)])
+    return _word(v, complex(coeff))
 
 
 IDENTITY = weyl_word(ZERO)
@@ -86,20 +88,24 @@ def weyl_scale(A: WeylElement, z: complex) -> WeylElement:
 
 
 def weyl_mul(space: Space, A: WeylElement, B: WeylElement) -> WeylElement:
-    out = []
-    for v, a in A.terms():
-        for w, b in B.terms():
-            phase = cmath.exp(-0.5j * space.sigma(v, w))
-            out.append((v + w, a * b * phase))
-    return WeylElement(out)
+    if len(A._terms) == 1 == len(B._terms):
+        (v, a), (w, b) = A._terms[0], B._terms[0]
+        return _word(v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w)))
+    return WeylElement([(v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w)))
+                        for v, a in A.terms() for w, b in B.terms()])
 
 
 def weyl_star(A: WeylElement) -> WeylElement:
+    if len(A._terms) == 1:
+        (v, a), = A._terms
+        return _word(-v, a.conjugate())
     return WeylElement([(-v, a.conjugate()) for v, a in A.terms()])
 
 
 def max_coeff_distance(A: WeylElement, B: WeylElement) -> float:
     """Largest coefficient discrepancy between two elements, keywise."""
+    if len(A._terms) == 1 == len(B._terms) and A._terms[0][0] == B._terms[0][0]:
+        return max(0.0, abs(A._terms[0][1] - B._terms[0][1]))
     coeffs: Dict[SymVector, complex] = {v: a for v, a in A.terms()}
     worst = 0.0
     for v, b in B.terms():

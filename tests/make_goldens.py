@@ -1,6 +1,7 @@
 """Regenerate the golden reports under tests/data and print what moved.
 
-    PYTHONPATH=src python tests/make_goldens.py
+    PYTHONPATH=src python tests/make_goldens.py           # rewrite the files
+    PYTHONPATH=src python tests/make_goldens.py --check   # write nothing
 
 `GOLDENS` maps each file to the `weylnet` argv of the runs it holds.  A
 file of one run holds that report; report_algebra_seed1.json holds
@@ -14,10 +15,16 @@ For each file it prints one line per value that differs from the file it
 replaces, as `path: old -> new`, so a change that moves a check value says
 which one and by how much.  test_cli.py runs each argv through the CLI and
 compares the report it writes with these files byte for byte.
+
+With `--check` it writes nothing: it prints the same lines and exits 1 if
+any file would change (its bytes differ, or it is missing), else 0.  A change
+that claims byte-identical reports shows it with this one command, and
+tests/data stays as it was.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -74,17 +81,30 @@ def moved(old, new, path=""):
         yield path, old, new
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden reports.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any file would change")
+    check = parser.parse_args(argv).check
+    stale = []
     for name in GOLDENS:
         path = DATA / name
         new = golden(name)
-        old = json.loads(path.read_text()) if path.exists() else None
+        text = suites.serialize_report(new)
+        old_text = path.read_text() if path.exists() else None
+        old = json.loads(old_text) if old_text is not None else None
         changes = list(moved(old, new)) if old is not None else []
-        path.write_text(suites.serialize_report(new))
+        if old_text != text:
+            stale.append(name)
+        if not check:
+            path.write_text(text)
         state = "new" if old is None else f"{len(changes)} value(s) moved"
         print(f"{name}: {state}")
         for where, a, b in changes:
             print(f"  {where}: {a!r} -> {b!r}")
+    if check:
+        print(f"{len(stale)} of {len(GOLDENS)} file(s) would change" + "".join(f"\n  {n}" for n in stale))
+        return 1 if stale else 0
     return 0
 
 

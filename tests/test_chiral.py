@@ -10,9 +10,7 @@ from weylnet.chiral import (
     dalembert,
     dalembert_inverse,
     mover_table,
-    sigma_chiral,
     sigma_decomposed,
-    sigma_infinity,
     split_table,
     _spectral_deriv,
 )
@@ -31,6 +29,7 @@ from weylnet.suites import run_suite
 from weylnet.symplectic import ZERO, SymVector, bilinear
 
 from charge_rationals import rationals
+from oracles import sigma_infinity
 
 
 @lru_cache(maxsize=1)

@@ -319,6 +319,35 @@ def test_overflowing_phase_is_one_named_line(argv, capsys):
     assert len(err.encode()) <= 200
 
 
+OVERFLOW_COMBO = f"{N308} c0 + {N308} T"  # each coefficient a float, F_c = 2e308 is not
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chiral", "roundtrip", "--combo", OVERFLOW_COMBO],
+         "charge F_c of the combination overflows a float"),
+        (["chiral", "decompose", "--combo", OVERFLOW_COMBO],
+         "charge F_c of the combination overflows a float"),
+        (["state", "eval", "--kind", "chiral_vacuum", "--element", f"W[{N308} aC]"],
+         "chiral Fock norm of the movers overflows a float"),
+        (["state", "eval", "--kind", "field_f", "--element", f"W[{N308} aC + {N308} aL]"],
+         "Fock norm overflows a float at coefficient 1e+308 (numeric charge sigma(v, e) 1.45e+293)"),
+    ],
+    ids=["chiral-roundtrip", "chiral-decompose", "chiral-vacuum", "field-f"],
+)
+def test_overflowing_charge_or_norm_is_one_named_line(argv, message, capsys):
+    """A combination of float coefficients whose charge or norm overflows a
+    float exits 2 with one line naming the overflow: no traceback, no numpy
+    warning, no nan, and for field_f not the window-cut charge message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 BIG, HUGE = "1" + "0" * 308, "1" + "0" * 400
 
 
@@ -454,6 +483,23 @@ def test_golden_report_is_byte_identical(name, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run(argv + ["--out", str(out)]) == (0 if reports[key]["passed"] else 1), key
         assert out.read_text() == suites.serialize_report(reports[key]), key
+
+
+def test_make_goldens_check_writes_nothing_and_exits_1_on_a_change(tmp_path, monkeypatch, capsys):
+    """`make_goldens.py --check` never writes; it exits 1 while a file is
+    missing or its bytes differ from the run, and 0 once they match."""
+    monkeypatch.setattr(make_goldens, "DATA", tmp_path)
+    monkeypatch.setattr(make_goldens, "GOLDENS", {"nets.json": ["--suite", "nets", "--seed", "1"]})
+    path = tmp_path / "nets.json"
+    assert make_goldens.main(["--check"]) == 1 and not path.exists()
+    assert make_goldens.main([]) == 0 and path.exists()
+    assert make_goldens.main(["--check"]) == 0
+    stale = path.read_text().replace('"seed": 1', '"seed": 2')
+    path.write_text(stale)
+    assert make_goldens.main(["--check"]) == 1
+    assert path.read_text() == stale
+    out = capsys.readouterr().out
+    assert "  seed: 2 -> 1\n" in out and out.endswith("1 of 1 file(s) would change\n  nets.json\n")
 
 
 ADHOC = json.loads((Path(__file__).parent / "data" / "adhoc_commands.json").read_text())

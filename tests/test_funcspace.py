@@ -25,9 +25,10 @@ from weylnet.funcspace import (
     pairing,
     resample,
     simpson,
-    zero_function,
 )
 from weylnet.registry import load_registry, parse_registry
+
+from oracles import zero_function
 
 G = DEFAULT_GRID
 

@@ -14,16 +14,16 @@ from weylnet.gns import (
     apply_word,
     basis,
     fold_phase,
-    gns_expectation,
     non_regularity_witness,
     norm_distance,
     phi_n_apply,
-    phi_n_difference_defect,
     sector_inner,
     sector_trace,
 )
 from weylnet.registry import load_registry
 from weylnet.weyl import IDENTITY, weyl_add, weyl_mul, weyl_word
+
+from oracles import gns_expectation, phi_n_difference_defect
 
 
 @lru_cache(maxsize=1)

@@ -11,9 +11,10 @@ from weylnet import errors
 from weylnet.funcspace import DEFAULT_GRID, EMPTY, Grid, fock_norm_sq, pairing
 from weylnet.registry import load_registry, parse_registry
 from weylnet.suites import run_suite
-from weylnet.symplectic import Charges, Space, SymVector, ZERO, sigma_plane
+from weylnet.symplectic import Charges, Space, SymVector, ZERO, bilinear, sigma_plane
 
 from charge_rationals import fraction_sums, rationals
+from oracles import dense_bilinear
 
 
 from functools import lru_cache
@@ -452,9 +453,11 @@ def _assert_canonical(got, items):
        k=_scales)
 def test_symvector_fast_paths_give_the_canonical_form(x, y, z, k):
     """Sums with ZERO, sums over equal denominators and scales by 0, 1 and
-    -1 take short cuts; each result is the canonical vector of the exact
-    rational sum.  u holds z's integer numerators over v's denominator (the
-    1/den term on atom 7 keeps it there), so v and u always share one."""
+    -1 take short cuts, and sums merge past a second normalization; each
+    result is the canonical vector of the exact rational sum, also when it
+    cancels to ZERO or mixes coprime denominators.  u holds z's integer
+    numerators over v's denominator (the 1/den term on atom 7 keeps it
+    there), so v and u always share one."""
     v, w = SymVector(x), SymVector(y)
     ox, oy = _oracle(x), _oracle(y)
     zu = [(a, Fraction(n, v._den)) for a, n in z] + [(7, Fraction(1, v._den))]
@@ -469,6 +472,16 @@ def test_symvector_fast_paths_give_the_canonical_form(x, y, z, k):
         _assert_canonical(vec.scale(k), [(a, k * c) for a, c in o.items()])
     assert u.scale(1) is u and u.scale(Fraction(1)) is u and u.scale(0) is ZERO
     assert u + ZERO is u and ZERO + u is u and u - ZERO is u
+    for vec in (v, u, w):
+        _assert_canonical(vec - vec, [])
+        _assert_canonical(vec + -vec, [])
+        _assert_canonical(-vec + vec, [])
+    p, q = v.scale(Fraction(1, 5)), w.scale(Fraction(2, 7))
+    op = [(a, c / 5) for a, c in ox.items()]
+    oq = [(a, 2 * c / 7) for a, c in oy.items()]
+    _assert_canonical(p + q, op + oq)
+    _assert_canonical(q - p, oq + [(a, -c) for a, c in op])
+    _assert_canonical((p + q) - q, op)
 
 
 # -- fast paths pinned to the formulas they replace ----------------------------
@@ -510,6 +523,54 @@ def test_sigma_is_the_sum_of_cross_slot_pairings(points):
     vs = _random_vectors(space, points, count=400)
     for v, w in zip(vs[0::2], vs[1::2]):
         assert space.sigma(v, w) == _pairing_sigma(space, v, w)
+
+
+def test_bilinear_skips_zero_entries_bit_for_bit():
+    """`bilinear` skips the 0.0 and -0.0 entries of its rows.  It returns the
+    same float.hex() as the dense sum (tests/oracles.py) on sigma's rows and
+    on a table that is half signed zeros, over random pairs, sums that
+    cancel, coprime denominators, and sigma(v, v) and sigma(v, -v), which
+    read +0.0 on both."""
+    space = load_registry()
+    vs = _random_vectors(space, 11, count=80)
+    for v, w in zip(vs[0:40], vs[40:80]):
+        vs += [v - v, (v + w) - v, v.scale(Fraction(1, 3)) + w.scale(Fraction(2, 7)), -w]
+    rng = np.random.default_rng(5)
+    n = len(space.atoms)
+    table = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+    table[rng.random((n, n)) < 0.3] = -0.0
+    tables = (space._sigma_rows, tuple(tuple(row) for row in table.tolist()))
+    pairs = list(zip(vs, vs[1:])) + [(v, v) for v in vs] + [(v, -v) for v in vs]
+    zeros = 0
+    for rows in tables:
+        for v, w in pairs:
+            got = bilinear(rows, v, w)
+            assert got.hex() == dense_bilinear(rows, v, w).hex(), (v, w)
+            zeros += got == 0.0 and not v.is_zero()
+    assert zeros  # some nonzero vectors pair to zero
+    assert space.sigma(vs[0], vs[0]).hex() == "0x0.0p+0"
+
+
+def test_psi_t_assembles_each_regularizer_once(monkeypatch):
+    """psi_T reads T's assembled slots from a memo filled at the first call,
+    equal to `assemble(T)` and read-only, as the antiderivative memo is."""
+    space = load_registry()
+    T, T3 = space.generator("T"), space.generator("T3")
+    calls = []
+    assemble = Space.assemble
+    monkeypatch.setattr(Space, "assemble", lambda self, v: calls.append(v) or assemble(self, v))
+    names = space.generator_names()
+    for name in names:
+        space.psi_T(space.generator(name), T)
+        space.psi_T(space.generator(name), T3)
+    # each generator twice as v; T and T3 once more, as regularizers
+    assert len(calls) == 2 * len(names) + 2 and calls.count(T) == calls.count(T3) == 3
+    assert set(space._regularizers) == {T, T3}
+    for reg in (T, T3):
+        for memo, fresh in zip(space._regularizers[reg], assemble(space, reg)):
+            assert np.array_equal(memo.samples, fresh.samples)
+            assert not memo.samples.flags.writeable
+    assert not space.atom_antiderivative(0).flags.writeable
 
 
 def test_gram_table_is_complete_at_load():

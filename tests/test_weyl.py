@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from weylnet.weyl import (
 )
 
 from charge_rationals import rationals
+from oracles import general_max_coeff_distance, general_star
 
 
 @lru_cache(maxsize=1)
@@ -162,6 +164,25 @@ def test_single_term_product_matches_the_double_loop():
     # signed zeros: the one-term element reads 0j + a, as the dict does
     one = WeylElement([(ZERO, complex(-0.0, -1.0))])
     assert _bits(one.terms()) == [(ZERO, "0x0.0p+0", "-0x1.0000000000000p+0")]
+
+
+def test_one_term_star_and_distance_match_the_general_path():
+    """weyl_star of a one-term element and max_coeff_distance of two skip
+    the dict: the same keys and bits as the general path (tests/oracles.py),
+    with signed zeros, an infinite coefficient (inf - inf gives a nan that
+    max drops on both paths), equal keys and different keys."""
+    space = sp()
+    rng = np.random.default_rng(12)
+    coeffs = [1.0, -1.0, complex(1.0, -0.0), complex(-0.0, 2.5), complex(-3.0, 0.0),
+              0.3 - 0.7j, 1e-8, complex(math.inf, -0.0), complex(-0.0, -0.0)]
+    keys = [ZERO] + [rand_vector(rng) for _ in range(5)]
+    words = [weyl_word(v, c) for v in keys for c in coeffs]
+    words += [weyl_mul(space, A, B) for A, B in zip(words[::5], words[1::5])]
+    for A in words:
+        assert _bits(weyl_star(A).terms()) == _bits(general_star(A))
+        for B in words:
+            assert max_coeff_distance(A, B).hex() == general_max_coeff_distance(A, B).hex()
+    assert sum(len(A.terms()) == 1 for A in words) > 50
 
 
 def test_multi_term_products_sort_as_the_items_order():
