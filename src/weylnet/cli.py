@@ -19,7 +19,7 @@ Ad-hoc subcommands (same global flags apply):
 Interval endpoints are rationals p/q separated by a colon; use the
 --flag=value form for values that begin with a minus sign.  Exit status: 0 on
 success with all checks passing, 1 when a suite or report check fails, 2 on
-registry/element/argument parse failure.
+registry/element/argument parse failure or a float that overflows.
 """
 
 from __future__ import annotations
@@ -233,8 +233,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         grid = Grid(-args.window, args.window, args.grid_points)
         if args.command is None:
             return _run_suite_command(args, grid)
-        return _run_subcommand(args, grid)
-    except (WeylnetError, OSError) as e:
+        with np.errstate(over="raise", invalid="raise"):  # print no inf or nan
+            return _run_subcommand(args, grid)
+    except (WeylnetError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

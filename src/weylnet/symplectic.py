@@ -412,8 +412,8 @@ class Space:
         same-slot atoms a <= b: b's row is filled the first time b is read,
         so Q does not depend on the read order.  NotInDomain off Va, or when
         the numeric charge sigma(v, e), the Simpson value of v's slot 0
-        against the unit e, is not zero (a window cut an atom).  FloatOverflow
-        first when a coefficient's square, and so the norm, overflows."""
+        against the unit e, is not zero (a window cut an atom); before that,
+        FloatOverflow when a coefficient's square, and so the norm, overflows."""
         _, c, plus, minus = self.charges(v)
         if c or plus or minus:
             raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")

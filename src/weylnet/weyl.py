@@ -64,8 +64,7 @@ class WeylElement:
 
 
 def _word(v: SymVector, a: complex) -> WeylElement:
-    """a W(v) as `WeylElement([(v, a)])` builds it, a summed from 0j (so a
-    -0.0 part reads +0.0) and dropped below COEFF_EPS, past the dict."""
+    """a W(v) as `WeylElement([(v, a)])` builds it, summed from 0j, past the dict."""
     a = 0j + a
     word = object.__new__(WeylElement)
     word._terms = ((v, a),) if abs(a) >= COEFF_EPS else ()

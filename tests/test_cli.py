@@ -348,6 +348,27 @@ def test_overflowing_charge_or_norm_is_one_named_line(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chiral", "roundtrip", "--combo", f"{N308} c0"],
+        ["chiral", "decompose", "--combo", f"{N308} c0"],
+        ["chiral", "roundtrip", "--combo", f"{N308} T"],
+    ],
+    ids=["roundtrip-bump", "decompose-bump", "roundtrip-regularizer"],
+)
+def test_subcommand_float_overflow_exits_2(argv, capsys):
+    """Samples that overflow a float inside a subcommand (the bump's peak
+    times 1e308, or the spectral derivative of T's movers) exit 2 with
+    numpy's one line naming the overflow, where roundtrip printed a nan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: overflow encountered in \w+\n", captured.err), captured.err
+
+
 BIG, HUGE = "1" + "0" * 308, "1" + "0" * 400
 
 
