@@ -35,7 +35,6 @@ from .funcspace import (
     derivative,
     fock_column,
     localization,
-    pairing,
     resample,
 )
 
@@ -58,11 +57,10 @@ class SymVector:
     lowest terms: `_den` and a tuple of (atom, nonzero int) sorted by atom.
     Equal vectors have equal (den, nums), whatever route built them.
 
-    The arithmetic takes short cuts that keep that form: a sum or difference
-    with ZERO returns the other operand (negated for ZERO - w), other sums
-    merge the two sorted tuples (with no lcm for equal denominators) and
-    reduce once, numerators over den 1 need no gcd, `scale` returns ZERO for
-    0 and the vector itself for 1, and a negation skips `__init__`.
+    Short cuts keep that form: a sum with ZERO returns the other operand
+    (negated for ZERO - w), other sums merge the sorted tuples over the lcm
+    (none for equal denominators) and reduce once, den 1 needs no gcd, `scale`
+    returns ZERO for 0 and self for 1, and a negation skips `__init__`.
     """
 
     __slots__ = ("_den", "_nums")
@@ -127,8 +125,7 @@ class SymVector:
                 if n + k:
                     out.append((a, n + k))
                 i, j = i + 1, j + 1
-        out += x[i:]
-        out += y[j:]
+        out += x[i:] or y[j:]  # what is left of one of them
         return SymVector(out, den)
 
     def __add__(self, other: "SymVector") -> "SymVector":
@@ -192,19 +189,16 @@ def bilinear(rows: Sequence[Sequence[float]], v: SymVector, w: SymVector) -> flo
     """sum c_a d_b rows[a][b] over the atoms a of v and b of w, in that order.
     n / den is the correctly rounded float of a coefficient, as
     float(Fraction) is; `weyl.parse_combo` refuses a coefficient that no
-    float holds.  Zero entries, as sigma's same-slot ones, are skipped
-    bit-exactly: the total starts at +0.0 and a sum rounds to -0.0 only from
-    -0.0 + -0.0, so it is never -0.0 and a signed zero added leaves it as it
-    is (a product c_a d_b beyond a float, nan there, aside)."""
-    dw = w._den
-    ds = [(b, nb / dw) for b, nb in w._nums]
-    total = 0.0
+    float holds.  Zero entries (sigma's same-slot ones) are skipped with no
+    bit moved: the total starts at +0.0, a sum is -0.0 only from -0.0 + -0.0,
+    so adding ±0.0 never changes it (a product c_a d_b beyond a float aside)."""
+    dw, total = w._den, 0.0
     for a, na in v._nums:
         ca, row = na / v._den, rows[a]
-        for b, db in ds:
+        for b, nb in w._nums:
             g = row[b]
             if g:
-                total += ca * db * g
+                total += ca * (nb / dw) * g
     return total
 
 
@@ -365,13 +359,17 @@ class Space:
 
     # -- assembly ------------------------------------------------------------
 
-    def assemble(self, v: SymVector) -> Tuple[TestFunction, TestFunction]:
+    def _samples(self, v: SymVector) -> list:
         samples = [np.zeros(self.grid.n), np.zeros(self.grid.n)]
         for a, n in v._nums:
             samples[self._slots[a]] += n / v._den * self.atoms[a].fn.samples
+        return samples
+
+    def assemble(self, v: SymVector) -> Tuple[TestFunction, TestFunction]:
+        s0, s1 = self._samples(v)
         den, c, plus, minus = self.charges(v)
-        f0 = TestFunction(self.grid, samples[0], Fraction(0), Fraction(0), Fraction(c, den))
-        f1 = TestFunction(self.grid, samples[1], Fraction(minus, den), Fraction(plus, den), None)
+        f0 = TestFunction(self.grid, s0, Fraction(0), Fraction(0), Fraction(c, den))
+        f1 = TestFunction(self.grid, s1, Fraction(minus, den), Fraction(plus, den), None)
         return f0, f1
 
     def slot1_derivative(self, v: SymVector) -> TestFunction:
@@ -468,10 +466,12 @@ class Space:
         (F_c, F_n) and (F_r, F_q), where F_n = integral f1 t0 dx and
         F_r = integral f0 t1 dx against T's slots; the total symplectic form
         is the sum of the three pieces when T's slots have unit charges and
-        pair to zero against each other."""
-        f0, f1 = self.assemble(v)
+        pair to zero against each other.  Each integral is `pairing`'s Simpson
+        value, with no tail check: one factor of each is a slot 0, tail-free."""
+        s0, s1 = self._samples(v)
+        den, c, plus, minus = self.charges(v)
         if T not in self._regularizers:  # TestFunction samples are read-only
             self._regularizers[T] = self.assemble(T)
         t0, t1 = self._regularizers[T]
-        f_q = f1.right_limit - f1.left_limit
-        return PsiImage(self.tangent(v, T), (f0.integral, pairing(f1, t0)), (pairing(f0, t1), f_q))
+        return PsiImage(self.tangent(v, T), (Fraction(c, den), _simpson_value(s1 * t0.samples, self.grid)),
+                        (_simpson_value(s0 * t1.samples, self.grid), Fraction(plus - minus, den)))

@@ -553,18 +553,21 @@ def test_bilinear_skips_zero_entries_bit_for_bit():
 
 def test_psi_t_assembles_each_regularizer_once(monkeypatch):
     """psi_T reads T's assembled slots from a memo filled at the first call,
-    equal to `assemble(T)` and read-only, as the antiderivative memo is."""
+    equal to `assemble(T)` and read-only, as the antiderivative memo is; v's
+    samples are summed without assembling v, and its plane coordinates are
+    `pairing` of the assembled slots bit for bit."""
     space = load_registry()
     T, T3 = space.generator("T"), space.generator("T3")
     calls = []
     assemble = Space.assemble
     monkeypatch.setattr(Space, "assemble", lambda self, v: calls.append(v) or assemble(self, v))
-    names = space.generator_names()
-    for name in names:
-        space.psi_T(space.generator(name), T)
-        space.psi_T(space.generator(name), T3)
-    # each generator twice as v; T and T3 once more, as regularizers
-    assert len(calls) == 2 * len(names) + 2 and calls.count(T) == calls.count(T3) == 3
+    images = {(name, reg): space.psi_T(space.generator(name), reg)
+              for name in space.generator_names() for reg in (T, T3)}
+    assert calls == [T, T3]
+    for (name, reg), img in images.items():
+        (f0, f1), (t0, t1) = assemble(space, space.generator(name)), assemble(space, reg)
+        assert img.l_part[1].hex() == pairing(f1, t0).hex(), name
+        assert img.m_part[0].hex() == pairing(f0, t1).hex(), name
     assert set(space._regularizers) == {T, T3}
     for reg in (T, T3):
         for memo, fresh in zip(space._regularizers[reg], assemble(space, reg)):
