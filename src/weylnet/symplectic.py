@@ -96,7 +96,7 @@ class SymVector:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def _combine(self, other: "SymVector", sign: int) -> "SymVector":
+    def _combine(self, other: "SymVector", sign: int = 1) -> "SymVector":
         """self + sign * other: a merge by atom over the lcm, reduced once."""
         if not other._nums:
             return self
@@ -128,8 +128,7 @@ class SymVector:
         out += x[i:] or y[j:]  # what is left of one of them
         return SymVector(out, den)
 
-    def __add__(self, other: "SymVector") -> "SymVector":
-        return self._combine(other, 1)
+    __add__ = _combine
 
     def __sub__(self, other: "SymVector") -> "SymVector":
         return self._combine(other, -1)
@@ -142,13 +141,12 @@ class SymVector:
     def scale(self, k) -> "SymVector":
         if not isinstance(k, (int, Fraction)):
             k = Fraction(k)
-        if not k:
+        p, q = k.numerator, k.denominator
+        if not p:
             return ZERO
-        if k == 1:
+        if p == q:
             return self
-        return SymVector(
-            [(a, n * k.numerator) for a, n in self._nums], self._den * k.denominator
-        )
+        return SymVector([(a, n * p) for a, n in self._nums], self._den * q)
 
     def __eq__(self, other) -> bool:
         return (

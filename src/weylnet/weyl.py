@@ -63,16 +63,12 @@ class WeylElement:
         return "WeylElement(" + " + ".join(f"({a:.6g})W[{v}]" for v, a in self._terms) + ")"
 
 
-def _word(v: SymVector, a: complex) -> WeylElement:
-    """a W(v) as `WeylElement([(v, a)])` builds it, summed from 0j, past the dict."""
-    a = 0j + a
+def weyl_word(v: SymVector, coeff: complex = 1.0) -> WeylElement:
+    """coeff W(v) as `WeylElement([(v, coeff)])` builds it, past the dict."""
+    a = 0j + complex(coeff)
     word = object.__new__(WeylElement)
     word._terms = ((v, a),) if abs(a) >= COEFF_EPS else ()
     return word
-
-
-def weyl_word(v: SymVector, coeff: complex = 1.0) -> WeylElement:
-    return _word(v, complex(coeff))
 
 
 IDENTITY = weyl_word(ZERO)
@@ -83,13 +79,16 @@ def weyl_add(A: WeylElement, B: WeylElement) -> WeylElement:
 
 
 def weyl_scale(A: WeylElement, z: complex) -> WeylElement:
+    if len(A._terms) == 1:
+        (v, a), = A._terms
+        return weyl_word(v, z * a)
     return WeylElement([(v, z * a) for v, a in A.terms()])
 
 
 def weyl_mul(space: Space, A: WeylElement, B: WeylElement) -> WeylElement:
     if len(A._terms) == 1 == len(B._terms):
         (v, a), (w, b) = A._terms[0], B._terms[0]
-        return _word(v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w)))
+        return weyl_word(v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w)))
     return WeylElement([(v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w)))
                         for v, a in A.terms() for w, b in B.terms()])
 
@@ -97,7 +96,7 @@ def weyl_mul(space: Space, A: WeylElement, B: WeylElement) -> WeylElement:
 def weyl_star(A: WeylElement) -> WeylElement:
     if len(A._terms) == 1:
         (v, a), = A._terms
-        return _word(-v, a.conjugate())
+        return weyl_word(-v, a.conjugate())
     return WeylElement([(-v, a.conjugate()) for v, a in A.terms()])
 
 

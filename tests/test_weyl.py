@@ -166,11 +166,12 @@ def test_single_term_product_matches_the_double_loop():
     assert _bits(one.terms()) == [(ZERO, "0x0.0p+0", "-0x1.0000000000000p+0")]
 
 
-def test_one_term_star_and_distance_match_the_general_path():
-    """weyl_star of a one-term element and max_coeff_distance of two skip
-    the dict: the same keys and bits as the general path (tests/oracles.py),
-    with signed zeros, an infinite coefficient (inf - inf gives a nan that
-    max drops on both paths), equal keys and different keys."""
+def test_one_term_star_scale_and_distance_match_the_general_path():
+    """weyl_star and weyl_scale of a one-term element and max_coeff_distance
+    of two skip the dict: the same keys and bits as the general path
+    (tests/oracles.py, or WeylElement's dict), with signed zeros, an
+    infinite coefficient (inf - inf gives a nan that max drops on both
+    paths), a scale below COEFF_EPS, equal keys and different keys."""
     space = sp()
     rng = np.random.default_rng(12)
     coeffs = [1.0, -1.0, complex(1.0, -0.0), complex(-0.0, 2.5), complex(-3.0, 0.0),
@@ -180,6 +181,9 @@ def test_one_term_star_and_distance_match_the_general_path():
     words += [weyl_mul(space, A, B) for A, B in zip(words[::5], words[1::5])]
     for A in words:
         assert _bits(weyl_star(A).terms()) == _bits(general_star(A))
+        for z in (1j, -1.0, complex(-0.0, 1.0), 1e-20):
+            want = WeylElement([(v, z * a) for v, a in A.terms()])
+            assert _bits(weyl_scale(A, z).terms()) == _bits(want.terms())
         for B in words:
             assert max_coeff_distance(A, B).hex() == general_max_coeff_distance(A, B).hex()
     assert sum(len(A.terms()) == 1 for A in words) > 50
