@@ -37,27 +37,27 @@ TOL_SUPP = 1e-12
 
 @dataclass(frozen=True, order=True)
 class Grid:
+    """A uniform grid of n points on [x0, x1].  `step_exact` = (x1 - x0) /
+    (n - 1) and `step`, its float as float(x1 - x0) / (n - 1), are computed
+    once; they take no part in equality, hash, order or repr."""
+
     x0: Fraction
     x1: Fraction
     n: int
+    step: float = field(init=False, repr=False, compare=False)
+    step_exact: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # samples sit at float positions, so the float ends must differ, and
         # the Fourier weights square 1/step, so step**-2 must be a float too
         try:
+            object.__setattr__(self, "step_exact", (self.x1 - self.x0) / (self.n - 1))
+            object.__setattr__(self, "step", float(self.x1 - self.x0) / (self.n - 1))
             fits = self.n >= 8 and float(self.x0) < float(self.x1) and math.isfinite(self.step**-2)
         except (OverflowError, ZeroDivisionError):
             fits = False
         if self.x1 <= self.x0 or not fits:
             raise BadGrid(f"bad grid window/size: {short(self.x0)}..{short(self.x1)} n={self.n}")
-
-    @property
-    def step(self) -> float:
-        return float(self.x1 - self.x0) / (self.n - 1)
-
-    @property
-    def step_exact(self) -> Fraction:
-        return (self.x1 - self.x0) / (self.n - 1)
 
     def x_at(self, i: int) -> Fraction:
         return self.x0 + i * self.step_exact

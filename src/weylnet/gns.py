@@ -10,7 +10,8 @@ folding back to n = 0 representatives; the composite phase is e^{i n (c/2 +
 c')}, validated in the tests against the literal two-step computation.
 
 sector_trace is the unique tracial state of the nondegenerate plane algebra:
-the coefficient of the zero key (both coordinates zero).  The GNS-defining
+the coefficient of the zero key (both coordinates zero); of a product AB it
+builds only the pairs whose charges cancel.  The GNS-defining
 delta state itself (charge zero, any central component) lives in `states` and
 is not tracial.
 """
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidKey
 from .symplectic import Charges, Space, SymVector
-from .weyl import WeylElement
+from .weyl import WeylElement, graded_mul, grades
 
 
 class GnsVector:
@@ -46,9 +47,6 @@ class GnsVector:
 
     def amps(self) -> Tuple[Tuple[Fraction, complex], ...]:
         return self._amps
-
-    def charges(self) -> Tuple[Fraction, ...]:
-        return tuple(c for c, _ in self._amps)
 
     def norm(self) -> float:
         return sum(abs(a) ** 2 for _, a in self._amps) ** 0.5
@@ -78,11 +76,6 @@ def basis(c) -> GnsVector:
 VACUUM = basis(0)
 
 
-def fold_phase(c: Fraction, n: float) -> complex:
-    """|c, n> = fold_phase(c, n) |c, 0>."""
-    return cmath.exp(0.5j * float(c) * float(n))
-
-
 def sector_inner(u: GnsVector, v: GnsVector) -> complex:
     amps = dict(u.amps())
     return sum(amps[c].conjugate() * a for c, a in v.amps() if c in amps)
@@ -109,17 +102,15 @@ def _plane_key(space: Space, v: SymVector) -> Charges:
     return space.charges(v)
 
 
-def apply_word(space: Space, A: WeylElement, v: GnsVector) -> GnsVector:
-    out = GnsVector(())
-    for key, coeff in A.terms():
-        den, c, plus, minus = _plane_key(space, key)
-        out = out + apply_elementary(Fraction(c, den), (plus + minus) / (2 * den), v).scale(coeff)
-    return out
-
-
-def sector_trace(space: Space, A: WeylElement) -> complex:
-    """The coefficient of the zero key, read from its integer charges."""
-    return sum((coeff for key, coeff in A.terms() if not any(_plane_key(space, key)[1:])), 0j)
+def sector_trace(space: Space, A: WeylElement, B: Optional[WeylElement] = None) -> complex:
+    """The coefficient of the zero key of A, or of AB, read from integer
+    charges.  For AB it builds only the pairs whose charges cancel
+    (`weyl.graded_mul`), bit for bit tr(weyl_mul(space, A, B)).  InvalidKey
+    unless every key is a plane vector."""
+    if B is None:
+        return sum((coeff for key, coeff in A.terms() if not any(_plane_key(space, key)[1:])), 0j)
+    AB = graded_mul(space, A, B, grades(space, A, _plane_key), grades(space, B, _plane_key, -1))
+    return sum((coeff for _, coeff in AB.terms()), 0j)
 
 
 def phi_n_apply(v: GnsVector) -> GnsVector:
@@ -127,34 +118,22 @@ def phi_n_apply(v: GnsVector) -> GnsVector:
     return GnsVector((c, float(c) * a) for c, a in v.amps())
 
 
-def norm_distance(
-    l1: Tuple[Fraction, float],
-    l2: Tuple[Fraction, float],
-    probes: Sequence[Fraction],
-) -> float:
+def norm_distance(l1: Tuple[Fraction, float], l2: Tuple[Fraction, float],
+                  probes: Sequence[Fraction]) -> float:
     """Operator norm of pi(W(l1)) - pi(W(l2)) compressed to the span of the
     probe charge basis vectors."""
-    images = []
-    for d in probes:
-        images.append(apply_elementary(l1[0], l1[1], basis(d)) - apply_elementary(
-            l2[0], l2[1], basis(d)
-        ))
-    support = sorted({c for img in images for c in img.charges()})
+    images = [apply_elementary(*l1, basis(d)) - apply_elementary(*l2, basis(d)) for d in probes]
+    support = sorted({c for img in images for c, _ in img.amps()})
     index = {c: i for i, c in enumerate(support)}
     M = np.zeros((len(support), len(probes)), dtype=complex)
     for j, img in enumerate(images):
         for c, a in img.amps():
             M[index[c], j] = a
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
 def non_regularity_witness(c: Fraction, lambdas: Sequence[Fraction]) -> dict:
     """<0| pi(W(lambda c, 0)) |0> as a function of lambda: the indicator of
     lambda c = 0, with no continuity at 0."""
-    out = {}
-    for lam in lambdas:
-        val = sector_inner(VACUUM, apply_elementary(Fraction(lam) * Fraction(c), 0.0, VACUUM))
-        out[Fraction(lam)] = val
-    return out
+    return {Fraction(lam): sector_inner(VACUUM, apply_elementary(
+        Fraction(lam) * Fraction(c), 0.0, VACUUM)) for lam in lambdas}

@@ -13,7 +13,8 @@ Five state kinds:
 
 product_p optionally swaps the delta factor for a regular Gaussian weight:
 that substitute functional fails Hermiticity through the staging phase, which
-is exactly why the non-regular delta is forced.
+is exactly why the non-regular delta is forced.  The three delta kinds are
+marked `State.delta`, and gram_psd builds only the terms they can read.
 """
 
 from __future__ import annotations
@@ -30,15 +31,23 @@ from .errors import FloatOverflow
 from .funcspace import TestFunction, chiral_norm_sq
 from .gns import _plane_key
 from .symplectic import Space, SymVector
-from .weyl import WeylElement, weyl_mul, weyl_star, weyl_word
+from .weyl import WeylElement, graded_mul, grades, weyl_mul, weyl_star, weyl_word
 
 
 @dataclass(frozen=True)
 class State:
-    """A state kind: the value on one key W(v) (raising off the domain), and the domain."""
+    """A state kind: the value on one key W(v) (raising off the domain), and
+    the domain.  `delta` marks a key that is exactly 0 unless F_c = F_q = 0."""
 
     key: Callable[[Space, SymVector], complex]
     domain: Callable[[Space, SymVector], bool] = lambda space, v: True
+    delta: bool = False
+
+
+def _delta_grade(space: Space, v: SymVector) -> Tuple[int, int, int]:
+    """(den, c, plus - minus): F_c and F_q over one denominator."""
+    den, c, plus, minus = space.charges(v)
+    return den, c, plus - minus
 
 
 def _fock_a_key(space: Space, v: SymVector) -> complex:
@@ -65,7 +74,7 @@ def field_f(T: SymVector) -> State:
             return 0j
         return complex(space.fock_factor(space.tangent(v, T)))
 
-    return State(key)
+    return State(key, delta=True)
 
 
 def product_p(T: SymVector, regular_substitute: bool = False) -> State:
@@ -83,7 +92,7 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
             return phase * omega_h * math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)
         return phase * omega_h
 
-    return State(key)
+    return State(key, delta=not regular_substitute)
 
 
 def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
@@ -105,7 +114,7 @@ def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
 
 
 def chiral_vacuum() -> State:
-    return State(_chiral_vacuum_key)
+    return State(_chiral_vacuum_key, delta=True)
 
 
 # CLI name -> the state built from a loaded Space; T is the registry's
@@ -126,12 +135,20 @@ def eval_state(space: Space, state: State, A: WeylElement) -> complex:
 def gram_psd(
     space: Space, state: State, words: Sequence[WeylElement]
 ) -> Tuple[np.ndarray, float]:
+    """M[i, j] = omega(w_i* w_j) and M's least eigenvalue.  A delta state
+    gets only the terms whose F_c and F_q vanish (`weyl.graded_mul`): the
+    rest would add signed zeros to omega's sum, which start at +0.0."""
     n = len(words)
     M = np.zeros((n, n), dtype=complex)
     stars = [weyl_star(w) for w in words]
+    if state.delta:
+        left = [grades(space, w, _delta_grade) for w in stars]
+        right = [grades(space, w, _delta_grade, -1) for w in words]
     for i in range(n):
         for j in range(n):
-            M[i, j] = eval_state(space, state, weyl_mul(space, stars[i], words[j]))
+            AB = (graded_mul(space, stars[i], words[j], left[i], right[j]) if state.delta
+                  else weyl_mul(space, stars[i], words[j]))
+            M[i, j] = eval_state(space, state, AB)
     eigs = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
     return M, float(eigs[0])
 

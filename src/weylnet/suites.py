@@ -133,13 +133,34 @@ def _worst(loop, key: str):
 
 
 @lru_cache(maxsize=32)
-def _draw_bounds(size: int, k: int, rows: int):
-    """Read-only bounds of `rows` draws for `_rand_vectors`, one row each."""
+def _draw_bounds(size: int, k: int, rows: int, pairs: int):
+    """Read-only bounds of `rows` draws, one row each: the k picks of
+    `_rand_vectors` from `size` names, then `pairs` (num, den) pairs."""
     floyd = range(size - k, size)
-    lows = np.tile([0] * (2 * k - 1) + [-2, 1] * k, (rows, 1))
-    highs = np.tile([j + 1 for j in floyd] + list(range(k, 1, -1)) + [3, 3] * k, (rows, 1))
+    lows = np.tile([0] * (2 * k - 1) + [-2, 1] * pairs, (rows, 1))
+    highs = np.tile([j + 1 for j in floyd] + list(range(k, 1, -1)) + [3, 3] * pairs, (rows, 1))
     lows.flags.writeable = highs.flags.writeable = False
     return lows, highs
+
+
+def _row_vector(gens, k: int, row: List[int]) -> SymVector:
+    """Sum num/den g over the k picks of a draw row from `gens`, the pool as
+    (den, nums), built once over the lcm of the picks' denominators."""
+    size = len(gens)
+    picks: List[int] = []
+    for j, i in zip(range(size - k, size), row):
+        picks.append(j if i in picks else i)
+    for i, j in zip(range(k - 1, 0, -1), row[k:]):
+        picks[i], picks[j] = picks[j], picks[i]
+    terms = [(gens[i], num, den)
+             for i, num, den in zip(picks, row[2 * k - 1::2], row[2 * k::2]) if num]
+    lcm = math.lcm(*[g_den * den for (g_den, _), _, den in terms])
+    acc: Dict[int, int] = {}
+    for (g_den, nums), num, den in terms:
+        m = num * (lcm // (g_den * den))
+        for a, n in nums:
+            acc[a] = acc.get(a, 0) + n * m
+    return SymVector([(a, n) for a, n in sorted(acc.items()) if n], lcm)
 
 
 def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: int = 2):
@@ -149,29 +170,16 @@ def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: i
 
     numpy's choice is Floyd's algorithm plus a partial shuffle, one bounded
     draw per step, so one `rng.integers(lows, highs)` per 64 vectors, replayed
-    here, gives the same values and `rng` state, for pools up to 10,000 names
-    (above, choice shuffles a tail).  Draws are made a block ahead: the loop
-    must draw nothing else from `rng`, and one left early leaves it further on.
-    A block's bounds are built once per shape, and each vector is built once,
-    from the picks' numerators over the lcm of their denominators.
+    by `_row_vector`, gives the same values and `rng` state, for pools up to
+    10,000 names (above, choice shuffles a tail).  Draws are made a block
+    ahead: the loop must draw nothing else from `rng`, and one left early
+    leaves it further on.  Bounds are built once per shape.
     """
-    size, k = len(pool), min(n_terms, len(pool))
-    floyd = range(size - k, size)
+    gens = [(g._den, g._nums) for g in map(space.generator, pool)]
+    k = min(n_terms, len(pool))
     for start in range(0, count, 64):
-        for row in rng.integers(*_draw_bounds(size, k, min(64, count - start))).tolist():
-            picks: List[int] = []
-            for j, i in zip(floyd, row):
-                picks.append(j if i in picks else i)
-            for i, j in zip(range(k - 1, 0, -1), row[k:]):
-                picks[i], picks[j] = picks[j], picks[i]
-            terms = [(space.generator(pool[i]), num, den)
-                     for i, num, den in zip(picks, row[2 * k - 1::2], row[2 * k::2]) if num]
-            lcm = math.lcm(*[g._den * den for g, _, den in terms])
-            acc: Dict[int, int] = {}
-            for g, num, den in terms:
-                for a, n in g._nums:
-                    acc[a] = acc.get(a, 0) + n * num * (lcm // (g._den * den))
-            yield SymVector([(a, n) for a, n in sorted(acc.items()) if n], lcm)
+        for row in rng.integers(*_draw_bounds(len(pool), k, min(64, count - start), k)).tolist():
+            yield _row_vector(gens, k, row)
 
 
 def _rand_vector(space: Space, rng, pool: Sequence[str], n_terms: int = 2) -> SymVector:
@@ -192,43 +200,37 @@ def _rand_word(space: Space, rng, pool: Sequence[str]) -> WeylElement:
 @_shared
 def _axiom_defects(space: Space, rng) -> dict:
     pool = space.generator_names()
-    worst = dict.fromkeys(("associativity", "unitarity", "involution", "exchange", "cocycle"), 0.0)
+    assoc = unit = invol = exch = cocycle = 0.0
     vs = _rand_vectors(space, rng, pool, 3000)
     for r, s, t in zip(vs, vs, vs):
         A, B, C = weyl_word(r), weyl_word(s), weyl_word(t)
         AB = weyl_mul(space, A, B)
-        defects = {
-            "associativity": max_coeff_distance(
-                weyl_mul(space, AB, C),
-                weyl_mul(space, A, weyl_mul(space, B, C)),
-            ),
-            "unitarity": max_coeff_distance(weyl_mul(space, A, weyl_word(-r)), IDENTITY),
-            "involution": max_coeff_distance(
-                weyl_star(AB),
-                weyl_mul(space, weyl_star(B), weyl_star(A)),
-            ),
-            "exchange": max_coeff_distance(
-                AB,
-                weyl_scale(weyl_mul(space, B, A), cmath.exp(-1j * space.sigma(r, s))),
-            ),
-            "cocycle": cocycle_defect(space, r, s, t),
-        }
-        worst = {key: max(worst[key], d) for key, d in defects.items()}
-    return worst
+        assoc = max(assoc, max_coeff_distance(weyl_mul(space, AB, C),
+                                              weyl_mul(space, A, weyl_mul(space, B, C))))
+        unit = max(unit, max_coeff_distance(weyl_mul(space, A, weyl_word(-r)), IDENTITY))
+        invol = max(invol, max_coeff_distance(weyl_star(AB),
+                                              weyl_mul(space, weyl_star(B), weyl_star(A))))
+        exch = max(exch, max_coeff_distance(
+            AB, weyl_scale(weyl_mul(space, B, A), cmath.exp(-1j * space.sigma(r, s)))))
+        cocycle = max(cocycle, cocycle_defect(space, r, s, t))
+    return {"associativity": assoc, "unitarity": unit, "involution": invol,
+            "exchange": exch, "cocycle": cocycle}
 
 
 def _staged_product(space: Space, rng, ctx) -> float:
-    """Two-stage presentation against the embedded global product."""
+    """Two-stage presentation against the embedded global product.  One draw
+    row per factor holds h's row, as `_rand_vectors` draws it, then c and n."""
     cp = CrossedProduct(space, space.generator("T"))
+    gens = [(g._den, g._nums) for g in map(space.generator, ("aL", "aC", "aR"))]
+    bounds = [b[0] for b in _draw_bounds(3, 2, 1, 4)]
     worst = 0.0
     for _ in range(200):
         xs = []
         for _ in range(2):
-            h = _rand_vector(space, rng, ["aL", "aC", "aR"])
-            c = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
-            n = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
+            row = rng.integers(*bounds).tolist()
             zeta = complex(rng.standard_normal(), rng.standard_normal())
-            xs.append(Staged(zeta, h, c, n))
+            h = _row_vector(gens, 2, row)
+            xs.append(Staged(zeta, h, Fraction(*row[-4:-2]), Fraction(*row[-2:])))
         staged = cp.embed(cp.product(xs[0], xs[1]))
         globl = weyl_mul(space, cp.embed(xs[0]), cp.embed(xs[1]))
         worst = max(worst, max_coeff_distance(staged, globl))
@@ -331,26 +333,24 @@ def _charge_operator(space: Space, rng, ctx) -> float:
     return float(any(d != 0.0 for d in defects))
 
 
-def _plane_word(rng, A0: SymVector, e: SymVector) -> WeylElement:
-    """Two random terms on the elementary charge plane spanned by A0 and e."""
+def _plane_word(rng, plane: Dict) -> WeylElement:
+    """Two random terms on the charge plane; plane[c, n] = c/2 A0 + n/2 e."""
     out = None
     for _ in range(2):
-        c = Fraction(int(rng.integers(-2, 3)), 2)
-        n = Fraction(int(rng.integers(-3, 4)), 2)
-        zeta = complex(rng.standard_normal(), rng.standard_normal())
-        term = weyl_word(A0.scale(c) + e.scale(n), zeta)
+        l_vec = plane[int(rng.integers(-2, 3)), int(rng.integers(-3, 4))]
+        term = weyl_word(l_vec, complex(rng.standard_normal(), rng.standard_normal()))
         out = term if out is None else weyl_add(out, term)
     return out
 
 
 def _trace_property(space: Space, rng, ctx) -> float:
-    plane = (space.slot_part(space.generator("T"), 0), space.unit_vector())
+    A0, e = space.slot_part(space.generator("T"), 0), space.unit_vector()
+    plane = {(c, n): A0.scale(Fraction(c, 2)) + e.scale(Fraction(n, 2))
+             for c in range(-2, 3) for n in range(-3, 4)}
     worst = 0.0
     for _ in range(200):
-        A, B = _plane_word(rng, *plane), _plane_word(rng, *plane)
-        lhs = sector_trace(space, weyl_mul(space, A, B))
-        rhs = sector_trace(space, weyl_mul(space, B, A))
-        worst = max(worst, abs(lhs - rhs))
+        A, B = _plane_word(rng, plane), _plane_word(rng, plane)
+        worst = max(worst, abs(sector_trace(space, A, B) - sector_trace(space, B, A)))
     return worst
 
 

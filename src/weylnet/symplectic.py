@@ -209,8 +209,9 @@ class Space:
     """Generators, atoms, charges and the symplectic form are fixed at
     construction.  Memos fill in as they are read: the Fock product Q per
     atom pair and the antiderivative per slot-0 atom (an FFT per atom, about
-    a short CLI command in all if built at load), and each `psi_T`
-    regularizer's assembled slots.  Their arrays are read-only.
+    a short CLI command in all if built at load), each `psi_T` regularizer's
+    assembled slots, and each generator's localization, by generator name.
+    Their arrays are read-only.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
 
@@ -231,6 +232,7 @@ class Space:
                     atoms.append(self._atom(f"{name}.{slot}", slot, fn))
                     parts.append((len(atoms) - 1, Fraction(1)))
             self._generators[name] = SymVector(parts)
+        self._generator_names = {v: name for name, v in self._generators.items()}
         for unit, atom in enumerate(atoms):
             if atom.slot == 1 and atom.fn.left_limit == 1 and atom.fn.is_constant():
                 break
@@ -269,6 +271,7 @@ class Space:
         self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
+        self._localizations: Dict[str, Union[Interval, type(EMPTY)]] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
         fn = resample(fn, self.grid)
@@ -399,8 +402,12 @@ class Space:
         return self._antideriv[a]
 
     def localization(self, v: SymVector) -> Union[Interval, type(EMPTY)]:
-        f0, f1 = self.assemble(v)
-        return localization(f0, f1)
+        """`funcspace.localization` of v's pair; a generator's is kept by name."""
+        name = self._generator_names.get(v)
+        loc = self._localizations.get(name) or localization(*self.assemble(v))
+        if name is not None:
+            self._localizations[name] = loc
+        return loc
 
     def fock_norm_sq(self, v: SymVector) -> float:
         """||v||^2 = sum c_a c_b Q(a, b) over v's atoms, in atom order with

@@ -2,7 +2,8 @@
 
 Elements are finite complex combinations of formal unitaries W(v) keyed by
 exact symplectic vectors.  The product twists by e^{-i sigma(v,v')/2}; keys
-stay exact, only the phases are floats.
+stay exact, only the phases are floats.  `graded_mul` builds only a product's
+terms of grade zero (zero charges, say), for a functional that reads no others.
 
 Also provides the two-stage (crossed-product) presentation: an element is a
 triple (zeta, h, l) standing for zeta * W(h) * W(l), where h is an observable
@@ -85,18 +86,45 @@ def weyl_scale(A: WeylElement, z: complex) -> WeylElement:
     return WeylElement([(v, z * a) for v, a in A.terms()])
 
 
+def _twisted(space: Space, v: SymVector, a: complex, w: SymVector, b: complex):
+    """a W(v) * b W(w) as (key, coefficient): v + w, a b e^{-i sigma(v, w)/2}."""
+    return v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w))
+
+
 def weyl_mul(space: Space, A: WeylElement, B: WeylElement) -> WeylElement:
     if len(A._terms) == 1 == len(B._terms):
-        (v, a), (w, b) = A._terms[0], B._terms[0]
-        return weyl_word(v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w)))
-    return WeylElement([(v + w, a * b * cmath.exp(-0.5j * space.sigma(v, w)))
-                        for v, a in A.terms() for w, b in B.terms()])
+        v, a = _twisted(space, *A._terms[0], *B._terms[0])
+        a, word = 0j + a, object.__new__(WeylElement)  # as weyl_word(v, a)
+        word._terms = ((v, a),) if abs(a) >= COEFF_EPS else ()
+        return word
+    return WeylElement([_twisted(space, v, a, w, b) for v, a in A._terms for w, b in B._terms])
+
+
+def grades(space: Space, A: WeylElement, grade, sign: int = 1) -> list:
+    """sign * grade(space, v) in lowest terms per key v of A; a grade is
+    integers (den, x, ...) over den > 0, additive in v."""
+    out = []
+    for v, _ in A._terms:
+        den, *xs = grade(space, v)
+        g = math.gcd(den, *xs)
+        out.append((den // g, *[sign * x // g for x in xs]))
+    return out
+
+
+def graded_mul(space: Space, A: WeylElement, B: WeylElement, ga: list, gb: list) -> WeylElement:
+    """The grade-zero terms of weyl_mul(space, A, B), bit for bit: with ga
+    the `grades` of A's keys and gb minus B's, it multiplies only the pairs
+    whose grades cancel, and WeylElement merges, drops and sorts them."""
+    return WeylElement([_twisted(space, v, a, w, b) for (v, a), g in zip(A._terms, ga)
+                        for (w, b), h in zip(B._terms, gb) if g == h])
 
 
 def weyl_star(A: WeylElement) -> WeylElement:
     if len(A._terms) == 1:
         (v, a), = A._terms
-        return weyl_word(-v, a.conjugate())
+        a, word = 0j + a.conjugate(), object.__new__(WeylElement)  # as weyl_word(-v, a*)
+        word._terms = ((-v, a),) if abs(a) >= COEFF_EPS else ()
+        return word
     return WeylElement([(-v, a.conjugate()) for v, a in A.terms()])
 
 
@@ -148,9 +176,14 @@ class CrossedProduct:
         self.space = space
         self.A = space.slot_part(T, 0).scale(Fraction(den, c))
         self.e = space.unit_vector()
+        self._plane: Dict[Tuple[Fraction, Fraction], SymVector] = {}
 
     def plane_vector(self, c: Fraction, n: Fraction) -> SymVector:
-        return self.A.scale(c) + self.e.scale(n)
+        """c A + n e, kept by (c, n) the first time it is built."""
+        l_vec = self._plane.get((c, n))
+        if l_vec is None:
+            l_vec = self._plane[c, n] = self.A.scale(c) + self.e.scale(n)
+        return l_vec
 
     def alpha(self, h: SymVector, c: Fraction, n: Fraction) -> float:
         return self.space.sigma(h, self.plane_vector(c, n))
@@ -165,17 +198,10 @@ class CrossedProduct:
         )
         return Staged(x.zeta * y.zeta * phase, x.h + y.h, x.c + y.c, x.n + y.n)
 
-    def inverse(self, x: Staged) -> Staged:
-        zeta = cmath.exp(1j * self.alpha(x.h, x.c, x.n)) / x.zeta
-        return Staged(zeta, -x.h, -x.c, -x.n)
-
     def embed(self, x: Staged) -> WeylElement:
         l_vec = self.plane_vector(x.c, x.n)
         phase = cmath.exp(-0.5j * self.space.sigma(x.h, l_vec))
         return weyl_word(x.h + l_vec, x.zeta * phase)
-
-    def conjugate(self, s: Staged, m: Staged) -> Staged:
-        return self.product(self.product(s, m), self.inverse(s))
 
 
 # ---------------------------------------------------------------------------

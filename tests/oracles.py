@@ -5,6 +5,7 @@ Each is either a helper that only tests call or the formula a faster path in
 it bit for bit.
 """
 
+import cmath
 from fractions import Fraction
 from typing import Dict
 
@@ -12,13 +13,38 @@ import numpy as np
 
 from weylnet.chiral import ChiralPair
 from weylnet.funcspace import DEFAULT_GRID, Grid, TestFunction
-from weylnet.gns import VACUUM, GnsVector, apply_elementary, apply_word, phi_n_apply, sector_inner
+from weylnet.gns import VACUUM, GnsVector, _plane_key, apply_elementary, phi_n_apply, sector_inner
 from weylnet.symplectic import Space, SymVector
-from weylnet.weyl import COEFF_EPS, WeylElement
+from weylnet.weyl import COEFF_EPS, CrossedProduct, Staged, WeylElement
 
 
 def zero_function(grid: Grid = DEFAULT_GRID) -> TestFunction:
     return TestFunction(grid, np.zeros(grid.n), Fraction(0), Fraction(0), Fraction(0))
+
+
+def fold_phase(c: Fraction, n: float) -> complex:
+    """|c, n> = fold_phase(c, n) |c, 0>."""
+    return cmath.exp(0.5j * float(c) * float(n))
+
+
+def apply_word(space: Space, A: WeylElement, v: GnsVector) -> GnsVector:
+    """pi(A) v, term by term through `apply_elementary`."""
+    out = GnsVector(())
+    for key, coeff in A.terms():
+        den, c, plus, minus = _plane_key(space, key)
+        out = out + apply_elementary(Fraction(c, den), (plus + minus) / (2 * den), v).scale(coeff)
+    return out
+
+
+def staged_inverse(cp: CrossedProduct, x: Staged) -> Staged:
+    """The inverse of x in the staged group law of `cp`."""
+    zeta = cmath.exp(1j * cp.alpha(x.h, x.c, x.n)) / x.zeta
+    return Staged(zeta, -x.h, -x.c, -x.n)
+
+
+def staged_conjugate(cp: CrossedProduct, s: Staged, m: Staged) -> Staged:
+    """s m s^-1 in the staged group law of `cp`."""
+    return cp.product(cp.product(s, m), staged_inverse(cp, s))
 
 
 def gns_expectation(space: Space, A: WeylElement) -> complex:

@@ -11,9 +11,7 @@ from weylnet.gns import (
     GnsVector,
     VACUUM,
     apply_elementary,
-    apply_word,
     basis,
-    fold_phase,
     non_regularity_witness,
     norm_distance,
     phi_n_apply,
@@ -23,7 +21,7 @@ from weylnet.gns import (
 from weylnet.registry import load_registry
 from weylnet.weyl import IDENTITY, weyl_add, weyl_mul, weyl_word
 
-from oracles import gns_expectation, phi_n_difference_defect
+from oracles import apply_word, fold_phase, gns_expectation, phi_n_difference_defect
 
 
 @lru_cache(maxsize=1)
