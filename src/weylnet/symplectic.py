@@ -414,9 +414,11 @@ class Space:
         cross terms counted twice.  Q(a, b) = a.samples @ fock_column(b) for
         same-slot atoms a <= b: b's row is filled the first time b is read,
         so Q does not depend on the read order.  NotInDomain off Va, or when
-        the numeric charge sigma(v, e), the Simpson value of v's slot 0
-        against the unit e, is not zero (a window cut an atom); before that,
-        FloatOverflow when a coefficient's square, and so the norm, overflows."""
+        a window cut an atom: the numeric charge sigma(v, e), the Simpson
+        value of v's slot 0 against the unit e, exceeds TOL_CHARGE times v's
+        largest coefficient (at least 1), the scale its rounding grows with.
+        Before that, FloatOverflow when a coefficient's square, and so the
+        norm, overflows."""
         _, c, plus, minus = self.charges(v)
         if c or plus or minus:
             raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")
@@ -425,7 +427,7 @@ class Space:
         if top * top == math.inf:
             raise FloatOverflow(f"Fock norm overflows a float at coefficient {top:.3g} "
                                 f"(numeric charge sigma(v, e) {charge:.3g})")
-        if abs(charge) > TOL_CHARGE:
+        if abs(charge) > TOL_CHARGE * max(1.0, top):
             raise NotInDomain("f0 must have zero integral (charge)")
         total = 0.0
         for i, (b, nb) in enumerate(v._nums):

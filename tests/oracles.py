@@ -14,8 +14,11 @@ import numpy as np
 from weylnet.chiral import ChiralPair
 from weylnet.funcspace import DEFAULT_GRID, Grid, TestFunction
 from weylnet.gns import VACUUM, GnsVector, _plane_key, apply_elementary, phi_n_apply, sector_inner
-from weylnet.symplectic import Space, SymVector
-from weylnet.weyl import COEFF_EPS, CrossedProduct, Staged, WeylElement
+from weylnet.states import State, eval_state
+from weylnet.symplectic import ZERO, Space, SymVector
+from weylnet.weyl import (
+    COEFF_EPS, CrossedProduct, Staged, WeylElement, max_coeff_distance, weyl_mul, weyl_star,
+)
 
 
 def zero_function(grid: Grid = DEFAULT_GRID) -> TestFunction:
@@ -97,3 +100,39 @@ def general_star(A: WeylElement) -> list:
         acc[-v] = acc.get(-v, 0j) + a.conjugate()
     kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
     return sorted(kept, key=lambda t: t[0].items())
+
+
+def full_gram(space: Space, state: State, words) -> np.ndarray:
+    """`states.gram_psd`'s matrix before it graded the delta states: every
+    term of w_i* w_j built by `weyl_mul` and read by `eval_state`."""
+    n = len(words)
+    M = np.zeros((n, n), dtype=complex)
+    stars = [weyl_star(w) for w in words]
+    for i in range(n):
+        for j in range(n):
+            M[i, j] = eval_state(space, state, weyl_mul(space, stars[i], words[j]))
+    return M
+
+
+def scalar_staged_product(space: Space, rng) -> float:
+    """`suites._staged_product` drawn one scalar at a time: per factor a
+    `choice` of two of aL, aC, aR with a (num, den) per pick, then c's and
+    n's (num, den), then zeta's real and imaginary parts."""
+    pool = ["aL", "aC", "aR"]
+    cp = CrossedProduct(space, space.generator("T"))
+    worst = 0.0
+    for _ in range(200):
+        xs = []
+        for _ in range(2):
+            h = ZERO
+            for i in rng.choice(len(pool), size=2, replace=False):
+                h = h + space.generator(pool[i]).scale(
+                    Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3))))
+            c = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
+            n = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
+            zeta = complex(rng.standard_normal(), rng.standard_normal())
+            xs.append(Staged(zeta, h, c, n))
+        staged = cp.embed(cp.product(xs[0], xs[1]))
+        globl = weyl_mul(space, cp.embed(xs[0]), cp.embed(xs[1]))
+        worst = max(worst, max_coeff_distance(staged, globl))
+    return worst

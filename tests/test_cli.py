@@ -23,6 +23,7 @@ from weylnet.weyl import CrossedProduct, Staged, max_coeff_distance, weyl_mul
 
 import make_goldens  # tests/make_goldens.py: the golden files and their runs
 from charge_rationals import rationals
+from oracles import scalar_staged_product
 
 
 def run(argv):
@@ -346,6 +347,27 @@ def test_overflowing_charge_or_norm_is_one_named_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["fock_a", "field_f"])
+@pytest.mark.parametrize("coeff", ["1000000", "10000000"])
+def test_large_uncut_coefficient_is_in_the_fock_domain(kind, coeff, capsys):
+    """The numeric charge of N aC is N times aC's quadrature residue (1.5e-15
+    at 4096 points).  The window cuts no atom, so the Fock norm is defined:
+    its charge test scales with the largest coefficient."""
+    assert run(["state", "eval", "--kind", kind, "--element", f"W[{coeff} aC]"]) == 0
+    assert capsys.readouterr().out == "0+0i\n"
+
+
+@pytest.mark.parametrize("coeff", ["", "1000000 "])
+def test_window_cut_atom_still_leaves_the_fock_domain(coeff, capsys):
+    """At --window 16 the window cuts aR (its samples integrate to -0.031),
+    whatever its coefficient."""
+    argv = ["--window", "16", "state", "eval", "--kind", "fock_a", "--element", f"W[{coeff}aR]"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: f0 must have zero integral (charge)\n"
 
 
 @pytest.mark.parametrize(
@@ -850,6 +872,17 @@ def test_pool_draw_by_index_matches_the_name_population():
                 assert got == list(_scalar_rand_vectors(wide, old, pool, count, n_terms))
                 assert new.bit_generator.state == old.bit_generator.state
                 assert new.standard_normal() == old.standard_normal()
+
+
+@pytest.mark.parametrize("seed", [7, 1, 3])
+def test_staged_product_draws_the_scalar_stream(seed):
+    """`suites._staged_product` draws each factor's vector row, c and n in one
+    `integers` call; its value and the generator state after it are those of
+    the scalar draws, one per pick, coefficient, c and n."""
+    space = load_registry()
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert suites._staged_product(space, new, {}) == scalar_staged_product(space, old)
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [7, 1])

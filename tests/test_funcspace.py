@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,29 @@ def gaussian(center=0.0, width=1.0, grid=G):
 
 
 # --- constructors -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("x0, x1, n", [(-32, 32, 4096), (-16, 16, 16384), ("-17/3", "5/7", 1023),
+                                       (0, "1/3", 8)])
+def test_grid_step_fields_equal_the_formulas(x0, x1, n):
+    """step_exact and step are computed once, in __post_init__, and equal the
+    formulas the properties evaluated on every read."""
+    g = Grid(Fraction(x0), Fraction(x1), n)
+    assert type(g.step_exact) is Fraction and g.step_exact == (g.x1 - g.x0) / (g.n - 1)
+    assert g.step.hex() == (float(g.x1 - g.x0) / (g.n - 1)).hex()
+    assert g.x_at(n - 1) == g.x1
+    assert replace(g, n=n + 1).step_exact == (g.x1 - g.x0) / n
+
+
+def test_grid_equality_hash_order_and_repr_read_x0_x1_n_only():
+    a = Grid(Fraction(-32), Fraction(32), 4096)
+    assert a == Grid(Fraction(-32), Fraction(32), 4096) and a is not DEFAULT_GRID
+    assert hash(a) == hash((Fraction(-32), Fraction(32), 4096)) == hash(DEFAULT_GRID)
+    grids = [Grid(Fraction(-16), Fraction(16), 4096), Grid(Fraction(-32), Fraction(16), 1024), a,
+             Grid(Fraction(-32), Fraction(32), 1024)]
+    assert sorted(grids) == sorted(grids, key=lambda g: (g.x0, g.x1, g.n))
+    assert repr(a) == "Grid(x0=Fraction(-32, 1), x1=Fraction(32, 1), n=4096)"
+    assert [f.name for f in fields(Grid) if f.compare] == ["x0", "x1", "n"]
 
 
 def test_grid_basics():

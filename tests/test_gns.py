@@ -19,7 +19,7 @@ from weylnet.gns import (
     sector_trace,
 )
 from weylnet.registry import load_registry
-from weylnet.weyl import IDENTITY, weyl_add, weyl_mul, weyl_word
+from weylnet.weyl import IDENTITY, COEFF_EPS, weyl_add, weyl_mul, weyl_word
 
 from oracles import apply_word, fold_phase, gns_expectation, phi_n_difference_defect
 
@@ -138,6 +138,33 @@ def test_trace_property():
         lhs = sector_trace(space, weyl_mul(space, A, B))
         rhs = sector_trace(space, weyl_mul(space, B, A))
         assert abs(lhs - rhs) < 1e-12
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_graded_trace_is_the_full_product_trace_bit_for_bit():
+    """sector_trace(A, B) builds only the pairs whose charges cancel.  It must
+    read the bits of sector_trace(weyl_mul(A, B)): on random plane words of
+    one to four keys, on words whose products merge two pairs on the zero
+    key, and on zero-key sums that cancel below COEFF_EPS and are dropped."""
+    space = sp()
+    rng = np.random.default_rng(11)
+    pairs = [(rand_plane_word(rng, k), rand_plane_word(rng, m))
+             for k, m in [(1, 1), (1, 3), (2, 2), (4, 4)] for _ in range(60)]
+    l, m = plane_vec(1, Fraction(1, 2)), plane_vec(Fraction(-1, 2), 2)
+    merging = weyl_add(weyl_word(l, 0.3 + 0.1j), weyl_word(-l, -1.2j))
+    pairs.append((merging, weyl_add(weyl_word(-l, 0.7), weyl_word(l, 0.25 - 2j))))
+    # the zero key gets 1 + b2: exactly 0, then 2**-52 < COEFF_EPS
+    for b2 in (-1.0, -(1.0 - 2.0**-52)):
+        A = weyl_add(weyl_word(l, 1.0), weyl_word(m, 1.0))
+        pairs.append((A, weyl_add(weyl_word(-l, 1.0), weyl_word(-m, b2))))
+    for A, B in pairs:
+        assert _bits(sector_trace(space, A, B)) == _bits(sector_trace(space, weyl_mul(space, A, B)))
+    assert 2.0**-52 < COEFF_EPS
+    assert [sector_trace(space, A, B) for A, B in pairs[-2:]] == [0j, 0j]
+    assert abs(sector_trace(space, *pairs[-3])) > 1.0  # two pairs merged on the zero key
 
 
 def test_gns_expectation_is_charge_delta():

@@ -1,4 +1,4 @@
-"""Every check must be shown to fail: the first part of a mutant gate.
+"""Every check must be shown to fail: the mutant gate of four suites.
 
 `KILLS` maps each check of the gated suites to the mutants that must make it
 fail.  A mutant replaces one live function, wherever the suites read it,
@@ -12,24 +12,34 @@ failing under them also pins that those paths still go through sigma.  The
 product-axiom checks hold for any bilinear antisymmetric sigma, so sigma x 2
 fails only the checks that compare sigma with something outside the Weyl
 product: the staged product and the psi-T splitting.
+
+`trace-property` reads the products through `weyl.graded_mul`, so a graded
+filter that keeps a pair whose charges do not cancel must fail it, and so
+must charges whose mean limit reads 0 (the central coordinate lost).  The
+nets suite reads each generator's localization from a per-Space memo; a memo
+that gives every generator one entry must fail the checks that localize.
 """
 
 import cmath
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from weylnet import suites, weyl
+from weylnet import gns, nets, states, suites, weyl
+from weylnet.funcspace import localization
+from weylnet.gns import GnsVector
 from weylnet.registry import load_registry
 from weylnet.suites import CHECK_BY_NAME, CHECKS, run_suite
-from weylnet.symplectic import Space
-from weylnet.weyl import WeylElement
+from weylnet.symplectic import Charges, Space
+from weylnet.weyl import WeylElement, _twisted
 
-GATED = ("weyl-axioms", "psi-T")
+GATED = ("weyl-axioms", "psi-T", "gns", "nets")
 SEED = 7
 
 SIGMA = Space.sigma
 PSI_T = Space.psi_T
+CHARGES = Space.charges
 
 
 def _sigma_shifted(self, v, w):
@@ -55,6 +65,53 @@ def _psi_t_swapped(self, v, T):
     return replace(image, m_part=image.m_part[::-1])
 
 
+def _elementary_all_halved(c, n, v):
+    """pi(W(c, n)) with the phase e^{i n (c + c')/2}: c' lost its factor 2."""
+    c, n = Fraction(c), float(n)
+    return GnsVector((c + cp, a * cmath.exp(0.5j * n * (float(c) + float(cp)))) for cp, a in v.amps())
+
+
+def _elementary_unhalved(c, n, v):
+    """pi(W(c, n)) with the phase e^{i n (c + c')}: c lost its 1/2."""
+    c, n = Fraction(c), float(n)
+    return GnsVector((c + cp, a * cmath.exp(1j * n * (float(c) + float(cp)))) for cp, a in v.amps())
+
+
+def _phi_n_shifted(v):
+    return GnsVector((c, (float(c) + 1e-3) * a) for c, a in v.amps())
+
+
+def _inner_continuous(u, v):
+    """<u|v> as if charges closer than 1e-5 were one: a regular representation."""
+    return sum(x.conjugate() * a for c, a in v.amps() for d, x in u.amps() if abs(c - d) < 1e-5)
+
+
+def _graded_every_pair(space, A, B, ga, gb):
+    return WeylElement([_twisted(space, v, a, w, b) for v, a in A.terms() for w, b in B.terms()])
+
+
+def _charges_mean_limit_zero(self, v):
+    """The same F_c and F_q, with the mean limit (plus + minus)/2 read as 0."""
+    den, c, plus, minus = CHARGES(self, v)
+    return Charges(2 * den, 2 * c, plus - minus, minus - plus)
+
+
+def _localization_one_entry(self, v):
+    """Every generator reads the memo entry of the first generator read."""
+    if v not in self._generator_names:
+        return localization(*self.assemble(v))
+    return self._localizations.setdefault("", localization(*self.assemble(v)))
+
+
+def _sector_phase_flipped(space, rho, A):
+    return WeylElement((G, a * cmath.exp(-1j * space.sigma(rho.F, G))) for G, a in A.terms())
+
+
+def _gauge_invariant_full(space, F, subgroup):
+    """Every subgroup treated as G_full: both charges must vanish."""
+    return space.in_space(F, "Vb")
+
+
 # mutant -> (the objects that hold the function, its name, the replacement)
 MUTANTS = {
     "sigma+0.01": ((Space,), "sigma", _sigma_shifted),
@@ -64,6 +121,16 @@ MUTANTS = {
     "weyl_mul+phase": ((weyl, suites), "weyl_mul", _mul_plus_phase),
     # psi_T's second plane as (F_q, F_r) instead of (F_r, F_q)
     "psi_T-swapped-m": ((Space,), "psi_T", _psi_t_swapped),
+    "apply_elementary-all-halved": ((gns, suites), "apply_elementary", _elementary_all_halved),
+    "apply_elementary-unhalved": ((gns, suites), "apply_elementary", _elementary_unhalved),
+    "phi_n+1e-3": ((gns, suites), "phi_n_apply", _phi_n_shifted),
+    "sector_inner-continuous": ((gns,), "sector_inner", _inner_continuous),
+    # the graded filter keeps a pair whose charges do not cancel
+    "graded_mul-every-pair": ((weyl, gns, states), "graded_mul", _graded_every_pair),
+    "charges-mean-limit-0": ((Space,), "charges", _charges_mean_limit_zero),
+    "localization-memo-one-entry": ((Space,), "localization", _localization_one_entry),
+    "sector_apply-flipped-phase": ((nets, suites), "sector_apply", _sector_phase_flipped),
+    "gauge_invariant-as-G_full": ((nets,), "gauge_invariant", _gauge_invariant_full),
 }
 
 # check -> the mutants under which it must fail
@@ -76,6 +143,17 @@ KILLS = {
     "staged-product-agreement": ["sigma*2", "sigma+0.01", "weyl_mul+phase"],
     "sigma-splitting": ["sigma*2", "sigma+0.01sigma^2", "psi_T-swapped-m"],
     "charge-coordinates-regularizer-independent": ["psi_T-swapped-m"],
+    "central-eigenrelation": ["apply_elementary-all-halved"],
+    "charge-operator-eigenrelation": ["phi_n+1e-3"],
+    "trace-property": ["graded_mul-every-pair", "charges-mean-limit-0"],
+    "distinct-charge-norm-distance": ["apply_elementary-unhalved", "apply_elementary-all-halved"],
+    "non-regularity-witness": ["sector_inner-continuous"],
+    "locality-observable-nets": ["sigma+0.01"],
+    "field-net-disjoint-phase": ["sigma+0.01"],
+    "soliton-phases": ["sector_apply-flipped-phase", "localization-memo-one-entry", "sigma+0.01"],
+    "gauge-fixed-point-filters": ["gauge_invariant-as-G_full"],
+    "splitting-diagram": ["localization-memo-one-entry", "psi_T-swapped-m",
+                          "gauge_invariant-as-G_full"],
 }
 
 

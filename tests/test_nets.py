@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weylnet.errors import BadIntervals, NotInDomain, RegularizerNotContained
-from weylnet.funcspace import Interval
+from weylnet.funcspace import Grid, Interval, localization
 from weylnet.nets import (
     NET_LABEL,
     GaugeElement,
@@ -45,6 +45,23 @@ def iv(a, b):
 
 
 I_MID = iv("-9/8", "9/8")
+
+
+@pytest.mark.parametrize("points, window", [(1024, 32), (4096, 32), (16384, 32), (4096, 16)])
+def test_memoized_generator_localizations_equal_the_direct_ones(points, window):
+    """Space.localization keeps each generator's localization under its name,
+    filled at the first read; every read equals localization(*assemble(g)).
+    Other vectors are not kept."""
+    space = load_registry(None, Grid(Fraction(-window), Fraction(window), points))
+    names = space.generator_names()
+    for name in names:
+        g = space.generator(name)
+        direct = localization(*space.assemble(g))
+        assert space.localization(g) == direct and space.localization(g) == direct
+        assert space._localizations[name] == direct
+    mixed = space.generator("aL") + space.generator("aR")
+    assert space.localization(mixed) == localization(*space.assemble(mixed))
+    assert sorted(space._localizations) == sorted(names)
 
 
 def test_net_membership_sets():

@@ -33,6 +33,7 @@ from weylnet.weyl import (
 )
 
 from charge_rationals import rationals
+from oracles import full_gram
 
 
 @lru_cache(maxsize=1)
@@ -179,6 +180,31 @@ def test_gram_psd(name):
     norm = np.linalg.norm(M, 2)
     assert np.max(np.abs(M - M.conj().T)) < 1e-10
     assert min_eig >= -1e-8 * max(1.0, norm)
+
+
+@pytest.mark.parametrize("name", ["field_f", "product_p", "chiral_vacuum"])
+def test_graded_gram_is_the_full_product_gram_bit_for_bit(name):
+    """gram_psd builds, for a delta state, only the terms of w_i* w_j whose
+    F_c and F_q vanish.  Its matrix must hold the bytes of the full-product
+    Gram, with IDENTITY, repeated words, words of neutral keys and words whose
+    keys differ only in the central direction among the words."""
+    space = sp()
+    state = STATES[name](space)
+    assert state.delta
+    rng = np.random.default_rng(8)
+    words = [IDENTITY] + [rand_word(rng, n_keys=3) for _ in range(4)] + [rand_word(rng, VA_GENS)]
+    words += [words[2], weyl_add(words[3], IDENTITY),
+              weyl_word(space.unit_vector().scale(Fraction(3, 2)), 0.5j)]
+    M, _ = gram_psd(space, state, words)
+    assert M.tobytes() == full_gram(space, state, words).tobytes()
+
+
+def test_only_the_delta_kinds_are_graded():
+    space = sp()
+    delta = {name: STATES[name](space).delta for name in STATES}
+    assert delta == {"fock_a": False, "nonregular_elementary": False, "field_f": True,
+                     "product_p": True, "chiral_vacuum": True}
+    assert not product_p(space.generator("T"), regular_substitute=True).delta
 
 
 def test_coincidence_dual_path():
