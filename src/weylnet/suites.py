@@ -50,7 +50,7 @@ from .nets import (
 )
 from .registry import load_registry
 from .states import field_f, gram_psd, regular_substitute_probe, state_coincidence_check
-from .symplectic import Space, SymVector, bilinear, sigma_plane
+from .symplectic import ZERO, Space, SymVector, bilinear, sigma_plane
 from .weyl import (
     IDENTITY,
     CrossedProduct,
@@ -143,24 +143,23 @@ def _draw_bounds(size: int, k: int, rows: int, pairs: int):
     return lows, highs
 
 
-def _row_vector(gens, k: int, row: List[int]) -> SymVector:
-    """Sum num/den g over the k picks of a draw row from `gens`, the pool as
-    (den, nums), built once over the lcm of the picks' denominators."""
+def _row_vector(gens: List[SymVector], scaled: Dict, k: int, row: List[int]) -> SymVector:
+    """Sum num/den g over the k picks of a draw row from `gens`, the pool's
+    generators; `scaled` keeps each (pick, num, den)'s scaled generator."""
     size = len(gens)
     picks: List[int] = []
     for j, i in zip(range(size - k, size), row):
         picks.append(j if i in picks else i)
     for i, j in zip(range(k - 1, 0, -1), row[k:]):
         picks[i], picks[j] = picks[j], picks[i]
-    terms = [(gens[i], num, den)
-             for i, num, den in zip(picks, row[2 * k - 1::2], row[2 * k::2]) if num]
-    lcm = math.lcm(*[g_den * den for (g_den, _), _, den in terms])
-    acc: Dict[int, int] = {}
-    for (g_den, nums), num, den in terms:
-        m = num * (lcm // (g_den * den))
-        for a, n in nums:
-            acc[a] = acc.get(a, 0) + n * m
-    return SymVector([(a, n) for a, n in sorted(acc.items()) if n], lcm)
+    v = ZERO
+    for i, num, den in zip(picks, row[2 * k - 1::2], row[2 * k::2]):
+        if num:
+            g = scaled.get((i, num, den))
+            if g is None:
+                g = scaled[i, num, den] = gens[i].scale(Fraction(num, den))
+            v = v + g
+    return v
 
 
 def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: int = 2):
@@ -173,13 +172,13 @@ def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: i
     by `_row_vector`, gives the same values and `rng` state, for pools up to
     10,000 names (above, choice shuffles a tail).  Draws are made a block
     ahead: the loop must draw nothing else from `rng`, and one left early
-    leaves it further on.  Bounds are built once per shape.
+    leaves it further on.  Bounds are built once per shape, and the pool's
+    generators read and each scaled generator built once per call.
     """
-    gens = [(g._den, g._nums) for g in map(space.generator, pool)]
-    k = min(n_terms, len(pool))
+    gens, scaled, k = [space.generator(name) for name in pool], {}, min(n_terms, len(pool))
     for start in range(0, count, 64):
         for row in rng.integers(*_draw_bounds(len(pool), k, min(64, count - start), k)).tolist():
-            yield _row_vector(gens, k, row)
+            yield _row_vector(gens, scaled, k, row)
 
 
 def _rand_vector(space: Space, rng, pool: Sequence[str], n_terms: int = 2) -> SymVector:
@@ -221,7 +220,7 @@ def _staged_product(space: Space, rng, ctx) -> float:
     """Two-stage presentation against the embedded global product.  One draw
     row per factor holds h's row, as `_rand_vectors` draws it, then c and n."""
     cp = CrossedProduct(space, space.generator("T"))
-    gens = [(g._den, g._nums) for g in map(space.generator, ("aL", "aC", "aR"))]
+    gens, scaled = [space.generator(name) for name in ("aL", "aC", "aR")], {}
     bounds = [b[0] for b in _draw_bounds(3, 2, 1, 4)]
     worst = 0.0
     for _ in range(200):
@@ -229,7 +228,7 @@ def _staged_product(space: Space, rng, ctx) -> float:
         for _ in range(2):
             row = rng.integers(*bounds).tolist()
             zeta = complex(rng.standard_normal(), rng.standard_normal())
-            h = _row_vector(gens, 2, row)
+            h = _row_vector(gens, scaled, 2, row)
             xs.append(Staged(zeta, h, Fraction(*row[-4:-2]), Fraction(*row[-2:])))
         staged = cp.embed(cp.product(xs[0], xs[1]))
         globl = weyl_mul(space, cp.embed(xs[0]), cp.embed(xs[1]))
