@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import FloatOverflow
 from .funcspace import (
-    TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, fock_column, pairing,
+    TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, dot, fock_column,
+    pairing,
 )
 from .symplectic import Space, SymVector
 
@@ -158,7 +159,7 @@ def split_table(space: Space) -> List[List[float]]:
     P = np.empty((len(atoms), len(atoms)))
     for a, atom in enumerate(atoms):
         y = weights * (atom.fn if atom.slot == 0 else derivative(atom.fn)).samples
-        P[a] = [y @ t for t in theta]
+        P[a] = [dot(y, t) for t in theta]
     eps = [-1.0 if atom.slot == 0 else 1.0 for atom in atoms]
     # exact right limits: theta_+ has L_a / 2 and theta_- eps_a L_a / 2
     half = [(atom.fn.integral if atom.slot == 0 else atom.fn.right_limit) / 2 for atom in atoms]
@@ -180,5 +181,5 @@ def mover_table(space: Space, atoms: Iterable[int]) -> List[List[float]]:
         y = fock_column(ub, 1)
         for a, ua in u.items():
             if space.atoms[a].slot == space.atoms[b].slot:
-                rows[a][b] = float(ua.samples @ y)
+                rows[a][b] = dot(ua.samples, y)
     return rows

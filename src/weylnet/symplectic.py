@@ -33,6 +33,7 @@ from .funcspace import (
     _simpson_value,
     constant_function,
     derivative,
+    dot,
     fock_column,
     localization,
     resample,
@@ -434,7 +435,7 @@ class Space:
             slot = self._slots[b]
             if b not in self._fock_q:
                 y = fock_column(self.atoms[b].fn, slot)
-                self._fock_q[b] = {a: float(self.atoms[a].fn.samples @ y)
+                self._fock_q[b] = {a: dot(self.atoms[a].fn.samples, y)
                                    for a in range(b + 1) if self._slots[a] == slot}
             row, cb = self._fock_q[b], nb / v._den
             for a, na in v._nums[:i]:

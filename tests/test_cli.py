@@ -333,7 +333,7 @@ OVERFLOW_COMBO = f"{N308} c0 + {N308} T"  # each coefficient a float, F_c = 2e30
         (["state", "eval", "--kind", "chiral_vacuum", "--element", f"W[{N308} aC]"],
          "chiral Fock norm of the movers overflows a float"),
         (["state", "eval", "--kind", "field_f", "--element", f"W[{N308} aC + {N308} aL]"],
-         "Fock norm overflows a float at coefficient 1e+308 (numeric charge sigma(v, e) 1.45e+293)"),
+         "Fock norm overflows a float at coefficient 1e+308 (numeric charge sigma(v, e) 1.07e+293)"),
     ],
     ids=["chiral-roundtrip", "chiral-decompose", "chiral-vacuum", "field-f"],
 )
@@ -488,6 +488,23 @@ def test_python_dash_m_matches_in_process(capsys):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == in_process
+
+
+def test_report_does_not_depend_on_the_blas_thread_count():
+    """OpenBLAS splits a dot product of 16384 points across its threads, and
+    the order of that sum with their number; the long sums are numpy's own
+    (`funcspace.dot`), so one and two threads write the same bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "weylnet", "--suite", "all", "--seed", "7", "--grid-points", "16384"]
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src] + [p for p in os.environ.get(
+                       "PYTHONPATH", "").split(os.pathsep) if p]))
+        procs.append(subprocess.run(argv, capture_output=True, env=env, timeout=120))
+    assert [p.returncode for p in procs] == [0, 0], [p.stderr for p in procs]
+    assert procs[0].stdout == procs[1].stdout
+    assert procs[0].stdout == (Path(__file__).parent / "data" / "report_all_seed7_16384.json").read_bytes()
 
 
 def test_unknown_generator_names_the_registered_ones(capsys):
