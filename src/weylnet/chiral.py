@@ -17,8 +17,8 @@ reason.  `split_table` builds it once per check run as rows over atom pairs,
 read from the arrays the Space already holds, and `symplectic.bilinear` sums
 them over two vectors, as it sums the Space's own sigma rows;
 `sigma_decomposed` of two `dalembert` pairs is the per-vector reference the
-table is tested against; `mover_table` holds the mover side of the Fock-norm
-identity in the same form, against `chiral_norm_sq` of the two movers.
+table is tested against.  `mover_table` holds the mover side of the Fock-norm
+identity in the same form, as products of `fock_column`, the one Fock path.
 """
 
 from __future__ import annotations

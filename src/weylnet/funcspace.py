@@ -9,10 +9,10 @@ stop at the window edge.
 Quadrature is composite Simpson, differentiation is a 4th-order central
 stencil (one-sided at the edges), the antiderivative of a charged density
 is a closed-form kink plus the spectral integral of the zero-charge
-remainder, and the Fock norm is a discrete Fourier transform on the
-zero-padded grid, whose |p| half is the chiral norm; fock_column turns a
-function into a column of that form, by a 2n-point convolution with a
-per-grid kernel, so a norm over fixed atoms needs no FFT per vector.
+remainder, and the Fock norm, whose |p| half is the chiral norm, is a
+discrete Fourier sum on the zero-padded grid read only through fock_column:
+a 2n-point convolution with a per-grid kernel, so a norm over fixed atoms
+needs no FFT per vector (tests/oracles.py keeps the padded per-vector sums).
 The Fourier convention is unitary,
 f~(p) = (2*pi)^(-1/2) * integral f(x) exp(-i p x) dx.
 """
@@ -437,62 +437,33 @@ def _charge_antiderivative(f0: TestFunction, f_c: Fraction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fourier norms
 
-# zero padding of the Fourier norms; Space's Fock product table assumes it
+# the Fock form's zero padding: the kernels hold its PAD * n-point lags
 PAD = 4
 
 
-def _weighted_spectrum_sum(samples: np.ndarray, grid: Grid, pad: int):
-    n = grid.n
-    m = pad * n
-    h = grid.step
-    # unitary-convention continuous transform on the padded grid
-    ft = np.fft.rfft(samples, n=m) * (h / np.sqrt(2.0 * np.pi))
-    p = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
-    dp = 2.0 * np.pi / (m * h)
-    mult = np.full(p.shape, 2.0)
-    mult[0] = 1.0
-    if m % 2 == 0:
-        mult[-1] = 1.0
-    return ft, p, dp, mult
-
-
-def fock_norm_sq(
-    f0: TestFunction, f1: TestFunction, pad: int = PAD
-) -> float:
-    """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp on the padded DFT grid;
-    NotInDomain, before any transform, unless both slots have zero limits
-    and f0 a zero Simpson integral.
-
-    The p = 0 term of the |p|^-1 part is set to zero; this is exact because
-    the precondition forces f0~(0) = 0.  The |p| part is chiral_norm_sq(f1).
-    This is the per-vector reference; Space.fock_norm_sq sums the same form
-    over fock_column products.
-    """
+def fock_norm_sq(f0: TestFunction, f1: TestFunction) -> float:
+    """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp; NotInDomain, before any
+    transform, unless both slots have zero limits (chiral_norm_sq checks
+    f1's) and f0 a zero Simpson integral."""
     if f0.left_limit != 0 or f0.right_limit != 0:
         raise NotInDomain("f0 must have zero limits")
-    if f1.left_limit != 0 or f1.right_limit != 0:
-        raise NotInDomain("f1 must have zero limits")
     if abs(simpson(f0)) > TOL_CHARGE:
         raise NotInDomain("f0 must have zero integral (charge)")
     _same_grid(f0, f1)
-    ft0, p, dp, mult = _weighted_spectrum_sum(f0.samples, f0.grid, pad)
-    inv = np.zeros_like(p)
-    inv[1:] = 1.0 / p[1:]
-    total = np.sum(mult * inv * np.abs(ft0) ** 2) * dp
-    # Euler-Maclaurin corner correction at p = 0: the integrand is even with
-    # a slope discontinuity there, which a plain Riemann sum feels at
-    # O(dp^2).  The one-sided slope is |d f0~/dp (0)|^2.
-    total += dp**2 / 6.0 * (np.abs(ft0[1]) / dp) ** 2
-    return float(total) + chiral_norm_sq(f1, pad)
+    return chiral_norm_sq(f1) + dot(f0.samples, fock_column(f0, 0))
 
 
 @lru_cache(maxsize=64)
 def _fock_kernel(grid: Grid, slot: int) -> np.ndarray:
-    """K_slot = rfft(k2), n + 1 read-only floats: k2 is 2n-periodic, k2(d) =
-    k(|d|) for |d| <= n, with k = irfft(W_slot) on m = PAD * n points.  As k
-    summed over period 2n has spectrum W_slot[::2], K = W_slot[::2] - rfft(r),
-    r(d) = k(n + |n - d|), and r comes from the irfft of W_slot's second
-    difference, -4 sin^2(pi d / m) k(d), to full precision where k is small."""
+    """K_slot = rfft(k2), n + 1 read-only floats.  W_slot weighs |f~|^2 on the
+    m = PAD * n-point padded DFT grid: W_0 = dp / |p| (0 at p = 0, as f0~(0) =
+    0 on the domain) and W_1 = |p| dp, each plus the Euler-Maclaurin corner of
+    the even integrand's kink at p = 0, |f0~(dp)|^2 / 6 and dp^2 |f1~(0)|^2 / 6.
+    k2 is 2n-periodic, k2(d) = k(|d|) for |d| <= n, with k = irfft(W_slot) on
+    the m points.  As k summed over period 2n has spectrum W_slot[::2], K =
+    W_slot[::2] - rfft(r), r(d) = k(n + |n - d|), and r comes from the irfft of
+    W_slot's second difference, -4 sin^2(pi d / m) k(d), to full precision
+    where k is small."""
     n, h = grid.n, grid.step
     m = PAD * n
     w = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)  # p
@@ -514,8 +485,8 @@ def _fock_kernel(grid: Grid, slot: int) -> np.ndarray:
 
 def fock_column(f: TestFunction, slot: int) -> np.ndarray:
     """y = irfft(rfft(f) * K_slot) on 2n points, cut to n: for g in the same
-    slot, g.samples @ y is the product of g and f in the form fock_norm_sq
-    sums, corner term included.  That form convolves f, zero-padded, with
+    slot, g.samples @ y is the product of g and f in the Fock form,
+    corner term included.  That form convolves f, zero-padded, with
     the even k = irfft(W_slot); f and y's n points lie on 0..n-1, so only
     k's lags |d| < n enter, and the 2n-periodic k2 holds exactly those."""
     ft = np.fft.rfft(f.samples, n=2 * f.grid.n)
@@ -523,13 +494,11 @@ def fock_column(f: TestFunction, slot: int) -> np.ndarray:
     return np.fft.irfft(ft, n=2 * f.grid.n)[:f.grid.n].copy()
 
 
-def chiral_norm_sq(theta: TestFunction, pad: int = PAD) -> float:
+def chiral_norm_sq(theta: TestFunction) -> float:
     """integral |p| |theta~|^2 dp for a decaying chiral function."""
     if theta.left_limit != 0 or theta.right_limit != 0:
         raise NotInDomain("chiral norm needs zero limits")
-    ft, p, dp, mult = _weighted_spectrum_sum(theta.samples, theta.grid, pad)
-    total = float(np.sum(mult * p * np.abs(ft) ** 2) * dp)
-    return total + dp**2 / 6.0 * float(np.abs(ft[0]) ** 2)
+    return dot(theta.samples, fock_column(theta, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import RegistryParseError, WeylnetError
+from .errors import BadGrid, RegistryParseError, WeylnetError
 from .funcspace import (
     DEFAULT_GRID,
     HERMITE_MAX_ORDER,
@@ -136,6 +136,10 @@ def _build_function(
 
 
 def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>") -> Space:
+    try:  # sampled once here, so a grid numpy refuses is not blamed on a line
+        grid.xs()
+    except (MemoryError, ValueError):
+        raise BadGrid(f"grid of {grid.n} points is too large to sample") from None
     functions: Dict[str, TestFunction] = {}
     steps: Dict[tuple, TestFunction] = {}
     pairs: Dict[str, Tuple[Optional[TestFunction], Optional[TestFunction]]] = {}

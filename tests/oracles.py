@@ -2,7 +2,7 @@
 
 Each is either a helper that only tests call or the formula a faster path in
 `src/` replaced, kept here unchanged so the tests can pin the fast path to
-it bit for bit.
+it bit for bit, or, where they share no transform length, to a bound.
 """
 
 import cmath
@@ -12,7 +12,8 @@ from typing import Dict
 import numpy as np
 
 from weylnet.chiral import ChiralPair
-from weylnet.funcspace import DEFAULT_GRID, Grid, TestFunction
+from weylnet.errors import NotInDomain
+from weylnet.funcspace import DEFAULT_GRID, PAD, TOL_CHARGE, Grid, TestFunction, _same_grid, simpson
 from weylnet.gns import VACUUM, GnsVector, _plane_key, apply_elementary, phi_n_apply, sector_inner
 from weylnet.states import State, eval_state
 from weylnet.symplectic import ZERO, Space, SymVector
@@ -136,3 +137,60 @@ def scalar_staged_product(space: Space, rng) -> float:
         globl = weyl_mul(space, cp.embed(xs[0]), cp.embed(xs[1]))
         worst = max(worst, max_coeff_distance(staged, globl))
     return worst
+
+
+# The Fock form's padded per-vector sums: `funcspace.fock_column`'s kernels
+# hold the lags of the same sums on 2n points, so these share no transform
+# length with the program's path.
+
+
+def _weighted_spectrum_sum(samples: np.ndarray, grid: Grid, pad: int):
+    n = grid.n
+    m = pad * n
+    h = grid.step
+    # unitary-convention continuous transform on the padded grid
+    ft = np.fft.rfft(samples, n=m) * (h / np.sqrt(2.0 * np.pi))
+    p = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
+    dp = 2.0 * np.pi / (m * h)
+    mult = np.full(p.shape, 2.0)
+    mult[0] = 1.0
+    if m % 2 == 0:
+        mult[-1] = 1.0
+    return ft, p, dp, mult
+
+
+def padded_fock_norm_sq(f0: TestFunction, f1: TestFunction, pad: int = PAD) -> float:
+    """integral ( |p|^-1 |f0~|^2 + |p| |f1~|^2 ) dp on the padded DFT grid;
+    NotInDomain, before any transform, unless both slots have zero limits
+    and f0 a zero Simpson integral.
+
+    The p = 0 term of the |p|^-1 part is set to zero; this is exact because
+    the precondition forces f0~(0) = 0.  The |p| part is
+    padded_chiral_norm_sq(f1).
+    """
+    if f0.left_limit != 0 or f0.right_limit != 0:
+        raise NotInDomain("f0 must have zero limits")
+    if f1.left_limit != 0 or f1.right_limit != 0:
+        raise NotInDomain("f1 must have zero limits")
+    if abs(simpson(f0)) > TOL_CHARGE:
+        raise NotInDomain("f0 must have zero integral (charge)")
+    _same_grid(f0, f1)
+    ft0, p, dp, mult = _weighted_spectrum_sum(f0.samples, f0.grid, pad)
+    inv = np.zeros_like(p)
+    inv[1:] = 1.0 / p[1:]
+    total = np.sum(mult * inv * np.abs(ft0) ** 2) * dp
+    # Euler-Maclaurin corner correction at p = 0: the integrand is even with
+    # a slope discontinuity there, which a plain Riemann sum feels at
+    # O(dp^2).  The one-sided slope is |d f0~/dp (0)|^2.
+    total += dp**2 / 6.0 * (np.abs(ft0[1]) / dp) ** 2
+    return float(total) + padded_chiral_norm_sq(f1, pad)
+
+
+def padded_chiral_norm_sq(theta: TestFunction, pad: int = PAD) -> float:
+    """integral |p| |theta~|^2 dp for a decaying chiral function, on the
+    padded DFT grid."""
+    if theta.left_limit != 0 or theta.right_limit != 0:
+        raise NotInDomain("chiral norm needs zero limits")
+    ft, p, dp, mult = _weighted_spectrum_sum(theta.samples, theta.grid, pad)
+    total = float(np.sum(mult * p * np.abs(ft) ** 2) * dp)
+    return total + dp**2 / 6.0 * float(np.abs(ft[0]) ** 2)

@@ -332,10 +332,13 @@ OVERFLOW_COMBO = f"{N308} c0 + {N308} T"  # each coefficient a float, F_c = 2e30
          "charge F_c of the combination overflows a float"),
         (["state", "eval", "--kind", "chiral_vacuum", "--element", f"W[{N308} aC]"],
          "chiral Fock norm of the movers overflows a float"),
+        *[(["state", "eval", "--kind", "chiral_vacuum", "--element", f"W[{10**e} aC]"],
+           "chiral Fock norm of the movers overflows a float") for e in (155, 160, 300)],
         (["state", "eval", "--kind", "field_f", "--element", f"W[{N308} aC + {N308} aL]"],
          "Fock norm overflows a float at coefficient 1e+308 (numeric charge sigma(v, e) 1.07e+293)"),
     ],
-    ids=["chiral-roundtrip", "chiral-decompose", "chiral-vacuum", "field-f"],
+    ids=["chiral-roundtrip", "chiral-decompose", "chiral-vacuum", "chiral-vacuum-1e155",
+         "chiral-vacuum-1e160", "chiral-vacuum-1e300", "field-f"],
 )
 def test_overflowing_charge_or_norm_is_one_named_line(argv, message, capsys):
     """A combination of float coefficients whose charge or norm overflows a
@@ -347,6 +350,15 @@ def test_overflowing_charge_or_norm_is_one_named_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["chiral_vacuum", "fock_a", "field_f"])
+def test_largest_finite_norm_reads_zero(kind, capsys):
+    """At N = 1e154 the Fock norm of N aC is still a finite float (1.2e308
+    in the chiral form), so each vacuum's exponential reads 0, not an
+    overflow."""
+    assert run(["state", "eval", "--kind", kind, "--element", f"W[{10**154} aC]"]) == 0
+    assert capsys.readouterr().out == "0+0i\n"
 
 
 @pytest.mark.parametrize("kind", ["fock_a", "field_f"])
@@ -460,6 +472,15 @@ def test_window_wider_than_a_float_is_a_bad_grid(capsys):
     assert capsys.readouterr().err.startswith("error: bad grid window/size:")
     assert run(["--window", "1e300", "--suite", "nets"]) == 2
     assert capsys.readouterr().err.startswith("error: line 7: width 1 below 4*step")
+
+
+@pytest.mark.parametrize("points", [10**18, 2**62], ids=["memory-error", "too-big"])
+def test_grid_too_large_to_sample_is_the_grids_fault(points, capsys):
+    """NumPy refuses both sizes before it touches memory: 10**18 points with
+    a MemoryError (6.94 EiB), 2**62 with a ValueError.  Either is the grid's
+    fault, not that of the first `fn` line."""
+    assert run(["--suite", "nets", "--grid-points", str(points)]) == 2
+    assert capsys.readouterr().err == f"error: grid of {points} points is too large to sample\n"
 
 
 def test_non_utf8_registry_names_the_path(tmp_path, capsys):

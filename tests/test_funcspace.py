@@ -28,8 +28,9 @@ from weylnet.funcspace import (
     simpson,
 )
 from weylnet.registry import load_registry, parse_registry
+from weylnet.states import chiral_vacuum
 
-from oracles import zero_function
+from oracles import padded_chiral_norm_sq, padded_fock_norm_sq, zero_function
 
 G = DEFAULT_GRID
 
@@ -279,7 +280,7 @@ def test_derivative_fourth_order_scaling():
 def _fock_oracle(f0_builder, f1_builder):
     """Independent oracle: denser grid and heavier zero padding."""
     dense = Grid(Fraction(-32), Fraction(32), 8192)
-    return fock_norm_sq(f0_builder(dense), f1_builder(dense), pad=16)
+    return padded_fock_norm_sq(f0_builder(dense), f1_builder(dense), pad=16)
 
 
 def test_fock_norm_against_dense_oracle():
@@ -312,10 +313,31 @@ def test_fock_norm_domain_checks():
 
 
 def test_chiral_norm_matches_fock_slot1():
-    # the reference's slot-1 half is chiral_norm_sq itself, so compare with
-    # the Fock column path, which builds its weights on its own
+    # chiral_norm_sq reads the slot-1 Fock column; the padded per-vector sum
+    # builds its weights on its own
     f1 = hermite_gaussian(3, Fraction(1))
-    assert abs(chiral_norm_sq(f1) - f1.samples @ fock_column(f1, 1)) < 1e-12
+    assert abs(chiral_norm_sq(f1) - padded_chiral_norm_sq(f1)) < 1e-12
+
+
+def test_every_fock_quantity_reads_the_one_kernel(monkeypatch):
+    """A slot-1 kernel scaled by 1.001 moves chiral_norm_sq, fock_norm_sq, a
+    chiral_vacuum key and a fresh Space's Fock norm: there is no second
+    Fock path for any of them to take."""
+    f1 = hermite_gaussian(3, Fraction(1))
+
+    def values():
+        space = load_registry()  # a fresh Space: its Fock table is empty
+        v = space.generator("aC")  # a slot-1 atom, and movers on both sides
+        return [chiral_norm_sq(f1), fock_norm_sq(zero_function(), f1),
+                chiral_vacuum().key(space, v), space.fock_norm_sq(v)]
+
+    before = values()
+    kernel = funcspace._fock_kernel
+    monkeypatch.setattr(funcspace, "_fock_kernel",
+                        lambda grid, slot: kernel(grid, slot) * (1.001 if slot == 1 else 1.0))
+    after = values()
+    assert all(a != b for a, b in zip(after, before)), (before, after)
+    assert after[0] == pytest.approx(1.001 * before[0], rel=1e-12)
 
 
 def _padded_weights(grid, slot):

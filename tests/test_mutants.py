@@ -1,4 +1,4 @@
-"""Every check must be shown to fail: the mutant gate of four suites.
+"""Every check must be shown to fail: the mutant gate of five suites.
 
 `KILLS` maps each check of the gated suites to the mutants that must make it
 fail.  A mutant replaces one live function, wherever the suites read it,
@@ -18,6 +18,14 @@ filter that keeps a pair whose charges do not cancel must fail it, and so
 must charges whose mean limit reads 0 (the central coordinate lost).  The
 nets suite reads each generator's localization from a per-Space memo; a memo
 that gives every generator one entry must fail the checks that localize.
+
+`trace-property` has no phase row: on the charge plane the sector trace is
+nonzero only on the zero key, so only pairs w = -v contribute, and sigma(v, -v)
+= 0.  tr(AB) = tr(BA) then holds for any bilinear antisymmetric phase.
+
+`fock-norm-mover-identity` compares the slot-0 Fock form with the slot-1 form
+of the movers, so it sees a kernel scaled in one slot only; a common scale of
+both kernels cancels in it.
 """
 
 import cmath
@@ -26,7 +34,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylnet import gns, nets, states, suites, weyl
+from weylnet import chiral, funcspace, gns, nets, states, suites, symplectic, weyl
 from weylnet.funcspace import localization
 from weylnet.gns import GnsVector
 from weylnet.registry import load_registry
@@ -34,12 +42,18 @@ from weylnet.suites import CHECK_BY_NAME, CHECKS, run_suite
 from weylnet.symplectic import Charges, Space
 from weylnet.weyl import WeylElement, _twisted
 
-GATED = ("weyl-axioms", "psi-T", "gns", "nets")
+GATED = ("weyl-axioms", "psi-T", "chiral", "gns", "nets")
 SEED = 7
 
 SIGMA = Space.sigma
 PSI_T = Space.psi_T
 CHARGES = Space.charges
+ATOM_ANTIDERIVATIVE = Space.atom_antiderivative
+DALEMBERT = chiral.dalembert
+DERIVATIVE = chiral.derivative
+FOCK_KERNEL = funcspace._fock_kernel
+CHARGE_ANTIDERIVATIVE = symplectic._charge_antiderivative
+SIMPSON_VALUE = symplectic._simpson_value
 
 
 def _sigma_shifted(self, v, w):
@@ -112,6 +126,32 @@ def _gauge_invariant_full(space, F, subgroup):
     return space.in_space(F, "Vb")
 
 
+def _dalembert_charges_swapped(space, v):
+    pair = DALEMBERT(space, v)
+    return replace(pair, c_plus=pair.c_minus, c_minus=pair.c_plus)
+
+
+def _atom_antiderivative_scaled(self, a):
+    return 1.001 * ATOM_ANTIDERIVATIVE(self, a)
+
+
+def _fock_kernel_slot0_scaled(grid, slot):
+    return FOCK_KERNEL(grid, slot) * (1.001 if slot == 0 else 1.0)
+
+
+def _charge_antiderivative_scaled(f0, f_c):
+    return CHARGE_ANTIDERIVATIVE(f0, f_c) * (1 + 1e-4)
+
+
+def _simpson_value_scaled(samples, grid):
+    return SIMPSON_VALUE(samples, grid) * (1 + 1e-4)
+
+
+def _derivative_scaled(f):
+    d = DERIVATIVE(f)
+    return replace(d, samples=d.samples * (1 + 1e-4))
+
+
 # mutant -> (the objects that hold the function, its name, the replacement)
 MUTANTS = {
     "sigma+0.01": ((Space,), "sigma", _sigma_shifted),
@@ -131,6 +171,16 @@ MUTANTS = {
     "localization-memo-one-entry": ((Space,), "localization", _localization_one_entry),
     "sector_apply-flipped-phase": ((nets, suites), "sector_apply", _sector_phase_flipped),
     "gauge_invariant-as-G_full": ((nets,), "gauge_invariant", _gauge_invariant_full),
+    "dalembert-c_plus-c_minus-swapped": ((chiral, suites), "dalembert", _dalembert_charges_swapped),
+    "atom_antiderivative*1.001": ((Space,), "atom_antiderivative", _atom_antiderivative_scaled),
+    "fock_kernel-slot0*1.001": ((funcspace,), "_fock_kernel", _fock_kernel_slot0_scaled),
+    # the per-atom antiderivative the Space builds once
+    "charge_antiderivative*1.0001": ((symplectic,), "_charge_antiderivative",
+                                     _charge_antiderivative_scaled),
+    # the Gram quadrature the Space runs at load
+    "simpson_value*1.0001": ((symplectic,), "_simpson_value", _simpson_value_scaled),
+    # the slot-1 derivative that split_table weighs
+    "derivative*1.0001": ((chiral,), "derivative", _derivative_scaled),
 }
 
 # check -> the mutants under which it must fail
@@ -145,6 +195,11 @@ KILLS = {
     "charge-coordinates-regularizer-independent": ["psi_T-swapped-m"],
     "central-eigenrelation": ["apply_elementary-all-halved"],
     "charge-operator-eigenrelation": ["phi_n+1e-3"],
+    "mover-roundtrip": ["dalembert-c_plus-c_minus-swapped", "atom_antiderivative*1.001"],
+    "chiral-charge-relations": ["dalembert-c_plus-c_minus-swapped"],
+    "sigma-chiral-splitting": ["atom_antiderivative*1.001", "charge_antiderivative*1.0001",
+                               "simpson_value*1.0001", "derivative*1.0001"],
+    "fock-norm-mover-identity": ["fock_kernel-slot0*1.001", "atom_antiderivative*1.001"],
     "trace-property": ["graded_mul-every-pair", "charges-mean-limit-0"],
     "distinct-charge-norm-distance": ["apply_elementary-unhalved", "apply_elementary-all-halved"],
     "non-regularity-witness": ["sector_inner-continuous"],
