@@ -1,4 +1,4 @@
-"""Regenerate the golden reports under tests/data and print what moved.
+"""Regenerate the golden files under tests/data and print what moved.
 
     PYTHONPATH=src python tests/make_goldens.py           # rewrite the files
     PYTHONPATH=src python tests/make_goldens.py --check   # write nothing
@@ -11,10 +11,14 @@ suite.  The ladder covers `--suite all` at seeds 7 and 1 on 1024, 4096 and
 these runs fail checks today: their files hold the `fail` and `error`
 records, so they detect change and do not claim a pass.
 
+`ADHOC` holds the exit code and stdout of each argv in `COMMANDS`: the
+README's ad-hoc commands and `state gram` for every kind at seed 5.
+
 For each file it prints one line per value that differs from the file it
 replaces, as `path: old -> new`, so a change that moves a check value says
-which one and by how much.  test_cli.py runs each argv through the CLI and
-compares the report it writes with these files byte for byte.
+which one and by how much; an ad-hoc line is named by its command and line
+number.  test_cli.py runs each argv through the CLI and compares the report
+or stdout it writes with these files byte for byte.
 
 With `--check` it writes nothing: it prints the same lines and exits 1 if
 any file would change (its bytes differ, or it is missing), else 0.  A change
@@ -25,6 +29,8 @@ tests/data stays as it was.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -47,6 +53,19 @@ GOLDENS = {
     "report_algebra_seed1.json": {s: ["--suite", s, "--seed", "1"] for s in ALGEBRA_SUITES},
 }
 
+ADHOC = "adhoc_commands.json"
+COMMANDS = [
+    ["state", "eval", "--kind", "field_f", "--element", "1+0i * W[aC] - W[0]"],
+    ["state", "gram", "--kind", "fock_a", "--count", "6"],
+    ["chiral", "roundtrip", "--combo", "aC + 3/2 c0"],
+    ["chiral", "decompose", "--combo", "q0"],
+    ["net", "locality", "--kind", "C", "--i1=-17/8:-7/8", "--i2=7/8:17/8"],
+    ["net", "sector", "--element", "q0", "--interval=-9/8:9/8", "--apply", "W[c1]"],
+    ["net", "gauge", "--n", "0.3", "--r=-1.2", "--apply", "W[T]"],
+    ["net", "diagram", "--regularizer", "T0", "--interval=-9/8:9/8"],
+] + [["--seed", "5", "state", "gram", "--kind", kind, "--count", "6"]
+     for kind in ("fock_a", "nonregular_elementary", "field_f", "product_p", "chiral_vacuum")]
+
 
 def runs(name: str) -> dict:
     """The runs a golden file holds, as key -> argv; None keys a lone run."""
@@ -65,6 +84,28 @@ def golden(name: str) -> dict:
     """File name -> report dict, as the CLI would write it."""
     reports = {key: report(argv) for key, argv in runs(name).items()}
     return reports[None] if None in reports else reports
+
+
+def adhoc() -> str:
+    """The text of the ad-hoc file: one JSON line per argv of `COMMANDS`,
+    with the exit code and stdout of `weylnet argv`."""
+    lines = []
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        lines.append(json.dumps({"argv": argv, "exit": code, "stdout": out.getvalue()}))
+    return "[\n" + ",\n".join(f"  {line}" for line in lines) + "\n]\n"
+
+
+def values(name: str, text: str):
+    """A file's values as `moved` compares them: a report as it is, the
+    ad-hoc file keyed by command with its stdout split into lines."""
+    data = json.loads(text)
+    if name != ADHOC:
+        return data
+    return {" ".join(c["argv"]): {"exit": c["exit"], "stdout": c["stdout"].splitlines()}
+            for c in data}
 
 
 def moved(old, new, path=""):
@@ -86,14 +127,13 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="write nothing; exit 1 if any file would change")
     check = parser.parse_args(argv).check
-    stale = []
-    for name in GOLDENS:
+    stale, names = [], [*GOLDENS, ADHOC]
+    for name in names:
         path = DATA / name
-        new = golden(name)
-        text = suites.serialize_report(new)
+        text = adhoc() if name == ADHOC else suites.serialize_report(golden(name))
         old_text = path.read_text() if path.exists() else None
-        old = json.loads(old_text) if old_text is not None else None
-        changes = list(moved(old, new)) if old is not None else []
+        old = values(name, old_text) if old_text is not None else None
+        changes = list(moved(old, values(name, text))) if old is not None else []
         if old_text != text:
             stale.append(name)
         if not check:
@@ -103,7 +143,7 @@ def main(argv=None) -> int:
         for where, a, b in changes:
             print(f"  {where}: {a!r} -> {b!r}")
     if check:
-        print(f"{len(stale)} of {len(GOLDENS)} file(s) would change" + "".join(f"\n  {n}" for n in stale))
+        print(f"{len(stale)} of {len(names)} file(s) would change" + "".join(f"\n  {n}" for n in stale))
         return 1 if stale else 0
     return 0
 

@@ -544,11 +544,6 @@ def test_nonregular_state_on_cancelling_slot1_atoms(capsys):
     assert capsys.readouterr().out == "1+0i\n"
 
 
-def _close(got: float, want: float) -> bool:
-    """A golden number: 0.0 exactly, any other value to a relative 1e-6."""
-    return got == want if want == 0.0 else math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-12)
-
-
 @pytest.mark.parametrize("name", list(make_goldens.GOLDENS))
 def test_golden_report_is_byte_identical(name, tmp_path, capsys):
     """Each run of a golden file writes that file's report byte for byte and
@@ -568,23 +563,30 @@ def test_golden_report_is_byte_identical(name, tmp_path, capsys):
 
 def test_make_goldens_check_writes_nothing_and_exits_1_on_a_change(tmp_path, monkeypatch, capsys):
     """`make_goldens.py --check` never writes; it exits 1 while a file is
-    missing or its bytes differ from the run, and 0 once they match."""
+    missing or its bytes differ from the run, and 0 once they match.  It
+    names a moved report value by its path, an ad-hoc one by its command."""
     monkeypatch.setattr(make_goldens, "DATA", tmp_path)
     monkeypatch.setattr(make_goldens, "GOLDENS", {"nets.json": ["--suite", "nets", "--seed", "1"]})
-    path = tmp_path / "nets.json"
-    assert make_goldens.main(["--check"]) == 1 and not path.exists()
-    assert make_goldens.main([]) == 0 and path.exists()
+    monkeypatch.setattr(make_goldens, "COMMANDS", [["chiral", "decompose", "--combo", "q0"]])
+    path, adhoc = tmp_path / "nets.json", tmp_path / make_goldens.ADHOC
+    assert make_goldens.main(["--check"]) == 1 and not path.exists() and not adhoc.exists()
+    assert make_goldens.main([]) == 0 and path.exists() and adhoc.exists()
     assert make_goldens.main(["--check"]) == 0
     stale = path.read_text().replace('"seed": 1', '"seed": 2')
     path.write_text(stale)
     assert make_goldens.main(["--check"]) == 1
     assert path.read_text() == stale
     out = capsys.readouterr().out
-    assert "  seed: 2 -> 1\n" in out and out.endswith("1 of 1 file(s) would change\n  nets.json\n")
+    assert "  seed: 2 -> 1\n" in out and out.endswith("1 of 2 file(s) would change\n  nets.json\n")
+    path.write_text(stale.replace('"seed": 2', '"seed": 1'))
+    adhoc.write_text(adhoc.read_text().replace("c_plus 1/2", "c_plus 1/3"))
+    assert make_goldens.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert "  chiral decompose --combo q0.stdout[0]: 'c_plus 1/3  c_minus 1/2' -> " in out
+    assert out.endswith(f"1 of 2 file(s) would change\n  {make_goldens.ADHOC}\n")
 
 
-ADHOC = json.loads((Path(__file__).parent / "data" / "adhoc_commands.json").read_text())
-NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)")
+ADHOC = json.loads((Path(__file__).parent / "data" / make_goldens.ADHOC).read_text())
 
 
 @pytest.mark.parametrize(
@@ -592,12 +594,10 @@ NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)")
 )
 def test_adhoc_command_matches_golden(case, capsys):
     """The README's ad-hoc commands and `state gram` for every kind at seed 5:
-    exit code and words exactly, numbers as the golden report compares them."""
+    exit code and stdout byte for byte, as `tests/make_goldens.py` wrote them."""
+    assert case["argv"] in make_goldens.COMMANDS
     assert run(case["argv"]) == case["exit"]
-    got, want = (NUMBER.split(text) for text in (capsys.readouterr().out, case["stdout"]))
-    assert got[0::2] == want[0::2]
-    for g, w in zip(got[1::2], want[1::2]):
-        assert _close(float(g), float(w)), (g, w)
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def _subparser(parser, *path):
