@@ -16,8 +16,8 @@ The split sigma = sigma_+ + sigma_- + sigma_inf is bilinear for the same
 reason.  `split_table` builds it once per check run as rows over atom pairs,
 read from the arrays the Space already holds, and `symplectic.bilinear` sums
 them over two vectors, as it sums the Space's own sigma rows;
-`sigma_decomposed` of two `dalembert` pairs is the per-vector reference the
-table is tested against.  `mover_table` holds the mover side of the Fock-norm
+`sigma_decomposed(space, v, w)`, from v's and w's `dalembert` movers, is the
+per-vector reference the table is tested against.  `mover_table` holds the mover side of the Fock-norm
 identity in the same form, as products of `fock_column`, the one Fock path.
 """
 
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import FloatOverflow
 from .funcspace import (
     TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, dot, fock_column,
-    pairing,
 )
 from .symplectic import Space, SymVector
 
@@ -66,29 +65,11 @@ def dalembert(space: Space, v: SymVector) -> ChiralPair:
     f0, f1 = space.assemble(v)
     c, q = f0.integral, f1.right_limit - f1.left_limit
     cum = space.antiderivative(v)
-    # d(theta_pm) = (d f1 +/- f0)/2, with d f1 from the atoms' closed forms
-    df1 = space.slot1_derivative(v)
-    d_p = TestFunction(
-        space.grid, (df1.samples + f0.samples) / 2.0, Fraction(0), Fraction(0), None
-    )
-    d_m = TestFunction(
-        space.grid, (df1.samples - f0.samples) / 2.0, Fraction(0), Fraction(0), None
-    )
     theta_p = TestFunction(
-        space.grid,
-        (f1.samples + cum) / 2.0,
-        f1.left_limit / 2,
-        (f1.right_limit + c) / 2,
-        None,
-        deriv=d_p,
+        space.grid, (f1.samples + cum) / 2.0, f1.left_limit / 2, (f1.right_limit + c) / 2, None
     )
     theta_m = TestFunction(
-        space.grid,
-        (f1.samples - cum) / 2.0,
-        f1.left_limit / 2,
-        (f1.right_limit - c) / 2,
-        None,
-        deriv=d_m,
+        space.grid, (f1.samples - cum) / 2.0, f1.left_limit / 2, (f1.right_limit - c) / 2, None
     )
     return ChiralPair(theta_p, theta_m, (q + c) / 2, (q - c) / 2)
 
@@ -128,23 +109,33 @@ def roundtrip_error(space: Space, v: SymVector, pair: ChiralPair) -> float:
     )
 
 
-def sigma_decomposed(p: ChiralPair, q: ChiralPair) -> float:
-    """sigma_+ + sigma_- + sigma_inf of two mover pairs, the per-vector
-    reference for `split_table`: sigma_pm(theta, phi) = +/- integral (phi
-    d(theta) - theta d(phi)) dx, and sigma_inf is the plane form on the
-    right limits (theta_+(+inf), theta_-(+inf))."""
-    plus, minus = [sign * (pairing(phi, derivative(theta)) - pairing(theta, derivative(phi)))
-                   for sign, theta, phi in ((+1, p.theta_plus, q.theta_plus),
-                                            (-1, p.theta_minus, q.theta_minus))]
+def sigma_decomposed(space: Space, v: SymVector, w: SymVector) -> float:
+    """sigma_+ + sigma_- + sigma_inf of v and w from their `dalembert` movers,
+    the per-vector reference for `split_table`: sigma_pm(theta, phi) = +/-
+    integral (phi d(theta) - theta d(phi)) dx, with d(theta_pm) =
+    (d f1 +/- f0)/2 and d f1 from the atoms' closed forms, and sigma_inf is
+    the plane form on the right limits (theta_+(+inf), theta_-(+inf))."""
+    def movers(u: SymVector):
+        pair, f0 = dalembert(space, u), space.assemble(u)[0].samples
+        df1 = np.zeros(space.grid.n)
+        for a, coeff in u.items():
+            if space.atoms[a].slot == 1:
+                df1 += float(coeff) * derivative(space.atoms[a].fn).samples
+        return pair, ((pair.theta_plus.samples, (df1 + f0) / 2.0),
+                      (pair.theta_minus.samples, (df1 - f0) / 2.0))
+
+    (p, mp), (q, mq) = movers(v), movers(w)
+    plus, minus = [sign * (_simpson_value(phi * d_theta, space.grid)
+                           - _simpson_value(theta * d_phi, space.grid))
+                   for sign, (theta, d_theta), (phi, d_phi) in zip((1, -1), mp, mq)]
     a1, b1 = p.theta_plus.right_limit, p.theta_minus.right_limit
     a2, b2 = q.theta_plus.right_limit, q.theta_minus.right_limit
     return plus + minus + float(a1 * b2 - b1 * a2)
 
 
 def split_table(space: Space) -> List[List[float]]:
-    """Rows S[a][b] = sigma_decomposed(dalembert(e_a), dalembert(e_b)) for
-    atoms a, b, so sigma_decomposed(dalembert(v), dalembert(w)) is
-    bilinear(S, v, w) = sum c_a d_b S[a][b].
+    """Rows S[a][b] = sigma_decomposed(space, e_a, e_b) for atoms a, b, so
+    sigma_decomposed(space, v, w) is bilinear(S, v, w) = sum c_a d_b S[a][b].
 
     Atom a's movers are theta_+ = (A_a, f_a) / 2 and theta_- = eps_a theta_+
     in slot 0 (A_a its antiderivative, eps_a = -1), and (f_a, f_a') / 2 with

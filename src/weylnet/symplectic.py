@@ -32,7 +32,6 @@ from .funcspace import (
     _charge_antiderivative,
     _simpson_value,
     constant_function,
-    derivative,
     dot,
     fock_column,
     localization,
@@ -211,7 +210,7 @@ class Space:
     construction.  Memos fill in as they are read: the Fock product Q per
     atom pair and the antiderivative per slot-0 atom (an FFT per atom, about
     a short CLI command in all if built at load), each `psi_T` regularizer's
-    assembled slots, and each generator's localization, by generator name.
+    assembled slots, and the localization of each vector read.
     Their arrays are read-only.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
@@ -233,7 +232,6 @@ class Space:
                     atoms.append(self._atom(f"{name}.{slot}", slot, fn))
                     parts.append((len(atoms) - 1, Fraction(1)))
             self._generators[name] = SymVector(parts)
-        self._generator_names = {v: name for name, v in self._generators.items()}
         for unit, atom in enumerate(atoms):
             if atom.slot == 1 and atom.fn.left_limit == 1 and atom.fn.is_constant():
                 break
@@ -272,7 +270,7 @@ class Space:
         self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
-        self._localizations: Dict[str, Union[Interval, type(EMPTY)]] = {}
+        self._localizations: Dict[SymVector, Union[Interval, type(EMPTY)]] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
         fn = resample(fn, self.grid)
@@ -374,15 +372,6 @@ class Space:
         f1 = TestFunction(self.grid, s1, Fraction(minus, den), Fraction(plus, den), None)
         return f0, f1
 
-    def slot1_derivative(self, v: SymVector) -> TestFunction:
-        """Derivative of the slot-1 component, using the atoms' closed forms."""
-        s = np.zeros(self.grid.n)
-        for a, n in v._nums:
-            if self._slots[a] == 1:
-                s += n / v._den * derivative(self.atoms[a].fn).samples
-        den, _, plus, minus = self.charges(v)
-        return TestFunction(self.grid, s, Fraction(0), Fraction(0), Fraction(plus - minus, den))
-
     def antiderivative(self, v: SymVector) -> np.ndarray:
         """Samples of the antiderivative of v's slot-0 part, with exact limits
         (0, c): the sum of each slot-0 atom's antiderivative, built once per
@@ -403,12 +392,10 @@ class Space:
         return self._antideriv[a]
 
     def localization(self, v: SymVector) -> Union[Interval, type(EMPTY)]:
-        """`funcspace.localization` of v's pair; a generator's is kept by name."""
-        name = self._generator_names.get(v)
-        loc = self._localizations.get(name) or localization(*self.assemble(v))
-        if name is not None:
-            self._localizations[name] = loc
-        return loc
+        """`funcspace.localization` of v's pair, kept by v."""
+        if v not in self._localizations:
+            self._localizations[v] = localization(*self.assemble(v))
+        return self._localizations[v]
 
     def fock_norm_sq(self, v: SymVector) -> float:
         """||v||^2 = sum c_a c_b Q(a, b) over v's atoms, in atom order with

@@ -93,10 +93,7 @@ def _twisted(space: Space, v: SymVector, a: complex, w: SymVector, b: complex):
 
 def weyl_mul(space: Space, A: WeylElement, B: WeylElement) -> WeylElement:
     if len(A._terms) == 1 == len(B._terms):
-        v, a = _twisted(space, *A._terms[0], *B._terms[0])
-        a, word = 0j + a, object.__new__(WeylElement)  # as weyl_word(v, a)
-        word._terms = ((v, a),) if abs(a) >= COEFF_EPS else ()
-        return word
+        return weyl_word(*_twisted(space, *A._terms[0], *B._terms[0]))
     return WeylElement([_twisted(space, v, a, w, b) for v, a in A._terms for w, b in B._terms])
 
 
@@ -122,9 +119,7 @@ def graded_mul(space: Space, A: WeylElement, B: WeylElement, ga: list, gb: list)
 def weyl_star(A: WeylElement) -> WeylElement:
     if len(A._terms) == 1:
         (v, a), = A._terms
-        a, word = 0j + a.conjugate(), object.__new__(WeylElement)  # as weyl_word(-v, a*)
-        word._terms = ((-v, a),) if abs(a) >= COEFF_EPS else ()
-        return word
+        return weyl_word(-v, a.conjugate())
     return WeylElement([(-v, a.conjugate()) for v, a in A.terms()])
 
 

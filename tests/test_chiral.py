@@ -9,11 +9,12 @@ from weylnet.chiral import (
     dalembert,
     dalembert_inverse,
     mover_table,
+    roundtrip_error,
     sigma_decomposed,
     split_table,
     _spectral_deriv,
 )
-from weylnet import chiral, funcspace, suites
+from weylnet import chiral, funcspace, suites, symplectic
 from weylnet.funcspace import (
     DEFAULT_GRID,
     Grid,
@@ -22,6 +23,7 @@ from weylnet.funcspace import (
     pairing,
 )
 from weylnet.registry import load_registry
+from weylnet.states import chiral_vacuum
 from weylnet.suites import run_suite
 from weylnet.symplectic import ZERO, SymVector, bilinear
 
@@ -131,7 +133,7 @@ def test_sigma_decomposition():
     for _ in range(15):
         v, w = rand_vector(rng), rand_vector(rng)
         lhs = space.sigma(v, w)
-        rhs = sigma_decomposed(dalembert(space, v), dalembert(space, w))
+        rhs = sigma_decomposed(space, v, w)
         assert abs(lhs - rhs) < 1e-5, (lhs, rhs)
 
 
@@ -229,6 +231,23 @@ def test_space_holds_no_antiderivative_before_dalembert():
     assert len(space._antideriv) == 2
 
 
+def test_movers_take_no_derivative(monkeypatch):
+    """dalembert, roundtrip_error and the chiral vacuum read the movers'
+    samples, limits and charges only, so none of them differentiates a
+    slot-1 atom."""
+    def refused(f):
+        raise AssertionError("a derivative was taken")
+
+    monkeypatch.setattr(symplectic, "derivative", refused, raising=False)
+    monkeypatch.setattr(chiral, "derivative", refused)
+    space = load_registry()
+    g = space.generator
+    for v in (g("aC") + g("c0").scale(Fraction(3, 2)), g("T") + g("q0"), g("q0") - g("q3") + g("n1")):
+        assert roundtrip_error(space, v, dalembert(space, v)) < 1e-8
+    for v in (g("aC"), g("q0") - g("q3") + g("n1")):
+        assert 0.0 < chiral_vacuum().key(space, v).real <= 1.0
+
+
 # --- the per-atom split table ----------------------------------------------------
 
 
@@ -237,8 +256,9 @@ def split_at(points):
     """The split table, and the per-vector splits of each atom pair it is
     pinned against, at `points` points on [-32, 32]."""
     space = sp_at(points)
-    pairs = [dalembert(space, SymVector([(a, 1)])) for a in range(len(space.atoms))]
-    ref = np.array([[sigma_decomposed(p, q) for q in pairs] for p in pairs])
+    atoms = [SymVector([(a, 1)]) for a in range(len(space.atoms))]
+    ref = np.array([[sigma_decomposed(space, u, x) for x in atoms] for u in atoms])
+    pairs = [dalembert(space, u) for u in atoms]
     inf = np.array([[sigma_infinity(p, q) for q in pairs] for p in pairs])
     return np.array(split_table(space)), ref, inf
 
@@ -266,7 +286,7 @@ def test_sigma_split_matches_the_per_vector_path(points):
 
     for _ in range(50):
         v, w = combo(), combo()
-        ref = sigma_decomposed(dalembert(space, v), dalembert(space, w))
+        ref = sigma_decomposed(space, v, w)
         assert abs(bilinear(table, v, w) - ref) <= 1e-13
 
 

@@ -1,4 +1,4 @@
-"""Every check must be shown to fail: the mutant gate of five suites.
+"""Every check must be shown to fail: the mutant gate of six suites.
 
 `KILLS` maps each check of the gated suites to the mutants that must make it
 fail.  A mutant replaces one live function, wherever the suites read it,
@@ -26,9 +26,15 @@ nonzero only on the zero key, so only pairs w = -v contribute, and sigma(v, -v)
 `fock-norm-mover-identity` compares the slot-0 Fock form with the slot-1 form
 of the movers, so it sees a kernel scaled in one slot only; a common scale of
 both kernels cancels in it.
+
+`product-state-coincidence` compares field_f with product_p, and both read
+one `Space.fock_factor` with the same phase on the charge-free keys, so no
+Fock or phase mutant moves it; a product_p that skips `split_off_center`
+leaves its key off the Fock domain.
 """
 
 import cmath
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -42,7 +48,7 @@ from weylnet.suites import CHECK_BY_NAME, CHECKS, run_suite
 from weylnet.symplectic import Charges, Space
 from weylnet.weyl import WeylElement, _twisted
 
-GATED = ("weyl-axioms", "psi-T", "chiral", "gns", "nets")
+GATED = ("weyl-axioms", "psi-T", "states-positivity", "chiral", "gns", "nets")
 SEED = 7
 
 SIGMA = Space.sigma
@@ -111,10 +117,8 @@ def _charges_mean_limit_zero(self, v):
 
 
 def _localization_one_entry(self, v):
-    """Every generator reads the memo entry of the first generator read."""
-    if v not in self._generator_names:
-        return localization(*self.assemble(v))
-    return self._localizations.setdefault("", localization(*self.assemble(v)))
+    """Every vector reads the memo entry of the first vector read."""
+    return self._localizations.setdefault(None, localization(*self.assemble(v)))
 
 
 def _sector_phase_flipped(space, rho, A):
@@ -147,6 +151,34 @@ def _simpson_value_scaled(samples, grid):
     return SIMPSON_VALUE(samples, grid) * (1 + 1e-4)
 
 
+def _fock_factor_growing(self, v):
+    return math.exp(0.25 * self.fock_norm_sq(v))
+
+
+def _fock_factor_linear(self, v):
+    return 1.0 - 0.25 * self.fock_norm_sq(v)
+
+
+def _product_p_mutant(staged: bool = True, centred: bool = True):
+    """states.product_p with no staging phase e^{i sigma(h,l)/2} unless
+    staged, and with h's central constant kept unless centred."""
+    def product_p(T, regular_substitute=False):
+        def key(space, v):
+            _, c, plus, minus = space.charges(v)
+            if not regular_substitute and (c or plus != minus):
+                return 0j
+            a, b, l_vec = space.charge_part(v, T)
+            h_vec = v - l_vec
+            phase = cmath.exp(0.5j * space.sigma(h_vec, l_vec)) if staged else 1.0
+            omega_h = space.fock_factor(space.split_off_center(h_vec)[0] if centred else h_vec)
+            weight = math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0) if regular_substitute else 1.0
+            return phase * omega_h * weight
+
+        return states.State(key, delta=not regular_substitute)
+
+    return product_p
+
+
 def _derivative_scaled(f):
     d = DERIVATIVE(f)
     return replace(d, samples=d.samples * (1 + 1e-4))
@@ -171,6 +203,11 @@ MUTANTS = {
     "localization-memo-one-entry": ((Space,), "localization", _localization_one_entry),
     "sector_apply-flipped-phase": ((nets, suites), "sector_apply", _sector_phase_flipped),
     "gauge_invariant-as-G_full": ((nets,), "gauge_invariant", _gauge_invariant_full),
+    # the vacuum factor exp(+||v||^2/4), and its first-order 1 - ||v||^2/4
+    "fock_factor-growing": ((Space,), "fock_factor", _fock_factor_growing),
+    "fock_factor-linear": ((Space,), "fock_factor", _fock_factor_linear),
+    "product_p-unstaged": ((states,), "product_p", _product_p_mutant(staged=False)),
+    "product_p-uncentred": ((states,), "product_p", _product_p_mutant(centred=False)),
     "dalembert-c_plus-c_minus-swapped": ((chiral, suites), "dalembert", _dalembert_charges_swapped),
     "atom_antiderivative*1.001": ((Space,), "atom_antiderivative", _atom_antiderivative_scaled),
     "fock_kernel-slot0*1.001": ((funcspace,), "_fock_kernel", _fock_kernel_slot0_scaled),
@@ -193,6 +230,9 @@ KILLS = {
     "staged-product-agreement": ["sigma*2", "sigma+0.01", "weyl_mul+phase"],
     "sigma-splitting": ["sigma*2", "sigma+0.01sigma^2", "psi_T-swapped-m"],
     "charge-coordinates-regularizer-independent": ["psi_T-swapped-m"],
+    "gram-min-eigenvalue": ["fock_factor-growing", "fock_factor-linear"],
+    "regular-substitute-hermiticity-violation": ["product_p-unstaged"],
+    "product-state-coincidence": ["product_p-uncentred"],
     "central-eigenrelation": ["apply_elementary-all-halved"],
     "charge-operator-eigenrelation": ["phi_n+1e-3"],
     "mover-roundtrip": ["dalembert-c_plus-c_minus-swapped", "atom_antiderivative*1.001"],

@@ -22,6 +22,7 @@ from weylnet.nets import (
 )
 from weylnet.registry import load_registry, parse_registry
 from weylnet.suites import _soliton_phases
+from weylnet import symplectic
 from weylnet.symplectic import ZERO
 from weylnet.weyl import (
     IDENTITY,
@@ -48,20 +49,25 @@ I_MID = iv("-9/8", "9/8")
 
 
 @pytest.mark.parametrize("points, window", [(1024, 32), (4096, 32), (16384, 32), (4096, 16)])
-def test_memoized_generator_localizations_equal_the_direct_ones(points, window):
-    """Space.localization keeps each generator's localization under its name,
-    filled at the first read; every read equals localization(*assemble(g)).
-    Other vectors are not kept."""
+def test_memoized_generator_localizations_equal_the_direct_ones(points, window, monkeypatch):
+    """Space.localization keeps each vector's localization under the vector,
+    filled at the first read; every read equals localization(*assemble(v)),
+    and a generator's entry is computed once however often it is read."""
     space = load_registry(None, Grid(Fraction(-window), Fraction(window), points))
-    names = space.generator_names()
-    for name in names:
-        g = space.generator(name)
-        direct = localization(*space.assemble(g))
-        assert space.localization(g) == direct and space.localization(g) == direct
-        assert space._localizations[name] == direct
-    mixed = space.generator("aL") + space.generator("aR")
-    assert space.localization(mixed) == localization(*space.assemble(mixed))
-    assert sorted(space._localizations) == sorted(names)
+    vectors = [space.generator(name) for name in space.generator_names()]
+    vectors.append(space.generator("aL") + space.generator("aR"))
+    direct = {v: localization(*space.assemble(v)) for v in vectors}
+    computed = []
+
+    def counted(f0, f1):
+        computed.append(f0)
+        return localization(f0, f1)
+
+    monkeypatch.setattr(symplectic, "localization", counted)
+    for _ in range(3):
+        assert all(space.localization(v) == direct[v] for v in vectors)
+    assert len(computed) == len(vectors)
+    assert space._localizations == direct
 
 
 def test_net_membership_sets():
