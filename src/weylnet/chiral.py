@@ -30,7 +30,6 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .errors import FloatOverflow
 from .funcspace import (
     TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, dot, fock_column,
 )
@@ -57,12 +56,7 @@ def _spectral_deriv(samples: np.ndarray, h: float) -> np.ndarray:
 
 def dalembert(space: Space, v: SymVector) -> ChiralPair:
     """v's movers; FloatOverflow when F_c or F_q does not fit a float."""
-    den, c, plus, minus = space.charges(v)
-    for name, x in (("F_c", c), ("F_q", plus - minus)):
-        try:
-            x / den
-        except OverflowError:
-            raise FloatOverflow(f"charge {name} of the combination overflows a float") from None
+    space.charges(v).floats()
     f0, f1 = space.assemble(v)
     c, q = f0.integral, f1.right_limit - f1.left_limit
     cum = space.antiderivative(v)

@@ -36,14 +36,14 @@ import numpy as np
 from .chiral import dalembert, roundtrip_error
 from .errors import WeylnetError
 from .funcspace import Grid, Interval
-from .registry import load_registry
+from .registry import _parse_range, load_registry
 from .states import STATES, eval_state, gram_psd
-from .suites import CHECK_BY_NAME, SUITES, _rand_vector, run_suite, serialize_report
+from .suites import CHECK_BY_NAME, SUITES, _rand_word, run_suite, serialize_report
 from .nets import (
     LOCAL_KINDS, GaugeElement, diagram_check, gauge_apply, locality_report, make_sector,
     sector_apply,
 )
-from .weyl import IDENTITY, parse_combo, parse_element, weyl_add, weyl_word
+from .weyl import IDENTITY, parse_combo, parse_element
 
 
 def _rational(text: str) -> Fraction:
@@ -76,20 +76,9 @@ def _finite(text: str) -> float:
 
 def _parse_interval(text: str) -> Interval:
     try:
-        a, b = text.split(":")
-        return Interval(Fraction(a), Fraction(b))
-    except (ValueError, ZeroDivisionError) as e:
-        raise WeylnetError(f"bad interval {text!r}: {e}") from None
-
-
-def _rand_words(space, seed: int, count: int, names):
-    rng = np.random.default_rng(seed)
-    words = [IDENTITY]
-    for _ in range(count - 1):
-        v = _rand_vector(space, rng, names)
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        words.append(weyl_add(weyl_word(v, coeff), IDENTITY))
-    return words
+        return Interval(*_parse_range(text, "interval"))
+    except ValueError as e:
+        raise WeylnetError(str(e)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +160,8 @@ def _run_subcommand(args, grid: Grid) -> int:
             print(f"{val.real:.12g}{val.imag:+.12g}i")
             return 0
         pool = [n for n in space.generator_names() if state.domain(space, space.generator(n))]
-        words = _rand_words(space, args.seed, args.count, pool)
+        rng = np.random.default_rng(args.seed)
+        words = [IDENTITY] + [_rand_word(space, rng, pool) for _ in range(args.count - 1)]
         M, min_eig = gram_psd(space, state, words)
         norm = float(np.linalg.norm(M, 2))
         ok = CHECK_BY_NAME["gram-min-eigenvalue"].passes(min_eig, max(1.0, norm))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,23 +84,10 @@ def _grid_xs(grid: Grid) -> np.ndarray:
 DEFAULT_GRID = Grid(Fraction(-32), Fraction(32), 4096)
 
 
-class _Empty:
-    """Localization marker for pairs (0, constant): contained in any interval."""
-
-    is_empty = True
-
-    def __repr__(self):
-        return "EMPTY"
-
-
-EMPTY = _Empty()
-
-
 @dataclass(frozen=True)
 class Interval:
     a: Fraction
     b: Fraction
-    is_empty = False
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -109,10 +96,9 @@ class Interval:
     def disjoint(self, other: "Interval") -> bool:
         return self.b <= other.a or other.b <= self.a
 
-    def contains(self, other: Union["Interval", _Empty]) -> bool:
-        if other.is_empty:
-            return True
-        return self.a <= other.a and other.b <= self.b
+    def contains(self, other: Optional["Interval"]) -> bool:
+        """Whether other lies in self; None, an empty localization, lies in any interval."""
+        return other is None or (self.a <= other.a and other.b <= self.b)
 
     def left_of(self, other: "Interval") -> bool:
         return self.b <= other.a
@@ -505,14 +491,14 @@ def chiral_norm_sq(theta: TestFunction) -> float:
 # localization
 
 
-def localization(f0: TestFunction, f1: TestFunction) -> Union[Interval, _Empty]:
-    """Smallest interval holding supp f0 and supp (d f1); EMPTY for (0, const)."""
+def localization(f0: TestFunction, f1: TestFunction) -> Optional[Interval]:
+    """Smallest interval holding supp f0 and supp (d f1); None for (0, const)."""
     mask = np.abs(f0.samples) > TOL_SUPP
     if not f1.is_constant():
         mask |= np.abs(derivative(f1).samples) > TOL_SUPP
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
-        return EMPTY
+        return None
     grid = f0.grid
     lo = max(idx[0] - 1, 0)
     hi = min(idx[-1] + 1, grid.n - 1)

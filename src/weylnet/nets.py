@@ -3,8 +3,8 @@
 Nets are finite generator sets: a registered generator belongs to kind(I)
 when its exact charges match the kind's membership filter and its
 localization (support of f0 union support of df1) is contained in I.
-A generator with empty localization is central: it is skipped, and the
-centre enters kinds B and E of every interval through the unit alone.
+A generator whose localization is empty (None) is central: it is skipped,
+and the centre enters kinds B and E of every interval through the unit.
 
 For disjoint intervals the symplectic form between localized elements reduces
 to the asymptotic closed form G_minus F_c - F_plus G_c (left element F): each
@@ -13,11 +13,11 @@ B, C are local (the closed form vanishes); kinds Q, E, F fail locality by
 exactly that phase.
 
 Sector automorphisms act by e^{i sigma_f(F, G)} per key; gauge elements by
-the character e^{-i (n F_c + r F_q)}; an angle that overflows a float raises
-FloatOverflow.  Fixed-point projections are exact charge filters: averaging a
-character over the compact dual group is a Kronecker delta on the charge.
-Filters and the closed form read `Space.charges`, integers over one
-denominator, and divide only for the float they return.
+the character e^{-i (n F_c + r F_q)}; a charge or an angle that overflows a
+float raises FloatOverflow.  Fixed-point projections are exact charge
+filters: averaging a character over the compact dual group is a Kronecker
+delta on the charge.  Filters and the closed form read `Space.charges`,
+integers over one denominator, and divide only for the float they return.
 
 The checks here return measurements: `locality_report` the largest defect
 against the closed form, `diagram_check` whether each clause of the splitting
@@ -53,7 +53,7 @@ def net_generators(space: Space, kind: str, I: Interval) -> Tuple[SymVector, ...
             continue
         # an empty localization marks a central generator; the unit stands in
         loc = space.localization(v)
-        if not loc.is_empty and I.contains(loc):
+        if loc is not None and I.contains(loc):
             out.append(v)
     if kind in ("B", "E"):
         out.append(space.unit_vector())
@@ -116,8 +116,8 @@ class GaugeElement:
 def gauge_apply(space: Space, g: GaugeElement, A: WeylElement) -> WeylElement:
     out = []
     for F, a in A.terms():
-        den, c, plus, minus = space.charges(F)
-        out.append((F, a * _phase(-(g.n * (c / den) + g.r * ((plus - minus) / den)), "gauge")))
+        f_c, f_q = space.charges(F).floats()
+        out.append((F, a * _phase(-(g.n * f_c + g.r * f_q), "gauge")))
     return WeylElement(out)
 
 
@@ -162,7 +162,7 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> Dict[str, bool]:
         if not space.in_space(g, "Va"):
             continue
         loc = space.localization(g)
-        if loc.is_empty or not loc.disjoint(I):
+        if loc is None or not loc.disjoint(I):
             continue
         img = space.psi_T(g, T)
         moment = max(abs(img.l_part[1]), abs(img.m_part[0]))

@@ -14,7 +14,8 @@ Five state kinds:
 product_p optionally swaps the delta factor for a regular Gaussian weight:
 that substitute functional fails Hermiticity through the staging phase, which
 is exactly why the non-regular delta is forced.  The three delta kinds are
-marked `State.delta`, and gram_psd builds only the terms they can read.
+marked `State.delta`: `State.value` alone tests their charge delta, so their
+keys read only charge-free vectors, and gram_psd builds only those terms.
 """
 
 from __future__ import annotations
@@ -37,11 +38,18 @@ from .weyl import WeylElement, graded_mul, grades, weyl_mul, weyl_star, weyl_wor
 @dataclass(frozen=True)
 class State:
     """A state kind: the value on one key W(v) (raising off the domain), and
-    the domain.  `delta` marks a key that is exactly 0 unless F_c = F_q = 0."""
+    the domain.  `delta` marks a state that is exactly 0 unless F_c = F_q = 0;
+    its key is then read only on the keys where both vanish."""
 
     key: Callable[[Space, SymVector], complex]
     domain: Callable[[Space, SymVector], bool] = lambda space, v: True
     delta: bool = False
+
+    def value(self, space: Space, v: SymVector) -> complex:
+        """omega(W(v)): the charge delta of a delta state, times its key."""
+        if self.delta and any(_delta_grade(space, v)[1:]):
+            return 0j
+        return self.key(space, v)
 
 
 def _delta_grade(space: Space, v: SymVector) -> Tuple[int, int, int]:
@@ -68,20 +76,11 @@ def nonregular_elementary() -> State:
 
 
 def field_f(T: SymVector) -> State:
-    def key(space: Space, v: SymVector) -> complex:
-        _, c, plus, minus = space.charges(v)
-        if c or plus != minus:
-            return 0j
-        return complex(space.fock_factor(space.tangent(v, T)))
-
-    return State(key, delta=True)
+    return State(lambda space, v: complex(space.fock_factor(space.tangent(v, T))), delta=True)
 
 
 def product_p(T: SymVector, regular_substitute: bool = False) -> State:
     def key(space: Space, v: SymVector) -> complex:
-        _, c, plus, minus = space.charges(v)
-        if not regular_substitute and (c or plus != minus):
-            return 0j  # the exact delta factor; no quadrature needed
         a, b, l_vec = space.charge_part(v, T)
         h_vec = v - l_vec
         # canonical staging W(v) = e^{i sigma(h,l)/2} W(h) W(l)
@@ -96,10 +95,8 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
 
 
 def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
-    # c_pm = (q +/- c)/2 both vanish exactly when c and q do; then plus is the mean limit
-    den, c, plus, minus = space.charges(v)
-    if c or plus != minus:
-        return 0j
+    # on a charge-free key c_pm = (q +/- c)/2 vanish and plus is the mean limit
+    den, _, plus, _ = space.charges(v)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves total non-finite
         pair = dalembert(space, v)
         total = sum(chiral_norm_sq(TestFunction(theta.grid, theta.samples - plus / (2 * den),
@@ -126,7 +123,7 @@ STATES: Dict[str, Callable[[Space], State]] = {
 
 
 def eval_state(space: Space, state: State, A: WeylElement) -> complex:
-    return sum((coeff * state.key(space, v) for v, coeff in A.terms()), 0j)
+    return sum((coeff * state.value(space, v) for v, coeff in A.terms()), 0j)
 
 
 def gram_psd(

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateRegularizer, FloatOverflow, NotInDomain, UnknownGenerator
 from .funcspace import (
-    EMPTY,
     TOL_CHARGE,
     Grid,
     Interval,
@@ -48,6 +47,16 @@ class Charges(NamedTuple):
     c: int
     plus: int
     minus: int
+
+    def floats(self) -> Tuple[float, float]:
+        """(F_c, F_q); FloatOverflow naming the one that does not fit a float."""
+        out = []
+        for name, x in (("F_c", self.c), ("F_q", self.plus - self.minus)):
+            try:
+                out.append(x / self.den)
+            except OverflowError:
+                raise FloatOverflow(f"charge {name} of the combination overflows a float") from None
+        return out[0], out[1]
 
 
 class SymVector:
@@ -270,7 +279,7 @@ class Space:
         self._fock_q: Dict[int, Dict[int, float]] = {}
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
-        self._localizations: Dict[SymVector, Union[Interval, type(EMPTY)]] = {}
+        self._localizations: Dict[SymVector, Optional[Interval]] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
         fn = resample(fn, self.grid)
@@ -391,8 +400,8 @@ class Space:
             self._antideriv[a].flags.writeable = False
         return self._antideriv[a]
 
-    def localization(self, v: SymVector) -> Union[Interval, type(EMPTY)]:
-        """`funcspace.localization` of v's pair, kept by v."""
+    def localization(self, v: SymVector) -> Optional[Interval]:
+        """`funcspace.localization` of v's pair, kept by v; None when it is empty."""
         if v not in self._localizations:
             self._localizations[v] = localization(*self.assemble(v))
         return self._localizations[v]

@@ -17,9 +17,9 @@ from weylnet import cli, suites
 from weylnet.errors import NotInDomain
 from weylnet.funcspace import Grid
 from weylnet.registry import load_registry, parse_registry
-from weylnet.states import STATES
+from weylnet.states import STATES, gram_psd
 from weylnet.symplectic import ZERO
-from weylnet.weyl import CrossedProduct, Staged, max_coeff_distance, weyl_mul
+from weylnet.weyl import IDENTITY, CrossedProduct, Staged, max_coeff_distance, weyl_mul
 
 import make_goldens  # tests/make_goldens.py: the golden files and their runs
 from charge_rationals import rationals
@@ -102,6 +102,22 @@ def test_state_gram_all_kinds(capsys):
         assert "PSD" in capsys.readouterr().out
 
 
+def test_state_gram_draws_the_gram_checks_words(capsys):
+    """`state gram` grades the unit and count - 1 words of the
+    gram-min-eigenvalue check, W(v) + zeta W(w) from `suites._rand_word`,
+    drawn on default_rng(seed) over the kind's domain."""
+    space = load_registry()
+    state = STATES["field_f"](space)
+    pool = [n for n in space.generator_names() if state.domain(space, space.generator(n))]
+    rng = np.random.default_rng(3)
+    M, min_eig = gram_psd(space, state,
+                          [IDENTITY] + [suites._rand_word(space, rng, pool) for _ in range(19)])
+    norm = float(np.linalg.norm(M, 2))
+    assert run(["--seed", "3", "state", "gram", "--kind", "field_f", "--count", "20"]) == 0
+    assert capsys.readouterr().out == (
+        f"gram 20x20 min eigenvalue {min_eig:.6g} norm {norm:.6g} PSD\n")
+
+
 def test_chiral_commands(capsys):
     assert run(["chiral", "roundtrip", "--combo", "aC + 3/2 c0"]) == 0
     assert "roundtrip" in capsys.readouterr().out
@@ -116,9 +132,22 @@ def test_net_locality_rational_endpoints(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_net_locality_bad_interval(capsys):
-    argv = ["net", "locality", "--kind", "A", "--i1=oops", "--i2=1:2"]
-    assert run(argv) == 2
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("oops", "bad interval 'oops' (expected a:b)"),
+        ("1/0:2", "bad interval '1/0'"),
+        ("1:2:3", "bad interval '1:2:3' (expected a:b)"),
+        ("a:2", "bad interval 'a'"),
+        ("2:1", "interval needs a < b, got [2, 1]"),
+    ],
+    ids=["oops", "zero-denominator", "three-parts", "not-a-number", "reversed"],
+)
+def test_net_locality_bad_interval(text, message, capsys):
+    """An interval flag is read by the registry's a:b parser: exit 2, and the
+    message names the token, never a Python unpacking error or a Fraction repr."""
+    assert run(["net", "locality", "--kind", "A", f"--i1={text}", "--i2=1:2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_net_sector_and_gauge(capsys):
@@ -336,9 +365,11 @@ OVERFLOW_COMBO = f"{N308} c0 + {N308} T"  # each coefficient a float, F_c = 2e30
            "chiral Fock norm of the movers overflows a float") for e in (155, 160, 300)],
         (["state", "eval", "--kind", "field_f", "--element", f"W[{N308} aC + {N308} aL]"],
          "Fock norm overflows a float at coefficient 1e+308 (numeric charge sigma(v, e) 1.07e+293)"),
+        (["net", "gauge", "--n", "0.3", "--apply", f"W[{N308} T + {N308} T0]"],
+         "charge F_c of the combination overflows a float"),
     ],
     ids=["chiral-roundtrip", "chiral-decompose", "chiral-vacuum", "chiral-vacuum-1e155",
-         "chiral-vacuum-1e160", "chiral-vacuum-1e300", "field-f"],
+         "chiral-vacuum-1e160", "chiral-vacuum-1e300", "field-f", "gauge"],
 )
 def test_overflowing_charge_or_norm_is_one_named_line(argv, message, capsys):
     """A combination of float coefficients whose charge or norm overflows a

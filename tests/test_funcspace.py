@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from weylnet import errors, funcspace
 from weylnet.funcspace import (
     DEFAULT_GRID,
-    EMPTY,
     PAD,
     Grid,
     Interval,
@@ -416,7 +415,7 @@ def test_a_one_sided_fock_kernel_fails_the_atom_pairs(monkeypatch):
 def test_localization_bump_interval():
     b = make_kink(Fraction(3, 2), Fraction(1, 2), True, form="deriv")
     loc = localization(b, zero_function())
-    assert not loc.is_empty
+    assert loc is not None
     assert float(loc.a) > 0.9 and float(loc.b) < 2.1
     assert Interval(Fraction(1, 2), Fraction(5, 2)).contains(loc)
 
@@ -424,14 +423,14 @@ def test_localization_bump_interval():
 def test_localization_kink_slot1():
     k = make_kink(Fraction(0), Fraction(1), True)
     loc = localization(zero_function(), k)
-    assert not loc.is_empty
+    assert loc is not None
     assert float(loc.a) > -1.5 and float(loc.b) < 1.5
 
 
 def test_localization_constant_is_empty():
     loc = localization(zero_function(), constant_function(Fraction(1)))
-    assert loc is EMPTY
-    assert Interval(Fraction(0), Fraction(1)).contains(EMPTY)
+    assert loc is None
+    assert Interval(Fraction(0), Fraction(1)).contains(None)
 
 
 def test_interval_relations():

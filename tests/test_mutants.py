@@ -30,7 +30,8 @@ both kernels cancels in it.
 `product-state-coincidence` compares field_f with product_p, and both read
 one `Space.fock_factor` with the same phase on the charge-free keys, so no
 Fock or phase mutant moves it; a product_p that skips `split_off_center`
-leaves its key off the Fock domain.
+leaves its key off the Fock domain, and a `State.value` that skips the charge
+delta reads both keys on charged vectors, where they differ.
 """
 
 import cmath
@@ -164,9 +165,6 @@ def _product_p_mutant(staged: bool = True, centred: bool = True):
     staged, and with h's central constant kept unless centred."""
     def product_p(T, regular_substitute=False):
         def key(space, v):
-            _, c, plus, minus = space.charges(v)
-            if not regular_substitute and (c or plus != minus):
-                return 0j
             a, b, l_vec = space.charge_part(v, T)
             h_vec = v - l_vec
             phase = cmath.exp(0.5j * space.sigma(h_vec, l_vec)) if staged else 1.0
@@ -177,6 +175,10 @@ def _product_p_mutant(staged: bool = True, centred: bool = True):
         return states.State(key, delta=not regular_substitute)
 
     return product_p
+
+
+def _value_without_delta(self, space, v):
+    return self.key(space, v)
 
 
 def _derivative_scaled(f):
@@ -208,6 +210,8 @@ MUTANTS = {
     "fock_factor-linear": ((Space,), "fock_factor", _fock_factor_linear),
     "product_p-unstaged": ((states,), "product_p", _product_p_mutant(staged=False)),
     "product_p-uncentred": ((states,), "product_p", _product_p_mutant(centred=False)),
+    # a delta state read through its key on every vector, charged or not
+    "value-without-delta": ((states.State,), "value", _value_without_delta),
     "dalembert-c_plus-c_minus-swapped": ((chiral, suites), "dalembert", _dalembert_charges_swapped),
     "atom_antiderivative*1.001": ((Space,), "atom_antiderivative", _atom_antiderivative_scaled),
     "fock_kernel-slot0*1.001": ((funcspace,), "_fock_kernel", _fock_kernel_slot0_scaled),
@@ -232,7 +236,7 @@ KILLS = {
     "charge-coordinates-regularizer-independent": ["psi_T-swapped-m"],
     "gram-min-eigenvalue": ["fock_factor-growing", "fock_factor-linear"],
     "regular-substitute-hermiticity-violation": ["product_p-unstaged"],
-    "product-state-coincidence": ["product_p-uncentred"],
+    "product-state-coincidence": ["product_p-uncentred", "value-without-delta"],
     "central-eigenrelation": ["apply_elementary-all-halved"],
     "charge-operator-eigenrelation": ["phi_n+1e-3"],
     "mover-roundtrip": ["dalembert-c_plus-c_minus-swapped", "atom_antiderivative*1.001"],

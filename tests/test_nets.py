@@ -365,7 +365,8 @@ def test_faint_generator_has_empty_localization_and_joins_no_net():
         "pair faint f0=faint f1=0\n"
     )
     v = space.generator("faint")
-    assert space.localization(v).is_empty and not space.assemble(v)[0].is_zero()
+    assert space.localization(v) is None and not space.assemble(v)[0].is_zero()
+    assert I_MID.contains(space.localization(v))
     for kind in "ABCQEF":
         assert v not in net_generators(space, kind, I_MID)
         assert v in _net_generators_by_is_central(space, kind, I_MID)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -329,23 +330,23 @@ def test_keys_equal_the_compute_then_multiply_formulas():
     charged = [v for v in keys if rationals(space, v).c != 0 or rationals(space, v).q != 0]
     assert 0 < len(charged) < len(keys)
     pairs = [
-        (field_f(T).key, _old_field_f(T)),
-        (product_p(T).key, _old_product_p(T)),
-        (product_p(T, regular_substitute=True).key, _old_product_p(T, True)),
-        (STATES["chiral_vacuum"](space).key, _old_chiral_vacuum),
+        (field_f(T).value, _old_field_f(T)),
+        (product_p(T).value, _old_product_p(T)),
+        (product_p(T, regular_substitute=True).value, _old_product_p(T, True)),
+        (STATES["chiral_vacuum"](space).value, _old_chiral_vacuum),
     ]
     for new, old in pairs:
         for v in keys:
             assert new(space, v) == old(space, v), v
     # the substitute weight is nonzero on charged keys, so they still run quadrature
-    sub = product_p(T, regular_substitute=True).key
+    sub = product_p(T, regular_substitute=True).value
     assert any(sub(space, v) != 0 for v in charged)
 
 
 def test_delta_keys_build_no_charges(monkeypatch):
     """field_f and product_p read the charge delta, the charge part and the
-    central constant from the integer charges: every Charges a key reads is
-    four ints, and on charged vectors the delta keys return 0 from those
+    central constant from the integer charges: every Charges a value reads is
+    four ints, and on charged vectors the delta states return 0 from those
     integers alone, building no charge part and no Fock factor."""
     space = load_registry()
     T = space.generator("T")
@@ -359,9 +360,10 @@ def test_delta_keys_build_no_charges(monkeypatch):
         return ch
 
     monkeypatch.setattr(Space, "charges", recorded)
-    for key in (field_f(T).key, product_p(T).key, product_p(T, regular_substitute=True).key):
+    for value in (field_f(T).value, product_p(T).value,
+                  product_p(T, regular_substitute=True).value):
         for v in keys:
-            key(space, v)
+            value(space, v)
     assert read and all(type(x) is int for ch in read for x in ch)
 
     charged = [v for v in keys if rationals(space, v).c != 0 or rationals(space, v).q != 0]
@@ -372,9 +374,31 @@ def test_delta_keys_build_no_charges(monkeypatch):
 
     monkeypatch.setattr(Space, "charge_part", refused)
     monkeypatch.setattr(Space, "fock_factor", refused)
-    for key in (field_f(T).key, product_p(T).key):
+    for value in (field_f(T).value, product_p(T).value):
         for v in charged:
-            assert key(space, v) == 0j
+            assert value(space, v) == 0j
+
+
+def test_value_alone_tests_the_charge_delta():
+    """For every delta kind, value is 0 on each charged oracle key without
+    reading the key, and is the key itself on each charge-free one."""
+    space = load_registry()
+    keys = _oracle_keys(space)
+    charged = [v for v in keys if rationals(space, v).c != 0 or rationals(space, v).q != 0]
+    assert charged
+
+    def refused(space, v):
+        raise AssertionError("a delta state read its key on a charged vector")
+
+    delta_states = [s for s in (build(space) for build in STATES.values()) if s.delta]
+    assert delta_states
+    for state in delta_states:
+        guarded = replace(state, key=refused)
+        for v in charged:
+            assert guarded.value(space, v) == 0j
+        for v in keys:
+            if v not in charged:
+                assert state.value(space, v) == state.key(space, v)
 
 
 def _count_norm_calls(monkeypatch):
@@ -398,15 +422,15 @@ def test_charged_keys_run_no_quadrature(monkeypatch):
     space = load_registry()
     T = space.generator("T")
     calls = _count_norm_calls(monkeypatch)
-    keys = [product_p(T).key, STATES["chiral_vacuum"](space).key]
+    values = [product_p(T).value, STATES["chiral_vacuum"](space).value]
     g = space.generator
     for v in (g("T"), g("q0"), g("c0"), g("aC") + g("c1"), g("q0") - g("T0"), -g("T3")):
-        for key in keys:
-            assert key(space, v) == 0
+        for value in values:
+            assert value(space, v) == 0
     assert calls == []
     # a zero-charge key does run them
-    for key in keys:
-        key(space, g("aC") + g("q0") - g("q3"))
+    for value in values:
+        value(space, g("aC") + g("q0") - g("q3"))
     assert {"fock_norm_sq", "dalembert", "chiral_norm_sq"} <= set(calls)
 
 

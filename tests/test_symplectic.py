@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylnet import errors
-from weylnet.funcspace import DEFAULT_GRID, EMPTY, Grid, pairing
+from weylnet.funcspace import DEFAULT_GRID, Grid, Interval, pairing
 from weylnet.registry import load_registry, parse_registry
 from weylnet.suites import run_suite
 from weylnet.symplectic import Charges, Space, SymVector, ZERO, bilinear, sigma_plane
@@ -69,7 +69,7 @@ def test_slot1_is_constant_sees_cancelling_atoms(space):
     assert space.slot1_is_constant(v)
     assert space.slot1_is_constant(space.generator("n1").scale(3))
     assert not space.slot1_is_constant(space.generator("q0"))
-    assert not space.localization(v).is_empty  # slot 0 is -dtk0
+    assert space.localization(v) is not None  # slot 0 is -dtk0
 
 
 def test_fock_factor(space):
@@ -134,8 +134,8 @@ def test_membership_table(space):
 
 def test_central_line(space):
     n1 = space.generator("n1")
-    assert space.localization(n1.scale(Fraction(7, 2))).is_empty
-    assert not space.localization(space.generator("q0")).is_empty
+    assert space.localization(n1.scale(Fraction(7, 2))) is None
+    assert space.localization(space.generator("q0")) is not None
     v = space.generator("aC") + n1.scale(Fraction(3, 4))
     rest, coeff = space.split_off_center(v)
     assert coeff == Fraction(3, 4)
@@ -186,9 +186,10 @@ def test_sigma_disjoint_supports_charge_formula(space):
 
 def test_assemble_and_localization(space):
     loc = space.localization(space.generator("c1"))
-    assert not loc.is_empty
+    assert loc is not None
     assert 0.9 < float(loc.a) < 1.1 and 1.9 < float(loc.b) < 2.1
-    assert space.localization(space.generator("n1")) is EMPTY
+    assert space.localization(space.generator("n1")) is None
+    assert Interval(Fraction(1), Fraction(2)).contains(None)
     loc0 = space.localization(space.generator("T0"))
     assert float(loc0.a) > -1.2 and float(loc0.b) < 1.2
 
