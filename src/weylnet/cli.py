@@ -38,7 +38,7 @@ from .errors import WeylnetError
 from .funcspace import Grid, Interval
 from .registry import _parse_range, load_registry
 from .states import STATES, eval_state, gram_psd
-from .suites import CHECK_BY_NAME, SUITES, _rand_word, run_suite, serialize_report
+from .suites import CHECK_BY_NAME, SUITES, _rand_words, run_suite, serialize_report
 from .nets import (
     LOCAL_KINDS, GaugeElement, diagram_check, gauge_apply, locality_report, make_sector,
     sector_apply,
@@ -161,7 +161,7 @@ def _run_subcommand(args, grid: Grid) -> int:
             return 0
         pool = [n for n in space.generator_names() if state.domain(space, space.generator(n))]
         rng = np.random.default_rng(args.seed)
-        words = [IDENTITY] + [_rand_word(space, rng, pool) for _ in range(args.count - 1)]
+        words = [IDENTITY] + _rand_words(space, rng, pool, args.count - 1)
         M, min_eig = gram_psd(space, state, words)
         norm = float(np.linalg.norm(M, 2))
         ok = CHECK_BY_NAME["gram-min-eigenvalue"].passes(min_eig, max(1.0, norm))

@@ -116,7 +116,7 @@ class GaugeElement:
 def gauge_apply(space: Space, g: GaugeElement, A: WeylElement) -> WeylElement:
     out = []
     for F, a in A.terms():
-        f_c, f_q = space.charges(F).floats()
+        f_c, f_q = space.charges(F).floats(c=g.n != 0, q=g.r != 0)
         out.append((F, a * _phase(-(g.n * f_c + g.r * f_q), "gauge")))
     return WeylElement(out)
 

@@ -48,12 +48,13 @@ class Charges(NamedTuple):
     plus: int
     minus: int
 
-    def floats(self) -> Tuple[float, float]:
-        """(F_c, F_q); FloatOverflow naming the one that does not fit a float."""
+    def floats(self, c: bool = True, q: bool = True) -> Tuple[float, float]:
+        """(F_c, F_q), 0.0 for one not asked for; FloatOverflow naming the one
+        asked for that does not fit a float."""
         out = []
-        for name, x in (("F_c", self.c), ("F_q", self.plus - self.minus)):
+        for name, x, asked in (("F_c", self.c, c), ("F_q", self.plus - self.minus, q)):
             try:
-                out.append(x / self.den)
+                out.append(x / self.den if asked else 0.0)
             except OverflowError:
                 raise FloatOverflow(f"charge {name} of the combination overflows a float") from None
         return out[0], out[1]

@@ -16,10 +16,8 @@ from weylnet.errors import NotInDomain
 from weylnet.funcspace import DEFAULT_GRID, PAD, TOL_CHARGE, Grid, TestFunction, _same_grid, simpson
 from weylnet.gns import VACUUM, GnsVector, _plane_key, apply_elementary, phi_n_apply, sector_inner
 from weylnet.states import State, eval_state
-from weylnet.symplectic import ZERO, Space, SymVector
-from weylnet.weyl import (
-    COEFF_EPS, CrossedProduct, Staged, WeylElement, max_coeff_distance, weyl_mul, weyl_star,
-)
+from weylnet.symplectic import Space, SymVector
+from weylnet.weyl import COEFF_EPS, CrossedProduct, Staged, WeylElement, weyl_mul, weyl_star
 
 
 def zero_function(grid: Grid = DEFAULT_GRID) -> TestFunction:
@@ -113,30 +111,6 @@ def full_gram(space: Space, state: State, words) -> np.ndarray:
         for j in range(n):
             M[i, j] = eval_state(space, state, weyl_mul(space, stars[i], words[j]))
     return M
-
-
-def scalar_staged_product(space: Space, rng) -> float:
-    """`suites._staged_product` drawn one scalar at a time: per factor a
-    `choice` of two of aL, aC, aR with a (num, den) per pick, then c's and
-    n's (num, den), then zeta's real and imaginary parts."""
-    pool = ["aL", "aC", "aR"]
-    cp = CrossedProduct(space, space.generator("T"))
-    worst = 0.0
-    for _ in range(200):
-        xs = []
-        for _ in range(2):
-            h = ZERO
-            for i in rng.choice(len(pool), size=2, replace=False):
-                h = h + space.generator(pool[i]).scale(
-                    Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3))))
-            c = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
-            n = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
-            zeta = complex(rng.standard_normal(), rng.standard_normal())
-            xs.append(Staged(zeta, h, c, n))
-        staged = cp.embed(cp.product(xs[0], xs[1]))
-        globl = weyl_mul(space, cp.embed(xs[0]), cp.embed(xs[1]))
-        worst = max(worst, max_coeff_distance(staged, globl))
-    return worst
 
 
 # The Fock form's padded per-vector sums: `funcspace.fock_column`'s kernels
