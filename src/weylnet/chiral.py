@@ -6,11 +6,12 @@ f0 = d(theta_+ - theta_-), f1 = theta_+ + theta_-.
 The antiderivative/derivative used here form an exact discrete inverse pair:
 the declared charge multiple of a reference compact kink is split off in
 closed form, and the decaying zero-mean remainder is integrated and
-differentiated spectrally on the same DFT grid.  This keeps the round trip at
-machine precision, which a finite-difference derivative of a cumulative
-quadrature cannot do (its half-step ripple is amplified by 1/h).  The
-antiderivative is linear in the data, so `dalembert` sums the per-atom
-antiderivatives its Space builds once (`Space.antiderivative`).
+differentiated on the same DFT grid by `funcspace._spectral` (power -1 and
+1).  This keeps the round trip at machine precision, which a
+finite-difference derivative of a cumulative quadrature cannot do (its
+half-step ripple is amplified by 1/h).  The antiderivative is linear in the
+data, so `dalembert` sums the per-atom antiderivatives its Space builds
+once (`Space.antiderivative`).
 
 The split sigma = sigma_+ + sigma_- + sigma_inf is bilinear for the same
 reason.  `split_table` builds it once per check run as rows over atom pairs,
@@ -31,7 +32,8 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .funcspace import (
-    TestFunction, _simpson_value, _simpson_weights, _unit_kink, derivative, dot, fock_column,
+    TestFunction, _simpson_value, _simpson_weights, _spectral, _unit_kink, derivative, dot,
+    fock_column,
 )
 from .symplectic import Space, SymVector
 
@@ -42,16 +44,6 @@ class ChiralPair:
     theta_minus: TestFunction
     c_plus: Fraction
     c_minus: Fraction
-
-
-def _spectral_deriv(samples: np.ndarray, h: float) -> np.ndarray:
-    n = len(samples)
-    ft = np.fft.rfft(samples)
-    p = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-    ft *= 1j * p
-    if n % 2 == 0:
-        ft[-1] = 0.0
-    return np.fft.irfft(ft, n=n)
 
 
 def dalembert(space: Space, v: SymVector) -> ChiralPair:
@@ -76,7 +68,7 @@ def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:
     k_deriv, k_step = _unit_kink(grid)
     delta = pair.theta_plus.samples - pair.theta_minus.samples
     residue = delta - float(f_c) * k_step
-    f0_samples = float(f_c) * k_deriv.samples + _spectral_deriv(residue, grid.step)
+    f0_samples = float(f_c) * k_deriv.samples + _spectral(residue, grid.step, 1)
     # restore the constant (DC) component the spectral derivative cannot see:
     # the declared charge pins the Simpson integral exactly
     f0_samples = f0_samples + (float(f_c) - _simpson_value(f0_samples, grid)) / float(

@@ -9,7 +9,8 @@ stop at the window edge.
 Quadrature is composite Simpson, differentiation is a 4th-order central
 stencil (one-sided at the edges), the antiderivative of a charged density
 is a closed-form kink plus the spectral integral of the zero-charge
-remainder, and the Fock norm, whose |p| half is the chiral norm, is a
+remainder (`_spectral`, which also differentiates for the d'Alembert
+inverse), and the Fock norm, whose |p| half is the chiral norm, is a
 discrete Fourier sum on the zero-padded grid read only through fock_column:
 a 2n-point convolution with a per-grid kernel, so a norm over fixed atoms
 needs no FFT per vector (tests/oracles.py keeps the padded per-vector sums).
@@ -391,17 +392,22 @@ def pairing(f: TestFunction, g: TestFunction) -> float:
     return _simpson_value(f.samples * g.samples, f.grid)
 
 
-def _spectral_int(samples: np.ndarray, h: float) -> np.ndarray:
-    """Periodic antiderivative of a decaying zero-mean sample set, G(x0) = 0."""
+def _spectral(samples: np.ndarray, h: float, power: int) -> np.ndarray:
+    """(i p)^power times the DFT of a decaying sample set: its periodic
+    derivative (power 1) or its zero-mean antiderivative with G(x0) = 0
+    (power -1).  An even grid's Nyquist bin is zeroed."""
     n = len(samples)
     ft = np.fft.rfft(samples)
     p = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-    out = np.zeros_like(ft)
-    out[1:] = ft[1:] / (1j * p[1:])
+    if power == 1:
+        ft *= 1j * p
+    else:
+        ft[0] = 0.0
+        ft[1:] /= 1j * p[1:]
     if n % 2 == 0:
-        out[-1] = 0.0
-    g = np.fft.irfft(out, n=n)
-    return g - g[0]
+        ft[-1] = 0.0
+    g = np.fft.irfft(ft, n=n)
+    return g if power == 1 else g - g[0]
 
 
 @lru_cache(maxsize=64)
@@ -417,7 +423,7 @@ def _charge_antiderivative(f0: TestFunction, f_c: Fraction) -> np.ndarray:
     k_deriv, k_step = _unit_kink(f0.grid)
     fc = float(f_c)
     g = f0.samples - fc * k_deriv.samples
-    return fc * k_step + _spectral_int(g, f0.grid.step)
+    return fc * k_step + _spectral(g, f0.grid.step, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The table of checks, the suites that run it, and their JSON reports.
 
 `CHECKS` lists every check in report order.  A `Check` holds its suite, its
-name, tolerance, comparison mode and anchor, and a `measure(space, rng, ctx)`
+name, tolerance, comparison mode and anchor, and a `measure(space, rng)`
 that returns the value.  A bound that scales with the data is written as a
 (value, scale) pair: the record's tolerance is then `tolerance * scale`.
+A measure that feeds several checks returns a dict keyed by their names.
 Mode "at-most" passes when value <= tolerance (defect bounds, exact
 identities at tolerance 0); "at-least" passes when value >= tolerance
 (positivity floors and counterexample probes that must be visibly nonzero).
@@ -13,9 +14,10 @@ functions return numbers, and the CLI's verdicts look their check up in
 
 A suite runs its checks in table order on one generator seeded by (seed,
 suite index), so any subset of suites reproduces the exact values it would
-produce inside the combined run.  A loop that feeds several checks runs once
-per suite run, when first read, and keeps its result or its error in `ctx`.
-A check that raises a WeylnetError becomes that check's "error" record, and
+produce inside the combined run.  The run keeps each measure's outcome, its
+result or the WeylnetError it raised, from the first check that reads it, so
+a shared loop runs once per suite run and draws from `rng` at that check.  A
+WeylnetError becomes the "error" record of each check that reads it, and
 the suite's other checks still run.  The report carries no timing and is
 serialized with sorted keys, so identical seeds give byte-identical files.
 """
@@ -81,7 +83,7 @@ class Check:
     name: str
     tolerance: float
     anchor: str
-    measure: Callable[[Space, np.random.Generator, dict], object]
+    measure: Callable[[Space, np.random.Generator], object]
     mode: str = "at-most"
 
     def __post_init__(self):
@@ -93,12 +95,18 @@ class Check:
         tolerance = self.tolerance * scale
         return value <= tolerance if self.mode == "at-most" else value >= tolerance
 
-    def run(self, space: Space, rng: np.random.Generator, ctx: dict) -> dict:
-        try:
-            out = self.measure(space, rng, ctx)
-        except WeylnetError as e:
-            error = type(e).__name__
-            return {"name": self.name, "status": "error", "error": error, "message": str(e)}
+    def run(self, space: Space, rng: np.random.Generator, outcomes: dict) -> dict:
+        """This check's record; `outcomes` keeps each measure's outcome for the suite run."""
+        if self.measure not in outcomes:
+            try:
+                outcomes[self.measure] = self.measure(space, rng)
+            except WeylnetError as e:
+                outcomes[self.measure] = e
+        out = outcomes[self.measure]
+        if isinstance(out, WeylnetError):
+            error = type(out).__name__
+            return {"name": self.name, "status": "error", "error": error, "message": str(out)}
+        out = out[self.name] if isinstance(out, dict) else out
         value, scale = out if isinstance(out, tuple) else (out, 1.0)
         return {
             "name": self.name,
@@ -108,28 +116,6 @@ class Check:
             "mode": self.mode,
             "anchor": self.anchor,
         }
-
-
-def _shared(loop: Callable[[Space, np.random.Generator], dict]):
-    """Read `loop(space, rng)` as a measure would: the loop runs at the first
-    read of a suite run, and later reads get its result, or the WeylnetError
-    it raised, from ctx without running it again."""
-
-    def read(space: Space, rng: np.random.Generator, ctx: dict) -> dict:
-        if loop not in ctx:
-            try:
-                ctx[loop] = loop(space, rng)
-            except WeylnetError as e:
-                ctx[loop] = e
-        if isinstance(ctx[loop], WeylnetError):
-            raise ctx[loop]
-        return ctx[loop]
-
-    return read
-
-
-def _worst(loop, key: str):
-    return lambda space, rng, ctx: loop(space, rng, ctx)[key]
 
 
 def _rand_vectors(space: Space, rng, pool: Sequence[str], count: int, n_terms: int = 2):
@@ -168,7 +154,6 @@ def _rand_words(space: Space, rng, pool: Sequence[str], count: int) -> List[Weyl
 # measures, in report order
 
 
-@_shared
 def _axiom_defects(space: Space, rng) -> dict:
     pool = space.generator_names()
     assoc = unit = invol = exch = cocycle = 0.0
@@ -184,11 +169,12 @@ def _axiom_defects(space: Space, rng) -> dict:
         exch = max(exch, max_coeff_distance(
             AB, weyl_scale(weyl_mul(space, B, A), cmath.exp(-1j * space.sigma(r, s)))))
         cocycle = max(cocycle, cocycle_defect(space, r, s, t))
-    return {"associativity": assoc, "unitarity": unit, "involution": invol,
-            "exchange": exch, "cocycle": cocycle}
+    return {"product-associativity": assoc, "product-unitarity": unit,
+            "involution-antihomomorphism": invol, "exchange-relation": exch,
+            "phase-cocycle-identity": cocycle}
 
 
-def _staged_product(space: Space, rng, ctx) -> float:
+def _staged_product(space: Space, rng) -> float:
     """Two-stage presentation against the embedded global product, on 200
     pairs of factors zeta W(h) W(c, n) with h from aL, aC and aR."""
     cp = CrossedProduct(space, space.generator("T"))
@@ -204,7 +190,7 @@ def _staged_product(space: Space, rng, ctx) -> float:
     return worst
 
 
-def _sigma_splitting(space: Space, rng, ctx) -> float:
+def _sigma_splitting(space: Space, rng) -> float:
     pool = space.generator_names()
     T = space.generator("T")
     worst = 0.0
@@ -221,7 +207,7 @@ def _sigma_splitting(space: Space, rng, ctx) -> float:
     return worst
 
 
-def _charge_coordinates(space: Space, rng, ctx) -> float:
+def _charge_coordinates(space: Space, rng) -> float:
     """1 unless the charge coordinates of the splitting agree exactly for T and T3."""
     T, T3 = space.generator("T"), space.generator("T3")
     for name in space.generator_names():
@@ -232,34 +218,33 @@ def _charge_coordinates(space: Space, rng, ctx) -> float:
     return 0.0
 
 
-def _gram_min_eigenvalue(space: Space, rng, ctx):
+def _gram_min_eigenvalue(space: Space, rng):
     pool = space.generator_names()
     words = [IDENTITY] + _rand_words(space, rng, pool, 19)
     M, min_eig = gram_psd(space, field_f(space.generator("T")), words)
     return min_eig, max(1.0, float(np.linalg.norm(M, 2)))
 
 
-def _state_coincidence(space: Space, rng, ctx) -> float:
+def _state_coincidence(space: Space, rng) -> float:
     pool = space.generator_names()
     words = _rand_words(space, rng, pool, 100)
     return state_coincidence_check(space, space.generator("T"), words)
 
 
-@_shared
 def _mover_defects(space: Space, rng) -> dict:
     pool = space.generator_names()
-    worst = {"roundtrip": 0.0, "charges": 0.0}
+    roundtrip = charges = 0.0
     for v in _rand_vectors(space, rng, pool, 10, n_terms=3):
         pair = dalembert(space, v)
         den, c, plus, minus = space.charges(v)
         f_c, f_q = pair.c_plus - pair.c_minus, pair.c_plus + pair.c_minus
         if f_c * den != c or f_q * den != plus - minus:
-            worst["charges"] = 1.0
-        worst["roundtrip"] = max(worst["roundtrip"], roundtrip_error(space, v, pair))
-    return worst
+            charges = 1.0
+        roundtrip = max(roundtrip, roundtrip_error(space, v, pair))
+    return {"mover-roundtrip": roundtrip, "chiral-charge-relations": charges}
 
 
-def _sigma_chiral_splitting(space: Space, rng, ctx) -> float:
+def _sigma_chiral_splitting(space: Space, rng) -> float:
     pool = space.generator_names()
     table = split_table(space)
     worst = 0.0
@@ -269,7 +254,7 @@ def _sigma_chiral_splitting(space: Space, rng, ctx) -> float:
     return worst
 
 
-def _fock_norm_mover_identity(space: Space, rng, ctx) -> float:
+def _fock_norm_mover_identity(space: Space, rng) -> float:
     pool = ["aL", "aC", "aR"]
     movers = mover_table(space, [a for name in pool for a, _ in space.generator(name).items()])
     worst = 0.0
@@ -281,7 +266,7 @@ def _fock_norm_mover_identity(space: Space, rng, ctx) -> float:
     return worst
 
 
-def _central_eigenrelation(space: Space, rng, ctx) -> float:
+def _central_eigenrelation(space: Space, rng) -> float:
     worst = 0.0
     for _ in range(50):
         c = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
@@ -291,7 +276,7 @@ def _central_eigenrelation(space: Space, rng, ctx) -> float:
     return worst
 
 
-def _charge_operator(space: Space, rng, ctx) -> float:
+def _charge_operator(space: Space, rng) -> float:
     charges = (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(9, 2))
     defects = [(phi_n_apply(basis(c)) - basis(c).scale(float(c))).norm() for c in charges]
     return float(any(d != 0.0 for d in defects))
@@ -307,7 +292,7 @@ def _plane_word(rng, plane: Dict) -> WeylElement:
     return out
 
 
-def _trace_property(space: Space, rng, ctx) -> float:
+def _trace_property(space: Space, rng) -> float:
     A0, e = space.slot_part(space.generator("T"), 0), space.unit_vector()
     plane = {(c, n): A0.scale(Fraction(c, 2)) + e.scale(Fraction(n, 2))
              for c in range(-2, 3) for n in range(-3, 4)}
@@ -318,19 +303,19 @@ def _trace_property(space: Space, rng, ctx) -> float:
     return worst
 
 
-def _norm_distance(space: Space, rng, ctx) -> float:
+def _norm_distance(space: Space, rng) -> float:
     c, n1, n2 = Fraction(1), 2.0, 0.0
     probe = Fraction(round((math.pi / (n1 - n2) - float(c) / 2.0) * 10**12), 10**12)
     return abs(norm_distance((c, n1), (c, n2), [probe]) - 2.0)
 
 
-def _non_regularity_witness(space: Space, rng, ctx) -> float:
+def _non_regularity_witness(space: Space, rng) -> float:
     lams = [Fraction(0), Fraction(1, 10**6), Fraction(-1, 10**9), Fraction(3)]
     vals = non_regularity_witness(Fraction(1), lams)
     return max(abs(val - (1 if lam == 0 else 0)) for lam, val in vals.items())
 
 
-def _observable_locality(space: Space, rng, ctx) -> float:
+def _observable_locality(space: Space, rng) -> float:
     return max(
         locality_report(space, "A", I1, I2),
         locality_report(space, "B", I1, I2),
@@ -338,11 +323,11 @@ def _observable_locality(space: Space, rng, ctx) -> float:
     )
 
 
-def _field_disjoint_phase(space: Space, rng, ctx) -> float:
+def _field_disjoint_phase(space: Space, rng) -> float:
     return max(locality_report(space, "F", J1, J2), locality_report(space, "E", J1, J2))
 
 
-def _soliton_phases(space: Space, rng, ctx) -> float:
+def _soliton_phases(space: Space, rng) -> float:
     F = space.generator("q0")
     rho = make_sector(space, F, I_MID)
     ch = space.charges(F)
@@ -355,7 +340,7 @@ def _soliton_phases(space: Space, rng, ctx) -> float:
     return worst
 
 
-def _fixed_point_filters(space: Space, rng, ctx) -> float:
+def _fixed_point_filters(space: Space, rng) -> float:
     """1 unless each projection fixes exactly the F(I) generators of its net."""
     f_gens = net_generators(space, "F", I_MID)
     for sub, kind in FIXED_POINT_NETS.items():
@@ -367,22 +352,22 @@ def _fixed_point_filters(space: Space, rng, ctx) -> float:
     return 0.0
 
 
-def _splitting_diagram(space: Space, rng, ctx) -> float:
+def _splitting_diagram(space: Space, rng) -> float:
     return 0.0 if all(diagram_check(space, space.generator("T0"), I_MID).values()) else 1.0
 
 
 CHECKS = (
     Check("weyl-axioms", "product-associativity", 1e-12,
-          "(W(r)W(s))W(t) = W(r)(W(s)W(t)), 1000 triples", _worst(_axiom_defects, "associativity")),
+          "(W(r)W(s))W(t) = W(r)(W(s)W(t)), 1000 triples", _axiom_defects),
     Check("weyl-axioms", "product-unitarity", 1e-12,
-          "W(v)W(-v) = 1", _worst(_axiom_defects, "unitarity")),
+          "W(v)W(-v) = 1", _axiom_defects),
     Check("weyl-axioms", "involution-antihomomorphism", 1e-12,
-          "(W(v)W(w))* = W(w)* W(v)*", _worst(_axiom_defects, "involution")),
+          "(W(v)W(w))* = W(w)* W(v)*", _axiom_defects),
     Check("weyl-axioms", "exchange-relation", 1e-12,
-          "W(v)W(v') = e^{-i sigma(v,v')} W(v')W(v)", _worst(_axiom_defects, "exchange")),
+          "W(v)W(v') = e^{-i sigma(v,v')} W(v')W(v)", _axiom_defects),
     Check("weyl-axioms", "phase-cocycle-identity", 1e-9,
           "sigma(s,t) + sigma(r,s+t) = sigma(r,s) + sigma(r+s,t), 1000 triples",
-          _worst(_axiom_defects, "cocycle")),
+          _axiom_defects),
     Check("weyl-axioms", "staged-product-agreement", 1e-10,
           "zeta W(h)W(l) two-stage law embeds to the global product, 200 pairs", _staged_product),
     Check("psi-T", "sigma-splitting", 1e-6,
@@ -395,16 +380,16 @@ CHECKS = (
           _gram_min_eigenvalue, "at-least"),
     Check("states-positivity", "regular-substitute-hermiticity-violation", 1e-6,
           "Gaussian weight in place of the charge delta breaks hermiticity",
-          lambda space, rng, ctx: regular_substitute_probe(space, space.generator("T")),
+          lambda space, rng: regular_substitute_probe(space, space.generator("T")),
           "at-least"),
     Check("states-positivity", "product-state-coincidence", 1e-10,
           "direct charge-delta state equals the ordered-product state, 100 words",
           _state_coincidence),
     Check("chiral", "mover-roundtrip", 1e-8,
           "data -> (theta_+, theta_-) -> data, max pointwise error, 10 vectors",
-          _worst(_mover_defects, "roundtrip")),
+          _mover_defects),
     Check("chiral", "chiral-charge-relations", 0.0,
-          "F_c = c_+ - c_- and F_q = c_+ + c_-, exact", _worst(_mover_defects, "charges")),
+          "F_c = c_+ - c_- and F_q = c_+ + c_-, exact", _mover_defects),
     Check("chiral", "sigma-chiral-splitting", 1e-5,
           "sigma = sigma_+ + sigma_- + sigma_inf, 200 pairs", _sigma_chiral_splitting),
     Check("chiral", "fock-norm-mover-identity", 1e-4,
@@ -441,8 +426,8 @@ CHECK_BY_NAME: Dict[str, Check] = {check.name: check for check in CHECKS}
 def _suite(name: str) -> Callable[[Space, np.random.Generator], List[dict]]:
     def run(space: Space, rng: np.random.Generator) -> List[dict]:
         """The records of the suite's checks, run in table order on `rng`."""
-        ctx: dict = {}
-        return [check.run(space, rng, ctx) for check in CHECKS if check.suite == name]
+        outcomes: dict = {}
+        return [check.run(space, rng, outcomes) for check in CHECKS if check.suite == name]
 
     run.__name__ = run.__qualname__ = "suite_" + name.lower().replace("-", "_")
     return run

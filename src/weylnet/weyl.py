@@ -52,9 +52,6 @@ class WeylElement:
     def terms(self) -> Tuple[Tuple[SymVector, complex], ...]:
         return self._terms
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self._terms == other._terms
 

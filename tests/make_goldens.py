@@ -7,7 +7,8 @@
 file of one run holds that report; report_algebra_seed1.json holds
 `--suite S --seed 1` for S in chiral, nets, psi-T and weyl-axioms, keyed by
 suite.  The ladder covers `--suite all` at seeds 7 and 1 on 1024, 4096 and
-16384 points and at seed 7 with `--window 12` and `--window 16`.  Some of
+16384 points and at seed 7 on 1025 points (the odd-n branches of the
+quadrature and the spectral pair) and with `--window 12` and `--window 16`.  Some of
 these runs fail checks today: their files hold the `fail` and `error`
 records, so they detect change and do not claim a pass.
 
@@ -45,6 +46,7 @@ ALL = ["--suite", "all"]
 GOLDENS = {
     "report_all_seed7.json": ALL + ["--seed", "7"],
     "report_all_seed7_1024.json": ALL + ["--seed", "7", "--grid-points", "1024"],
+    "report_all_seed7_1025.json": ALL + ["--seed", "7", "--grid-points", "1025"],
     "report_all_seed7_16384.json": ALL + ["--seed", "7", "--grid-points", "16384"],
     "report_all_seed7_window12.json": ALL + ["--seed", "7", "--window", "12"],
     "report_all_seed7_window16.json": ALL + ["--seed", "7", "--window", "16"],

@@ -12,13 +12,12 @@ from weylnet.chiral import (
     roundtrip_error,
     sigma_decomposed,
     split_table,
-    _spectral_deriv,
 )
 from weylnet import chiral, funcspace, suites, symplectic
 from weylnet.funcspace import (
     DEFAULT_GRID,
     Grid,
-    _spectral_int,
+    _spectral,
     make_kink,
     pairing,
 )
@@ -49,12 +48,14 @@ def rand_vector(rng, n_terms=3):
     return v
 
 
-def test_spectral_pair_is_exact_inverse():
-    xs = DEFAULT_GRID.xs()
+@pytest.mark.parametrize("points", [4096, 1025])
+def test_spectral_pair_is_exact_inverse(points):
+    # both orders, on an even grid (Nyquist bin zeroed) and an odd one
+    grid = Grid(DEFAULT_GRID.x0, DEFAULT_GRID.x1, points)
+    xs, h = grid.xs(), grid.step
     g = np.exp(-((xs - 1.0) ** 2)) * (xs - 1.0)  # zero-mean decaying
-    h = DEFAULT_GRID.step
-    back = _spectral_deriv(_spectral_int(g, h), h)
-    assert np.max(np.abs(back - g)) < 1e-12
+    assert np.max(np.abs(_spectral(_spectral(g, h, -1), h, 1) - g)) < 1e-12
+    assert np.max(np.abs(_spectral(_spectral(g, h, 1), h, -1) - (g - g[0]))) < 1e-12
 
 
 def test_central_element_halves():
@@ -206,13 +207,14 @@ def test_dalembert_matches_the_per_vector_antiderivative(points):
 
 def test_chiral_suite_integrates_each_slot0_atom_once(monkeypatch):
     calls = []
-    spectral_int = funcspace._spectral_int
+    spectral = funcspace._spectral
 
-    def counted(samples, h):
-        calls.append(len(samples))
-        return spectral_int(samples, h)
+    def counted(samples, h, power):
+        if power == -1:
+            calls.append(len(samples))
+        return spectral(samples, h, power)
 
-    monkeypatch.setattr(funcspace, "_spectral_int", counted)
+    monkeypatch.setattr(funcspace, "_spectral", counted)
     space = load_registry()
     slot0 = sum(1 for atom in space.atoms if atom.slot == 0)
     assert slot0 == 9
@@ -361,7 +363,7 @@ def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
     monkeypatch.setattr(suites, "chiral_norm_sq", refused, raising=False)
     monkeypatch.setattr(funcspace, "chiral_norm_sq", refused)
     check = suites.CHECK_BY_NAME["fock-norm-mover-identity"]
-    assert check.passes(check.measure(space, np.random.default_rng(7), {}))
+    assert check.passes(check.measure(space, np.random.default_rng(7)))
     assert 0 < len(sizes) <= 15
     n = space.grid.n
     assert set(sizes) == {n, 2 * n} and 2 * n == 8192

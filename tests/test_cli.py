@@ -771,6 +771,27 @@ def test_raising_shared_loop_errors_each_check_that_reads_it(monkeypatch):
     assert len(calls) == 1  # the loop ran once for all five readers
 
 
+def test_shared_loops_run_once_per_suite_run(monkeypatch):
+    counts = dict.fromkeys(("cocycle_defect", "roundtrip_error"), 0)
+
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(suites, name, counting(name, getattr(suites, name)))
+    space = load_registry()
+    suites.run_suite("all", 7, space=space)
+    # the axiom loop reads 1000 triples for five checks, the mover loop 10 vectors for two
+    assert counts == {"cocycle_defect": 1000, "roundtrip_error": 10}
+    # a second run on the same Space starts with no kept outcome
+    suites.run_suite("weyl-axioms", 7, space=space)
+    suites.run_suite("chiral", 7, space=space)
+    assert counts == {"cocycle_defect": 2000, "roundtrip_error": 20}
+
+
 @pytest.mark.parametrize(
     "argv, cause",
     [
