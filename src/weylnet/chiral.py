@@ -31,6 +31,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from .errors import largest
 from .funcspace import (
     TestFunction, _simpson_value, _simpson_weights, _spectral, _unit_kink, derivative, dot,
     fock_column,
@@ -90,10 +91,8 @@ def roundtrip_error(space: Space, v: SymVector, pair: ChiralPair) -> float:
     is dalembert(space, v)."""
     f0a, f1a = space.assemble(v)
     f0b, f1b = dalembert_inverse(pair)
-    return max(
-        float(np.max(np.abs(f0a.samples - f0b.samples))),
-        float(np.max(np.abs(f1a.samples - f1b.samples))),
-    )
+    return largest((np.max(np.abs(f0a.samples - f0b.samples)),
+                    np.max(np.abs(f1a.samples - f1b.samples))))
 
 
 def sigma_decomposed(space: Space, v: SymVector, w: SymVector) -> float:

@@ -1,4 +1,8 @@
-"""Error taxonomy shared by all weylnet modules."""
+"""Error taxonomy shared by all weylnet modules, and `largest`, the one
+defect reduction: it refuses the NaN that max(0.0, nan) drops, and an inf."""
+
+import math
+from typing import Iterable
 
 
 class WeylnetError(Exception):
@@ -52,3 +56,17 @@ class RegistryParseError(WeylnetError):
 
 class ElementParseError(WeylnetError):
     """Textual Weyl-element literal failed to parse."""
+
+
+class NonFiniteDefect(WeylnetError):
+    """A defect or check value is NaN or infinite."""
+
+
+def largest(defects: Iterable[float]) -> float:
+    """The largest defect, 0.0 for none; NonFiniteDefect on the first NaN or inf."""
+    worst = 0.0
+    for d in defects:
+        if not math.isfinite(d):
+            raise NonFiniteDefect(f"non-finite defect {d}")
+        worst = max(worst, d)
+    return float(worst)

@@ -19,9 +19,9 @@ filters: averaging a character over the compact dual group is a Kronecker
 delta on the charge.  Filters and the closed form read `Space.charges`,
 integers over one denominator, and divide only for the float they return.
 
-The checks here return measurements: `locality_report` the largest defect
+The checks here return measurements: `locality_report` the `largest` defect
 against the closed form, `diagram_check` whether each clause of the splitting
-diagram holds.  Their bounds live in `weylnet.suites.CHECKS`.
+diagram holds; a NaN or inf defect raises.  Bounds live in `suites.CHECKS`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .errors import BadIntervals, FloatOverflow, NotInDomain, RegularizerNotContained
+from .errors import BadIntervals, FloatOverflow, NotInDomain, RegularizerNotContained, largest
 from .funcspace import Interval
 from .symplectic import Space, SymVector
 from .weyl import WeylElement
@@ -81,7 +81,7 @@ def locality_report(space: Space, kind: str, I1: Interval, I2: Interval) -> floa
         abs(space.sigma(F, G) - (0.0 if local else disjoint_sigma(space, F, G, f_left)))
         for F in gens1 for G in gens2
     )
-    return max(defects, default=0.0)
+    return largest(defects)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def diagram_check(space: Space, T: SymVector, I: Interval) -> Dict[str, bool]:
         if loc is None or not loc.disjoint(I):
             continue
         img = space.psi_T(g, T)
-        moment = max(abs(img.l_part[1]), abs(img.m_part[0]))
+        moment = largest((abs(img.l_part[1]), abs(img.m_part[0])))
         fixed = fixed and img.tangent == g and moment < TOL_QUAD
     clauses["va_disjoint_fixed"] = fixed
 

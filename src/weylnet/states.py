@@ -28,7 +28,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .chiral import dalembert
-from .errors import FloatOverflow
+from .errors import FloatOverflow, largest
 from .funcspace import TestFunction, chiral_norm_sq
 from .gns import _plane_key
 from .symplectic import Space, SymVector
@@ -147,31 +147,18 @@ def gram_psd(
     return M, float(eigs[0])
 
 
-def hermiticity_defect(
-    space: Space, state: State, words: Sequence[WeylElement]
-) -> float:
-    worst = 0.0
-    for A in words:
-        lhs = eval_state(space, state, A)
-        rhs = eval_state(space, state, weyl_star(A)).conjugate()
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+def hermiticity_defect(space: Space, state: State, words: Sequence[WeylElement]) -> float:
+    return largest(
+        abs(eval_state(space, state, A) - eval_state(space, state, weyl_star(A)).conjugate())
+        for A in words
+    )
 
 
-def state_coincidence_check(
-    space: Space, T: SymVector, words: Sequence[WeylElement]
-) -> float:
+def state_coincidence_check(space: Space, T: SymVector, words: Sequence[WeylElement]) -> float:
     """Dual-path evaluation: the largest discrepancy between the direct
     charge-delta state and the ordered product over `words`."""
-    direct = field_f(T)
-    product = product_p(T)
-    worst = 0.0
-    for A in words:
-        worst = max(
-            worst,
-            abs(eval_state(space, direct, A) - eval_state(space, product, A)),
-        )
-    return worst
+    direct, product = field_f(T), product_p(T)
+    return largest(abs(eval_state(space, direct, A) - eval_state(space, product, A)) for A in words)
 
 
 def regular_substitute_probe(space: Space, T: SymVector) -> float:

@@ -18,8 +18,11 @@ produce inside the combined run.  The run keeps each measure's outcome, its
 result or the WeylnetError it raised, from the first check that reads it, so
 a shared loop runs once per suite run and draws from `rng` at that check.  A
 WeylnetError becomes the "error" record of each check that reads it, and
-the suite's other checks still run.  The report carries no timing and is
-serialized with sorted keys, so identical seeds give byte-identical files.
+the suite's other checks still run.  A NaN or inf is never a pass: measures
+reduce with `errors.largest`, which raises NonFiniteDefect, and a non-finite
+`value * scale` is a NonFiniteDefect record naming its check.  The report
+carries no timing and is serialized with sorted keys and allow_nan=False, so
+identical seeds give byte-identical strict JSON.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .chiral import dalembert, mover_table, roundtrip_error, split_table
-from .errors import WeylnetError
+from .errors import NonFiniteDefect, WeylnetError, largest
 from .funcspace import DEFAULT_GRID, Grid, Interval
 from .gns import (
     apply_elementary, basis, non_regularity_witness, norm_distance, phi_n_apply, sector_trace,
@@ -103,11 +106,14 @@ class Check:
             except WeylnetError as e:
                 outcomes[self.measure] = e
         out = outcomes[self.measure]
+        if not isinstance(out, WeylnetError):
+            out = out[self.name] if isinstance(out, dict) else out
+            value, scale = out if isinstance(out, tuple) else (out, 1.0)
+            if not math.isfinite(value * scale):
+                out = NonFiniteDefect(f"{self.name}: value {value} at scale {scale} is not finite")
         if isinstance(out, WeylnetError):
             error = type(out).__name__
             return {"name": self.name, "status": "error", "error": error, "message": str(out)}
-        out = out[self.name] if isinstance(out, dict) else out
-        value, scale = out if isinstance(out, tuple) else (out, 1.0)
         return {
             "name": self.name,
             "status": "pass" if self.passes(value, scale) else "fail",
@@ -155,23 +161,22 @@ def _rand_words(space: Space, rng, pool: Sequence[str], count: int) -> List[Weyl
 
 
 def _axiom_defects(space: Space, rng) -> dict:
-    pool = space.generator_names()
-    assoc = unit = invol = exch = cocycle = 0.0
-    vs = _rand_vectors(space, rng, pool, 3000)
+    rows = []
+    vs = _rand_vectors(space, rng, space.generator_names(), 3000)
     for r, s, t in zip(vs, vs, vs):
         A, B, C = weyl_word(r), weyl_word(s), weyl_word(t)
         AB = weyl_mul(space, A, B)
-        assoc = max(assoc, max_coeff_distance(weyl_mul(space, AB, C),
-                                              weyl_mul(space, A, weyl_mul(space, B, C))))
-        unit = max(unit, max_coeff_distance(weyl_mul(space, A, weyl_word(-r)), IDENTITY))
-        invol = max(invol, max_coeff_distance(weyl_star(AB),
-                                              weyl_mul(space, weyl_star(B), weyl_star(A))))
-        exch = max(exch, max_coeff_distance(
-            AB, weyl_scale(weyl_mul(space, B, A), cmath.exp(-1j * space.sigma(r, s)))))
-        cocycle = max(cocycle, cocycle_defect(space, r, s, t))
-    return {"product-associativity": assoc, "product-unitarity": unit,
-            "involution-antihomomorphism": invol, "exchange-relation": exch,
-            "phase-cocycle-identity": cocycle}
+        rows.append((
+            max_coeff_distance(weyl_mul(space, AB, C), weyl_mul(space, A, weyl_mul(space, B, C))),
+            max_coeff_distance(weyl_mul(space, A, weyl_word(-r)), IDENTITY),
+            max_coeff_distance(weyl_star(AB), weyl_mul(space, weyl_star(B), weyl_star(A))),
+            max_coeff_distance(
+                AB, weyl_scale(weyl_mul(space, B, A), cmath.exp(-1j * space.sigma(r, s)))),
+            cocycle_defect(space, r, s, t),
+        ))
+    names = ("product-associativity", "product-unitarity", "involution-antihomomorphism",
+             "exchange-relation", "phase-cocycle-identity")
+    return dict(zip(names, map(largest, zip(*rows))))
 
 
 def _staged_product(space: Space, rng) -> float:
@@ -183,28 +188,22 @@ def _staged_product(space: Space, rng) -> float:
     zetas = rng.standard_normal((400, 2)).tolist()
     xs = [Staged(complex(*z), h, Fraction(*cn[:2]), Fraction(*cn[2:]))
           for h, cn, z in zip(hs, cns, zetas)]
-    worst = 0.0
-    for x, y in zip(xs[::2], xs[1::2]):
-        staged = cp.embed(cp.product(x, y))
-        worst = max(worst, max_coeff_distance(staged, weyl_mul(space, cp.embed(x), cp.embed(y))))
-    return worst
+    return largest(
+        max_coeff_distance(cp.embed(cp.product(x, y)), weyl_mul(space, cp.embed(x), cp.embed(y)))
+        for x, y in zip(xs[::2], xs[1::2])
+    )
 
 
 def _sigma_splitting(space: Space, rng) -> float:
-    pool = space.generator_names()
     T = space.generator("T")
-    worst = 0.0
-    vs = _rand_vectors(space, rng, pool, 400)
+    defects = []
+    vs = _rand_vectors(space, rng, space.generator_names(), 400)
     for v, w in zip(vs, vs):
-        iv = space.psi_T(v, T)
-        iw = space.psi_T(w, T)
-        rhs = (
-            space.sigma(iv.tangent, iw.tangent)
-            + sigma_plane(iv.l_part, iw.l_part)
-            + sigma_plane(iv.m_part, iw.m_part)
-        )
-        worst = max(worst, abs(space.sigma(v, w) - rhs))
-    return worst
+        iv, iw = space.psi_T(v, T), space.psi_T(w, T)
+        rhs = (space.sigma(iv.tangent, iw.tangent) + sigma_plane(iv.l_part, iw.l_part)
+               + sigma_plane(iv.m_part, iw.m_part))
+        defects.append(abs(space.sigma(v, w) - rhs))
+    return largest(defects)
 
 
 def _charge_coordinates(space: Space, rng) -> float:
@@ -233,47 +232,42 @@ def _state_coincidence(space: Space, rng) -> float:
 
 def _mover_defects(space: Space, rng) -> dict:
     pool = space.generator_names()
-    roundtrip = charges = 0.0
+    roundtrips, charges = [], 0.0
     for v in _rand_vectors(space, rng, pool, 10, n_terms=3):
         pair = dalembert(space, v)
         den, c, plus, minus = space.charges(v)
         f_c, f_q = pair.c_plus - pair.c_minus, pair.c_plus + pair.c_minus
         if f_c * den != c or f_q * den != plus - minus:
             charges = 1.0
-        roundtrip = max(roundtrip, roundtrip_error(space, v, pair))
-    return {"mover-roundtrip": roundtrip, "chiral-charge-relations": charges}
+        roundtrips.append(roundtrip_error(space, v, pair))
+    return {"mover-roundtrip": largest(roundtrips), "chiral-charge-relations": charges}
 
 
 def _sigma_chiral_splitting(space: Space, rng) -> float:
-    pool = space.generator_names()
     table = split_table(space)
-    worst = 0.0
-    vs = _rand_vectors(space, rng, pool, 400)
-    for v, w in zip(vs, vs):
-        worst = max(worst, abs(space.sigma(v, w) - bilinear(table, v, w)))
-    return worst
+    vs = _rand_vectors(space, rng, space.generator_names(), 400)
+    return largest(abs(space.sigma(v, w) - bilinear(table, v, w)) for v, w in zip(vs, vs))
 
 
 def _fock_norm_mover_identity(space: Space, rng) -> float:
     pool = ["aL", "aC", "aR"]
     movers = mover_table(space, [a for name in pool for a, _ in space.generator(name).items()])
-    worst = 0.0
+    defects = []
     # a draw is zero with probability 1/125: 64 hold fewer than 20 nonzero ones w.p. 3e-79
     vs = (v for v in _rand_vectors(space, rng, pool, 64, n_terms=3) if not v.is_zero())
     for v in islice(vs, 20):
         lhs = space.fock_norm_sq(v)
-        worst = max(worst, abs(lhs - bilinear(movers, v, v)) / max(1.0, abs(lhs)))
-    return worst
+        defects.append(abs(lhs - bilinear(movers, v, v)) / max(1.0, abs(lhs)))
+    return largest(defects)
 
 
 def _central_eigenrelation(space: Space, rng) -> float:
-    worst = 0.0
+    defects = []
     for _ in range(50):
         c = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
-        n = float(rng.standard_normal())
-        got = apply_elementary(0, n, basis(c))
-        worst = max(worst, (got - basis(c).scale(cmath.exp(1j * n * float(c)))).norm())
-    return worst
+        n, b = float(rng.standard_normal()), basis(c)
+        defects.append((apply_elementary(0, n, b) - b.scale(cmath.exp(1j * n * float(c)))).norm())
+    return largest(defects)
 
 
 def _charge_operator(space: Space, rng) -> float:
@@ -296,11 +290,8 @@ def _trace_property(space: Space, rng) -> float:
     A0, e = space.slot_part(space.generator("T"), 0), space.unit_vector()
     plane = {(c, n): A0.scale(Fraction(c, 2)) + e.scale(Fraction(n, 2))
              for c in range(-2, 3) for n in range(-3, 4)}
-    worst = 0.0
-    for _ in range(200):
-        A, B = _plane_word(rng, plane), _plane_word(rng, plane)
-        worst = max(worst, abs(sector_trace(space, A, B) - sector_trace(space, B, A)))
-    return worst
+    pairs = ((_plane_word(rng, plane), _plane_word(rng, plane)) for _ in range(200))
+    return largest(abs(sector_trace(space, A, B) - sector_trace(space, B, A)) for A, B in pairs)
 
 
 def _norm_distance(space: Space, rng) -> float:
@@ -312,32 +303,28 @@ def _norm_distance(space: Space, rng) -> float:
 def _non_regularity_witness(space: Space, rng) -> float:
     lams = [Fraction(0), Fraction(1, 10**6), Fraction(-1, 10**9), Fraction(3)]
     vals = non_regularity_witness(Fraction(1), lams)
-    return max(abs(val - (1 if lam == 0 else 0)) for lam, val in vals.items())
+    return largest(abs(val - (1 if lam == 0 else 0)) for lam, val in vals.items())
 
 
 def _observable_locality(space: Space, rng) -> float:
-    return max(
-        locality_report(space, "A", I1, I2),
-        locality_report(space, "B", I1, I2),
-        locality_report(space, "C", J1, J2),
-    )
+    return largest((locality_report(space, "A", I1, I2), locality_report(space, "B", I1, I2),
+                    locality_report(space, "C", J1, J2)))
 
 
 def _field_disjoint_phase(space: Space, rng) -> float:
-    return max(locality_report(space, "F", J1, J2), locality_report(space, "E", J1, J2))
+    return largest((locality_report(space, "F", J1, J2), locality_report(space, "E", J1, J2)))
 
 
 def _soliton_phases(space: Space, rng) -> float:
     F = space.generator("q0")
-    rho = make_sector(space, F, I_MID)
-    ch = space.charges(F)
-    worst = 0.0
+    rho, ch = make_sector(space, F, I_MID), space.charges(F)
+    defects = []
     for name, side in (("c1", ch.plus), ("c2", ch.minus)):
         g = space.generator(name)
         got = sector_apply(space, rho, weyl_word(g)).terms()[0][1]
         gch = space.charges(g)
-        worst = max(worst, abs(got - cmath.exp(-1j * (side / ch.den) * (gch.c / gch.den))))
-    return worst
+        defects.append(abs(got - cmath.exp(-1j * (side / ch.den) * (gch.c / gch.den))))
+    return largest(defects)
 
 
 def _fixed_point_filters(space: Space, rng) -> float:
@@ -484,4 +471,4 @@ def run_suite(
 
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"

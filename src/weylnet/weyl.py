@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .errors import DegenerateRegularizer, ElementParseError
+from .errors import DegenerateRegularizer, ElementParseError, largest
 from .symplectic import Space, SymVector, ZERO, sigma_plane
 
 COEFF_EPS = 1e-15
@@ -123,14 +123,10 @@ def weyl_star(A: WeylElement) -> WeylElement:
 def max_coeff_distance(A: WeylElement, B: WeylElement) -> float:
     """Largest coefficient discrepancy between two elements, keywise."""
     if len(A._terms) == 1 == len(B._terms) and A._terms[0][0] == B._terms[0][0]:
-        return max(0.0, abs(A._terms[0][1] - B._terms[0][1]))
+        return largest((abs(A._terms[0][1] - B._terms[0][1]),))
     coeffs: Dict[SymVector, complex] = {v: a for v, a in A.terms()}
-    worst = 0.0
-    for v, b in B.terms():
-        worst = max(worst, abs(coeffs.pop(v, 0j) - b))
-    for a in coeffs.values():
-        worst = max(worst, abs(a))
-    return worst
+    defects = [abs(coeffs.pop(v, 0j) - b) for v, b in B.terms()]
+    return largest(defects + [abs(a) for a in coeffs.values()])
 
 
 def cocycle_defect(space: Space, r: SymVector, s: SymVector, t: SymVector) -> float:

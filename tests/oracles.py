@@ -81,7 +81,9 @@ def dense_bilinear(rows, v: SymVector, w: SymVector) -> float:
 
 
 def general_max_coeff_distance(A: WeylElement, B: WeylElement) -> float:
-    """`weyl.max_coeff_distance` without its one-term path."""
+    """`weyl.max_coeff_distance` without its one-term path, and reduced by
+    max(): the reference for finite coefficients only, since max() drops the
+    NaN that `largest` refuses."""
     coeffs: Dict[SymVector, complex] = {v: a for v, a in A.terms()}
     worst = 0.0
     for v, b in B.terms():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylnet import cli, suites
+from weylnet import cli, nets, suites
 from weylnet.errors import NotInDomain
 from weylnet.funcspace import Grid
 from weylnet.registry import load_registry, parse_registry
@@ -600,6 +600,30 @@ def test_golden_report_is_byte_identical(name, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run(argv + ["--out", str(out)]) == (0 if reports[key]["passed"] else 1), key
         assert out.read_text() == suites.serialize_report(reports[key]), key
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("name", list(make_goldens.GOLDENS))
+def test_golden_report_is_strict_json(name):
+    """No committed report holds a NaN or an Infinity, which json.dumps
+    would write unless allow_nan=False, and which strict parsers refuse."""
+    text = (Path(__file__).parent / "data" / name).read_text()
+    json.loads(text, parse_constant=_refuse_constant)
+
+
+def test_report_with_a_nan_is_refused_at_serialization():
+    with pytest.raises(ValueError):
+        suites.serialize_report({"value": math.nan})
+
+
+def test_locality_with_a_nan_closed_form_exits_2(monkeypatch, capsys):
+    """A NaN defect is an error naming it, not a FAIL line with a nan in it."""
+    monkeypatch.setattr(nets, "disjoint_sigma", lambda space, F, G, f_left: math.nan)
+    assert exit_code(NARROW_LOCALITY) == 2
+    assert capsys.readouterr() == ("", "error: non-finite defect nan\n")
 
 
 def test_make_goldens_check_writes_nothing_and_exits_1_on_a_change(tmp_path, monkeypatch, capsys):

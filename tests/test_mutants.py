@@ -32,6 +32,9 @@ one `Space.fock_factor` with the same phase on the charge-free keys, so no
 Fock or phase mutant moves it; a product_p that skips `split_off_center`
 leaves its key off the Fock domain, and a `State.value` that skips the charge
 delta reads both keys on charged vectors, where they differ.
+
+A round trip whose every sample is NaN must not read as a pass: max() drops
+a NaN, so `largest` refuses it, and the record is a `NonFiniteDefect` error.
 """
 
 import cmath
@@ -39,6 +42,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylnet import chiral, funcspace, gns, nets, states, suites, symplectic, weyl
@@ -181,6 +185,30 @@ def _value_without_delta(self, space, v):
     return self.key(space, v)
 
 
+def _dalembert_inverse_divided_kink(pair):
+    """chiral.dalembert_inverse with F_c / k_step for F_c * k_step: the zero
+    samples of k_step make every reconstructed f0 sample NaN or inf."""
+    f_c = pair.c_plus - pair.c_minus
+    grid = pair.theta_plus.grid
+    k_deriv, k_step = funcspace._unit_kink(grid)
+    delta = pair.theta_plus.samples - pair.theta_minus.samples
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residue = delta - float(f_c) / k_step
+        f0_samples = float(f_c) * k_deriv.samples + funcspace._spectral(residue, grid.step, 1)
+        f0_samples = f0_samples + (float(f_c) - funcspace._simpson_value(f0_samples, grid)) / float(
+            grid.x1 - grid.x0
+        )
+    f0 = funcspace.TestFunction(grid, f0_samples, Fraction(0), Fraction(0), f_c)
+    f1 = funcspace.TestFunction(
+        grid,
+        pair.theta_plus.samples + pair.theta_minus.samples,
+        pair.theta_plus.left_limit + pair.theta_minus.left_limit,
+        pair.theta_plus.right_limit + pair.theta_minus.right_limit,
+        None,
+    )
+    return f0, f1
+
+
 def _derivative_scaled(f):
     d = DERIVATIVE(f)
     return replace(d, samples=d.samples * (1 + 1e-4))
@@ -213,6 +241,10 @@ MUTANTS = {
     # a delta state read through its key on every vector, charged or not
     "value-without-delta": ((states.State,), "value", _value_without_delta),
     "dalembert-c_plus-c_minus-swapped": ((chiral, suites), "dalembert", _dalembert_charges_swapped),
+    # every round-trip error NaN, which max(0.0, nan) read as 0.0; it also
+    # errors chiral-charge-relations, which shares the mover loop
+    "dalembert_inverse-divided-kink": ((chiral,), "dalembert_inverse",
+                                       _dalembert_inverse_divided_kink),
     "atom_antiderivative*1.001": ((Space,), "atom_antiderivative", _atom_antiderivative_scaled),
     "fock_kernel-slot0*1.001": ((funcspace,), "_fock_kernel", _fock_kernel_slot0_scaled),
     # the per-atom antiderivative the Space builds once
@@ -239,7 +271,8 @@ KILLS = {
     "product-state-coincidence": ["product_p-uncentred", "value-without-delta"],
     "central-eigenrelation": ["apply_elementary-all-halved"],
     "charge-operator-eigenrelation": ["phi_n+1e-3"],
-    "mover-roundtrip": ["dalembert-c_plus-c_minus-swapped", "atom_antiderivative*1.001"],
+    "mover-roundtrip": ["dalembert-c_plus-c_minus-swapped", "atom_antiderivative*1.001",
+                        "dalembert_inverse-divided-kink"],
     "chiral-charge-relations": ["dalembert-c_plus-c_minus-swapped"],
     "sigma-chiral-splitting": ["atom_antiderivative*1.001", "charge_antiderivative*1.0001",
                                "simpson_value*1.0001", "derivative*1.0001"],
@@ -285,3 +318,15 @@ def test_each_listed_check_fails_under_its_mutant(mutant, monkeypatch):
         for check in killed:
             if CHECK_BY_NAME[check].suite == suite:
                 assert statuses[check] in ("fail", "error"), (mutant, check, statuses[check])
+
+
+def test_nan_round_trip_is_a_non_finite_defect_error(monkeypatch):
+    """The NaN round trip errors both checks of the shared mover loop, by
+    name, where max() read mover-roundtrip as a pass at 0.0."""
+    monkeypatch.setattr(chiral, "dalembert_inverse", _dalembert_inverse_divided_kink)
+    (section,) = run_suite("chiral", SEED, space=load_registry())["sections"]
+    records = {c["name"]: c for c in section["checks"]}
+    for name in ("mover-roundtrip", "chiral-charge-relations"):
+        assert records[name]["status"] == "error", records[name]
+        assert records[name]["error"] == "NonFiniteDefect"
+        assert records[name]["message"].startswith("non-finite defect ")

@@ -6,7 +6,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from weylnet.errors import BadIntervals, NotInDomain, RegularizerNotContained
+from weylnet import nets
+from weylnet.errors import BadIntervals, NonFiniteDefect, NotInDomain, RegularizerNotContained
 from weylnet.funcspace import Grid, Interval, localization
 from weylnet.nets import (
     NET_LABEL,
@@ -120,6 +121,14 @@ def test_locality_observables():
 def test_locality_rejects_overlap():
     with pytest.raises(BadIntervals):
         locality_report(sp(), "A", iv(-1, 1), iv(0, 2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_locality_refuses_a_non_finite_closed_form(bad, monkeypatch):
+    """max() returned a NaN defect that came first and dropped a later one."""
+    monkeypatch.setattr(nets, "disjoint_sigma", lambda space, F, G, f_left: bad)
+    with pytest.raises(NonFiniteDefect):
+        locality_report(sp(), "F", iv("-17/8", "-7/8"), iv("7/8", "17/8"))
 
 
 def test_field_net_phase_matrix():

@@ -170,8 +170,9 @@ def test_one_term_star_scale_and_distance_match_the_general_path():
     """weyl_star and weyl_scale of a one-term element and max_coeff_distance
     of two skip the dict: the same keys and bits as the general path
     (tests/oracles.py, or WeylElement's dict), with signed zeros, an
-    infinite coefficient (inf - inf gives a nan that max drops on both
-    paths), a scale below COEFF_EPS, equal keys and different keys."""
+    infinite coefficient, a scale below COEFF_EPS, equal keys and different
+    keys.  Where A or B holds a non-finite coefficient, the distance (inf, or
+    the nan of inf - inf) is refused on both paths, not dropped."""
     space = sp()
     rng = np.random.default_rng(12)
     coeffs = [1.0, -1.0, complex(1.0, -0.0), complex(-0.0, 2.5), complex(-3.0, 0.0),
@@ -179,14 +180,44 @@ def test_one_term_star_scale_and_distance_match_the_general_path():
     keys = [ZERO] + [rand_vector(rng) for _ in range(5)]
     words = [weyl_word(v, c) for v in keys for c in coeffs]
     words += [weyl_mul(space, A, B) for A, B in zip(words[::5], words[1::5])]
+    refused = []
     for A in words:
         assert _bits(weyl_star(A).terms()) == _bits(general_star(A))
         for z in (1j, -1.0, complex(-0.0, 1.0), 1e-20):
             want = WeylElement([(v, z * a) for v, a in A.terms()])
             assert _bits(weyl_scale(A, z).terms()) == _bits(want.terms())
         for B in words:
-            assert max_coeff_distance(A, B).hex() == general_max_coeff_distance(A, B).hex()
+            if all(cmath.isfinite(a) for W in (A, B) for _, a in W.terms()):
+                assert max_coeff_distance(A, B).hex() == general_max_coeff_distance(A, B).hex()
+            else:
+                refused.append(len(A.terms()) == 1 == len(B.terms()))
+                with pytest.raises(errors.NonFiniteDefect):
+                    max_coeff_distance(A, B)
     assert sum(len(A.terms()) == 1 for A in words) > 50
+    assert True in refused and False in refused  # both paths refuse
+
+
+def _raw(*terms) -> WeylElement:
+    """An element holding `terms` as given: the builders drop a NaN coefficient."""
+    element = object.__new__(WeylElement)
+    object.__setattr__(element, "_terms", tuple(terms))
+    return element
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, math.nan),
+                                 complex(0.0, -math.inf)], ids=["nan", "inf-nan", "-inf"])
+def test_max_coeff_distance_refuses_a_non_finite_coefficient(bad):
+    """max() read a NaN coefficient's distance as 0.0 on the one-term path
+    (max(0.0, nan)) and dropped it on the general path."""
+    space = sp()
+    v, w = space.generator("aC"), space.generator("q0")
+    one, nan_one = weyl_word(v, 0.5), _raw((v, bad))
+    pair, nan_pair = weyl_add(one, weyl_word(w)), _raw((v, 0.5 + 0j), (w, bad))
+    for A, B in [(nan_one, one), (one, nan_one), (nan_pair, pair), (pair, nan_pair),
+                 (nan_one, weyl_word(w)), (nan_pair, IDENTITY)]:
+        with pytest.raises(errors.NonFiniteDefect):
+            max_coeff_distance(A, B)
+    assert max_coeff_distance(pair, one) == 1.0
 
 
 def test_multi_term_products_sort_as_the_items_order():
