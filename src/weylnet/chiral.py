@@ -18,23 +18,22 @@ reason.  `split_table` builds it once per check run as rows over atom pairs,
 read from the arrays the Space already holds, and `symplectic.bilinear` sums
 them over two vectors, as it sums the Space's own sigma rows;
 `sigma_decomposed(space, v, w)`, from v's and w's `dalembert` movers, is the
-per-vector reference the table is tested against.  `mover_table` holds the
-mover side of the Fock-norm identity in the same form, as products of
-`fock_column`, the one Fock path.
+per-vector reference the table is tested against.  The mover side of the
+Fock-norm identity is `Space.mover_norm_sq`, the Space's Fock table in the
+mover basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import largest
 from .funcspace import (
     TestFunction, _simpson_value, _simpson_weights, _spectral, _unit_kink, derivative, dot,
-    fock_column,
 )
 from .symplectic import Space, SymVector
 
@@ -144,19 +143,3 @@ def split_table(space: Space) -> List[List[float]]:
                           for la, ea in zip(half, eps)])
     # sigma_+ + sigma_- + sigma_inf
     return ((1.0 - np.outer(eps, eps)) * ((P - P.T) / 4) + sigma_inf).tolist()
-
-
-def mover_table(space: Space, atoms: Iterable[int]) -> List[List[float]]:
-    """Rows M[a][b] = u_a . fock_column(u_b, 1) for same-slot atoms a, b in
-    `atoms`, else 0.0; u_a is a's antiderivative in slot 0, its samples in slot
-    1.  bilinear(M, v, v) = ||F_1||^2 + ||A||^2 = 2||theta_+||^2 + 2||theta_-||^2."""
-    u = {a: TestFunction(space.grid, space.atom_antiderivative(a), Fraction(0),
-                         space.atoms[a].fn.integral, None)
-         if space.atoms[a].slot == 0 else space.atoms[a].fn for a in atoms}
-    rows = [[0.0] * len(space.atoms) for _ in space.atoms]
-    for b, ub in u.items():
-        y = fock_column(ub, 1)
-        for a, ua in u.items():
-            if space.atoms[a].slot == space.atoms[b].slot:
-                rows[a][b] = dot(ua.samples, y)
-    return rows

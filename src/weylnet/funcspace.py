@@ -442,7 +442,7 @@ def fock_norm_sq(f0: TestFunction, f1: TestFunction) -> float:
     if abs(simpson(f0)) > TOL_CHARGE:
         raise NotInDomain("f0 must have zero integral (charge)")
     _same_grid(f0, f1)
-    return chiral_norm_sq(f1) + dot(f0.samples, fock_column(f0, 0))
+    return chiral_norm_sq(f1) + dot(f0.samples, fock_column(f0.samples, 0, f0.grid))
 
 
 @lru_cache(maxsize=64)
@@ -475,22 +475,22 @@ def _fock_kernel(grid: Grid, slot: int) -> np.ndarray:
     return kernel
 
 
-def fock_column(f: TestFunction, slot: int) -> np.ndarray:
-    """y = irfft(rfft(f) * K_slot) on 2n points, cut to n: for g in the same
-    slot, g.samples @ y is the product of g and f in the Fock form,
-    corner term included.  That form convolves f, zero-padded, with
-    the even k = irfft(W_slot); f and y's n points lie on 0..n-1, so only
-    k's lags |d| < n enter, and the 2n-periodic k2 holds exactly those."""
-    ft = np.fft.rfft(f.samples, n=2 * f.grid.n)
-    ft *= _fock_kernel(f.grid, slot)
-    return np.fft.irfft(ft, n=2 * f.grid.n)[:f.grid.n].copy()
+def fock_column(samples: np.ndarray, slot: int, grid: Grid) -> np.ndarray:
+    """y = irfft(rfft(f) * K_slot) on 2n points, cut to n, for f's samples on
+    grid: for g in the same slot, g.samples @ y is the product of g and f in
+    the Fock form, corner term included.  That form convolves f, zero-padded,
+    with the even k = irfft(W_slot); f and y's n points lie on 0..n-1, so
+    only k's lags |d| < n enter, and the 2n-periodic k2 holds exactly those."""
+    ft = np.fft.rfft(samples, n=2 * grid.n)
+    ft *= _fock_kernel(grid, slot)
+    return np.fft.irfft(ft, n=2 * grid.n)[:grid.n].copy()  # frees the 2n-point buffer
 
 
 def chiral_norm_sq(theta: TestFunction) -> float:
     """integral |p| |theta~|^2 dp for a decaying chiral function."""
     if theta.left_limit != 0 or theta.right_limit != 0:
         raise NotInDomain("chiral norm needs zero limits")
-    return dot(theta.samples, fock_column(theta, 1))
+    return dot(theta.samples, fock_column(theta.samples, 1, theta.grid))
 
 
 # ---------------------------------------------------------------------------

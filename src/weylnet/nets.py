@@ -97,7 +97,7 @@ def make_sector(space: Space, F: SymVector, I: Interval) -> SectorAutomorphism:
 
 
 def _phase(angle: float, what: str) -> complex:
-    """e^{i angle}; a nan phase would drop the term from a WeylElement."""
+    """e^{i angle}; a nan or inf angle is named here, not left a NaN coefficient."""
     if not math.isfinite(angle):
         raise FloatOverflow(f"{what} phase angle {angle} is not a finite float")
     return cmath.exp(1j * angle)

@@ -8,8 +8,8 @@ Five state kinds:
   product_p              the same functional built through the ordered
                          two-stage presentation W(h) W(l); each key carries
                          the staging phase e^{i sigma(h,l)/2}
-  chiral_vacuum          deltas on the chiral charges, chiral Fock factor on
-                         the recentred movers
+  chiral_vacuum          deltas on the chiral charges, the Fock factor on the
+                         recentred key read in the mover basis
 
 product_p optionally swaps the delta factor for a regular Gaussian weight:
 that substitute functional fails Hermiticity through the staging phase, which
@@ -22,14 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .chiral import dalembert
-from .errors import FloatOverflow, largest
-from .funcspace import TestFunction, chiral_norm_sq
+from .errors import largest
 from .gns import _plane_key
 from .symplectic import Space, SymVector
 from .weyl import WeylElement, graded_mul, grades, weyl_mul, weyl_star, weyl_word
@@ -95,16 +92,9 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
 
 
 def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
-    # on a charge-free key c_pm = (q +/- c)/2 vanish and plus is the mean limit
-    den, _, plus, _ = space.charges(v)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves total non-finite
-        pair = dalembert(space, v)
-        total = sum(chiral_norm_sq(TestFunction(theta.grid, theta.samples - plus / (2 * den),
-                                                Fraction(0), Fraction(0)))
-                    for theta in (pair.theta_plus, pair.theta_minus))
-    if not math.isfinite(total):
-        raise FloatOverflow("chiral Fock norm of the movers overflows a float")
-    return complex(math.exp(-0.5 * total))
+    # on a charge-free key theta_pm less half the mean limit L are
+    # (f1 - L +/- A) / 2, so 2||theta_+||^2 + 2||theta_-||^2 is the mover norm
+    return complex(math.exp(-0.25 * space.mover_norm_sq(space.split_off_center(v)[0])))
 
 
 def chiral_vacuum() -> State:

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .chiral import dalembert, mover_table, roundtrip_error, split_table
+from .chiral import dalembert, roundtrip_error, split_table
 from .errors import NonFiniteDefect, WeylnetError, largest
 from .funcspace import DEFAULT_GRID, Grid, Interval
 from .gns import (
@@ -251,13 +251,12 @@ def _sigma_chiral_splitting(space: Space, rng) -> float:
 
 def _fock_norm_mover_identity(space: Space, rng) -> float:
     pool = ["aL", "aC", "aR"]
-    movers = mover_table(space, [a for name in pool for a, _ in space.generator(name).items()])
     defects = []
     # a draw is zero with probability 1/125: 64 hold fewer than 20 nonzero ones w.p. 3e-79
     vs = (v for v in _rand_vectors(space, rng, pool, 64, n_terms=3) if not v.is_zero())
     for v in islice(vs, 20):
         lhs = space.fock_norm_sq(v)
-        defects.append(abs(lhs - bilinear(movers, v, v)) / max(1.0, abs(lhs)))
+        defects.append(abs(lhs - space.mover_norm_sq(v)) / max(1.0, abs(lhs)))
     return largest(defects)
 
 

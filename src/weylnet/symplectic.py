@@ -10,7 +10,9 @@ denominator that callers divide only where they need a number.
 The symplectic form is sigma(F, G) = integral (f0*g1 - g0*f1) dx, so atoms in
 the same slot pair to zero and cross-slot pairs reduce to an integral Gram
 matrix.  A Space builds it once, at load, as a signed per-atom table, and
-`bilinear` sums any such table over two vectors.
+`bilinear` sums any such table over two vectors: the Fock form too, whose
+two tables (on the atoms' Cauchy data and on their movers) fill in a column
+per atom as they are read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,10 +219,11 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 class Space:
     """Generators, atoms, charges and the symplectic form are fixed at
-    construction.  Memos fill in as they are read: the Fock product Q per
-    atom pair and the antiderivative per slot-0 atom (an FFT per atom, about
-    a short CLI command in all if built at load), each `psi_T` regularizer's
-    assembled slots, and the localization of each vector read.
+    construction.  Memos fill in as they are read: the Fock form's tables in
+    the Cauchy-data and the mover basis, a column per atom, and the
+    antiderivative per slot-0 atom (an FFT per atom, about a short CLI
+    command in all if built at load), each `psi_T` regularizer's assembled
+    slots, and the localization of each vector read.
     Their arrays are read-only.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
@@ -277,7 +280,9 @@ class Space:
         for (i, j), g in self._gram.items():
             rows[i][j], rows[j][i] = g, -g
         self._sigma_rows = tuple(tuple(row) for row in rows)
-        self._fock_q: Dict[int, Dict[int, float]] = {}
+        # the Fock form's tables on the atoms' Cauchy data and on their movers:
+        # rows of Q(a, b), 0.0 until column max(a, b) is built, and the columns built
+        self._fock, self._movers = (([[0.0] * n for _ in range(n)], set()) for _ in range(2))
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
         self._localizations: Dict[SymVector, Optional[Interval]] = {}
@@ -408,38 +413,46 @@ class Space:
         return self._localizations[v]
 
     def fock_norm_sq(self, v: SymVector) -> float:
-        """||v||^2 = sum c_a c_b Q(a, b) over v's atoms, in atom order with
-        cross terms counted twice.  Q(a, b) = a.samples @ fock_column(b) for
-        same-slot atoms a <= b: b's row is filled the first time b is read,
+        """||v||^2 = ||f0||^2 + ||F1||^2 in the Fock form, from the table whose
+        atom a holds its samples and the kernel of its slot."""
+        return self._fock_form(v, self._fock, lambda a: (self.atoms[a].fn.samples, self._slots[a]))
+
+    def mover_norm_sq(self, v: SymVector) -> float:
+        """2||theta_+||^2 + 2||theta_-||^2 = ||A||^2 + ||F1||^2: the slot-1 form
+        on u_a, a slot-0 atom's antiderivative or a slot-1 atom's samples."""
+        return self._fock_form(v, self._movers, lambda a: (
+            self.atom_antiderivative(a) if self._slots[a] == 0 else self.atoms[a].fn.samples, 1))
+
+    def _fock_form(self, v: SymVector, table: Tuple[list, set], basis: Callable) -> float:
+        """bilinear(rows, v, v) for table (rows, built columns); basis(a) is
+        atom a's (samples u_a, kernel slot).  Column b, built the first time b
+        is read, holds Q(a, b) = u_a . fock_column(u_b) for same-slot a <= b,
         so Q does not depend on the read order.  NotInDomain off Va, or when
-        a window cut an atom: the numeric charge sigma(v, e), the Simpson
-        value of v's slot 0 against the unit e, exceeds TOL_CHARGE times v's
-        largest coefficient (at least 1), the scale its rounding grows with.
-        Before that, FloatOverflow when a coefficient's square, and so the
-        norm, overflows."""
+        the numeric charge sigma(v, e), v's slot-0 Simpson value, exceeds
+        TOL_CHARGE times v's largest coefficient (at least 1): a window cut an
+        atom.  FloatOverflow before that when a coefficient's square
+        overflows, and after it when the sum is NaN (inf - inf)."""
         _, c, plus, minus = self.charges(v)
         if c or plus or minus:
             raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")
         charge = self.sigma(v, self._unit)
         top = max([abs(n) for _, n in v._nums], default=0) / v._den
-        if top * top == math.inf:
-            raise FloatOverflow(f"Fock norm overflows a float at coefficient {top:.3g} "
-                                f"(numeric charge sigma(v, e) {charge:.3g})")
-        if abs(charge) > TOL_CHARGE * max(1.0, top):
-            raise NotInDomain("f0 must have zero integral (charge)")
-        total = 0.0
-        for i, (b, nb) in enumerate(v._nums):
-            slot = self._slots[b]
-            if b not in self._fock_q:
-                y = fock_column(self.atoms[b].fn, slot)
-                self._fock_q[b] = {a: dot(self.atoms[a].fn.samples, y)
-                                   for a in range(b + 1) if self._slots[a] == slot}
-            row, cb = self._fock_q[b], nb / v._den
-            for a, na in v._nums[:i]:
-                if a in row:
-                    total += 2.0 * (na / v._den) * cb * row[a]
-            total += cb * cb * row[b]
-        return total
+        if top * top < math.inf:
+            if abs(charge) > TOL_CHARGE * max(1.0, top):
+                raise NotInDomain("f0 must have zero integral (charge)")
+            rows, built = table
+            for b, _ in v._nums:
+                if b not in built:
+                    y = fock_column(*basis(b), self.grid)
+                    for a in range(b + 1):
+                        if self._slots[a] == self._slots[b]:
+                            rows[a][b] = rows[b][a] = dot(basis(a)[0], y)
+                    built.add(b)
+            total = bilinear(rows, v, v)
+            if not math.isnan(total):
+                return total
+        raise FloatOverflow(f"Fock norm overflows a float at coefficient {top:.3g} "
+                            f"(numeric charge sigma(v, e) {charge:.3g})")
 
     def fock_factor(self, v: SymVector) -> float:
         """The quasi-free vacuum value exp(-||v||^2 / 4); 1.0 on ZERO."""

@@ -31,11 +31,11 @@ COEFF_EPS = 1e-15
 class WeylElement:
     """Finite combination sum_k a_k W(v_k), canonically normalized.
 
-    Like keys are summed, coefficients below COEFF_EPS dropped, and the terms
-    sorted by key in the order of `SymVector.items()`: atom by atom, then
-    coefficient by coefficient.  The sort reads the coefficients as integer
-    numerators over the keys' common denominator, which is that order with
-    no Fraction built."""
+    Like keys are summed, coefficients below COEFF_EPS dropped (a NaN is kept),
+    and the terms sorted by key in the order of `SymVector.items()`: atom by
+    atom, then coefficient by coefficient.  The sort reads the coefficients as
+    integer numerators over the keys' common denominator: that order with no
+    Fraction built."""
 
     __slots__ = ("_terms",)
 
@@ -43,7 +43,7 @@ class WeylElement:
         acc: Dict[SymVector, complex] = {}
         for v, a in terms:
             acc[v] = acc.get(v, 0j) + complex(a)
-        kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
+        kept = [(v, a) for v, a in acc.items() if not abs(a) < COEFF_EPS]
         if len(kept) > 1:
             den = math.lcm(*[v._den for v, _ in kept])
             kept.sort(key=lambda t: [(a, n * (den // t[0]._den)) for a, n in t[0]._nums])
@@ -65,7 +65,7 @@ def weyl_word(v: SymVector, coeff: complex = 1.0) -> WeylElement:
     """coeff W(v) as `WeylElement([(v, coeff)])` builds it, past the dict."""
     a = 0j + complex(coeff)
     word = object.__new__(WeylElement)
-    word._terms = ((v, a),) if abs(a) >= COEFF_EPS else ()
+    word._terms = () if abs(a) < COEFF_EPS else ((v, a),)
     return word
 
 

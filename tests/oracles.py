@@ -95,11 +95,11 @@ def general_max_coeff_distance(A: WeylElement, B: WeylElement) -> float:
 
 def general_star(A: WeylElement) -> list:
     """The terms of A* as the dict path builds them: each coefficient's
-    conjugate summed from 0j, kept from COEFF_EPS, sorted as `items()`."""
+    conjugate summed from 0j, kept unless below COEFF_EPS, sorted as `items()`."""
     acc: Dict[SymVector, complex] = {}
     for v, a in A.terms():
         acc[-v] = acc.get(-v, 0j) + a.conjugate()
-    kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
+    kept = [(v, a) for v, a in acc.items() if not abs(a) < COEFF_EPS]
     return sorted(kept, key=lambda t: t[0].items())
 
 

@@ -8,7 +8,6 @@ from weylnet.chiral import (
     ChiralPair,
     dalembert,
     dalembert_inverse,
-    mover_table,
     roundtrip_error,
     sigma_decomposed,
     split_table,
@@ -304,24 +303,19 @@ def test_split_table_compares_cross_slot_integrals_and_limits():
     assert np.count_nonzero((table - inf)[~same]) > 0
 
 
-# --- the per-atom mover table -----------------------------------------------------
+# --- the Fock table in the mover basis ----------------------------------------------
 
 POOL = ["aL", "aC", "aR"]
 
 
 @pytest.mark.parametrize("points", [1024, 4096])
 def test_mover_table_matches_the_per_vector_movers(points):
-    """bilinear(M, v, v) is 2||theta_+||^2 + 2||theta_-||^2 of v's dalembert
-    movers, each a padded per-vector chiral norm, for 20 pool vectors; M is 0.0 across slots
-    and off the pool."""
+    """Space.mover_norm_sq(v) is 2||theta_+||^2 + 2||theta_-||^2 of v's
+    dalembert movers, each a padded per-vector chiral norm, for 20 pool
+    vectors; its table holds 0.0 across slots and is nonzero on the pool's
+    same-slot pairs."""
     space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
     atoms = [a for name in POOL for a, _ in space.generator(name).items()]
-    table = mover_table(space, atoms)
-    slots = np.array([atom.slot for atom in space.atoms])
-    inside = np.isin(np.arange(len(slots)), atoms)
-    same = (slots[:, None] == slots[None, :]) & inside[:, None] & inside[None, :]
-    assert np.count_nonzero(same) == 18 and np.all(np.array(table)[same] != 0.0)
-    assert np.all(np.array(table)[~same] == 0.0)
     rng = np.random.default_rng(13)
     done = 0
     while done < 20:
@@ -335,15 +329,23 @@ def test_mover_table_matches_the_per_vector_movers(points):
         done += 1
         pair = dalembert(space, v)
         ref = 2 * (padded_chiral_norm_sq(pair.theta_plus) + padded_chiral_norm_sq(pair.theta_minus))
-        assert abs(bilinear(table, v, v) - ref) <= 1e-13 * ref
+        assert abs(space.mover_norm_sq(v) - ref) <= 1e-13 * ref
+    assert space._movers[1] == set(atoms)
+    table = np.array(space._movers[0])
+    slots = np.array([atom.slot for atom in space.atoms])
+    inside = np.isin(np.arange(len(slots)), atoms)
+    same = (slots[:, None] == slots[None, :]) & inside[:, None] & inside[None, :]
+    assert np.count_nonzero(same) == 18 and np.all(table[same] != 0.0)
+    assert np.all(table[slots[:, None] != slots[None, :]] == 0.0)
 
 
 def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
-    """On a fresh Space: one rfft per Fock column and per slot-0
-    antiderivative of the six pool atoms, and one per mover column; no
-    per-vector movers or chiral norms.  A column's rfft is 2n points long.
-    Both Fock kernels are built first, as an earlier test in the same
-    process may already have built them."""
+    """On a fresh Space: one 2n-point rfft per column of each Fock table for
+    the six pool atoms, and one n-point rfft per slot-0 antiderivative the
+    mover columns read, those of the six slot-0 atoms at or below aR.0 (in
+    a chiral suite run `split_table` has built them all before); no
+    per-vector movers or chiral norms.  Both Fock kernels are built first,
+    as an earlier test in the same process may already have built them."""
     sizes = []
     rfft = np.fft.rfft
 
@@ -364,6 +366,8 @@ def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
     monkeypatch.setattr(funcspace, "chiral_norm_sq", refused)
     check = suites.CHECK_BY_NAME["fock-norm-mover-identity"]
     assert check.passes(check.measure(space, np.random.default_rng(7)))
-    assert 0 < len(sizes) <= 15
     n = space.grid.n
-    assert set(sizes) == {n, 2 * n} and 2 * n == 8192
+    slot0 = [a for a, atom in enumerate(space.atoms) if atom.slot == 0 and a <= 10]
+    assert space.atoms[10].name == "aR.0" and len(slot0) == 6 and set(space._antideriv) == set(slot0)
+    assert sorted(sizes) == [n] * 6 + [2 * n] * 12 and 2 * n == 8192
+    assert space._fock[1] == space._movers[1] == set(range(6, 12))

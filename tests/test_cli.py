@@ -350,6 +350,11 @@ def test_overflowing_phase_is_one_named_line(argv, capsys):
 
 OVERFLOW_COMBO = f"{N308} c0 + {N308} T"  # each coefficient a float, F_c = 2e308 is not
 UNCHARGED_Q_OVERFLOW = f"W[{N308} c0 + {N308} c1]"  # F_c = 2e308 overflows, F_q = 0
+# N^2 fits a float, but N^2 Q(a, b) overflows with both signs: q0 and q3's
+# Fock entries are about 3.1 and 2.2, and their cross terms are negative
+N_NAN = 12 * 10**153
+NAN_KINK_PAIR = f"W[{N_NAN} q0 - {N_NAN} q3]"
+NAN_MESSAGE = "Fock norm overflows a float at coefficient 1.2e+154 (numeric charge sigma(v, e) 0)"
 
 
 @pytest.mark.parametrize(
@@ -360,9 +365,12 @@ UNCHARGED_Q_OVERFLOW = f"W[{N308} c0 + {N308} c1]"  # F_c = 2e308 overflows, F_q
         (["chiral", "decompose", "--combo", OVERFLOW_COMBO],
          "charge F_c of the combination overflows a float"),
         (["state", "eval", "--kind", "chiral_vacuum", "--element", f"W[{N308} aC]"],
-         "chiral Fock norm of the movers overflows a float"),
+         "Fock norm overflows a float at coefficient 1e+308 (numeric charge sigma(v, e) 1.26e+293)"),
         *[(["state", "eval", "--kind", "chiral_vacuum", "--element", f"W[{10**e} aC]"],
-           "chiral Fock norm of the movers overflows a float") for e in (155, 160, 300)],
+           f"Fock norm overflows a float at coefficient 1e+{e} (numeric charge sigma(v, e) "
+           f"1.26e+{e - 15})") for e in (155, 160, 300)],
+        *[(["state", "eval", "--kind", kind, "--element", NAN_KINK_PAIR], NAN_MESSAGE)
+          for kind in ("fock_a", "field_f", "product_p", "chiral_vacuum")],
         (["state", "eval", "--kind", "field_f", "--element", f"W[{N308} aC + {N308} aL]"],
          "Fock norm overflows a float at coefficient 1e+308 (numeric charge sigma(v, e) 1.07e+293)"),
         (["net", "gauge", "--n", "0.3", "--apply", f"W[{N308} T + {N308} T0]"],
@@ -371,12 +379,15 @@ UNCHARGED_Q_OVERFLOW = f"W[{N308} c0 + {N308} c1]"  # F_c = 2e308 overflows, F_q
          "charge F_c of the combination overflows a float"),
     ],
     ids=["chiral-roundtrip", "chiral-decompose", "chiral-vacuum", "chiral-vacuum-1e155",
-         "chiral-vacuum-1e160", "chiral-vacuum-1e300", "field-f", "gauge", "gauge-n-c0-c1"],
+         "chiral-vacuum-1e160", "chiral-vacuum-1e300", "fock-a-nan", "field-f-nan",
+         "product-p-nan", "chiral-vacuum-nan", "field-f", "gauge", "gauge-n-c0-c1"],
 )
 def test_overflowing_charge_or_norm_is_one_named_line(argv, message, capsys):
     """A combination of float coefficients whose charge or norm overflows a
     float exits 2 with one line naming the overflow: no traceback, no numpy
-    warning, no nan, and for field_f not the window-cut charge message."""
+    warning, no nan (the Fock sum of N q0 - N q3 was inf - inf, printed as
+    nan+nani, and 0+0i by the chiral vacuum), and for field_f not the
+    window-cut charge message.  Every vacuum names the one Fock overflow."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert exit_code(argv) == 2
@@ -395,9 +406,9 @@ def test_gauge_reads_only_the_charges_it_weighs(capsys):
 
 @pytest.mark.parametrize("kind", ["chiral_vacuum", "fock_a", "field_f"])
 def test_largest_finite_norm_reads_zero(kind, capsys):
-    """At N = 1e154 the Fock norm of N aC is still a finite float (1.2e308
-    in the chiral form), so each vacuum's exponential reads 0, not an
-    overflow."""
+    """At N = 1e154 the square of N still fits a float.  The norm of N aC,
+    2.35e308, is +inf in both tables, not a NaN, so each vacuum's
+    exponential reads 0, not an overflow."""
     assert run(["state", "eval", "--kind", kind, "--element", f"W[{10**154} aC]"]) == 0
     assert capsys.readouterr().out == "0+0i\n"
 
@@ -415,12 +426,14 @@ def test_large_uncut_coefficient_is_in_the_fock_domain(kind, coeff, capsys):
 @pytest.mark.parametrize("coeff", ["", "1000000 "])
 def test_window_cut_atom_still_leaves_the_fock_domain(coeff, capsys):
     """At --window 16 the window cuts aR (its samples integrate to -0.031),
-    whatever its coefficient."""
-    argv = ["--window", "16", "state", "eval", "--kind", "fock_a", "--element", f"W[{coeff}aR]"]
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: f0 must have zero integral (charge)\n"
+    whatever its coefficient, for the Fock vacuum and for the chiral vacuum,
+    which reads the same domain in the mover basis."""
+    for kind in ("fock_a", "chiral_vacuum"):
+        argv = ["--window", "16", "state", "eval", "--kind", kind, "--element", f"W[{coeff}aR]"]
+        assert run(argv) == 2, kind
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: f0 must have zero integral (charge)\n"
 
 
 @pytest.mark.parametrize(

@@ -370,7 +370,7 @@ def _worst_atom_pair(points):
     for slot in (0, 1):
         fns = [atom.fn for atom in space.atoms if atom.slot == slot]
         s = np.array([f.samples for f in fns])
-        q = s @ np.array([fock_column(f, slot) for f in fns]).T
+        q = s @ np.array([fock_column(f.samples, slot, f.grid) for f in fns]).T
         want = s @ np.array([_padded_column(f, slot) for f in fns]).T
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         worst = max(worst, float(np.max(np.abs(q - want) / scale)))

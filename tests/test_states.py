@@ -6,10 +6,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from weylnet import funcspace, states
+from weylnet import funcspace
 from weylnet.chiral import dalembert
 from weylnet.errors import InvalidKey, NotInDomain
-from weylnet.funcspace import chiral_norm_sq
+from weylnet.funcspace import Grid
 from weylnet.registry import load_registry
 from weylnet.states import (
     STATES,
@@ -34,7 +34,7 @@ from weylnet.weyl import (
 )
 
 from charge_rationals import rationals
-from oracles import full_gram
+from oracles import full_gram, padded_chiral_norm_sq
 
 
 @lru_cache(maxsize=1)
@@ -294,12 +294,8 @@ def _old_chiral_vacuum(space, v):
     pair = dalembert(space, v)
     if pair.c_plus != 0 or pair.c_minus != 0:
         return 0j
-    half = float(rationals(space, v).inf) / 2.0
-    total = 0.0
-    for theta in (pair.theta_plus, pair.theta_minus):
-        flat = funcspace.TestFunction(theta.grid, theta.samples - half, Fraction(0), Fraction(0), None)
-        total += chiral_norm_sq(flat)
-    return complex(math.exp(-0.5 * total))
+    centred = v - space.unit_vector().scale(rationals(space, v).inf)
+    return complex(math.exp(-0.25 * space.mover_norm_sq(centred)))
 
 
 def _oracle_keys(space):
@@ -341,6 +337,31 @@ def test_keys_equal_the_compute_then_multiply_formulas():
     # the substitute weight is nonzero on charged keys, so they still run quadrature
     sub = product_p(T, regular_substitute=True).value
     assert any(sub(space, v) != 0 for v in charged)
+
+
+@pytest.mark.parametrize("points", [1024, 4096, 16384])
+def test_chiral_vacuum_is_the_padded_norm_of_the_recentred_movers(points):
+    """On each charge-free oracle key the chiral vacuum, read from the Fock
+    table in the mover basis, is exp(-||theta_+ - L/2||^2 / 2 - ||theta_- -
+    L/2||^2 / 2) of v's dalembert movers, L the mean limit, each norm a
+    padded per-vector sum; 0 on the charged keys."""
+    space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
+    state = STATES["chiral_vacuum"](space)
+    read = 0
+    for v in _oracle_keys(space):
+        pair = dalembert(space, v)
+        if pair.c_plus != 0 or pair.c_minus != 0:
+            assert state.value(space, v) == 0j
+            continue
+        half = float(rationals(space, v).inf) / 2.0
+        total = sum(padded_chiral_norm_sq(funcspace.TestFunction(theta.grid, theta.samples - half,
+                                                                 Fraction(0), Fraction(0)))
+                    for theta in (pair.theta_plus, pair.theta_minus))
+        want = math.exp(-0.5 * total)
+        got = state.value(space, v)
+        assert got.imag == 0.0 and abs(got.real - want) <= 1e-12 * want, v
+        read += total > 1.0
+    assert read >= 10
 
 
 def test_delta_keys_build_no_charges(monkeypatch):
@@ -403,18 +424,18 @@ def test_value_alone_tests_the_charge_delta():
 
 def _count_norm_calls(monkeypatch):
     calls = []
-    fock_norm_sq = Space.fock_norm_sq
 
-    def counted(name, fn):
+    def counted(name):
+        fn = getattr(Space, name)
+
         def wrapper(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(Space, "fock_norm_sq", counted("fock_norm_sq", fock_norm_sq))
-    monkeypatch.setattr(states, "dalembert", counted("dalembert", states.dalembert))
-    monkeypatch.setattr(states, "chiral_norm_sq", counted("chiral_norm_sq", states.chiral_norm_sq))
+    for name in ("fock_norm_sq", "mover_norm_sq"):
+        monkeypatch.setattr(Space, name, counted(name))
     return calls
 
 
@@ -431,7 +452,7 @@ def test_charged_keys_run_no_quadrature(monkeypatch):
     # a zero-charge key does run them
     for value in values:
         value(space, g("aC") + g("q0") - g("q3"))
-    assert {"fock_norm_sq", "dalembert", "chiral_norm_sq"} <= set(calls)
+    assert {"fock_norm_sq", "mover_norm_sq"} <= set(calls)
 
 
 def test_fock_factor_is_the_norm_exponential_for_either_sign():
@@ -451,3 +472,4 @@ def test_fock_norm_is_bit_exact_under_negation():
         v = rand_vector(rng, VA_GENS)
         if not v.is_zero():
             assert space.fock_norm_sq(-v) == space.fock_norm_sq(v)
+            assert space.mover_norm_sq(-v) == space.mover_norm_sq(v)

@@ -659,52 +659,73 @@ def _count_columns(monkeypatch):
     return built
 
 
+# each Fock norm, the state that reads it and its table
+NORMS = {"fock_norm_sq": ("field_f", "_fock"), "mover_norm_sq": ("chiral_vacuum", "_movers")}
+
+
+def _empty(table) -> bool:
+    rows, built = table
+    return not built and not any(any(row) for row in rows)
+
+
 def test_fock_columns_are_built_lazily(monkeypatch):
+    """A state's value on W[aC] builds the columns of aC's two atoms in its
+    norm's table, and none in the other."""
     from weylnet.states import STATES, eval_state
     from weylnet.weyl import parse_element
 
-    space = load_registry()
-    assert space._fock_q == {}
     built = _count_columns(monkeypatch)
-    eval_state(space, STATES["field_f"](space), parse_element(space, "W[aC]"))
-    aC = {a for a, _ in space.generator("aC").items()}
-    assert len(aC) == 2 and set(space._fock_q) == aC and len(built) == 2
+    for kind, table in NORMS.values():
+        space = load_registry()
+        assert _empty(space._fock) and _empty(space._movers)
+        built.clear()
+        eval_state(space, STATES[kind](space), parse_element(space, "W[aC]"))
+        aC = {a for a, _ in space.generator("aC").items()}
+        assert len(aC) == 2 and getattr(space, table)[1] == aC and len(built) == 2, kind
+        assert _empty(space._movers if table == "_fock" else space._fock), kind
 
 
 def test_each_fock_column_is_built_once_per_space(monkeypatch):
-    space = load_registry()
+    """states-positivity reads the Cauchy-data table, chiral both."""
     built = _count_columns(monkeypatch)
-    run_suite("states-positivity", 7, space=space)
-    assert 0 < len(built) == len(space._fock_q) <= len(space.atoms)
+    for suite, table in (("states-positivity", "_fock"), ("chiral", "_movers")):
+        space = load_registry()
+        built.clear()
+        run_suite(suite, 7, space=space)
+        columns = len(space._fock[1]) + len(space._movers[1])
+        assert 0 < len(getattr(space, table)[1]) <= len(space.atoms), suite
+        assert len(built) == columns, suite
 
 
 def test_fock_norms_do_not_depend_on_read_order():
-    forward, backward = load_registry(), load_registry()
-    vs = _fock_vectors(forward, 5, count=40)
-    first = [forward.fock_norm_sq(v) for v in vs]
-    second = [backward.fock_norm_sq(v) for v in reversed(vs)]
-    assert first == second[::-1]
+    for norm in NORMS:
+        forward, backward = load_registry(), load_registry()
+        vs = _fock_vectors(forward, 5, count=40)
+        first = [getattr(forward, norm)(v) for v in vs]
+        second = [getattr(backward, norm)(v) for v in reversed(vs)]
+        assert first == second[::-1], norm
 
 
 @pytest.mark.parametrize("points", [4096, 16384])
 def test_fock_norm_reads_no_assembled_samples(points, monkeypatch):
     space = load_registry(None, Grid(Fraction(-32), Fraction(32), points))
     vs = _fock_vectors(space, points, count=20)
-    want = [space.fock_norm_sq(v) for v in vs]
+    want = {norm: [getattr(space, norm)(v) for v in vs] for norm in NORMS}
 
     def refuse(self, v):
         raise AssertionError("assemble called")
 
     monkeypatch.setattr(Space, "assemble", refuse)
-    assert [space.fock_norm_sq(v) for v in vs] == want
+    assert {norm: [getattr(space, norm)(v) for v in vs] for norm in NORMS} == want
 
 
 @pytest.mark.parametrize("name", ["T", "n1", "c0"])
 def test_fock_norm_refuses_charged_vectors_before_any_column(name):
     space = load_registry()
-    with pytest.raises(errors.NotInDomain, match=re.escape("fully decaying data (Va) only")):
-        space.fock_norm_sq(space.generator(name))
-    assert space._fock_q == {}
+    for norm in NORMS:
+        with pytest.raises(errors.NotInDomain, match=re.escape("fully decaying data (Va) only")):
+            getattr(space, norm)(space.generator(name))
+    assert _empty(space._fock) and _empty(space._movers) and not space._antideriv
 
 
 def test_fock_norm_refuses_a_window_cut_generator():
@@ -713,8 +734,10 @@ def test_fock_norm_refuses_a_window_cut_generator():
     space = load_registry(None, Grid(Fraction(-16), Fraction(16), 4096))
     aR = space.generator("aR")
     assert space.in_space(aR, "Va")
-    with pytest.raises(errors.NotInDomain, match=re.escape("f0 must have zero integral (charge)")):
-        space.fock_norm_sq(aR)
+    for norm in NORMS:
+        with pytest.raises(errors.NotInDomain, match=re.escape("f0 must have zero integral (charge)")):
+            getattr(space, norm)(aR)
+    assert _empty(space._fock) and _empty(space._movers)
 
 
 @pytest.mark.parametrize("window, accepted", [(16, False), (32, True)])

@@ -135,7 +135,7 @@ def _reference_mul(space, A, B):
     for v, a in A.terms():
         for w, b in B.terms():
             acc[v + w] = acc.get(v + w, 0j) + a * b * cmath.exp(-0.5j * space.sigma(v, w))
-    kept = [(v, a) for v, a in acc.items() if abs(a) >= COEFF_EPS]
+    kept = [(v, a) for v, a in acc.items() if not abs(a) < COEFF_EPS]
     return sorted(kept, key=lambda t: t[0].items())
 
 
@@ -198,7 +198,7 @@ def test_one_term_star_scale_and_distance_match_the_general_path():
 
 
 def _raw(*terms) -> WeylElement:
-    """An element holding `terms` as given: the builders drop a NaN coefficient."""
+    """An element holding `terms` as given, past the builders' merge and sort."""
     element = object.__new__(WeylElement)
     object.__setattr__(element, "_terms", tuple(terms))
     return element
@@ -218,6 +218,24 @@ def test_max_coeff_distance_refuses_a_non_finite_coefficient(bad):
         with pytest.raises(errors.NonFiniteDefect):
             max_coeff_distance(A, B)
     assert max_coeff_distance(pair, one) == 1.0
+
+
+def test_a_nan_coefficient_keeps_its_term():
+    """weyl_word and WeylElement keep a NaN coefficient's term, which the
+    keep test abs(a) >= COEFF_EPS dropped (False for NaN), so a distance
+    refuses it on the one-term and on the general path."""
+    space = sp()
+    v, w = space.generator("aC"), space.generator("q0")
+    for A in (weyl_word(v, complex(math.nan, 0)), WeylElement([(v, math.nan)]),
+              WeylElement([(v, 1.0), (v, math.nan)])):
+        (key, a), = A.terms()
+        assert key == v and cmath.isnan(a)
+        with pytest.raises(errors.NonFiniteDefect):
+            max_coeff_distance(A, weyl_word(v))
+    pair = WeylElement([(v, math.nan), (w, 1.0)])
+    assert [key for key, _ in pair.terms()] == [v, w]
+    with pytest.raises(errors.NonFiniteDefect):
+        max_coeff_distance(pair, weyl_add(weyl_word(v), weyl_word(w)))
 
 
 def test_multi_term_products_sort_as_the_items_order():
