@@ -220,7 +220,7 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 class Space:
     """Generators, atoms, charges and the symplectic form are fixed at
     construction.  Memos fill in as they are read: the Fock form's tables in
-    the Cauchy-data and the mover basis, a column per atom, and the
+    the Cauchy-data and the mover basis, a column per atom and kernel, the
     antiderivative per slot-0 atom (an FFT per atom, about a short CLI
     command in all if built at load), each `psi_T` regularizer's assembled
     slots, and the localization of each vector read.
@@ -280,9 +280,9 @@ class Space:
         for (i, j), g in self._gram.items():
             rows[i][j], rows[j][i] = g, -g
         self._sigma_rows = tuple(tuple(row) for row in rows)
-        # the Fock form's tables on the atoms' Cauchy data and on their movers:
-        # rows of Q(a, b), 0.0 until column max(a, b) is built, and the columns built
-        self._fock, self._movers = (([[0.0] * n for _ in range(n)], set()) for _ in range(2))
+        # the Fock form's rows Q(a, b) on Cauchy data and on movers (slot 1 shared)
+        self._fock, self._columns = [[0.0] * n for _ in range(n)], set()
+        self._movers = [row if slot else [0.0] * n for row, slot in zip(self._fock, self._slots)]
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
         self._localizations: Dict[SymVector, Optional[Interval]] = {}
@@ -423,11 +423,11 @@ class Space:
         return self._fock_form(v, self._movers, lambda a: (
             self.atom_antiderivative(a) if self._slots[a] == 0 else self.atoms[a].fn.samples, 1))
 
-    def _fock_form(self, v: SymVector, table: Tuple[list, set], basis: Callable) -> float:
-        """bilinear(rows, v, v) for table (rows, built columns); basis(a) is
-        atom a's (samples u_a, kernel slot).  Column b, built the first time b
-        is read, holds Q(a, b) = u_a . fock_column(u_b) for same-slot a <= b,
-        so Q does not depend on the read order.  NotInDomain off Va, or when
+    def _fock_form(self, v: SymVector, rows: list, basis: Callable) -> float:
+        """bilinear(rows, v, v); basis(a) is atom a's (samples u_a, kernel
+        slot k).  Column (b, k), built the first time b is read with kernel k,
+        holds Q(a, b) = u_a . fock_column(u_b) for same-slot a <= b, so Q does
+        not depend on the read order.  NotInDomain off Va, or when
         the numeric charge sigma(v, e), v's slot-0 Simpson value, exceeds
         TOL_CHARGE times v's largest coefficient (at least 1): a window cut an
         atom.  FloatOverflow before that when a coefficient's square
@@ -440,14 +440,14 @@ class Space:
         if top * top < math.inf:
             if abs(charge) > TOL_CHARGE * max(1.0, top):
                 raise NotInDomain("f0 must have zero integral (charge)")
-            rows, built = table
             for b, _ in v._nums:
-                if b not in built:
-                    y = fock_column(*basis(b), self.grid)
+                u, k = basis(b)
+                if (b, k) not in self._columns:
+                    y = fock_column(u, k, self.grid)
                     for a in range(b + 1):
                         if self._slots[a] == self._slots[b]:
                             rows[a][b] = rows[b][a] = dot(basis(a)[0], y)
-                    built.add(b)
+                    self._columns.add((b, k))
             total = bilinear(rows, v, v)
             if not math.isnan(total):
                 return total

@@ -330,8 +330,8 @@ def test_mover_table_matches_the_per_vector_movers(points):
         pair = dalembert(space, v)
         ref = 2 * (padded_chiral_norm_sq(pair.theta_plus) + padded_chiral_norm_sq(pair.theta_minus))
         assert abs(space.mover_norm_sq(v) - ref) <= 1e-13 * ref
-    assert space._movers[1] == set(atoms)
-    table = np.array(space._movers[0])
+    assert space._columns == {(a, 1) for a in atoms}
+    table = np.array(space._movers)
     slots = np.array([atom.slot for atom in space.atoms])
     inside = np.isin(np.arange(len(slots)), atoms)
     same = (slots[:, None] == slots[None, :]) & inside[:, None] & inside[None, :]
@@ -340,8 +340,9 @@ def test_mover_table_matches_the_per_vector_movers(points):
 
 
 def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
-    """On a fresh Space: one 2n-point rfft per column of each Fock table for
-    the six pool atoms, and one n-point rfft per slot-0 antiderivative the
+    """On a fresh Space, at most 15 rffts: one of 2n points per column for
+    the six pool atoms, a slot-0 atom's in each table and a slot-1 atom's
+    once for both, and one n-point rfft per slot-0 antiderivative the
     mover columns read, those of the six slot-0 atoms at or below aR.0 (in
     a chiral suite run `split_table` has built them all before); no
     per-vector movers or chiral norms.  Both Fock kernels are built first,
@@ -369,5 +370,5 @@ def test_fock_norm_mover_identity_takes_one_fft_per_column(monkeypatch):
     n = space.grid.n
     slot0 = [a for a, atom in enumerate(space.atoms) if atom.slot == 0 and a <= 10]
     assert space.atoms[10].name == "aR.0" and len(slot0) == 6 and set(space._antideriv) == set(slot0)
-    assert sorted(sizes) == [n] * 6 + [2 * n] * 12 and 2 * n == 8192
-    assert space._fock[1] == space._movers[1] == set(range(6, 12))
+    assert 0 < len(sizes) <= 15 and sorted(sizes) == [n] * 6 + [2 * n] * 9 and 2 * n == 8192
+    assert space._columns == {(a, k) for a in range(6, 12) for k in {space.atoms[a].slot, 1}}

@@ -659,42 +659,45 @@ def _count_columns(monkeypatch):
     return built
 
 
-# each Fock norm, the state that reads it and its table
-NORMS = {"fock_norm_sq": ("field_f", "_fock"), "mover_norm_sq": ("chiral_vacuum", "_movers")}
+# each Fock norm, the state that reads it and the kernel of its slot-0 columns
+NORMS = {"fock_norm_sq": ("field_f", 0), "mover_norm_sq": ("chiral_vacuum", 1)}
 
 
-def _empty(table) -> bool:
-    rows, built = table
-    return not built and not any(any(row) for row in rows)
+def _empty(space) -> bool:
+    return not space._columns and not any(any(row) for row in space._fock + space._movers)
 
 
 def test_fock_columns_are_built_lazily(monkeypatch):
     """A state's value on W[aC] builds the columns of aC's two atoms in its
-    norm's table, and none in the other."""
+    norm's basis, the slot-0 one with its norm's kernel, and fills no slot-0
+    row of the other table (the slot-1 rows are shared)."""
     from weylnet.states import STATES, eval_state
     from weylnet.weyl import parse_element
 
     built = _count_columns(monkeypatch)
-    for kind, table in NORMS.values():
+    for norm, (kind, k0) in NORMS.items():
         space = load_registry()
-        assert _empty(space._fock) and _empty(space._movers)
+        assert _empty(space)
         built.clear()
         eval_state(space, STATES[kind](space), parse_element(space, "W[aC]"))
-        aC = {a for a, _ in space.generator("aC").items()}
-        assert len(aC) == 2 and getattr(space, table)[1] == aC and len(built) == 2, kind
-        assert _empty(space._movers if table == "_fock" else space._fock), kind
+        aC = {a: space.atoms[a].slot for a, _ in space.generator("aC").items()}
+        assert sorted(aC.values()) == [0, 1] and len(built) == 2, kind
+        assert space._columns == {(a, slot or k0) for a, slot in aC.items()}, kind
+        other = space._movers if norm == "fock_norm_sq" else space._fock
+        assert not any(any(other[a]) for a, atom in enumerate(space.atoms) if atom.slot == 0), kind
 
 
 def test_each_fock_column_is_built_once_per_space(monkeypatch):
-    """states-positivity reads the Cauchy-data table, chiral both."""
+    """states-positivity reads the Cauchy-data table, chiral both; a slot-1
+    column serves both tables."""
     built = _count_columns(monkeypatch)
-    for suite, table in (("states-positivity", "_fock"), ("chiral", "_movers")):
+    for suite, kernels in (("states-positivity", {0}), ("chiral", {0, 1})):
         space = load_registry()
         built.clear()
         run_suite(suite, 7, space=space)
-        columns = len(space._fock[1]) + len(space._movers[1])
-        assert 0 < len(getattr(space, table)[1]) <= len(space.atoms), suite
-        assert len(built) == columns, suite
+        slot0 = [k for a, k in space._columns if space.atoms[a].slot == 0]
+        assert set(slot0) == kernels and len(space._columns) - len(slot0) <= len(space.atoms), suite
+        assert len(built) == len(space._columns), suite
 
 
 def test_fock_norms_do_not_depend_on_read_order():
@@ -725,7 +728,7 @@ def test_fock_norm_refuses_charged_vectors_before_any_column(name):
     for norm in NORMS:
         with pytest.raises(errors.NotInDomain, match=re.escape("fully decaying data (Va) only")):
             getattr(space, norm)(space.generator(name))
-    assert _empty(space._fock) and _empty(space._movers) and not space._antideriv
+    assert _empty(space) and not space._antideriv
 
 
 def test_fock_norm_refuses_a_window_cut_generator():
@@ -737,7 +740,7 @@ def test_fock_norm_refuses_a_window_cut_generator():
     for norm in NORMS:
         with pytest.raises(errors.NotInDomain, match=re.escape("f0 must have zero integral (charge)")):
             getattr(space, norm)(aR)
-    assert _empty(space._fock) and _empty(space._movers)
+    assert _empty(space)
 
 
 @pytest.mark.parametrize("window, accepted", [(16, False), (32, True)])
