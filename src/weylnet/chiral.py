@@ -10,13 +10,15 @@ differentiated on the same DFT grid by `funcspace._spectral` (power -1 and
 1).  This keeps the round trip at machine precision, which a
 finite-difference derivative of a cumulative quadrature cannot do (its
 half-step ripple is amplified by 1/h).  The antiderivative is linear in the
-data, so `dalembert` sums the per-atom antiderivatives its Space builds
-once (`Space.antiderivative`).
+data, so `dalembert` sums the antiderivatives its Space builds once per
+function (`Space.atom_antiderivative`), and its `ChiralPair` keeps the
+Cauchy data it assembled, which the round trip compares with.
 
 The split sigma = sigma_+ + sigma_- + sigma_inf is bilinear for the same
 reason.  `split_table` builds it once per check run as rows over atom pairs,
-read from the arrays the Space already holds, and `symplectic.bilinear` sums
-them over two vectors, as it sums the Space's own sigma rows;
+from the arrays the Space already holds and one integral per cross-slot
+pair of representatives (`Space.rep`), and `symplectic.bilinear` sums them
+over two vectors, as it sums the Space's own sigma rows;
 `sigma_decomposed(space, v, w)`, from v's and w's `dalembert` movers, is the
 per-vector reference the table is tested against.  The mover side of the
 Fock-norm identity is `Space.mover_norm_sq`, the Space's Fock table in the
@@ -40,10 +42,14 @@ from .symplectic import Space, SymVector
 
 @dataclass(frozen=True)
 class ChiralPair:
+    """The movers of (f0, f1), their charges c_pm, and (f0, f1) themselves."""
+
     theta_plus: TestFunction
     theta_minus: TestFunction
     c_plus: Fraction
     c_minus: Fraction
+    f0: TestFunction
+    f1: TestFunction
 
 
 def dalembert(space: Space, v: SymVector) -> ChiralPair:
@@ -51,14 +57,13 @@ def dalembert(space: Space, v: SymVector) -> ChiralPair:
     space.charges(v).floats()
     f0, f1 = space.assemble(v)
     c, q = f0.integral, f1.right_limit - f1.left_limit
-    cum = space.antiderivative(v)
-    theta_p = TestFunction(
-        space.grid, (f1.samples + cum) / 2.0, f1.left_limit / 2, (f1.right_limit + c) / 2, None
-    )
-    theta_m = TestFunction(
-        space.grid, (f1.samples - cum) / 2.0, f1.left_limit / 2, (f1.right_limit - c) / 2, None
-    )
-    return ChiralPair(theta_p, theta_m, (q + c) / 2, (q - c) / 2)
+    cum = np.zeros(space.grid.n)
+    for a, coeff in v.items():
+        if space.atoms[a].slot == 0:
+            cum += float(coeff) * space.atom_antiderivative(a)
+    theta_p, theta_m = (TestFunction(space.grid, (f1.samples + s * cum) / 2.0, f1.left_limit / 2,
+                                     (f1.right_limit + s * c) / 2, None) for s in (1, -1))
+    return ChiralPair(theta_p, theta_m, (q + c) / 2, (q - c) / 2, f0, f1)
 
 
 def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:
@@ -85,13 +90,12 @@ def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:
     return f0, f1
 
 
-def roundtrip_error(space: Space, v: SymVector, pair: ChiralPair) -> float:
-    """Max pointwise error of data -> (theta_+, theta_-) -> data, where pair
-    is dalembert(space, v)."""
-    f0a, f1a = space.assemble(v)
+def roundtrip_error(pair: ChiralPair) -> float:
+    """Max pointwise error of data -> (theta_+, theta_-) -> data: the pair's
+    own (f0, f1) against `dalembert_inverse` of its movers."""
     f0b, f1b = dalembert_inverse(pair)
-    return largest((np.max(np.abs(f0a.samples - f0b.samples)),
-                    np.max(np.abs(f1a.samples - f1b.samples))))
+    return largest((np.max(np.abs(pair.f0.samples - f0b.samples)),
+                    np.max(np.abs(pair.f1.samples - f1b.samples))))
 
 
 def sigma_decomposed(space: Space, v: SymVector, w: SymVector) -> float:
@@ -101,8 +105,8 @@ def sigma_decomposed(space: Space, v: SymVector, w: SymVector) -> float:
     (d f1 +/- f0)/2 and d f1 from the atoms' closed forms, and sigma_inf is
     the plane form on the right limits (theta_+(+inf), theta_-(+inf))."""
     def movers(u: SymVector):
-        pair, f0 = dalembert(space, u), space.assemble(u)[0].samples
-        df1 = np.zeros(space.grid.n)
+        pair = dalembert(space, u)
+        f0, df1 = pair.f0.samples, np.zeros(space.grid.n)
         for a, coeff in u.items():
             if space.atoms[a].slot == 1:
                 df1 += float(coeff) * derivative(space.atoms[a].fn).samples
@@ -125,21 +129,24 @@ def split_table(space: Space) -> List[List[float]]:
     Atom a's movers are theta_+ = (A_a, f_a) / 2 and theta_- = eps_a theta_+
     in slot 0 (A_a its antiderivative, eps_a = -1), and (f_a, f_a') / 2 with
     eps_a = 1 in slot 1.  So sigma_- = -eps_a eps_b sigma_+ exactly: same-slot
-    entries are exactly 0, cross-slot ones 2 sigma_+ + sigma_inf.  Each row
-    takes one weighted derivative and a dot product with every theta_+."""
-    atoms = space.atoms
+    entries are 0.0, cross-slot ones 2 sigma_+ + sigma_inf with 2 sigma_+ =
+    (P[a, b] - P[b, a]) / 2.  P is taken across the slots once per pair of
+    representatives: a weighted derivative per representative, dotted with
+    each theta_+ of the other slot."""
+    atoms, rep, n = space.atoms, space.rep, len(space.atoms)
     weights = _simpson_weights(space.grid.n) * space.grid.step
-    theta = [space.atom_antiderivative(a) if atom.slot == 0 else atom.fn.samples
-             for a, atom in enumerate(atoms)]
+    reps = [a for a in range(n) if rep[a] == a]
+    theta = {b: space.atom_antiderivative(b) if atoms[b].slot == 0 else atoms[b].fn.samples
+             for b in reps}
     # P[a, b] = 4 integral theta_+b d(theta_+a), summed as `pairing` sums it
-    P = np.empty((len(atoms), len(atoms)))
-    for a, atom in enumerate(atoms):
-        y = weights * (atom.fn if atom.slot == 0 else derivative(atom.fn)).samples
-        P[a] = [dot(y, t) for t in theta]
-    eps = [-1.0 if atom.slot == 0 else 1.0 for atom in atoms]
+    P = {}
+    for a in reps:
+        y = weights * (atoms[a].fn if atoms[a].slot == 0 else derivative(atoms[a].fn)).samples
+        P.update({(a, b): dot(y, theta[b]) for b in reps if atoms[b].slot != atoms[a].slot})
     # exact right limits: theta_+ has L_a / 2 and theta_- eps_a L_a / 2
     half = [(atom.fn.integral if atom.slot == 0 else atom.fn.right_limit) / 2 for atom in atoms]
-    sigma_inf = np.array([[float(la * lb) * (eb - ea) for lb, eb in zip(half, eps)]
-                          for la, ea in zip(half, eps)])
+    eps = [-1.0 if atom.slot == 0 else 1.0 for atom in atoms]
     # sigma_+ + sigma_- + sigma_inf
-    return ((1.0 - np.outer(eps, eps)) * ((P - P.T) / 4) + sigma_inf).tolist()
+    return [[(P[rep[a], rep[b]] - P[rep[b], rep[a]]) / 2
+             + float(half[a] * half[b]) * (eps[b] - eps[a]) if eps[a] != eps[b] else 0.0
+             for b in range(n)] for a in range(n)]

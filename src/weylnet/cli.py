@@ -176,7 +176,7 @@ def _run_subcommand(args, grid: Grid) -> int:
             for side, theta in (("plus", pair.theta_plus), ("minus", pair.theta_minus)):
                 print(f"theta_{side} limits {theta.left_limit} .. {theta.right_limit}")
             return 0
-        err = roundtrip_error(space, v, pair)
+        err = roundtrip_error(pair)
         print(f"roundtrip max pointwise error {err:.3e}")
         return 0 if CHECK_BY_NAME["mover-roundtrip"].passes(err) else 1
     if args.command == "net":

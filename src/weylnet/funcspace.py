@@ -397,17 +397,24 @@ def _spectral(samples: np.ndarray, h: float, power: int) -> np.ndarray:
     derivative (power 1) or its zero-mean antiderivative with G(x0) = 0
     (power -1).  An even grid's Nyquist bin is zeroed."""
     n = len(samples)
-    ft = np.fft.rfft(samples)
-    p = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    ft, ip = np.fft.rfft(samples), _ip(n, h)
     if power == 1:
-        ft *= 1j * p
+        ft *= ip
     else:
         ft[0] = 0.0
-        ft[1:] /= 1j * p[1:]
+        ft[1:] /= ip[1:]
     if n % 2 == 0:
         ft[-1] = 0.0
     g = np.fft.irfft(ft, n=n)
     return g if power == 1 else g - g[0]
+
+
+@lru_cache(maxsize=64)
+def _ip(n: int, h: float) -> np.ndarray:
+    """i p on the rfft bins of n points of step h, read-only."""
+    ip = 1j * (2.0 * np.pi * np.fft.rfftfreq(n, d=h))
+    ip.setflags(write=False)
+    return ip
 
 
 @lru_cache(maxsize=64)

@@ -60,14 +60,6 @@ class GnsVector:
     def scale(self, z: complex) -> "GnsVector":
         return GnsVector((c, z * a) for c, a in self._amps)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GnsVector) and self._amps == other._amps
-
-    def __repr__(self) -> str:
-        if not self._amps:
-            return "GnsVector(0)"
-        return "GnsVector(" + " + ".join(f"({a:.6g})|{c}>" for c, a in self._amps) + ")"
-
 
 def basis(c) -> GnsVector:
     return GnsVector([(Fraction(c), 1.0)])

@@ -239,7 +239,7 @@ def _mover_defects(space: Space, rng) -> dict:
         f_c, f_q = pair.c_plus - pair.c_minus, pair.c_plus + pair.c_minus
         if f_c * den != c or f_q * den != plus - minus:
             charges = 1.0
-        roundtrips.append(roundtrip_error(space, v, pair))
+        roundtrips.append(roundtrip_error(pair))
     return {"mover-roundtrip": largest(roundtrips), "chiral-charge-relations": charges}
 
 

@@ -219,14 +219,14 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 class Space:
     """Generators, atoms, charges and the symplectic form are fixed at
-    construction.  Memos fill in as they are read: the Fock form's tables in
-    the Cauchy-data and the mover basis, a column per atom and kernel, the
-    antiderivative per slot-0 atom (an FFT per atom, about a short CLI
-    command in all if built at load), each `psi_T` regularizer's assembled
-    slots, and the localization of each vector read.
-    Their arrays are read-only.
-    `source` names where the pairs came from (a registry path, or "default"
-    for the packaged registry)."""
+    construction.  rep[a] is the first atom in a's slot holding a's
+    TestFunction object (q0.1 and T0.1 hold tk0): the Gram quadratures, the
+    antiderivatives and the Fock columns are computed once per representative.
+    Memos fill in as they are read: the Fock form's per-atom tables in the
+    Cauchy-data and the mover basis, the antiderivatives (an FFT each), each
+    `psi_T` regularizer's assembled slots, and the localization of each vector
+    read.  Arrays are read-only.  `source` names where the pairs came from (a
+    registry path, or "default" for the packaged registry)."""
 
     def __init__(
         self,
@@ -234,15 +234,17 @@ class Space:
         pairs: Mapping[str, Tuple[Optional[TestFunction], Optional[TestFunction]]],
         source: str = "<string>",
     ):
-        self.grid = grid
-        self.source = source
+        self.grid, self.source = grid, source
         atoms: list[Atom] = []
+        onto: Dict[int, TestFunction] = {}  # id of a given function -> it on this grid
         self._generators: Dict[str, SymVector] = {}
         for name, (f0, f1) in pairs.items():
             parts = []
             for slot, fn in ((0, f0), (1, f1)):
                 if fn is not None and not fn.is_zero():
-                    atoms.append(self._atom(f"{name}.{slot}", slot, fn))
+                    if id(fn) not in onto:
+                        onto[id(fn)] = resample(fn, grid)
+                    atoms.append(self._atom(f"{name}.{slot}", slot, onto[id(fn)]))
                     parts.append((len(atoms) - 1, Fraction(1)))
             self._generators[name] = SymVector(parts)
         for unit, atom in enumerate(atoms):
@@ -252,43 +254,40 @@ class Space:
             unit = len(atoms)
             atoms.append(self._atom("__unit__", 1, constant_function(Fraction(1), grid)))
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
+        first: Dict[Tuple[int, int], int] = {}  # (slot, id of a function) -> its first atom
+        self.rep = tuple(first.setdefault((x.slot, id(x.fn)), a) for a, x in enumerate(atoms))
         self._unit = SymVector([(unit, Fraction(1))])
         self._slots = tuple(atom.slot for atom in atoms)
         # True for an atom that adds nothing but a constant to the slot-1 part
         self._flat1 = tuple(atom.slot == 0 or atom.fn.is_constant() for atom in atoms)
         # exact per-atom charges as integers over one common denominator:
         # slot-0 integral, slot-1 right and left limit
-        charges = [
-            (atom.fn.integral, 0, 0) if atom.slot == 0
-            else (0, atom.fn.right_limit, atom.fn.left_limit)
-            for atom in atoms
-        ]
+        charges = [(atom.fn.integral, 0, 0) if atom.slot == 0
+                   else (0, atom.fn.right_limit, atom.fn.left_limit) for atom in atoms]
         den = self._charge_den = math.lcm(*(x.denominator for row in charges for x in row))
-        self._charge_nums = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row) for row in charges
-        )
-        # the Gram entries integral f_i g_j dx for slot-0 atoms i and slot-1
-        # atoms j, summed as `pairing` sums them; sigma's rows hold g at
-        # [i][j], -g at [j][i] and 0.0 for same-slot pairs
-        n = len(atoms)
-        self._gram: Dict[Tuple[int, int], float] = {
-            (i, j): _simpson_value(atoms[i].fn.samples * atoms[j].fn.samples, grid)
-            for i in range(n) if self._slots[i] == 0
-            for j in range(n) if self._slots[j] == 1
-        }
+        self._charge_nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                                  for row in charges)
+        # the Gram entries integral f_i g_j dx for slot-0 atoms i and slot-1 atoms
+        # j, summed as `pairing` sums them, one per pair of representatives;
+        # sigma's rows hold g at [i][j], -g at [j][i] and 0.0 for same-slot pairs
+        n, rep = len(atoms), self.rep
+        cross = [(i, j) for i in range(n) for j in range(n) if self._slots[i] < self._slots[j]]
+        quad = {(i, j): _simpson_value(atoms[i].fn.samples * atoms[j].fn.samples, grid)
+                for i, j in cross if (i, j) == (rep[i], rep[j])}
+        self._gram: Dict[Tuple[int, int], float] = {(i, j): quad[rep[i], rep[j]] for i, j in cross}
         rows = [[0.0] * n for _ in range(n)]
         for (i, j), g in self._gram.items():
             rows[i][j], rows[j][i] = g, -g
         self._sigma_rows = tuple(tuple(row) for row in rows)
         # the Fock form's rows Q(a, b) on Cauchy data and on movers (slot 1 shared)
         self._fock, self._columns = [[0.0] * n for _ in range(n)], set()
+        self._filled, self._kept = set(), {}
         self._movers = [row if slot else [0.0] * n for row, slot in zip(self._fock, self._slots)]
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
         self._localizations: Dict[SymVector, Optional[Interval]] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
-        fn = resample(fn, self.grid)
         if slot == 0:
             if fn.integral is None:
                 raise NotInDomain(f"slot-0 function {name!r} needs a declared integral")
@@ -356,12 +355,9 @@ class Space:
         raise ValueError(f"unknown space label {label!r}")
 
     def slot1_is_constant(self, v: SymVector) -> bool:
-        """True when the assembled slot-1 part of v is constant.
-
-        Exact when every slot-1 atom of v is constant itself; otherwise it
-        tests the samples, because distinct atoms may hold the same function
-        (q0.1 and T0.1 are both tk0), so q0 - T0 has a zero slot-1 part.
-        """
+        """True when the assembled slot-1 part of v is constant: exact when
+        every slot-1 atom of v is, else from the samples, as atoms that share
+        a function cancel (q0 - T0 has a zero slot-1 part)."""
         flat = self._flat1
         if all(flat[a] for a, _ in v._nums):
             return True
@@ -387,24 +383,15 @@ class Space:
         f1 = TestFunction(self.grid, s1, Fraction(minus, den), Fraction(plus, den), None)
         return f0, f1
 
-    def antiderivative(self, v: SymVector) -> np.ndarray:
-        """Samples of the antiderivative of v's slot-0 part, with exact limits
-        (0, c): the sum of each slot-0 atom's antiderivative, built once per
-        atom the first time it is read."""
-        s = np.zeros(self.grid.n)
-        for a, n in v._nums:
-            if self._slots[a] == 0:
-                s += n / v._den * self.atom_antiderivative(a)
-        return s
-
     def atom_antiderivative(self, a: int) -> np.ndarray:
         """Samples of slot-0 atom a's antiderivative, limits (0, c_a), built
-        the first time it is read."""
-        if a not in self._antideriv:
-            fn = self.atoms[a].fn
-            self._antideriv[a] = _charge_antiderivative(fn, fn.integral)
-            self._antideriv[a].flags.writeable = False
-        return self._antideriv[a]
+        the first time an atom of its function is read and kept by rep[a]."""
+        r = self.rep[a]
+        if r not in self._antideriv:
+            fn = self.atoms[r].fn
+            self._antideriv[r] = _charge_antiderivative(fn, fn.integral)
+            self._antideriv[r].flags.writeable = False
+        return self._antideriv[r]
 
     def localization(self, v: SymVector) -> Optional[Interval]:
         """`funcspace.localization` of v's pair, kept by v; None when it is empty."""
@@ -425,13 +412,15 @@ class Space:
 
     def _fock_form(self, v: SymVector, rows: list, basis: Callable) -> float:
         """bilinear(rows, v, v); basis(a) is atom a's (samples u_a, kernel
-        slot k).  Column (b, k), built the first time b is read with kernel k,
-        holds Q(a, b) = u_a . fock_column(u_b) for same-slot a <= b, so Q does
-        not depend on the read order.  NotInDomain off Va, or when
-        the numeric charge sigma(v, e), v's slot-0 Simpson value, exceeds
-        TOL_CHARGE times v's largest coefficient (at least 1): a window cut an
-        atom.  FloatOverflow before that when a coefficient's square
-        overflows, and after it when the sum is NaN (inf - inf)."""
+        slot k).  Atom b's column, filled (`_filled`) the first time b is read
+        with kernel k, holds Q(a, b) = u_a . fock_column(u_b) for same-slot
+        a <= b, so Q does not depend on the read order.  fock_column runs once
+        per (rep[b], k) (`_columns`); `_kept` holds it for each other atom of
+        rep[b] until that atom's column is filled.
+        NotInDomain off Va, or when the numeric charge sigma(v, e), v's
+        slot-0 Simpson value, exceeds TOL_CHARGE times v's largest coefficient
+        (at least 1): a window cut an atom.  FloatOverflow before that when a
+        coefficient's square overflows, and after it when the sum is NaN."""
         _, c, plus, minus = self.charges(v)
         if c or plus or minus:
             raise NotInDomain("the Fock norm is defined on fully decaying data (Va) only")
@@ -442,12 +431,17 @@ class Space:
                 raise NotInDomain("f0 must have zero integral (charge)")
             for b, _ in v._nums:
                 u, k = basis(b)
-                if (b, k) not in self._columns:
-                    y = fock_column(u, k, self.grid)
+                if (b, k) not in self._filled:
+                    y = self._kept.pop((b, k), None)
+                    if y is None:
+                        y = fock_column(u, k, self.grid)
+                        self._columns.add((self.rep[b], k))
+                        self._kept.update({(a, k): y for a, r in enumerate(self.rep)
+                                           if r == self.rep[b] and a != b})
                     for a in range(b + 1):
                         if self._slots[a] == self._slots[b]:
                             rows[a][b] = rows[b][a] = dot(basis(a)[0], y)
-                    self._columns.add((b, k))
+                    self._filled.add((b, k))
             total = bilinear(rows, v, v)
             if not math.isnan(total):
                 return total

@@ -11,6 +11,10 @@ suite.  The ladder covers `--suite all` at seeds 7 and 1 on 1024, 4096 and
 quadrature and the spectral pair) and with `--window 12` and `--window 16`.  Some of
 these runs fail checks today: their files hold the `fail` and `error`
 records, so they detect change and do not claim a pass.
+report_all_seed7_shared.json is `--suite all --seed 7` on
+tests/data/shared.registry, whose pairs share functions; its report names
+that path as given, relative to the root of the checkout, so every run
+here starts there.
 
 `ADHOC` holds the exit code and stdout of each argv in `COMMANDS`: the
 README's ad-hoc commands and `state gram` for every kind at seed 5.
@@ -33,13 +37,16 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 from weylnet import cli, suites
 from weylnet.funcspace import Grid
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
+SHARED = "tests/data/shared.registry"  # relative to ROOT
 ALGEBRA_SUITES = ("chiral", "nets", "psi-T", "weyl-axioms")
 ALL = ["--suite", "all"]
 
@@ -53,6 +60,7 @@ GOLDENS = {
     "report_all_seed1_1024.json": ALL + ["--seed", "1", "--grid-points", "1024"],
     "report_all_seed1_16384.json": ALL + ["--seed", "1", "--grid-points", "16384"],
     "report_algebra_seed1.json": {s: ["--suite", s, "--seed", "1"] for s in ALGEBRA_SUITES},
+    "report_all_seed7_shared.json": ALL + ["--seed", "7", "--registry", SHARED],
 }
 
 ADHOC = "adhoc_commands.json"
@@ -129,6 +137,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="write nothing; exit 1 if any file would change")
     check = parser.parse_args(argv).check
+    os.chdir(ROOT)
     stale, names = [], [*GOLDENS, ADHOC]
     for name in names:
         path = DATA / name

@@ -599,10 +599,12 @@ def test_nonregular_state_on_cancelling_slot1_atoms(capsys):
 
 
 @pytest.mark.parametrize("name", list(make_goldens.GOLDENS))
-def test_golden_report_is_byte_identical(name, tmp_path, capsys):
+def test_golden_report_is_byte_identical(name, tmp_path, capsys, monkeypatch):
     """Each run of a golden file writes that file's report byte for byte and
     exits as its checks say: 0 when all pass, 1 when one fails.  The files
-    come from `tests/make_goldens.py`, which prints what moved."""
+    come from `tests/make_goldens.py`, which prints what moved, and run from
+    the root of the checkout, where a registry path in their argv starts."""
+    monkeypatch.chdir(make_goldens.ROOT)
     text = (Path(__file__).parent / "data" / name).read_text()
     golden = json.loads(text)
     assert suites.serialize_report(golden) == text

@@ -76,7 +76,7 @@ def test_central_action_is_diagonal():
 def test_charge_action_translates():
     # W(c, 0)|0> = |c> exactly
     out = apply_elementary(Fraction(7, 4), 0.0, VACUUM)
-    assert out == basis(Fraction(7, 4))
+    assert out.amps() == basis(Fraction(7, 4)).amps()
 
 
 def test_composite_phase_against_two_step_oracle():
@@ -108,7 +108,7 @@ def test_unitarity_roundtrip():
 
 
 def test_phi_n_eigenrelation():
-    assert phi_n_apply(VACUUM) == GnsVector(())
+    assert phi_n_apply(VACUUM).amps() == ()
     c = Fraction(5, 2)
     out = phi_n_apply(basis(c))
     assert out.amps() == ((c, 2.5),)
@@ -201,7 +201,7 @@ def test_non_regularity_witness():
 def test_charge_algebra_cyclicity():
     # words in {W(c, 0)} reach every basis vector exactly
     for c in (Fraction(1), Fraction(-7, 3), Fraction(22, 7)):
-        assert apply_elementary(c, 0.0, VACUUM) == basis(c)
+        assert apply_elementary(c, 0.0, VACUUM).amps() == basis(c).amps()
 
 
 def test_apply_word_linear():
