@@ -11,13 +11,13 @@ differentiated on the same DFT grid by `funcspace._spectral` (power -1 and
 finite-difference derivative of a cumulative quadrature cannot do (its
 half-step ripple is amplified by 1/h).  The antiderivative is linear in the
 data, so `dalembert` sums the antiderivatives its Space builds once per
-function (`Space.atom_antiderivative`), and its `ChiralPair` keeps the
+slot-0 atom (`Space.atom_antiderivative`), and its `ChiralPair` keeps the
 Cauchy data it assembled, which the round trip compares with.
 
 The split sigma = sigma_+ + sigma_- + sigma_inf is bilinear for the same
 reason.  `split_table` builds it once per check run as rows over atom pairs,
-from the arrays the Space already holds and one integral per cross-slot
-pair of representatives (`Space.rep`), and `symplectic.bilinear` sums them
+from the arrays the Space already holds and one integral per ordered
+cross-slot atom pair, and `symplectic.bilinear` sums them
 over two vectors, as it sums the Space's own sigma rows;
 `sigma_decomposed(space, v, w)`, from v's and w's `dalembert` movers, is the
 per-vector reference the table is tested against.  The mover side of the
@@ -130,23 +130,22 @@ def split_table(space: Space) -> List[List[float]]:
     in slot 0 (A_a its antiderivative, eps_a = -1), and (f_a, f_a') / 2 with
     eps_a = 1 in slot 1.  So sigma_- = -eps_a eps_b sigma_+ exactly: same-slot
     entries are 0.0, cross-slot ones 2 sigma_+ + sigma_inf with 2 sigma_+ =
-    (P[a, b] - P[b, a]) / 2.  P is taken across the slots once per pair of
-    representatives: a weighted derivative per representative, dotted with
-    each theta_+ of the other slot."""
-    atoms, rep, n = space.atoms, space.rep, len(space.atoms)
+    (P[a, b] - P[b, a]) / 2.  P is taken across the slots once per atom
+    pair: a weighted derivative per atom, dotted with each theta_+ of the
+    other slot."""
+    atoms, n = space.atoms, len(space.atoms)
     weights = _simpson_weights(space.grid.n) * space.grid.step
-    reps = [a for a in range(n) if rep[a] == a]
-    theta = {b: space.atom_antiderivative(b) if atoms[b].slot == 0 else atoms[b].fn.samples
-             for b in reps}
+    theta = [space.atom_antiderivative(b) if atom.slot == 0 else atom.fn.samples
+             for b, atom in enumerate(atoms)]
     # P[a, b] = 4 integral theta_+b d(theta_+a), summed as `pairing` sums it
     P = {}
-    for a in reps:
-        y = weights * (atoms[a].fn if atoms[a].slot == 0 else derivative(atoms[a].fn)).samples
-        P.update({(a, b): dot(y, theta[b]) for b in reps if atoms[b].slot != atoms[a].slot})
+    for a, atom in enumerate(atoms):
+        y = weights * (atom.fn if atom.slot == 0 else derivative(atom.fn)).samples
+        P.update({(a, b): dot(y, theta[b]) for b in range(n) if atoms[b].slot != atom.slot})
     # exact right limits: theta_+ has L_a / 2 and theta_- eps_a L_a / 2
     half = [(atom.fn.integral if atom.slot == 0 else atom.fn.right_limit) / 2 for atom in atoms]
     eps = [-1.0 if atom.slot == 0 else 1.0 for atom in atoms]
     # sigma_+ + sigma_- + sigma_inf
-    return [[(P[rep[a], rep[b]] - P[rep[b], rep[a]]) / 2
+    return [[(P[a, b] - P[b, a]) / 2
              + float(half[a] * half[b]) * (eps[b] - eps[a]) if eps[a] != eps[b] else 0.0
              for b in range(n)] for a in range(n)]

@@ -1,7 +1,8 @@
 """Symplectic space of Cauchy-data pairs over a registered generator set.
 
-A generator is a pair (f0, f1) of test functions; internally every pair is
-split into slot atoms and a vector is a finite rational combination of atoms.
+A generator is a pair (f0, f1) of test functions; internally an atom is one
+function in one slot, shared by every pair that places that function there,
+and a vector is a finite rational combination of atoms.
 This keeps vector identity, charges, and the regularized decomposition exact:
 only the symplectic form itself and the T-relative moments are quadrature
 values.  `Space.charges` is the one charge view, integers over one
@@ -9,10 +10,10 @@ denominator that callers divide only where they need a number.
 
 The symplectic form is sigma(F, G) = integral (f0*g1 - g0*f1) dx, so atoms in
 the same slot pair to zero and cross-slot pairs reduce to an integral Gram
-matrix.  A Space builds it once, at load, as a signed per-atom table, and
-`bilinear` sums any such table over two vectors: the Fock form too, whose
-two tables (on the atoms' Cauchy data and on their movers) fill in a column
-per atom as they are read.
+matrix.  A Space builds it once, at load, as a signed per-atom table, one
+quadrature per cross-slot atom pair, and `bilinear` sums any such table
+over two vectors: the Fock form too, whose two tables (on the atoms' Cauchy
+data and on their movers) fill in a column per atom as they are read.
 """
 
 from __future__ import annotations
@@ -219,14 +220,14 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 class Space:
     """Generators, atoms, charges and the symplectic form are fixed at
-    construction.  rep[a] is the first atom in a's slot holding a's
-    TestFunction object (q0.1 and T0.1 hold tk0): the Gram quadratures, the
-    antiderivatives and the Fock columns are computed once per representative.
-    Memos fill in as they are read: the Fock form's per-atom tables in the
-    Cauchy-data and the mover basis, the antiderivatives (an FFT each), each
-    `psi_T` regularizer's assembled slots, and the localization of each vector
-    read.  Arrays are read-only.  `source` names where the pairs came from (a
-    registry path, or "default" for the packaged registry)."""
+    construction.  There is one atom per (slot, TestFunction object), named
+    after the first generator slot that holds it: q0 = (0, tk0) reads T0.1,
+    the atom of T0 = (dtk0, tk0).  Memos fill in as they are read: the Fock
+    form's per-atom tables in the Cauchy-data and the mover basis, the
+    antiderivatives (an FFT each), each `psi_T` regularizer's assembled
+    slots, and the localization of each vector read.  Arrays are read-only.
+    `source` names where the pairs came from (a registry path, or "default"
+    for the packaged registry)."""
 
     def __init__(
         self,
@@ -237,15 +238,18 @@ class Space:
         self.grid, self.source = grid, source
         atoms: list[Atom] = []
         onto: Dict[int, TestFunction] = {}  # id of a given function -> it on this grid
+        placed: Dict[Tuple[int, int], int] = {}  # (slot, id of a given function) -> its atom
         self._generators: Dict[str, SymVector] = {}
         for name, (f0, f1) in pairs.items():
             parts = []
             for slot, fn in ((0, f0), (1, f1)):
                 if fn is not None and not fn.is_zero():
-                    if id(fn) not in onto:
-                        onto[id(fn)] = resample(fn, grid)
-                    atoms.append(self._atom(f"{name}.{slot}", slot, onto[id(fn)]))
-                    parts.append((len(atoms) - 1, Fraction(1)))
+                    if (slot, id(fn)) not in placed:
+                        if id(fn) not in onto:
+                            onto[id(fn)] = resample(fn, grid)
+                        placed[slot, id(fn)] = len(atoms)
+                        atoms.append(self._atom(f"{name}.{slot}", slot, onto[id(fn)]))
+                    parts.append((placed[slot, id(fn)], Fraction(1)))
             self._generators[name] = SymVector(parts)
         for unit, atom in enumerate(atoms):
             if atom.slot == 1 and atom.fn.left_limit == 1 and atom.fn.is_constant():
@@ -254,8 +258,6 @@ class Space:
             unit = len(atoms)
             atoms.append(self._atom("__unit__", 1, constant_function(Fraction(1), grid)))
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
-        first: Dict[Tuple[int, int], int] = {}  # (slot, id of a function) -> its first atom
-        self.rep = tuple(first.setdefault((x.slot, id(x.fn)), a) for a, x in enumerate(atoms))
         self._unit = SymVector([(unit, Fraction(1))])
         self._slots = tuple(atom.slot for atom in atoms)
         # True for an atom that adds nothing but a constant to the slot-1 part
@@ -268,20 +270,18 @@ class Space:
         self._charge_nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                                   for row in charges)
         # the Gram entries integral f_i g_j dx for slot-0 atoms i and slot-1 atoms
-        # j, summed as `pairing` sums them, one per pair of representatives;
-        # sigma's rows hold g at [i][j], -g at [j][i] and 0.0 for same-slot pairs
-        n, rep = len(atoms), self.rep
-        cross = [(i, j) for i in range(n) for j in range(n) if self._slots[i] < self._slots[j]]
-        quad = {(i, j): _simpson_value(atoms[i].fn.samples * atoms[j].fn.samples, grid)
-                for i, j in cross if (i, j) == (rep[i], rep[j])}
-        self._gram: Dict[Tuple[int, int], float] = {(i, j): quad[rep[i], rep[j]] for i, j in cross}
+        # j, summed as `pairing` sums them; sigma's rows hold g at [i][j], -g at
+        # [j][i] and 0.0 for same-slot pairs
+        n = len(atoms)
+        self._gram: Dict[Tuple[int, int], float] = {
+            (i, j): _simpson_value(atoms[i].fn.samples * atoms[j].fn.samples, grid)
+            for i in range(n) for j in range(n) if self._slots[i] < self._slots[j]}
         rows = [[0.0] * n for _ in range(n)]
         for (i, j), g in self._gram.items():
             rows[i][j], rows[j][i] = g, -g
         self._sigma_rows = tuple(tuple(row) for row in rows)
         # the Fock form's rows Q(a, b) on Cauchy data and on movers (slot 1 shared)
         self._fock, self._columns = [[0.0] * n for _ in range(n)], set()
-        self._filled, self._kept = set(), {}
         self._movers = [row if slot else [0.0] * n for row, slot in zip(self._fock, self._slots)]
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
@@ -356,8 +356,8 @@ class Space:
 
     def slot1_is_constant(self, v: SymVector) -> bool:
         """True when the assembled slot-1 part of v is constant: exact when
-        every slot-1 atom of v is, else from the samples, as atoms that share
-        a function cancel (q0 - T0 has a zero slot-1 part)."""
+        every slot-1 atom of v is, else from the samples, as atoms with equal
+        samples cancel (q0 - T0, when q0 reads tk0 declared again)."""
         flat = self._flat1
         if all(flat[a] for a, _ in v._nums):
             return True
@@ -385,13 +385,12 @@ class Space:
 
     def atom_antiderivative(self, a: int) -> np.ndarray:
         """Samples of slot-0 atom a's antiderivative, limits (0, c_a), built
-        the first time an atom of its function is read and kept by rep[a]."""
-        r = self.rep[a]
-        if r not in self._antideriv:
-            fn = self.atoms[r].fn
-            self._antideriv[r] = _charge_antiderivative(fn, fn.integral)
-            self._antideriv[r].flags.writeable = False
-        return self._antideriv[r]
+        the first time a is read."""
+        if a not in self._antideriv:
+            fn = self.atoms[a].fn
+            self._antideriv[a] = _charge_antiderivative(fn, fn.integral)
+            self._antideriv[a].flags.writeable = False
+        return self._antideriv[a]
 
     def localization(self, v: SymVector) -> Optional[Interval]:
         """`funcspace.localization` of v's pair, kept by v; None when it is empty."""
@@ -412,11 +411,9 @@ class Space:
 
     def _fock_form(self, v: SymVector, rows: list, basis: Callable) -> float:
         """bilinear(rows, v, v); basis(a) is atom a's (samples u_a, kernel
-        slot k).  Atom b's column, filled (`_filled`) the first time b is read
-        with kernel k, holds Q(a, b) = u_a . fock_column(u_b) for same-slot
-        a <= b, so Q does not depend on the read order.  fock_column runs once
-        per (rep[b], k) (`_columns`); `_kept` holds it for each other atom of
-        rep[b] until that atom's column is filled.
+        slot k).  Atom b's column, filled the first time b is read with
+        kernel k (`_columns`), holds Q(a, b) = u_a . fock_column(u_b) for
+        same-slot a <= b, so Q does not depend on the read order.
         NotInDomain off Va, or when the numeric charge sigma(v, e), v's
         slot-0 Simpson value, exceeds TOL_CHARGE times v's largest coefficient
         (at least 1): a window cut an atom.  FloatOverflow before that when a
@@ -431,17 +428,12 @@ class Space:
                 raise NotInDomain("f0 must have zero integral (charge)")
             for b, _ in v._nums:
                 u, k = basis(b)
-                if (b, k) not in self._filled:
-                    y = self._kept.pop((b, k), None)
-                    if y is None:
-                        y = fock_column(u, k, self.grid)
-                        self._columns.add((self.rep[b], k))
-                        self._kept.update({(a, k): y for a, r in enumerate(self.rep)
-                                           if r == self.rep[b] and a != b})
+                if (b, k) not in self._columns:
+                    y = fock_column(u, k, self.grid)
                     for a in range(b + 1):
                         if self._slots[a] == self._slots[b]:
                             rows[a][b] = rows[b][a] = dot(basis(a)[0], y)
-                    self._filled.add((b, k))
+                    self._columns.add((b, k))
             total = bilinear(rows, v, v)
             if not math.isnan(total):
                 return total

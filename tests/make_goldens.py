@@ -70,6 +70,7 @@ COMMANDS = [
     ["chiral", "roundtrip", "--combo", "aC + 3/2 c0"],
     ["chiral", "decompose", "--combo", "q0"],
     ["net", "locality", "--kind", "C", "--i1=-17/8:-7/8", "--i2=7/8:17/8"],
+    ["net", "locality", "--kind", "C", "--i1=-17/8:-7/8:0", "--i2=7/8:17/8"],
     ["net", "sector", "--element", "q0", "--interval=-9/8:9/8", "--apply", "W[c1]"],
     ["net", "gauge", "--n", "0.3", "--r=-1.2", "--apply", "W[T]"],
     ["net", "diagram", "--regularizer", "T0", "--interval=-9/8:9/8"],

@@ -24,6 +24,31 @@ def zero_function(grid: Grid = DEFAULT_GRID) -> TestFunction:
     return TestFunction(grid, np.zeros(grid.n), Fraction(0), Fraction(0), Fraction(0))
 
 
+def unshared(text: str) -> str:
+    """Registry text with every function that a pair line reads again declared
+    again, under a fresh name, just before that line: no two generator slots
+    of the Space it parses to share an atom."""
+    specs, seen, out = {}, set(), []
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if tokens[:1] == ["fn"]:
+            specs[tokens[1]] = tokens[2:]
+        elif tokens[:1] == ["pair"]:
+            refs = []
+            for token in tokens[2:]:
+                key, ref = token.split("=")
+                if ref in seen:
+                    fresh = f"{ref}_{len(out)}"
+                    out.append(" ".join(["fn", fresh, *specs[ref]]))
+                    ref = fresh
+                elif ref != "0":
+                    seen.add(ref)
+                refs.append(f"{key}={ref}")
+            line = " ".join(["pair", tokens[1], *refs])
+        out.append(line)
+    return "\n".join(out)
+
+
 def fold_phase(c: Fraction, n: float) -> complex:
     """|c, n> = fold_phase(c, n) |c, 0>."""
     return cmath.exp(0.5j * float(c) * float(n))

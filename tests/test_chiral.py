@@ -267,7 +267,7 @@ def split_at(points):
 @pytest.mark.parametrize("points", [4096, 16384])
 def test_split_table_matches_the_per_vector_split(points):
     table, ref, _ = split_at(points)
-    assert table.shape == (len(sp_at(points).atoms),) * 2 == (18, 18)
+    assert table.shape == (len(sp_at(points).atoms),) * 2 == (16, 16)
     assert np.max(np.abs(table - ref)) <= 1e-14
     assert np.array_equal(table, -table.T)
     assert not np.any(np.diag(table))
@@ -297,9 +297,9 @@ def test_split_table_compares_cross_slot_integrals_and_limits():
     slots = np.array([atom.slot for atom in space.atoms])
     same = slots[:, None] == slots[None, :]
     assert np.all(table[same] == 0.0)
-    # T's slot-0 atom (c = 1) against q0's slot-1 atom (nonzero right limit)
+    # T's slot-0 atom (c = 1) against tk0's slot-1 atom (nonzero right limit)
     names = [atom.name for atom in space.atoms]
-    assert inf[names.index("T.0"), names.index("q0.1")] != 0.0
+    assert inf[names.index("T.0"), names.index("T0.1")] != 0.0
     assert np.count_nonzero((table - inf)[~same]) > 0
 
 

@@ -259,8 +259,9 @@ N308 = str(10**308)
 PHASE_OVERFLOW = [
     ["net", "gauge", "--n=1e308", "--r=1e308", "--apply", "W[T]"],
     ["net", "gauge", "--n=1e308", "--apply", "W[2 T]"],
+    # c1, aC and T3 share no function, so no atom sums two coefficients
     ["net", "sector", "--element", "T0", "--interval=-9/8:9/8",
-     "--apply", f"W[{N308} c1 + {N308} q3 + {N308} T3]"],
+     "--apply", f"W[{N308} c1 + {N308} aC + {N308} T3]"],
 ]
 
 
@@ -466,12 +467,16 @@ BIG, HUGE = "1" + "0" * 308, "1" + "0" * 400
         (["state", "eval", "--kind", "fock_a", "--element", f"W[{BIG} aC + {BIG} aC]"], "aC.0"),
         (["chiral", "roundtrip", "--combo", f"{HUGE} c0"], "c0.0"),
         (["net", "gauge", "--apply", f"W[{HUGE} T]"], "T.0"),
+        # q3 = (0, tk3) reads T3's slot-1 atom: 2e308 on T3.1
+        (["net", "sector", "--element", "T0", "--interval=-9/8:9/8",
+          "--apply", f"W[{N308} c1 + {N308} q3 + {N308} T3]"], "T3.1"),
     ],
-    ids=["summed-state-eval", "chiral-roundtrip", "net-gauge"],
+    ids=["summed-state-eval", "chiral-roundtrip", "net-gauge", "summed-shared-atom"],
 )
 def test_combo_coefficient_beyond_a_float_exits_2(argv, atom, capsys):
     """A generator coefficient that a float cannot hold, alone or once like
-    terms are summed, is refused where the combination is parsed."""
+    terms or generators that share an atom are summed, is refused where the
+    combination is parsed."""
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,14 +1,16 @@
-"""One computation per distinct function.
+"""One atom per (slot, function), and one computation per atom.
 
-Atoms that hold one TestFunction object share a representative
-(`Space.rep`), and every array that depends on the function alone is
-computed once for it: the Gram quadratures, the antiderivatives, the Fock
-columns and the split table's integrals.  The counts below are exact on the
-default registry at 4096 points; the oracle compares a registry whose pairs
-share functions with a copy that declares each shared function again under
-a fresh name, so that no two atoms share an object there.
+A Space registers one atom per (slot, TestFunction object): pairs that place
+one function in one slot read one atom, and every array that depends on the
+function alone is computed once for it: the Gram quadratures, the
+antiderivatives, the Fock columns and the split table's integrals.  The
+counts below are exact on the default registry at 4096 points; the oracle
+compares a registry whose pairs share functions with a copy that declares
+each shared function again under a fresh name, so that there every
+generator slot is an atom of its own.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from weylnet.funcspace import DEFAULT_GRID
 from weylnet.registry import load_registry, parse_registry
 from weylnet.suites import run_suite
 from weylnet.symplectic import Space
+
+from oracles import unshared
 
 SHARED = Path(__file__).parent / "data" / "shared.registry"
 SPECTRAL = ("states-positivity", "chiral")
@@ -47,24 +51,24 @@ def _counted(monkeypatch, owner, name) -> list:
 
 
 def test_default_atoms_share_two_functions():
+    """q0 = (0, tk0) and q3 = (0, tk3) read the slot-1 atoms of T0 and T3:
+    16 atoms, one per (slot, function object)."""
     space = load_registry()
     names = [atom.name for atom in space.atoms]
-    shared = {names[a]: names[r] for a, r in enumerate(space.rep) if r != a}
-    assert shared == {"q0.1": "T0.1", "q3.1": "T3.1"}
-    assert all(space.atoms[a].fn is space.atoms[r].fn for a, r in enumerate(space.rep))
+    assert len(names) == len({(atom.slot, id(atom.fn)) for atom in space.atoms}) == 16
+    assert "q0.1" not in names and "q3.1" not in names
+    for q, T in (("q0", "T0"), ("q3", "T3")):
+        assert space.generator(q) == space.slot_part(space.generator(T), 1)
 
 
-def test_gram_runs_one_quadrature_per_pair_of_representatives(monkeypatch, warm):
-    """9 slot-0 and 7 distinct slot-1 functions: 63 quadratures fill the 81
-    Gram keys at load, and a suite run adds none."""
+def test_gram_runs_one_quadrature_per_cross_slot_atom_pair(monkeypatch, warm):
+    """9 slot-0 and 7 slot-1 atoms: 63 quadratures at load, one per Gram key."""
     quads = _counted(monkeypatch, symplectic, "_simpson_value")
     space = load_registry()
-    assert len(quads) == 63 and len(space._gram) == 81
-    rep = space.rep
-    assert all(g == space._gram[rep[i], rep[j]] for (i, j), g in space._gram.items())
+    assert len(quads) == len(space._gram) == 63
 
 
-def test_split_table_takes_one_dot_per_cross_slot_pair_of_representatives(monkeypatch, warm):
+def test_split_table_takes_one_dot_per_cross_slot_atom_pair(monkeypatch, warm):
     space = load_registry()
     dots = _counted(monkeypatch, chiral, "dot")
     split_table(space)
@@ -81,72 +85,83 @@ def test_the_spectral_suites_assemble_each_vector_once(monkeypatch, warm):
     assert len(calls) == 10
 
 
-def test_each_fock_column_is_built_once_per_representative(monkeypatch, warm):
-    """The spectral suites fill 18 (atom, kernel) columns, T0.1's and q0.1's
-    among them, from 17 fock_column calls, one per (representative, kernel)."""
+def test_each_fock_column_is_built_once_per_atom_and_kernel(monkeypatch, warm):
+    """The spectral suites build 17 (atom, kernel) columns, each from one
+    fock_column call."""
     space = load_registry()
     built = _counted(monkeypatch, symplectic, "fock_column")
     for suite in SPECTRAL:
         run_suite(suite, 7, space=space)
-    assert len(built) == len(space._columns) == 17 and len(space._filled) == 18
-    assert {(space.rep[b], k) for b, k in space._filled} == space._columns
-    # a column is kept only for an atom of its function not yet filled
-    assert set(space._kept) == {(a, k) for r, k in space._columns for a in range(len(space.atoms))
-                                if space.rep[a] == r and (a, k) not in space._filled}
+    assert len(built) == len(space._columns) == 17
 
 
-def _unshared(text: str) -> str:
-    """text with every function that a pair line reads again declared again,
-    under a fresh name, just before that line."""
-    specs, seen, out = {}, set(), []
-    for line in text.splitlines():
-        tokens = line.split("#", 1)[0].split()
-        if tokens[:1] == ["fn"]:
-            specs[tokens[1]] = tokens[2:]
-        elif tokens[:1] == ["pair"]:
-            refs = []
-            for token in tokens[2:]:
-                key, ref = token.split("=")
-                if ref in seen:
-                    fresh = f"{ref}_{len(out)}"
-                    out.append(" ".join(["fn", fresh, *specs[ref]]))
-                    ref = fresh
-                elif ref != "0":
-                    seen.add(ref)
-                refs.append(f"{key}={ref}")
-            line = " ".join(["pair", tokens[1], *refs])
-        out.append(line)
-    return "\n".join(out)
+def _bytes(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
 
 
-def _tables(space: Space) -> dict:
-    """Every table the Space computes per function, as bytes, after both
-    norms of every generator's tangent along T are read."""
+def _merged(shared: Space, copy: Space) -> list:
+    """m[i], the atom of `shared` that holds the function of copy atom i, read
+    off the generator slot that names i."""
+    m = []
+    for atom in copy.atoms:
+        name, slot = atom.name.rsplit(".", 1)
+        (a, _), = shared.slot_part(shared.generator(name), int(slot)).items()
+        m.append(a)
+    return m
+
+
+def _read_norms(space: Space) -> None:
+    """Both norms of every generator's tangent along T: fills both Fock tables."""
     T = space.generator("T")
-    norms = [getattr(space, norm)(space.tangent(space.generator(name), T))
-             for name in space.generator_names() for norm in ("fock_norm_sq", "mover_norm_sq")]
-    slot0 = [a for a, atom in enumerate(space.atoms) if atom.slot == 0]
-    arrays = {
-        "gram": list(space._gram.values()),
-        "sigma": space._sigma_rows,
-        "antiderivatives": [space.atom_antiderivative(a) for a in slot0],
-        "fock": space._fock,
-        "movers": space._movers,
-        "norms": norms,
-        "split": split_table(space),
-    }
-    return {"gram keys": list(space._gram), "filled": space._filled,
-            **{name: np.asarray(x, dtype=float).tobytes() for name, x in arrays.items()}}
+    for name in space.generator_names():
+        v = space.tangent(space.generator(name), T)
+        space.fock_norm_sq(v)
+        space.mover_norm_sq(v)
 
 
 def test_shared_functions_give_the_tables_of_unshared_copies():
+    """Every per-function entry of the copy equals, bit for bit, the entry
+    of the merged atoms that hold its functions.  A Fock entry Q(a, b) is
+    u_a . fock_column(u_b) for a <= b, so it is compared where the merge
+    keeps the pair's order: that covers every entry of the shared tables.
+    sigma on generator pairs and the norms of Va generators sum at most two
+    terms per slot, so no order of the atoms can move a bit of them."""
     text = SHARED.read_text()
-    shared, copy = parse_registry(text), parse_registry(_unshared(text))
-    n = len(shared.atoms)
-    assert [a.name for a in copy.atoms] == [a.name for a in shared.atoms]
-    assert copy.rep == tuple(range(n))
-    names = [atom.name for atom in shared.atoms]
-    assert {names[a]: names[r] for a, r in enumerate(shared.rep) if r != a} == {
+    shared, copy = parse_registry(text), parse_registry(unshared(text))
+    m, n = _merged(shared, copy), len(copy.atoms)
+    names = [atom.name for atom in copy.atoms]
+    assert {names[i]: shared.atoms[a].name for i, a in enumerate(m)
+            if shared.atoms[a].name != names[i]} == {
         "q0.1": "T0.1", "q3.1": "T3.1", "s0.0": "aC.0", "s1.0": "c0.0", "s2.1": "s0.1"}
-    assert _tables(shared) == _tables(copy)
+    # a merged atom is named after, and holds the samples of, its first copy atom
+    assert [names[m.index(a)] for a in range(len(shared.atoms))] == [x.name for x in shared.atoms]
+    assert all(_bytes(copy.atoms[i].fn.samples) == _bytes(shared.atoms[a].fn.samples)
+               for i, a in enumerate(m))
+
+    for space in (shared, copy):
+        _read_norms(space)
+    assert {(m[b], k) for b, k in copy._columns} == shared._columns
     assert len(shared._columns) < len(copy._columns) and len(shared._antideriv) < len(copy._antideriv)
+
+    assert {(m[i], m[j]) for i, j in copy._gram} == set(shared._gram)
+    assert _bytes(list(copy._gram.values())) == _bytes([shared._gram[m[i], m[j]] for i, j in copy._gram])
+    slot0 = [i for i, atom in enumerate(copy.atoms) if atom.slot == 0]
+    assert all(_bytes(copy.atom_antiderivative(i)) == _bytes(shared.atom_antiderivative(m[i]))
+               for i in slot0)
+    mapped = np.ix_(m, m)
+    for ours, theirs in ((copy._sigma_rows, shared._sigma_rows),
+                         (split_table(copy), split_table(shared))):
+        assert _bytes(ours) == _bytes(np.asarray(theirs)[mapped])
+    # q0.1 merges into T0.1, before aC.1: (aC.1, q0.1) is read the other way round
+    kept = np.array([[m[min(i, j)] == min(m[i], m[j]) for j in range(n)] for i in range(n)])
+    assert not kept[names.index("aC.1"), names.index("q0.1")]
+    for ours, theirs in ((copy._fock, shared._fock), (copy._movers, shared._movers)):
+        assert _bytes(np.asarray(ours)[kept]) == _bytes(np.asarray(theirs)[mapped][kept])
+
+    def per_generator(space):
+        gens = [space.generator(name) for name in space.generator_names()]
+        va = [g for g in gens if space.in_space(g, "Va")]
+        return ([space.sigma(g, h) for g, h in itertools.product(gens, repeat=2)],
+                [space.fock_norm_sq(g) for g in va], [space.mover_norm_sq(g) for g in va])
+
+    assert [_bytes(x) for x in per_generator(copy)] == [_bytes(x) for x in per_generator(shared)]

@@ -225,7 +225,7 @@ def test_a_nan_coefficient_keeps_its_term():
     keep test abs(a) >= COEFF_EPS dropped (False for NaN), so a distance
     refuses it on the one-term and on the general path."""
     space = sp()
-    v, w = space.generator("aC"), space.generator("q0")
+    v, w = space.generator("aC"), space.generator("c0")
     for A in (weyl_word(v, complex(math.nan, 0)), WeylElement([(v, math.nan)]),
               WeylElement([(v, 1.0), (v, math.nan)])):
         (key, a), = A.terms()
