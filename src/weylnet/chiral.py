@@ -3,13 +3,13 @@
 theta_pm(x) = (f1(x) +/- integral_{-inf}^x f0) / 2, with the inverse
 f0 = d(theta_+ - theta_-), f1 = theta_+ + theta_-.
 
-The antiderivative/derivative used here form an exact discrete inverse pair:
-the declared charge multiple of a reference compact kink is split off in
-closed form, and the decaying zero-mean remainder is integrated and
-differentiated on the same DFT grid by `funcspace._spectral` (power -1 and
-1).  This keeps the round trip at machine precision, which a
-finite-difference derivative of a cumulative quadrature cannot do (its
-half-step ripple is amplified by 1/h).  The antiderivative is linear in the
+The antiderivative/derivative used here form an exact discrete inverse pair,
+`funcspace.kink_spectral` with power -1 and 1: the declared charge multiple
+of a reference compact kink is split off in closed form, and the decaying
+zero-mean remainder is integrated or differentiated on one DFT grid.  This
+keeps the round trip at machine precision, which a finite-difference
+derivative of a cumulative quadrature cannot do (its half-step ripple is
+amplified by 1/h).  The antiderivative is linear in the
 data, so `dalembert` sums the antiderivatives its Space builds once per
 slot-0 atom (`Space.atom_antiderivative`), and its `ChiralPair` keeps the
 Cauchy data it assembled, which the round trip compares with.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import largest
 from .funcspace import (
-    TestFunction, _simpson_value, _simpson_weights, _spectral, _unit_kink, derivative, dot,
+    TestFunction, _simpson_value, _simpson_weights, derivative, dot, kink_spectral,
 )
 from .symplectic import Space, SymVector
 
@@ -70,10 +70,7 @@ def dalembert_inverse(pair: ChiralPair) -> Tuple[TestFunction, TestFunction]:
     """Reconstruct the Cauchy pair (f0, f1) from its movers."""
     f_c = pair.c_plus - pair.c_minus
     grid = pair.theta_plus.grid
-    k_deriv, k_step = _unit_kink(grid)
-    delta = pair.theta_plus.samples - pair.theta_minus.samples
-    residue = delta - float(f_c) * k_step
-    f0_samples = float(f_c) * k_deriv.samples + _spectral(residue, grid.step, 1)
+    f0_samples = kink_spectral(pair.theta_plus.samples - pair.theta_minus.samples, f_c, grid, 1)
     # restore the constant (DC) component the spectral derivative cannot see:
     # the declared charge pins the Simpson integral exactly
     f0_samples = f0_samples + (float(f_c) - _simpson_value(f0_samples, grid)) / float(

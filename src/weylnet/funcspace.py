@@ -8,9 +8,9 @@ stop at the window edge.
 
 Quadrature is composite Simpson, differentiation is a 4th-order central
 stencil (one-sided at the edges), the antiderivative of a charged density
-is a closed-form kink plus the spectral integral of the zero-charge
-remainder (`_spectral`, which also differentiates for the d'Alembert
-inverse), and the Fock norm, whose |p| half is the chiral norm, is a
+and the derivative of a step, its d'Alembert inverse, are one routine
+(`kink_spectral`: a closed-form kink plus `_spectral` of the decaying
+remainder), and the Fock norm, whose |p| half is the chiral norm, is a
 discrete Fourier sum on the zero-padded grid read only through fock_column:
 a 2n-point convolution with a per-grid kernel, so a norm over fixed atoms
 needs no FFT per vector (tests/oracles.py keeps the padded per-vector sums).
@@ -321,7 +321,6 @@ def simpson(f: TestFunction) -> float:
     return _simpson_value(f.samples, f.grid)
 
 
-_D4_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D4_EDGE = (
     np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
     np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0,
@@ -395,7 +394,8 @@ def pairing(f: TestFunction, g: TestFunction) -> float:
 def _spectral(samples: np.ndarray, h: float, power: int) -> np.ndarray:
     """(i p)^power times the DFT of a decaying sample set: its periodic
     derivative (power 1) or its zero-mean antiderivative with G(x0) = 0
-    (power -1).  An even grid's Nyquist bin is zeroed."""
+    (power -1).  An even grid's Nyquist bin is lost both ways: rfft gives
+    it real, i p makes it imaginary, and irfft reads its real part only."""
     n = len(samples)
     ft, ip = np.fft.rfft(samples), _ip(n, h)
     if power == 1:
@@ -403,8 +403,6 @@ def _spectral(samples: np.ndarray, h: float, power: int) -> np.ndarray:
     else:
         ft[0] = 0.0
         ft[1:] /= ip[1:]
-    if n % 2 == 0:
-        ft[-1] = 0.0
     g = np.fft.irfft(ft, n=n)
     return g if power == 1 else g - g[0]
 
@@ -418,19 +416,21 @@ def _ip(n: int, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _unit_kink(grid: Grid) -> Tuple[TestFunction, np.ndarray]:
-    """The compact unit kink's derivative and its samples as a step from 0 to 1."""
+def _unit_kink(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """The compact unit kink's derivative samples and its samples as a step from 0 to 1."""
     step = make_kink(Fraction(0), Fraction(1), True, grid=grid, form="step")
-    return step.deriv, step.samples + 0.5
+    return step.deriv.samples, step.samples + 0.5
 
 
-def _charge_antiderivative(f0: TestFunction, f_c: Fraction) -> np.ndarray:
-    """Antiderivative of f0 with exact limits (0, f_c): kink part in closed
-    form, spectral integral of the decaying zero-charge remainder."""
-    k_deriv, k_step = _unit_kink(f0.grid)
-    fc = float(f_c)
-    g = f0.samples - fc * k_deriv.samples
-    return fc * k_step + _spectral(g, f0.grid.step, -1)
+def kink_spectral(samples: np.ndarray, charge: Fraction, grid: Grid, power: int) -> np.ndarray:
+    """The antiderivative (power -1), limits (0, charge), of a density of
+    integral `charge`, or the derivative (power 1) of a step from 0 to
+    `charge`: `charge` times the compact unit kink in closed form, and
+    `_spectral` of the decaying rest.  The two are an exact inverse pair."""
+    kink = _unit_kink(grid)
+    taken, given = kink if power == -1 else kink[::-1]
+    c = float(charge)
+    return c * given + _spectral(samples - c * taken, grid.step, power)
 
 
 # ---------------------------------------------------------------------------

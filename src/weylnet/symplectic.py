@@ -31,11 +31,11 @@ from .funcspace import (
     Grid,
     Interval,
     TestFunction,
-    _charge_antiderivative,
     _simpson_value,
     constant_function,
     dot,
     fock_column,
+    kink_spectral,
     localization,
     resample,
 )
@@ -237,7 +237,6 @@ class Space:
     ):
         self.grid, self.source = grid, source
         atoms: list[Atom] = []
-        onto: Dict[int, TestFunction] = {}  # id of a given function -> it on this grid
         placed: Dict[Tuple[int, int], int] = {}  # (slot, id of a given function) -> its atom
         self._generators: Dict[str, SymVector] = {}
         for name, (f0, f1) in pairs.items():
@@ -245,10 +244,8 @@ class Space:
             for slot, fn in ((0, f0), (1, f1)):
                 if fn is not None and not fn.is_zero():
                     if (slot, id(fn)) not in placed:
-                        if id(fn) not in onto:
-                            onto[id(fn)] = resample(fn, grid)
                         placed[slot, id(fn)] = len(atoms)
-                        atoms.append(self._atom(f"{name}.{slot}", slot, onto[id(fn)]))
+                        atoms.append(self._atom(f"{name}.{slot}", slot, resample(fn, grid)))
                     parts.append((placed[slot, id(fn)], Fraction(1)))
             self._generators[name] = SymVector(parts)
         for unit, atom in enumerate(atoms):
@@ -388,7 +385,7 @@ class Space:
         the first time a is read."""
         if a not in self._antideriv:
             fn = self.atoms[a].fn
-            self._antideriv[a] = _charge_antiderivative(fn, fn.integral)
+            self._antideriv[a] = kink_spectral(fn.samples, fn.integral, self.grid, -1)
             self._antideriv[a].flags.writeable = False
         return self._antideriv[a]
 

@@ -164,14 +164,10 @@ class CrossedProduct:
         self.space = space
         self.A = space.slot_part(T, 0).scale(Fraction(den, c))
         self.e = space.unit_vector()
-        self._plane: Dict[Tuple[Fraction, Fraction], SymVector] = {}
 
     def plane_vector(self, c: Fraction, n: Fraction) -> SymVector:
-        """c A + n e, kept by (c, n) the first time it is built."""
-        l_vec = self._plane.get((c, n))
-        if l_vec is None:
-            l_vec = self._plane[c, n] = self.A.scale(c) + self.e.scale(n)
-        return l_vec
+        """c A + n e."""
+        return self.A.scale(c) + self.e.scale(n)
 
     def alpha(self, h: SymVector, c: Fraction, n: Fraction) -> float:
         return self.space.sigma(h, self.plane_vector(c, n))
@@ -231,7 +227,7 @@ def parse_combo(space: Space, body: str) -> SymVector:
         raise ElementParseError("empty generator combination; write W[0] for the identity")
     if body == "0":
         return ZERO
-    v, pos = ZERO, 0
+    v, pos, names = ZERO, 0, []
     while pos < len(body):
         m = _TERM.match(body, pos)
         if not m or (pos and not m["sign"]):
@@ -241,14 +237,14 @@ def parse_combo(space: Space, body: str) -> SymVector:
         except ZeroDivisionError:
             raise ElementParseError(f"zero denominator in {m[0].strip()!r}") from None
         v = v + space.generator(m["name"]).scale(-coeff if m["sign"] == "-" else coeff)
+        names.append(m["name"])
         pos = m.end()
     for a, coeff in v.items():
         try:
             float(coeff)
         except OverflowError:
-            raise ElementParseError(
-                f"coefficient of atom {space.atoms[a].name!r} overflows a float"
-            ) from None
+            by = [g for g in dict.fromkeys(names) if a in dict(space.generator(g).items())]
+            raise ElementParseError(f"coefficient of {' + '.join(by)} overflows a float") from None
     return v
 
 

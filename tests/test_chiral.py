@@ -49,12 +49,23 @@ def rand_vector(rng, n_terms=3):
 
 @pytest.mark.parametrize("points", [4096, 1025])
 def test_spectral_pair_is_exact_inverse(points):
-    # both orders, on an even grid (Nyquist bin zeroed) and an odd one
+    # both orders, on an even grid (Nyquist bin lost) and an odd one
     grid = Grid(DEFAULT_GRID.x0, DEFAULT_GRID.x1, points)
     xs, h = grid.xs(), grid.step
     g = np.exp(-((xs - 1.0) ** 2)) * (xs - 1.0)  # zero-mean decaying
     assert np.max(np.abs(_spectral(_spectral(g, h, -1), h, 1) - g)) < 1e-12
     assert np.max(np.abs(_spectral(_spectral(g, h, 1), h, -1) - (g - g[0]))) < 1e-12
+
+
+@pytest.mark.parametrize("points", [1024, 4096])
+def test_spectral_loses_the_nyquist_bin_both_ways(points):
+    """(-1)^k holds the Nyquist bin alone.  rfft gives it real, i p makes it
+    imaginary, and irfft reads only its real part: both powers return exact
+    zeros, with no branch that zeroes the bin."""
+    h = Grid(DEFAULT_GRID.x0, DEFAULT_GRID.x1, points).step
+    alternating = np.where(np.arange(points) % 2, -1.0, 1.0)
+    for power in (1, -1):
+        assert not np.any(_spectral(alternating, h, power))
 
 
 def test_central_element_halves():

@@ -462,25 +462,28 @@ BIG, HUGE = "1" + "0" * 308, "1" + "0" * 400
 
 
 @pytest.mark.parametrize(
-    "argv, atom",
+    "argv, names",
     [
-        (["state", "eval", "--kind", "fock_a", "--element", f"W[{BIG} aC + {BIG} aC]"], "aC.0"),
-        (["chiral", "roundtrip", "--combo", f"{HUGE} c0"], "c0.0"),
-        (["net", "gauge", "--apply", f"W[{HUGE} T]"], "T.0"),
-        # q3 = (0, tk3) reads T3's slot-1 atom: 2e308 on T3.1
+        (["state", "eval", "--kind", "fock_a", "--element", f"W[{BIG} aC + {BIG} aC]"], "aC"),
+        (["chiral", "roundtrip", "--combo", f"{HUGE} c0"], "c0"),
+        # q0 = (0, tk0) reads T0's slot-1 atom, and is named as written
+        (["chiral", "roundtrip", "--combo", f"{HUGE} q0"], "q0"),
+        (["net", "gauge", "--apply", f"W[{HUGE} T]"], "T"),
+        # q3 = (0, tk3) reads T3's slot-1 atom: 2e308 on that atom
         (["net", "sector", "--element", "T0", "--interval=-9/8:9/8",
-          "--apply", f"W[{N308} c1 + {N308} q3 + {N308} T3]"], "T3.1"),
+          "--apply", f"W[{N308} c1 + {N308} q3 + {N308} T3]"], "q3 + T3"),
     ],
-    ids=["summed-state-eval", "chiral-roundtrip", "net-gauge", "summed-shared-atom"],
+    ids=["summed-state-eval", "chiral-roundtrip", "shared-atom", "net-gauge", "summed-shared-atom"],
 )
-def test_combo_coefficient_beyond_a_float_exits_2(argv, atom, capsys):
+def test_combo_coefficient_beyond_a_float_exits_2(argv, names, capsys):
     """A generator coefficient that a float cannot hold, alone or once like
     terms or generators that share an atom are summed, is refused where the
-    combination is parsed."""
+    combination is parsed, naming the generators summed on that atom in
+    input order, each once."""
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: coefficient of atom '{atom}' overflows a float\n"
+    assert captured.err == f"error: coefficient of {names} overflows a float\n"
 
 
 def test_window_too_narrow_for_a_float_is_a_bad_grid(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Every import is read, and every function and method has a reader.
+"""Every import is read, and every function, method and module-level name has a reader.
 
 The package is read with stdlib `ast`, never imported for this.  A function
 counts as read when its name appears in `src/weylnet` outside its own `def`
 (as a name or an attribute), or in `perfbench/spans.py` or
 `perfbench/workloads.py`, which bind their targets by name; those two are
-read as text, as test_bench_bindings.py does, never imported or run.
+read as text, as test_bench_bindings.py does, never imported or run.  A
+module-level name counts as read the same way, outside the statement that
+assigns it.
 """
 
 import ast
@@ -45,6 +47,32 @@ def _defs():
                         yield f"{path.stem}.{node.name}.{item.name}", item
 
 
+def _assigned():
+    """(qualified name, statement) for each name a module-level assignment binds."""
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for n in ast.walk(ast.Tuple(elts=targets)):
+                    if isinstance(n, ast.Name):
+                        yield f"{path.stem}.{n.id}", node
+
+
+def _unread(named) -> list:
+    """The qualified names of (qualified name, node) pairs whose name is read
+    nowhere in src/weylnet outside node, nor in perfbench's bindings."""
+    reads = Counter(name for path in SOURCES for name in _reads(_tree(path)))
+    dead = []
+    for qualname, node in named:
+        name = qualname.rsplit(".", 1)[1]
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        outside = reads[name] - sum(1 for n in _reads(node) if n == name)
+        if outside == 0 and not re.search(rf"\b{name}\b", BENCH):
+            dead.append(qualname)
+    return dead
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_import_is_read(path):
@@ -60,13 +88,10 @@ def test_every_import_is_read(path):
 
 
 def test_every_function_and_method_has_a_reader():
-    reads = Counter(name for path in SOURCES for name in _reads(_tree(path)))
-    dead = []
-    for qualname, node in _defs():
-        name = node.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        outside = reads[name] - sum(1 for n in _reads(node) if n == name)
-        if outside == 0 and not re.search(rf"\b{name}\b", BENCH):
-            dead.append(qualname)
+    dead = _unread(_defs())
+    assert not dead, f"no reader in src/weylnet or perfbench: {dead}"
+
+
+def test_every_module_level_name_has_a_reader():
+    dead = _unread(_assigned())
     assert not dead, f"no reader in src/weylnet or perfbench: {dead}"

@@ -63,7 +63,7 @@ ATOM_ANTIDERIVATIVE = Space.atom_antiderivative
 DALEMBERT = chiral.dalembert
 DERIVATIVE = chiral.derivative
 FOCK_KERNEL = funcspace._fock_kernel
-CHARGE_ANTIDERIVATIVE = symplectic._charge_antiderivative
+KINK_SPECTRAL = funcspace.kink_spectral
 SIMPSON_VALUE = symplectic._simpson_value
 
 
@@ -148,8 +148,8 @@ def _fock_kernel_slot0_scaled(grid, slot):
     return FOCK_KERNEL(grid, slot) * (1.001 if slot == 0 else 1.0)
 
 
-def _charge_antiderivative_scaled(f0, f_c):
-    return CHARGE_ANTIDERIVATIVE(f0, f_c) * (1 + 1e-4)
+def _kink_spectral_scaled(samples, charge, grid, power):
+    return KINK_SPECTRAL(samples, charge, grid, power) * (1 + 1e-4)
 
 
 def _simpson_value_scaled(samples, grid):
@@ -185,28 +185,14 @@ def _value_without_delta(self, space, v):
     return self.key(space, v)
 
 
-def _dalembert_inverse_divided_kink(pair):
-    """chiral.dalembert_inverse with F_c / k_step for F_c * k_step: the zero
-    samples of k_step make every reconstructed f0 sample NaN or inf."""
-    f_c = pair.c_plus - pair.c_minus
-    grid = pair.theta_plus.grid
+def _kink_spectral_divided_kink(samples, charge, grid, power):
+    """kink_spectral as `dalembert_inverse` reads it (power 1), with F_c /
+    k_step for F_c * k_step: the zero samples of k_step make every
+    reconstructed f0 sample NaN or inf."""
     k_deriv, k_step = funcspace._unit_kink(grid)
-    delta = pair.theta_plus.samples - pair.theta_minus.samples
     with np.errstate(divide="ignore", invalid="ignore"):
-        residue = delta - float(f_c) / k_step
-        f0_samples = float(f_c) * k_deriv.samples + funcspace._spectral(residue, grid.step, 1)
-        f0_samples = f0_samples + (float(f_c) - funcspace._simpson_value(f0_samples, grid)) / float(
-            grid.x1 - grid.x0
-        )
-    f0 = funcspace.TestFunction(grid, f0_samples, Fraction(0), Fraction(0), f_c)
-    f1 = funcspace.TestFunction(
-        grid,
-        pair.theta_plus.samples + pair.theta_minus.samples,
-        pair.theta_plus.left_limit + pair.theta_minus.left_limit,
-        pair.theta_plus.right_limit + pair.theta_minus.right_limit,
-        None,
-    )
-    return f0, f1
+        residue = samples - float(charge) / k_step
+        return float(charge) * k_deriv + funcspace._spectral(residue, grid.step, power)
 
 
 def _derivative_scaled(f):
@@ -243,13 +229,11 @@ MUTANTS = {
     "dalembert-c_plus-c_minus-swapped": ((chiral, suites), "dalembert", _dalembert_charges_swapped),
     # every round-trip error NaN, which max(0.0, nan) read as 0.0; it also
     # errors chiral-charge-relations, which shares the mover loop
-    "dalembert_inverse-divided-kink": ((chiral,), "dalembert_inverse",
-                                       _dalembert_inverse_divided_kink),
+    "dalembert_inverse-divided-kink": ((chiral,), "kink_spectral", _kink_spectral_divided_kink),
     "atom_antiderivative*1.001": ((Space,), "atom_antiderivative", _atom_antiderivative_scaled),
     "fock_kernel-slot0*1.001": ((funcspace,), "_fock_kernel", _fock_kernel_slot0_scaled),
-    # the per-atom antiderivative the Space builds once
-    "charge_antiderivative*1.0001": ((symplectic,), "_charge_antiderivative",
-                                     _charge_antiderivative_scaled),
+    # the per-atom antiderivative the Space builds once, by kink_spectral
+    "charge_antiderivative*1.0001": ((symplectic,), "kink_spectral", _kink_spectral_scaled),
     # the Gram quadrature the Space runs at load
     "simpson_value*1.0001": ((symplectic,), "_simpson_value", _simpson_value_scaled),
     # the slot-1 derivative that split_table weighs
@@ -323,7 +307,7 @@ def test_each_listed_check_fails_under_its_mutant(mutant, monkeypatch):
 def test_nan_round_trip_is_a_non_finite_defect_error(monkeypatch):
     """The NaN round trip errors both checks of the shared mover loop, by
     name, where max() read mover-roundtrip as a pass at 0.0."""
-    monkeypatch.setattr(chiral, "dalembert_inverse", _dalembert_inverse_divided_kink)
+    monkeypatch.setattr(chiral, "kink_spectral", _kink_spectral_divided_kink)
     (section,) = run_suite("chiral", SEED, space=load_registry())["sections"]
     records = {c["name"]: c for c in section["checks"]}
     for name in ("mover-roundtrip", "chiral-charge-relations"):

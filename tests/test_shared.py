@@ -7,7 +7,9 @@ antiderivatives, the Fock columns and the split table's integrals.  The
 counts below are exact on the default registry at 4096 points; the oracle
 compares a registry whose pairs share functions with a copy that declares
 each shared function again under a fresh name, so that there every
-generator slot is an atom of its own.
+generator slot is an atom of its own.  Both Spaces run one `_fock_form`, so
+the shared registry's Fock norms are also checked by value against the
+padded per-vector sums of tests/oracles.py.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from weylnet.registry import load_registry, parse_registry
 from weylnet.suites import run_suite
 from weylnet.symplectic import Space
 
-from oracles import unshared
+from oracles import padded_chiral_norm_sq, padded_fock_norm_sq, unshared
 
 SHARED = Path(__file__).parent / "data" / "shared.registry"
 SPECTRAL = ("states-positivity", "chiral")
@@ -165,3 +167,26 @@ def test_shared_functions_give_the_tables_of_unshared_copies():
                 [space.fock_norm_sq(g) for g in va], [space.mover_norm_sq(g) for g in va])
 
     assert [_bytes(x) for x in per_generator(copy)] == [_bytes(x) for x in per_generator(shared)]
+
+
+def test_fock_norms_match_the_padded_per_vector_sums():
+    """Both Fock tables of the shared registry against the per-vector sums of
+    tests/oracles.py, which share no table and no transform length with
+    them: `fock_norm_sq` against `padded_fock_norm_sq` of the assembled pair,
+    `mover_norm_sq` against 2||theta_+||^2 + 2||theta_-||^2 of the `dalembert`
+    movers, on every Va generator and every generator's nonzero tangent
+    along T.  Each vector reads its Cauchy-data norm and then its mover norm
+    on one Space, so a column filled for one kernel and read for the other
+    shows here by value."""
+    space = parse_registry(SHARED.read_text())
+    T = space.generator("T")
+    gens = [space.generator(name) for name in space.generator_names()]
+    vectors = [g for g in gens if space.in_space(g, "Va")] + [space.tangent(g, T) for g in gens]
+    vectors = [v for v in vectors if not v.is_zero()]
+    assert len(vectors) == 18
+    for v in vectors:
+        fock = padded_fock_norm_sq(*space.assemble(v))
+        pair = chiral.dalembert(space, v)
+        movers = 2 * (padded_chiral_norm_sq(pair.theta_plus) + padded_chiral_norm_sq(pair.theta_minus))
+        assert abs(space.fock_norm_sq(v) - fock) <= 1e-12 * fock, v
+        assert abs(space.mover_norm_sq(v) - movers) <= 1e-12 * movers, v

@@ -292,15 +292,6 @@ def test_staged_vs_global_product():
         assert max_coeff_distance(staged, direct) < 1e-10
 
 
-def test_plane_vector_is_built_once_per_coordinate_pair():
-    space = sp()
-    cp = CrossedProduct(space, space.generator("T"))
-    for c, n in [(Fraction(1, 2), Fraction(-2)), (Fraction(0), Fraction(3, 2)), (Fraction(-2), Fraction(0))]:
-        v = cp.plane_vector(c, n)
-        assert v == cp.A.scale(c) + cp.e.scale(n)
-        assert cp.plane_vector(Fraction(c), Fraction(n)) is v
-
-
 def test_staged_inverse():
     space = sp()
     cp = CrossedProduct(space, space.generator("T"))
