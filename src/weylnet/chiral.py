@@ -10,9 +10,9 @@ zero-mean remainder is integrated or differentiated on one DFT grid.  This
 keeps the round trip at machine precision, which a finite-difference
 derivative of a cumulative quadrature cannot do (its half-step ripple is
 amplified by 1/h).  The antiderivative is linear in the
-data, so `dalembert` sums the antiderivatives its Space builds once per
-slot-0 atom (`Space.atom_antiderivative`), and its `ChiralPair` keeps the
-Cauchy data it assembled, which the round trip compares with.
+data, so `dalembert` sums the slot-0 atoms' movers `Space.mover`, each an
+antiderivative the Space builds once, and its `ChiralPair` keeps the Cauchy
+data it assembled, which the round trip compares with.
 
 The split sigma = sigma_+ + sigma_- + sigma_inf is bilinear for the same
 reason.  `split_table` builds it once per check run as rows over atom pairs,
@@ -60,7 +60,7 @@ def dalembert(space: Space, v: SymVector) -> ChiralPair:
     cum = np.zeros(space.grid.n)
     for a, coeff in v.items():
         if space.atoms[a].slot == 0:
-            cum += float(coeff) * space.atom_antiderivative(a)
+            cum += float(coeff) * space.mover(a)
     theta_p, theta_m = (TestFunction(space.grid, (f1.samples + s * cum) / 2.0, f1.left_limit / 2,
                                      (f1.right_limit + s * c) / 2, None) for s in (1, -1))
     return ChiralPair(theta_p, theta_m, (q + c) / 2, (q - c) / 2, f0, f1)
@@ -123,26 +123,22 @@ def split_table(space: Space) -> List[List[float]]:
     """Rows S[a][b] = sigma_decomposed(space, e_a, e_b) for atoms a, b, so
     sigma_decomposed(space, v, w) is bilinear(S, v, w) = sum c_a d_b S[a][b].
 
-    Atom a's movers are theta_+ = (A_a, f_a) / 2 and theta_- = eps_a theta_+
-    in slot 0 (A_a its antiderivative, eps_a = -1), and (f_a, f_a') / 2 with
-    eps_a = 1 in slot 1.  So sigma_- = -eps_a eps_b sigma_+ exactly: same-slot
-    entries are 0.0, cross-slot ones 2 sigma_+ + sigma_inf with 2 sigma_+ =
-    (P[a, b] - P[b, a]) / 2.  P is taken across the slots once per atom
-    pair: a weighted derivative per atom, dotted with each theta_+ of the
-    other slot."""
+    Atom a's movers are theta_+ = u_a / 2 (u_a = `Space.mover(a)`) and
+    theta_- = -theta_+ in slot 0, theta_- = theta_+ in slot 1.  So sigma_- =
+    sigma_+ across the slots and -sigma_+ within one: same-slot entries are
+    0.0, and for slot-0 i and slot-1 j, S[i][j] = -S[j][i] = 2 sigma_+ +
+    sigma_inf = (u_j . du_i - u_i . du_j) / 2 + c_i L_j / 2, with du the
+    Simpson-weighted derivative of u and c_i L_j / 2 the plane form on the
+    exact right limits.  du_i = w f_i is rebuilt per pair, so that one
+    weighted array per slot is live at a time, not one per atom."""
     atoms, n = space.atoms, len(space.atoms)
     weights = _simpson_weights(space.grid.n) * space.grid.step
-    theta = [space.atom_antiderivative(b) if atom.slot == 0 else atom.fn.samples
-             for b, atom in enumerate(atoms)]
-    # P[a, b] = 4 integral theta_+b d(theta_+a), summed as `pairing` sums it
-    P = {}
-    for a, atom in enumerate(atoms):
-        y = weights * (atom.fn if atom.slot == 0 else derivative(atom.fn)).samples
-        P.update({(a, b): dot(y, theta[b]) for b in range(n) if atoms[b].slot != atom.slot})
-    # exact right limits: theta_+ has L_a / 2 and theta_- eps_a L_a / 2
-    half = [(atom.fn.integral if atom.slot == 0 else atom.fn.right_limit) / 2 for atom in atoms]
-    eps = [-1.0 if atom.slot == 0 else 1.0 for atom in atoms]
-    # sigma_+ + sigma_- + sigma_inf
-    return [[(P[a, b] - P[b, a]) / 2
-             + float(half[a] * half[b]) * (eps[b] - eps[a]) if eps[a] != eps[b] else 0.0
-             for b in range(n)] for a in range(n)]
+    slot0, slot1 = ([a for a in range(n) if atoms[a].slot == slot] for slot in (0, 1))
+    rows = [[0.0] * n for _ in range(n)]
+    for j in slot1:
+        du_j = weights * derivative(atoms[j].fn).samples
+        for i in slot0:
+            s = ((dot(weights * atoms[i].fn.samples, space.mover(j)) - dot(du_j, space.mover(i))) / 2
+                 + float(atoms[i].fn.integral * atoms[j].fn.right_limit) / 2)
+            rows[i][j], rows[j][i] = s, -s
+    return rows

@@ -193,11 +193,11 @@ def _run_subcommand(args, grid: Grid) -> int:
             rho = make_sector(
                 space, space.generator(args.element), _parse_interval(args.interval)
             )
-            print(sector_apply(space, rho, parse_element(space, getattr(args, "apply"))))
+            print(sector_apply(space, rho, parse_element(space, args.apply)))
             return 0
         if args.action == "gauge":
             out = gauge_apply(
-                space, GaugeElement(n=args.n, r=args.r), parse_element(space, getattr(args, "apply"))
+                space, GaugeElement(n=args.n, r=args.r), parse_element(space, args.apply)
             )
             print(out)
             return 0

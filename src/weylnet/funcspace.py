@@ -316,11 +316,6 @@ def _simpson_value(samples: np.ndarray, grid: Grid) -> float:
     return dot(_simpson_weights(grid.n), samples) * grid.step
 
 
-def simpson(f: TestFunction) -> float:
-    """Composite Simpson over the window (tails contribute only if zero)."""
-    return _simpson_value(f.samples, f.grid)
-
-
 _D4_EDGE = (
     np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
     np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0,
@@ -446,7 +441,7 @@ def fock_norm_sq(f0: TestFunction, f1: TestFunction) -> float:
     f1's) and f0 a zero Simpson integral."""
     if f0.left_limit != 0 or f0.right_limit != 0:
         raise NotInDomain("f0 must have zero limits")
-    if abs(simpson(f0)) > TOL_CHARGE:
+    if abs(_simpson_value(f0.samples, f0.grid)) > TOL_CHARGE:
         raise NotInDomain("f0 must have zero integral (charge)")
     _same_grid(f0, f1)
     return chiral_norm_sq(f1) + dot(f0.samples, fock_column(f0.samples, 0, f0.grid))

@@ -82,8 +82,7 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
         h_vec = v - l_vec
         # canonical staging W(v) = e^{i sigma(h,l)/2} W(h) W(l)
         phase = complex(np.exp(0.5j * space.sigma(h_vec, l_vec)))
-        h_center, _ = space.split_off_center(h_vec)
-        omega_h = space.fock_factor(h_center)
+        omega_h = space.fock_factor(space.split_off_center(h_vec))
         if regular_substitute:
             return phase * omega_h * math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)
         return phase * omega_h
@@ -94,7 +93,7 @@ def product_p(T: SymVector, regular_substitute: bool = False) -> State:
 def _chiral_vacuum_key(space: Space, v: SymVector) -> complex:
     # on a charge-free key theta_pm less half the mean limit L are
     # (f1 - L +/- A) / 2, so 2||theta_+||^2 + 2||theta_-||^2 is the mover norm
-    return complex(math.exp(-0.25 * space.mover_norm_sq(space.split_off_center(v)[0])))
+    return complex(math.exp(-0.25 * space.mover_norm_sq(space.split_off_center(v))))
 
 
 def chiral_vacuum() -> State:
@@ -162,7 +161,7 @@ def regular_substitute_probe(space: Space, T: SymVector) -> float:
     l_vec = space.slot_part(T, 0)
     words = []
     for name in space.generator_names():
-        h, _ = space.split_off_center(space.slot_part(space.generator(name), 1))
+        h = space.split_off_center(space.slot_part(space.generator(name), 1))
         if h.is_zero() or not space.in_space(h, "Vc"):
             continue
         words.append(weyl_mul(space, weyl_word(l_vec), weyl_word(h)))

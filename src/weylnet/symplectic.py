@@ -224,8 +224,8 @@ class Space:
     after the first generator slot that holds it: q0 = (0, tk0) reads T0.1,
     the atom of T0 = (dtk0, tk0).  Memos fill in as they are read: the Fock
     form's per-atom tables in the Cauchy-data and the mover basis, the
-    antiderivatives (an FFT each), each `psi_T` regularizer's assembled
-    slots, and the localization of each vector read.  Arrays are read-only.
+    slot-0 movers (an FFT each), each `psi_T` regularizer's summed slots,
+    and the localization of each vector read.  Arrays are read-only.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
 
@@ -266,9 +266,9 @@ class Space:
         den = self._charge_den = math.lcm(*(x.denominator for row in charges for x in row))
         self._charge_nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                                   for row in charges)
-        # the Gram entries integral f_i g_j dx for slot-0 atoms i and slot-1 atoms
-        # j, summed as `pairing` sums them; sigma's rows hold g at [i][j], -g at
-        # [j][i] and 0.0 for same-slot pairs
+        # the Gram entries integral f_i g_j dx (Simpson) for slot-0 atoms i and
+        # slot-1 atoms j; sigma's rows hold g at [i][j], -g at [j][i] and 0.0
+        # for same-slot pairs
         n = len(atoms)
         self._gram: Dict[Tuple[int, int], float] = {
             (i, j): _simpson_value(atoms[i].fn.samples * atoms[j].fn.samples, grid)
@@ -281,7 +281,7 @@ class Space:
         self._fock, self._columns = [[0.0] * n for _ in range(n)], set()
         self._movers = [row if slot else [0.0] * n for row, slot in zip(self._fock, self._slots)]
         self._antideriv: Dict[int, np.ndarray] = {}
-        self._regularizers: Dict[SymVector, Tuple[TestFunction, TestFunction]] = {}
+        self._regularizers: Dict[SymVector, list] = {}
         self._localizations: Dict[SymVector, Optional[Interval]] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
@@ -360,10 +360,9 @@ class Space:
             return True
         return self.assemble(v)[1].is_constant()
 
-    def split_off_center(self, v: SymVector) -> Tuple[SymVector, Fraction]:
+    def split_off_center(self, v: SymVector) -> SymVector:
         den, _, plus, minus = self.charges(v)
-        inf = Fraction(plus + minus, 2 * den)
-        return v - self._unit.scale(inf), inf
+        return v - self._unit.scale(Fraction(plus + minus, 2 * den))
 
     # -- assembly ------------------------------------------------------------
 
@@ -380,11 +379,13 @@ class Space:
         f1 = TestFunction(self.grid, s1, Fraction(minus, den), Fraction(plus, den), None)
         return f0, f1
 
-    def atom_antiderivative(self, a: int) -> np.ndarray:
-        """Samples of slot-0 atom a's antiderivative, limits (0, c_a), built
-        the first time a is read."""
+    def mover(self, a: int) -> np.ndarray:
+        """u_a = 2 theta_+ of atom a, read-only: a slot-1 atom's samples, or a
+        slot-0 atom's antiderivative, limits (0, c_a), built once."""
+        fn = self.atoms[a].fn
+        if self._slots[a]:
+            return fn.samples
         if a not in self._antideriv:
-            fn = self.atoms[a].fn
             self._antideriv[a] = kink_spectral(fn.samples, fn.integral, self.grid, -1)
             self._antideriv[a].flags.writeable = False
         return self._antideriv[a]
@@ -402,9 +403,8 @@ class Space:
 
     def mover_norm_sq(self, v: SymVector) -> float:
         """2||theta_+||^2 + 2||theta_-||^2 = ||A||^2 + ||F1||^2: the slot-1 form
-        on u_a, a slot-0 atom's antiderivative or a slot-1 atom's samples."""
-        return self._fock_form(v, self._movers, lambda a: (
-            self.atom_antiderivative(a) if self._slots[a] == 0 else self.atoms[a].fn.samples, 1))
+        on the atoms' movers u_a."""
+        return self._fock_form(v, self._movers, lambda a: (self.mover(a), 1))
 
     def _fock_form(self, v: SymVector, rows: list, basis: Callable) -> float:
         """bilinear(rows, v, v); basis(a) is atom a's (samples u_a, kernel
@@ -460,19 +460,20 @@ class Space:
         """The fully decaying part of v: v minus its charge part along T's
         slots and then minus the central constant, so all three charges of
         the remainder vanish exactly."""
-        return self.split_off_center(v - self.charge_part(v, T)[2])[0]
+        return self.split_off_center(v - self.charge_part(v, T)[2])
 
     def psi_T(self, v: SymVector, T: SymVector) -> PsiImage:
         """Split v into its tangent and two symplectic planes with coordinates
         (F_c, F_n) and (F_r, F_q), where F_n = integral f1 t0 dx and
         F_r = integral f0 t1 dx against T's slots; the total symplectic form
         is the sum of the three pieces when T's slots have unit charges and
-        pair to zero against each other.  Each integral is `pairing`'s Simpson
-        value, with no tail check: one factor of each is a slot 0, tail-free."""
+        pair to zero against each other.  Each integral is a Simpson value with
+        no tail check: one factor of each is a slot 0, tail-free."""
         s0, s1 = self._samples(v)
         den, c, plus, minus = self.charges(v)
-        if T not in self._regularizers:  # TestFunction samples are read-only
-            self._regularizers[T] = self.assemble(T)
+        if T not in self._regularizers:
+            t0, t1 = self._regularizers[T] = self._samples(T)
+            t0.flags.writeable = t1.flags.writeable = False
         t0, t1 = self._regularizers[T]
-        return PsiImage(self.tangent(v, T), (Fraction(c, den), _simpson_value(s1 * t0.samples, self.grid)),
-                        (_simpson_value(s0 * t1.samples, self.grid), Fraction(plus - minus, den)))
+        return PsiImage(self.tangent(v, T), (Fraction(c, den), _simpson_value(s1 * t0, self.grid)),
+                        (_simpson_value(s0 * t1, self.grid), Fraction(plus - minus, den)))

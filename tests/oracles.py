@@ -13,11 +13,19 @@ import numpy as np
 
 from weylnet.chiral import ChiralPair
 from weylnet.errors import NotInDomain
-from weylnet.funcspace import DEFAULT_GRID, PAD, TOL_CHARGE, Grid, TestFunction, _same_grid, simpson
+from weylnet.funcspace import (
+    DEFAULT_GRID, PAD, TOL_CHARGE, Grid, TestFunction, _same_grid, _simpson_value, _simpson_weights,
+    derivative, dot, kink_spectral,
+)
 from weylnet.gns import VACUUM, GnsVector, _plane_key, apply_elementary, phi_n_apply, sector_inner
 from weylnet.states import State, eval_state
 from weylnet.symplectic import Space, SymVector
 from weylnet.weyl import COEFF_EPS, CrossedProduct, Staged, WeylElement, weyl_mul, weyl_star
+
+
+def simpson(f: TestFunction) -> float:
+    """Composite Simpson over the window (tails contribute only if zero)."""
+    return _simpson_value(f.samples, f.grid)
 
 
 def zero_function(grid: Grid = DEFAULT_GRID) -> TestFunction:
@@ -90,6 +98,27 @@ def sigma_infinity(p: ChiralPair, q: ChiralPair) -> float:
     a1, b1 = p.theta_plus.right_limit, p.theta_minus.right_limit
     a2, b2 = q.theta_plus.right_limit, q.theta_minus.right_limit
     return float(a1 * b2 - b1 * a2)
+
+
+def split_table_by_movers(space: Space) -> list:
+    """`chiral.split_table` as it was written over the movers' signs eps and
+    limits: rows S[a][b] = (P[a, b] - P[b, a]) / 2 + 2 sigma_inf across the
+    slots, P[a, b] = 4 integral theta_+b d(theta_+a), and 0.0 within one.
+    It builds each slot-0 antiderivative itself."""
+    atoms, n, grid = space.atoms, len(space.atoms), space.grid
+    weights = _simpson_weights(grid.n) * grid.step
+    theta = [kink_spectral(atom.fn.samples, atom.fn.integral, grid, -1) if atom.slot == 0
+             else atom.fn.samples for atom in atoms]
+    P = {}
+    for a, atom in enumerate(atoms):
+        y = weights * (atom.fn if atom.slot == 0 else derivative(atom.fn)).samples
+        P.update({(a, b): dot(y, theta[b]) for b in range(n) if atoms[b].slot != atom.slot})
+    # exact right limits: theta_+ has L_a / 2 and theta_- eps_a L_a / 2
+    half = [(atom.fn.integral if atom.slot == 0 else atom.fn.right_limit) / 2 for atom in atoms]
+    eps = [-1.0 if atom.slot == 0 else 1.0 for atom in atoms]
+    return [[(P[a, b] - P[b, a]) / 2
+             + float(half[a] * half[b]) * (eps[b] - eps[a]) if eps[a] != eps[b] else 0.0
+             for b in range(n)] for a in range(n)]
 
 
 def dense_bilinear(rows, v: SymVector, w: SymVector) -> float:

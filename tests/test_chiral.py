@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from weylnet.suites import run_suite
 from weylnet.symplectic import ZERO, SymVector, bilinear
 
 from charge_rationals import rationals
-from oracles import padded_chiral_norm_sq, sigma_infinity
+from oracles import padded_chiral_norm_sq, sigma_infinity, split_table_by_movers
+
+SHARED = Path(__file__).parent / "data" / "shared.registry"
 
 
 @lru_cache(maxsize=1)
@@ -164,7 +167,7 @@ def test_fock_norm_chiral_identity():
         assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(lhs))
 
 
-# --- the per-atom antiderivative memo ------------------------------------------
+# --- the slot-0 movers, one antiderivative per atom ----------------------------
 
 
 def _oracle_antiderivative(f0, f_c):
@@ -300,6 +303,16 @@ def test_sigma_split_matches_the_per_vector_path(points):
         v, w = combo(), combo()
         ref = sigma_decomposed(space, v, w)
         assert abs(bilinear(table, v, w) - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("points", [1024, 4096, 16384])
+@pytest.mark.parametrize("registry", [None, SHARED], ids=["default", "shared"])
+def test_split_table_equals_the_mover_sign_formula(registry, points):
+    """split_table, one loop over (slot-0, slot-1) atom pairs, equals entry by
+    entry the formula over the movers' signs and limits that it replaced.
+    A 0.0 there may read -0.0 here; `bilinear` skips both."""
+    space = load_registry(registry, Grid(Fraction(-32), Fraction(32), points))
+    assert split_table(space) == split_table_by_movers(space)
 
 
 def test_split_table_compares_cross_slot_integrals_and_limits():

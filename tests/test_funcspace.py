@@ -24,12 +24,11 @@ from weylnet.funcspace import (
     make_kink,
     pairing,
     resample,
-    simpson,
 )
 from weylnet.registry import load_registry, parse_registry
 from weylnet.states import chiral_vacuum
 
-from oracles import padded_chiral_norm_sq, padded_fock_norm_sq, zero_function
+from oracles import padded_chiral_norm_sq, padded_fock_norm_sq, simpson, zero_function
 
 G = DEFAULT_GRID
 

@@ -59,7 +59,7 @@ SEED = 7
 SIGMA = Space.sigma
 PSI_T = Space.psi_T
 CHARGES = Space.charges
-ATOM_ANTIDERIVATIVE = Space.atom_antiderivative
+MOVER = Space.mover
 DALEMBERT = chiral.dalembert
 DERIVATIVE = chiral.derivative
 FOCK_KERNEL = funcspace._fock_kernel
@@ -141,7 +141,9 @@ def _dalembert_charges_swapped(space, v):
 
 
 def _atom_antiderivative_scaled(self, a):
-    return 1.001 * ATOM_ANTIDERIVATIVE(self, a)
+    """Space.mover with each slot-0 atom's antiderivative 0.1% too large."""
+    u = MOVER(self, a)
+    return 1.001 * u if self.atoms[a].slot == 0 else u
 
 
 def _fock_kernel_slot0_scaled(grid, slot):
@@ -172,7 +174,7 @@ def _product_p_mutant(staged: bool = True, centred: bool = True):
             a, b, l_vec = space.charge_part(v, T)
             h_vec = v - l_vec
             phase = cmath.exp(0.5j * space.sigma(h_vec, l_vec)) if staged else 1.0
-            omega_h = space.fock_factor(space.split_off_center(h_vec)[0] if centred else h_vec)
+            omega_h = space.fock_factor(space.split_off_center(h_vec) if centred else h_vec)
             weight = math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0) if regular_substitute else 1.0
             return phase * omega_h * weight
 
@@ -230,7 +232,7 @@ MUTANTS = {
     # every round-trip error NaN, which max(0.0, nan) read as 0.0; it also
     # errors chiral-charge-relations, which shares the mover loop
     "dalembert_inverse-divided-kink": ((chiral,), "kink_spectral", _kink_spectral_divided_kink),
-    "atom_antiderivative*1.001": ((Space,), "atom_antiderivative", _atom_antiderivative_scaled),
+    "atom_antiderivative*1.001": ((Space,), "mover", _atom_antiderivative_scaled),
     "fock_kernel-slot0*1.001": ((funcspace,), "_fock_kernel", _fock_kernel_slot0_scaled),
     # the per-atom antiderivative the Space builds once, by kink_spectral
     "charge_antiderivative*1.0001": ((symplectic,), "kink_spectral", _kink_spectral_scaled),

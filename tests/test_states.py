@@ -279,7 +279,7 @@ def _old_product_p(T, regular_substitute=False):
         l_vec = space.slot_part(T, 0).scale(a) + space.slot_part(T, 1).scale(b)
         h_vec = v - l_vec
         phase = complex(np.exp(0.5j * space.sigma(h_vec, l_vec)))
-        h_center, _ = space.split_off_center(h_vec)
+        h_center = space.split_off_center(h_vec)
         omega_h = _old_fock_factor(space, h_center)
         if regular_substitute:
             omega_l = math.exp(-(float(a) ** 2 + float(b) ** 2) / 4.0)

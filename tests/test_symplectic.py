@@ -15,7 +15,7 @@ from weylnet.suites import run_suite
 from weylnet.symplectic import Charges, Space, SymVector, ZERO, bilinear, sigma_plane
 
 from charge_rationals import fraction_sums, rationals
-from oracles import dense_bilinear, padded_fock_norm_sq, unshared
+from oracles import dense_bilinear, padded_fock_norm_sq, simpson, unshared
 
 
 from functools import lru_cache
@@ -144,8 +144,10 @@ def test_central_line(space):
     assert space.localization(n1.scale(Fraction(7, 2))) is None
     assert space.localization(space.generator("q0")) is not None
     v = space.generator("aC") + n1.scale(Fraction(3, 4))
-    rest, coeff = space.split_off_center(v)
-    assert coeff == Fraction(3, 4)
+    rest = space.split_off_center(v)
+    den, _, plus, minus = space.charges(v)
+    assert Fraction(plus + minus, 2 * den) == Fraction(3, 4)  # the mean limit
+    assert v - rest == space.unit_vector().scale(Fraction(3, 4))
     assert rationals(space, rest).inf == 0
     assert rest == space.generator("aC")  # aC is decaying, unit atom split exactly
 
@@ -560,18 +562,24 @@ def test_bilinear_skips_zero_entries_bit_for_bit():
 
 
 def test_psi_t_assembles_each_regularizer_once(monkeypatch):
-    """psi_T reads T's assembled slots from a memo filled at the first call,
-    equal to `assemble(T)` and read-only, as the antiderivative memo is; v's
-    samples are summed without assembling v, and its plane coordinates are
-    `pairing` of the assembled slots bit for bit."""
+    """psi_T reads T's summed slots from a memo filled at the first call,
+    equal to `assemble(T)`'s samples and read-only, as the mover memo is;
+    neither v nor T is assembled, v's samples are summed once per call, and
+    its plane coordinates are `pairing` of the assembled slots bit for bit."""
     space = load_registry()
     T, T3 = space.generator("T"), space.generator("T3")
-    calls = []
-    assemble = Space.assemble
-    monkeypatch.setattr(Space, "assemble", lambda self, v: calls.append(v) or assemble(self, v))
-    images = {(name, reg): space.psi_T(space.generator(name), reg)
-              for name in space.generator_names() for reg in (T, T3)}
-    assert calls == [T, T3]
+    summed, assembled = [], []
+    samples, assemble = Space._samples, Space.assemble
+    monkeypatch.setattr(Space, "_samples", lambda self, v: summed.append(v) or samples(self, v))
+    monkeypatch.setattr(Space, "assemble", lambda self, v: assembled.append(v) or assemble(self, v))
+    images, seen, want = {}, set(), []
+    for name in space.generator_names():
+        for reg in (T, T3):
+            v = space.generator(name)
+            want += [v] if reg in seen else [v, reg]  # T's slots are summed once
+            seen.add(reg)
+            images[name, reg] = space.psi_T(v, reg)
+    assert summed == want and assembled == []
     for (name, reg), img in images.items():
         (f0, f1), (t0, t1) = assemble(space, space.generator(name)), assemble(space, reg)
         assert img.l_part[1].hex() == pairing(f1, t0).hex(), name
@@ -579,9 +587,9 @@ def test_psi_t_assembles_each_regularizer_once(monkeypatch):
     assert set(space._regularizers) == {T, T3}
     for reg in (T, T3):
         for memo, fresh in zip(space._regularizers[reg], assemble(space, reg)):
-            assert np.array_equal(memo.samples, fresh.samples)
-            assert not memo.samples.flags.writeable
-    assert not space.atom_antiderivative(0).flags.writeable
+            assert np.array_equal(memo, fresh.samples)
+            assert not memo.flags.writeable
+    assert not space.mover(0).flags.writeable
 
 
 def test_gram_table_is_complete_at_load():
@@ -755,8 +763,6 @@ def test_fock_domain_reads_sigma_against_the_unit(window, accepted):
     """The Fock domain's numeric charge is sigma(v, e): bit for bit the sum
     of v's slot-0 atoms' Simpson values, so aR is refused where the window
     cuts its atoms and accepted where it does not."""
-    from weylnet.funcspace import simpson
-
     space = load_registry(None, Grid(Fraction(-window), Fraction(window), 4096))
     e = space.unit_vector()
     for name in space.generator_names():
