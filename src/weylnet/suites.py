@@ -275,22 +275,17 @@ def _charge_operator(space: Space, rng) -> float:
     return float(any(d != 0.0 for d in defects))
 
 
-def _plane_word(rng, plane: Dict) -> WeylElement:
-    """Two random terms on the charge plane; plane[c, n] = c/2 A0 + n/2 e."""
-    out = None
-    for _ in range(2):
-        l_vec = plane[int(rng.integers(-2, 3)), int(rng.integers(-3, 4))]
-        term = weyl_word(l_vec, complex(rng.standard_normal(), rng.standard_normal()))
-        out = term if out is None else weyl_add(out, term)
-    return out
-
-
 def _trace_property(space: Space, rng) -> float:
+    """200 pairs of two-term words on the charge plane, their 800 terms drawn at once."""
     A0, e = space.slot_part(space.generator("T"), 0), space.unit_vector()
     plane = {(c, n): A0.scale(Fraction(c, 2)) + e.scale(Fraction(n, 2))
              for c in range(-2, 3) for n in range(-3, 4)}
-    pairs = ((_plane_word(rng, plane), _plane_word(rng, plane)) for _ in range(200))
-    return largest(abs(sector_trace(space, A, B) - sector_trace(space, B, A)) for A, B in pairs)
+    cns = rng.integers([-2, -3], [3, 4], (800, 2)).tolist()
+    zetas = rng.standard_normal((800, 2)).tolist()
+    terms = [weyl_word(plane[c, n], complex(*z)) for (c, n), z in zip(cns, zetas)]
+    words = [weyl_add(x, y) for x, y in zip(terms[::2], terms[1::2])]
+    return largest(abs(sector_trace(space, A, B) - sector_trace(space, B, A))
+                   for A, B in zip(words[::2], words[1::2]))
 
 
 def _norm_distance(space: Space, rng) -> float:

@@ -224,8 +224,8 @@ class Space:
     after the first generator slot that holds it: q0 = (0, tk0) reads T0.1,
     the atom of T0 = (dtk0, tk0).  Memos fill in as they are read: the Fock
     form's per-atom tables in the Cauchy-data and the mover basis, the
-    slot-0 movers (an FFT each), each `psi_T` regularizer's summed slots,
-    and the localization of each vector read.  Arrays are read-only.
+    slot-0 movers (an FFT each), each `psi_T` regularizer's per-atom plane
+    moments, and the localization of each vector read.  Arrays are read-only.
     `source` names where the pairs came from (a registry path, or "default"
     for the packaged registry)."""
 
@@ -281,7 +281,7 @@ class Space:
         self._fock, self._columns = [[0.0] * n for _ in range(n)], set()
         self._movers = [row if slot else [0.0] * n for row, slot in zip(self._fock, self._slots)]
         self._antideriv: Dict[int, np.ndarray] = {}
-        self._regularizers: Dict[SymVector, list] = {}
+        self._regularizers: Dict[SymVector, Tuple[float, ...]] = {}
         self._localizations: Dict[SymVector, Optional[Interval]] = {}
 
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
@@ -304,10 +304,7 @@ class Space:
         return tuple(self._generators)
 
     def vector(self, combo: Dict[str, Fraction]) -> SymVector:
-        out = ZERO
-        for name, coeff in combo.items():
-            out = out + self.generator(name).scale(coeff)
-        return out
+        return sum((self.generator(name).scale(coeff) for name, coeff in combo.items()), ZERO)
 
     def slot_part(self, v: SymVector, slot: int) -> SymVector:
         return SymVector([(a, n) for a, n in v._nums if self._slots[a] == slot], v._den)
@@ -445,13 +442,15 @@ class Space:
 
     def charge_part(self, v: SymVector, T: SymVector) -> Tuple[Fraction, Fraction, SymVector]:
         """(a, b, l) with a = F_c / T_c and b = F_q / T_q, read from v's and
-        T's integer charges: l = a T_0 + b T_1, built on T's slots, carries
-        v's charges c and q."""
+        T's integer charges: l = a T_0 + b T_1, built on T's slots (ZERO for
+        a charge-free v), carries v's charges c and q."""
         den, c, plus, minus = self.charges(v)
         tden, tc, tplus, tminus = self.charges(T)
         if tc == 0 or tplus == tminus:
             raise DegenerateRegularizer(
                 f"regularizer charges {Fraction(tc, tden)}, {Fraction(tplus - tminus, tden)}")
+        if c == 0 and plus == minus:
+            return Fraction(0), Fraction(0), ZERO
         a = Fraction(c * tden, den * tc)
         b = Fraction((plus - minus) * tden, den * (tplus - tminus))
         return a, b, self.slot_part(T, 0).scale(a) + self.slot_part(T, 1).scale(b)
@@ -467,13 +466,18 @@ class Space:
         (F_c, F_n) and (F_r, F_q), where F_n = integral f1 t0 dx and
         F_r = integral f0 t1 dx against T's slots; the total symplectic form
         is the sum of the three pieces when T's slots have unit charges and
-        pair to zero against each other.  Each integral is a Simpson value with
-        no tail check: one factor of each is a slot 0, tail-free."""
-        s0, s1 = self._samples(v)
-        den, c, plus, minus = self.charges(v)
+        pair to zero against each other.  The first call for T keeps each
+        atom's Simpson moment against T's other slot (no tail check: a slot 0
+        is tail-free); F_r and F_n sum n / den times the moments of v's slot-0
+        and slot-1 atoms in atom order, so v is never summed."""
+        tangent = self.tangent(v, T)  # a degenerate T raises before its memo fills
         if T not in self._regularizers:
-            t0, t1 = self._regularizers[T] = self._samples(T)
-            t0.flags.writeable = t1.flags.writeable = False
-        t0, t1 = self._regularizers[T]
-        return PsiImage(self.tangent(v, T), (Fraction(c, den), _simpson_value(s1 * t0, self.grid)),
-                        (_simpson_value(s0 * t1, self.grid), Fraction(plus - minus, den)))
+            t = self._samples(T)
+            self._regularizers[T] = tuple(
+                [_simpson_value(atom.fn.samples * t[1 - atom.slot], self.grid) for atom in self.atoms])
+        moments, planes = self._regularizers[T], [0.0, 0.0]
+        for a, n in v._nums:
+            planes[self._slots[a]] += n / v._den * moments[a]
+        den, c, plus, minus = self.charges(v)
+        return PsiImage(tangent, (Fraction(c, den), planes[1]),
+                        (planes[0], Fraction(plus - minus, den)))

@@ -15,7 +15,7 @@ from weylnet.chiral import ChiralPair
 from weylnet.errors import NotInDomain
 from weylnet.funcspace import (
     DEFAULT_GRID, PAD, TOL_CHARGE, Grid, TestFunction, _same_grid, _simpson_value, _simpson_weights,
-    derivative, dot, kink_spectral,
+    derivative, dot, kink_spectral, pairing,
 )
 from weylnet.gns import VACUUM, GnsVector, _plane_key, apply_elementary, phi_n_apply, sector_inner
 from weylnet.states import State, eval_state
@@ -119,6 +119,17 @@ def split_table_by_movers(space: Space) -> list:
     return [[(P[a, b] - P[b, a]) / 2
              + float(half[a] * half[b]) * (eps[b] - eps[a]) if eps[a] != eps[b] else 0.0
              for b in range(n)] for a in range(n)]
+
+
+def plane_moments(space: Space, v: SymVector, T: SymVector) -> tuple:
+    """psi_T's (F_r, F_n) atom by atom: each atom of v `pairing`ed with T's
+    assembled other slot, times n / den, summed per slot in atom order from
+    0.0.  It assembles T and reads no memo of the Space."""
+    t, planes = space.assemble(T), [0.0, 0.0]
+    for a, n in v._nums:
+        atom = space.atoms[a]
+        planes[atom.slot] += n / v._den * pairing(atom.fn, t[1 - atom.slot])
+    return tuple(planes)
 
 
 def dense_bilinear(rows, v: SymVector, w: SymVector) -> float:

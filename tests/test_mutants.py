@@ -11,7 +11,10 @@ The sigma mutants replace `Space.sigma` only.  The one-term fast paths of
 failing under them also pins that those paths still go through sigma.  The
 product-axiom checks hold for any bilinear antisymmetric sigma, so sigma x 2
 fails only the checks that compare sigma with something outside the Weyl
-product: the staged product and the psi-T splitting.
+product: the staged product and the psi-T splitting.  psi_T's plane
+coordinates sum per-atom moments against T's slots, and they never pass
+through sigma, so the sigma mutants reach the splitting only through its
+sigma terms; a moment taken against the wrong slot of T must fail it too.
 
 `trace-property` reads the products through `weyl.graded_mul`, so a graded
 filter that keeps a pair whose charges do not cancel must fail it, and so
@@ -88,6 +91,16 @@ def _mul_plus_phase(space, A, B):
 def _psi_t_swapped(self, v, T):
     image = PSI_T(self, v, T)
     return replace(image, m_part=image.m_part[::-1])
+
+
+def _psi_t_moments_own_slot(self, v, T):
+    """psi_T with each atom's plane moment built against T's slot of its own
+    slot (t0 for a slot-0 atom, t1 for a slot-1 atom), not the other one."""
+    if T not in self._regularizers:
+        t = self._samples(T)
+        self._regularizers[T] = tuple(
+            [SIMPSON_VALUE(atom.fn.samples * t[atom.slot], self.grid) for atom in self.atoms])
+    return PSI_T(self, v, T)
 
 
 def _elementary_all_halved(c, n, v):
@@ -211,6 +224,8 @@ MUTANTS = {
     "weyl_mul+phase": ((weyl, suites), "weyl_mul", _mul_plus_phase),
     # psi_T's second plane as (F_q, F_r) instead of (F_r, F_q)
     "psi_T-swapped-m": ((Space,), "psi_T", _psi_t_swapped),
+    # psi_T's per-atom plane moments taken against the wrong slot of T
+    "psi_T-moments-own-slot": ((Space,), "psi_T", _psi_t_moments_own_slot),
     "apply_elementary-all-halved": ((gns, suites), "apply_elementary", _elementary_all_halved),
     "apply_elementary-unhalved": ((gns, suites), "apply_elementary", _elementary_unhalved),
     "phi_n+1e-3": ((gns, suites), "phi_n_apply", _phi_n_shifted),
@@ -250,7 +265,8 @@ KILLS = {
     "exchange-relation": ["sigma+0.01", "sigma+0.01sigma^2", "weyl_mul+phase"],
     "phase-cocycle-identity": ["sigma+0.01sigma^2"],
     "staged-product-agreement": ["sigma*2", "sigma+0.01", "weyl_mul+phase"],
-    "sigma-splitting": ["sigma*2", "sigma+0.01sigma^2", "psi_T-swapped-m"],
+    "sigma-splitting": ["sigma*2", "sigma+0.01sigma^2", "psi_T-swapped-m",
+                        "psi_T-moments-own-slot"],
     "charge-coordinates-regularizer-independent": ["psi_T-swapped-m"],
     "gram-min-eigenvalue": ["fock_factor-growing", "fock_factor-linear"],
     "regular-substitute-hermiticity-violation": ["product_p-unstaged"],

@@ -15,7 +15,7 @@ from weylnet.suites import run_suite
 from weylnet.symplectic import Charges, Space, SymVector, ZERO, bilinear, sigma_plane
 
 from charge_rationals import fraction_sums, rationals
-from oracles import dense_bilinear, padded_fock_norm_sq, simpson, unshared
+from oracles import dense_bilinear, padded_fock_norm_sq, plane_moments, simpson, unshared
 
 
 from functools import lru_cache
@@ -64,6 +64,7 @@ def test_unit_atom_resolved_at_load():
 
 
 DEFAULT_TEXT = (Path(registry.__file__).parent / "data" / "default.registry").read_text()
+SHARED = str(Path(__file__).parent / "data" / "shared.registry")
 
 
 def test_slot1_is_constant_sees_cancelling_atoms():
@@ -292,15 +293,36 @@ def _regularizers(space):
 
 
 def test_psi_t_equals_the_old_formulas(space):
+    """The tangent and the charge coordinates as the old formulas give them,
+    exactly, and the plane coordinates F_r and F_n as the per-atom sums of
+    `oracles.plane_moments`, bit for bit."""
     vectors = [space.generator(n) for n in space.generator_names()]
     vectors += [ZERO, space.unit_vector()] + _random_vectors(space, 14, count=30)
     for T in _regularizers(space):
         for v in vectors:
             img = space.psi_T(v, T)
             ch = rationals(space, v)
+            f_r, f_n = plane_moments(space, v, T)
             assert img.tangent == _old_tangent(space, v, T), v
-            assert img.l_part == (ch.c, _old_rel_charge_n(space, v, T)), v
-            assert img.m_part == (_old_rel_charge_r(space, v, T), ch.q), v
+            assert (img.l_part[0], img.l_part[1].hex()) == (ch.c, f_n.hex()), v
+            assert (img.m_part[0].hex(), img.m_part[1]) == (f_r.hex(), ch.q), v
+
+
+@pytest.mark.parametrize("points", [1024, 1025, 4096, 16384])
+@pytest.mark.parametrize("path", [None, SHARED], ids=["default", "shared"])
+def test_psi_t_planes_match_the_assembled_pairing(path, points):
+    """The per-atom plane sums agree with `pairing` of v's assembled slots
+    against T's, the formula they replace, to 1e-13 per unit of v's largest
+    coefficient (at least 1): only the order of the sum moved."""
+    space = load_registry(path, Grid(Fraction(-32), Fraction(32), points))
+    vectors = [space.generator(n) for n in space.generator_names()]
+    vectors += [space.unit_vector()] + _random_vectors(space, points, count=30)
+    for T in _regularizers(space):
+        for v in vectors:
+            img = space.psi_T(v, T)
+            bound = 1e-13 * (1 + max([abs(c) for _, c in v.items()], default=0))
+            assert abs(img.l_part[1] - _old_rel_charge_n(space, v, T)) <= bound, v
+            assert abs(img.m_part[0] - _old_rel_charge_r(space, v, T)) <= bound, v
 
 
 def test_charge_part_carries_the_charges(space):
@@ -562,33 +584,31 @@ def test_bilinear_skips_zero_entries_bit_for_bit():
 
 
 def test_psi_t_assembles_each_regularizer_once(monkeypatch):
-    """psi_T reads T's summed slots from a memo filled at the first call,
-    equal to `assemble(T)`'s samples and read-only, as the mover memo is;
-    neither v nor T is assembled, v's samples are summed once per call, and
-    its plane coordinates are `pairing` of the assembled slots bit for bit."""
+    """psi_T keeps one plane moment per atom for each regularizer, built at
+    its first call from one `_samples(T)`: `pairing` of the atom with T's
+    assembled other slot, bit for bit.  A degenerate T raises before any
+    memo fills, and v is never summed or assembled."""
     space = load_registry()
     T, T3 = space.generator("T"), space.generator("T3")
+    with pytest.raises(errors.DegenerateRegularizer):
+        space.psi_T(T, space.generator("q0"))
+    assert space._regularizers == {}
     summed, assembled = [], []
     samples, assemble = Space._samples, Space.assemble
     monkeypatch.setattr(Space, "_samples", lambda self, v: summed.append(v) or samples(self, v))
     monkeypatch.setattr(Space, "assemble", lambda self, v: assembled.append(v) or assemble(self, v))
-    images, seen, want = {}, set(), []
-    for name in space.generator_names():
-        for reg in (T, T3):
-            v = space.generator(name)
-            want += [v] if reg in seen else [v, reg]  # T's slots are summed once
-            seen.add(reg)
-            images[name, reg] = space.psi_T(v, reg)
-    assert summed == want and assembled == []
+    images = {(name, reg): space.psi_T(space.generator(name), reg)
+              for name in space.generator_names() for reg in (T, T3)}
+    assert summed == [T, T3] and assembled == []
+    monkeypatch.undo()
     for (name, reg), img in images.items():
-        (f0, f1), (t0, t1) = assemble(space, space.generator(name)), assemble(space, reg)
-        assert img.l_part[1].hex() == pairing(f1, t0).hex(), name
-        assert img.m_part[0].hex() == pairing(f0, t1).hex(), name
+        f_r, f_n = plane_moments(space, space.generator(name), reg)
+        assert (img.m_part[0].hex(), img.l_part[1].hex()) == (f_r.hex(), f_n.hex()), name
     assert set(space._regularizers) == {T, T3}
     for reg in (T, T3):
-        for memo, fresh in zip(space._regularizers[reg], assemble(space, reg)):
-            assert np.array_equal(memo, fresh.samples)
-            assert not memo.flags.writeable
+        t = space.assemble(reg)
+        want = [pairing(atom.fn, t[1 - atom.slot]).hex() for atom in space.atoms]
+        assert [m.hex() for m in space._regularizers[reg]] == want
     assert not space.mover(0).flags.writeable
 
 
