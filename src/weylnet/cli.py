@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chiral import dalembert, roundtrip_error
-from .errors import WeylnetError
+from .errors import WeylnetError, clip
 from .funcspace import Grid, Interval
 from .registry import _parse_range, load_registry
 from .states import STATES, eval_state, gram_psd
@@ -50,7 +50,7 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad rational {clip(text)}") from None
 
 
 def _at_least(low: int, what: str):
@@ -70,7 +70,7 @@ def _finite(text: str) -> float:
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {clip(text)}")
     return x
 
 

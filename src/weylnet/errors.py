@@ -1,8 +1,14 @@
-"""Error taxonomy shared by all weylnet modules, and `largest`, the one
-defect reduction: it refuses the NaN that max(0.0, nan) drops, and an inf."""
+"""Error taxonomy shared by all weylnet modules; `clip`, the one way a
+message quotes user text; and `largest`, the one defect reduction: it
+refuses the NaN that max(0.0, nan) drops, and an inf."""
 
 import math
 from typing import Iterable
+
+
+def clip(tok: str) -> str:
+    """tok quoted for a message; past 24 characters, its first 10 and its length."""
+    return repr(tok) if len(tok) <= 24 else f"{tok[:10]!r}... ({len(tok)} chars)"
 
 
 class WeylnetError(Exception):
@@ -14,8 +20,8 @@ class EdgeMismatch(WeylnetError):
 
 
 class BadGrid(WeylnetError):
-    """Non-positive step, unresolvable width, a compact support or a Hermite
-    center outside the window, or incompatible grids."""
+    """Non-positive step, unresolvable width, a compact support, an arctan
+    kink or a Hermite center outside the window, or incompatible grids."""
 
 
 class DivergentTail(WeylnetError):

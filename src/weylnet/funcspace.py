@@ -7,7 +7,7 @@ from -1/2 to 1/2 is an honest element of the space even though its samples
 stop at the window edge.
 
 Quadrature is composite Simpson, differentiation is a 4th-order central
-stencil (one-sided at the edges), the antiderivative of a charged density
+stencil on the tail-extended samples, the antiderivative of a charged density
 and the derivative of a step, its d'Alembert inverse, are one routine
 (`kink_spectral`: a closed-form kink plus `_spectral` of the decaying
 remainder), and the Fock norm, whose |p| half is the chiral norm, is a
@@ -208,9 +208,10 @@ def make_kink(
     compact=True uses the polynomial smoothstep whose derivative is supported
     in [center - width, center + width], which must lie in the window: a
     support cut by the window edge would be silently renormalized, or have
-    no mass at all.  compact=False is the arctan profile,
-    rescaled so the declared limits are attained exactly at the window edges
-    (the raw arctan misses them by O(width/window)).
+    no mass at all.  compact=False is the arctan profile, whose center must
+    lie strictly inside the window: it is rescaled so the declared limits
+    are attained exactly at the nearer window edge, and clipped to them
+    toward the farther one (the raw arctan misses them by O(width/window)).
     form="deriv" returns the derivative function in closed form, with its
     quadrature value snapped to the exact declared integral 1; a step
     carries that same function as its `deriv`.  The compact step evaluates
@@ -223,9 +224,12 @@ def make_kink(
         raise BadGrid("width must be positive")
     if float(width) < 4 * grid.step:
         raise BadGrid(f"width {short(width)} below 4*step {4 * grid.step}")
+    window = Interval(grid.x0, grid.x1)
     if compact and not grid.x0 <= center - width < center + width <= grid.x1:
-        support, window = Interval(center - width, center + width), Interval(grid.x0, grid.x1)
+        support = Interval(center - width, center + width)
         raise BadGrid(f"compact kink support {support} leaves the window {window}")
+    if not compact and not grid.x0 < center < grid.x1:
+        raise BadGrid(f"arctan kink center {short(center)} not inside the window {window}")
     xs = grid.xs()
     u = (xs - float(center)) / float(width)
     if compact:
@@ -247,10 +251,7 @@ def make_kink(
         s[inside] = float(Fraction(109395, 65536)) * _bump_antideriv(u[inside]) - 0.5
     else:
         s = np.clip(scale * np.arctan(u), -0.5, 0.5)
-        s[0] = -0.5 if center - grid.x0 <= grid.x1 - center else s[0]
-        s[-1] = 0.5 if grid.x1 - center <= center - grid.x0 else s[-1]
-        if abs(s[0] + 0.5) > TOL_EDGE or abs(s[-1] - 0.5) > TOL_EDGE:
-            raise EdgeMismatch("kink does not reach its limits on this window")
+        s[0], s[-1] = -0.5, 0.5
     return TestFunction(grid, s, Fraction(-1, 2), Fraction(1, 2), None, deriv=deriv)
 
 
@@ -316,25 +317,14 @@ def _simpson_value(samples: np.ndarray, grid: Grid) -> float:
     return dot(_simpson_weights(grid.n), samples) * grid.step
 
 
-_D4_EDGE = (
-    np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
-    np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0,
-)
-
-
 def derivative(f: TestFunction) -> TestFunction:
-    """Closed-form derivative when attached, else 4th-order finite
-    differences; output limits are (0, 0)."""
+    """Closed-form derivative when attached, else the 4th-order central stencil
+    on samples extended by two copies of each edge sample; limits (0, 0)."""
     if f.deriv is not None:
         return f.deriv
     s = f.samples
-    h = f.grid.step
-    d = np.empty_like(s)
-    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * h)
-    d[0] = np.dot(_D4_EDGE[0], s[:5]) / h
-    d[1] = np.dot(_D4_EDGE[1], s[:5]) / h
-    d[-1] = -np.dot(_D4_EDGE[0], s[-5:][::-1]) / h
-    d[-2] = -np.dot(_D4_EDGE[1], s[-5:][::-1]) / h
+    e = np.concatenate((s[:1], s[:1], s, s[-1:], s[-1:]))
+    d = (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * f.grid.step)
     return TestFunction(f.grid, d, Fraction(0), Fraction(0), None)
 
 

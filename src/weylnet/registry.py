@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadGrid, RegistryParseError, WeylnetError
+from .errors import BadGrid, RegistryParseError, WeylnetError, clip
 from .funcspace import (
     DEFAULT_GRID,
     HERMITE_MAX_ORDER,
@@ -42,24 +42,19 @@ from .funcspace import (
 from .symplectic import Space
 
 
-def _clip(tok: str) -> str:
-    """tok quoted for a message; past 24 characters, its first 10 and its length."""
-    return repr(tok) if len(tok) <= 24 else f"{tok[:10]!r}... ({len(tok)} chars)"
-
-
 def _parse(tok: str, key: str, parse=Fraction):
     """parse(tok), a Fraction by default; a token it refuses is named with its key."""
     try:
         return parse(tok)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad {key} {_clip(tok)}") from None
+        raise ValueError(f"bad {key} {clip(tok)}") from None
 
 
 def _parse_range(tok: str, key: str) -> Tuple[Fraction, Fraction]:
     """An a:b value as two Fractions; any other number of parts is named with its key."""
     parts = tok.split(":")
     if len(parts) != 2:
-        raise ValueError(f"bad {key} {_clip(tok)} (expected a:b)")
+        raise ValueError(f"bad {key} {clip(tok)} (expected a:b)")
     return _parse(parts[0], key), _parse(parts[1], key)
 
 
@@ -77,12 +72,12 @@ def _parse_kv(tokens, allowed, what, lineno) -> Dict[str, str]:
     kv = {}
     for tok in tokens:
         if "=" not in tok:
-            raise RegistryParseError(f"line {lineno}: expected key=value, got {tok!r}")
+            raise RegistryParseError(f"line {lineno}: expected key=value, got {clip(tok)}")
         k, v = tok.split("=", 1)
         if k in kv:
-            raise RegistryParseError(f"line {lineno}: duplicate key {k!r}")
+            raise RegistryParseError(f"line {lineno}: duplicate key {clip(k)}")
         if k not in allowed:
-            raise RegistryParseError(f"line {lineno}: unknown key {k!r} for {what}")
+            raise RegistryParseError(f"line {lineno}: unknown key {clip(k)} for {what}")
         kv[k] = v
     return kv
 
@@ -114,7 +109,7 @@ def _build_function(
             if not order:
                 raise ValueError("gaussian-hermite order must be an integer")
             if len(order[2]) > 9:  # int() would echo every digit, up to 4300 of them
-                shown = _clip(order[0])
+                shown = clip(order[0])
                 raise ValueError(f"gaussian-hermite order {shown} outside 0..{HERMITE_MAX_ORDER}")
             center = _parse(kv.get("center", "0"), "center")
             return hermite_gaussian(int(order[1] + order[2]), center, grid)
@@ -155,10 +150,10 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>
             if len(tokens) < 3:
                 raise RegistryParseError(f"line {lineno}: fn needs a kind")
             if name in functions:
-                raise RegistryParseError(f"line {lineno}: duplicate fn {name!r}")
+                raise RegistryParseError(f"line {lineno}: duplicate fn {clip(name)}")
             kind = tokens[2]
             if kind not in FN_KEYS:
-                raise RegistryParseError(f"line {lineno}: unknown function kind {kind!r}")
+                raise RegistryParseError(f"line {lineno}: unknown function kind {clip(kind)}")
             kv = _parse_kv(tokens[3:], FN_KEYS[kind], kind, lineno)
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite sample
                 fn = functions[name] = _build_function(kind, kv, grid, lineno, steps)
@@ -167,7 +162,7 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>
                     raise RegistryParseError(f"line {lineno}: {what} has a non-finite sample")
         elif record == "pair":
             if name in pairs:
-                raise RegistryParseError(f"line {lineno}: duplicate pair {name!r}")
+                raise RegistryParseError(f"line {lineno}: duplicate pair {clip(name)}")
             kv = _parse_kv(tokens[2:], PAIR_KEYS, "pair", lineno)
             slots = []
             for key in PAIR_KEYS:
@@ -177,10 +172,10 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>
                 elif ref in functions:
                     slots.append(functions[ref])
                 else:
-                    raise RegistryParseError(f"line {lineno}: unknown fn {ref!r}")
+                    raise RegistryParseError(f"line {lineno}: unknown fn {clip(ref)}")
             pairs[name] = tuple(slots)
         else:
-            raise RegistryParseError(f"line {lineno}: unknown record {record!r}")
+            raise RegistryParseError(f"line {lineno}: unknown record {clip(record)}")
     try:
         return Space(grid, pairs, source)
     except WeylnetError as e:

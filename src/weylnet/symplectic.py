@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequ
 
 import numpy as np
 
-from .errors import DegenerateRegularizer, FloatOverflow, NotInDomain, UnknownGenerator
+from .errors import DegenerateRegularizer, FloatOverflow, NotInDomain, UnknownGenerator, clip
 from .funcspace import (
     TOL_CHARGE,
     Grid,
@@ -151,9 +151,7 @@ class SymVector:
         v._den, v._nums = self._den, tuple([(a, -n) for a, n in self._nums])
         return v
 
-    def scale(self, k) -> "SymVector":
-        if not isinstance(k, (int, Fraction)):
-            k = Fraction(k)
+    def scale(self, k: int | Fraction) -> "SymVector":
         p, q = k.numerator, k.denominator
         if not p:
             return ZERO
@@ -287,9 +285,9 @@ class Space:
     def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
         if slot == 0:
             if fn.integral is None:
-                raise NotInDomain(f"slot-0 function {name!r} needs a declared integral")
+                raise NotInDomain(f"slot-0 function {clip(name)} needs a declared integral")
             if fn.left_limit != 0 or fn.right_limit != 0:
-                raise NotInDomain(f"slot-0 function {name!r} must have zero limits")
+                raise NotInDomain(f"slot-0 function {clip(name)} must have zero limits")
         return Atom(name, slot, fn)
 
     def generator(self, name: str) -> SymVector:
@@ -297,7 +295,7 @@ class Space:
             return self._generators[name]
         except KeyError:
             raise UnknownGenerator(
-                f"unknown generator {name!r}; registered: {', '.join(self._generators)}"
+                f"unknown generator {clip(name)}; registered: {', '.join(self._generators)}"
             ) from None
 
     def generator_names(self) -> Tuple[str, ...]:

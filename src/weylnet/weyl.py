@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .errors import DegenerateRegularizer, ElementParseError, largest
+from .errors import DegenerateRegularizer, ElementParseError, clip, largest
 from .symplectic import Space, SymVector, ZERO, sigma_plane
 
 COEFF_EPS = 1e-15
@@ -214,9 +214,9 @@ def _parse_coeff(text: str) -> complex:
     try:
         z = complex(t.replace("i", "j").replace(" ", ""))
     except ValueError:
-        raise ElementParseError(f"bad coefficient {text!r}") from None
+        raise ElementParseError(f"bad coefficient {clip(t)}") from None
     if not cmath.isfinite(z):
-        raise ElementParseError(f"non-finite coefficient {t!r}")
+        raise ElementParseError(f"non-finite coefficient {clip(t)}")
     return z
 
 
@@ -231,11 +231,11 @@ def parse_combo(space: Space, body: str) -> SymVector:
     while pos < len(body):
         m = _TERM.match(body, pos)
         if not m or (pos and not m["sign"]):
-            raise ElementParseError(f"bad generator term near {body[pos:]!r}")
+            raise ElementParseError(f"bad generator term near {clip(body[pos:])}")
         try:
             coeff = Fraction(m["num"] or 1)
         except ZeroDivisionError:
-            raise ElementParseError(f"zero denominator in {m[0].strip()!r}") from None
+            raise ElementParseError(f"zero denominator in {clip(m[0].strip())}") from None
         v = v + space.generator(m["name"]).scale(-coeff if m["sign"] == "-" else coeff)
         names.append(m["name"])
         pos = m.end()
@@ -258,7 +258,7 @@ def parse_element(space: Space, text: str) -> WeylElement:
         m = _SUMMAND.match(s, pos)
         if not m:
             expected = "+ or - then [coeff *] W[...]" if pos else "[coeff *] W[...]"
-            raise ElementParseError(f"expected {expected} near {s[pos:]!r}")
+            raise ElementParseError(f"expected {expected} near {clip(s[pos:])}")
         coeff = complex(-1.0 if m["sign"] == "-" else 1.0)
         if m["coeff"] is not None:
             coeff = _parse_coeff(m["coeff"])

@@ -263,6 +263,21 @@ PHASE_OVERFLOW = [
     ["net", "sector", "--element", "T0", "--interval=-9/8:9/8",
      "--apply", f"W[{N308} c1 + {N308} aC + {N308} T3]"],
 ]
+X300 = "x" * 300
+# a 300-character token in each place a message echoes one
+LONG_TOKEN = {
+    "long-generator": ["state", "eval", "--kind", "field_f", "--element", f"W[{X300}]"],
+    "long-coefficient": ["state", "eval", "--kind", "field_f", "--element", f"{X300} * W[aC]"],
+    "long-non-finite-coefficient": ["state", "eval", "--kind", "field_f", "--element",
+                                    f"1e{'9' * 300} * W[aC]"],
+    "long-term": ["state", "eval", "--kind", "field_f", "--element", f"W[aC {X300}]"],
+    "long-zero-denominator": ["state", "eval", "--kind", "field_f", "--element",
+                              f"W[1/{'0' * 300} aC]"],
+    "long-tail": ["state", "eval", "--kind", "field_f", "--element", f"W[aC] {X300}"],
+    "long-literal": ["state", "eval", "--kind", "field_f", "--element", X300],
+    "long-window": ["--window", X300, "--suite", "nets"],
+    "long-gauge-n": ["net", "gauge", "--n", X300, "--apply", "W[T]"],
+}
 
 
 @pytest.mark.parametrize(
@@ -296,7 +311,7 @@ PHASE_OVERFLOW = [
         ["--window", "1e-400", "--registry", KINK_FREE] + NARROW_LOCALITY,
         ["--window", "1e-400", "--suite", "nets"],
     ] + [["--registry", f"<hermite {keys}>", "--suite", "nets"] for keys in HERMITE_BAD]
-    + PHASE_OVERFLOW,
+    + PHASE_OVERFLOW + list(LONG_TOKEN.values()),
     ids=["nan", "overflow", "zero-denominator", "overflowing-sum", "bad-window",
          "combo-roundtrip", "combo-decompose", "empty-combo", "blank-combo",
          "empty-element-key", "non-utf8-registry", "stacked-sign", "dangling-sign",
@@ -304,14 +319,17 @@ PHASE_OVERFLOW = [
          "nan-hermite-default", "zero-step-eval", "zero-step-locality", "zero-step-suite",
          "hermite-center-outside-window", "hermite-center-beyond-a-float",
          "hermite-order-not-an-integer", "gauge-phase-overflow", "gauge-phase-overflow-2T",
-         "sector-phase-overflow"],
+         "sector-phase-overflow"] + list(LONG_TOKEN),
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
+    """Exit 2 with a named cause on the last stderr line, of at most 200
+    bytes: a long token is quoted in short form."""
     argv = [REGISTRIES[arg](tmp_path) if arg in REGISTRIES else arg for arg in argv]
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()[-1].encode()) <= 200, captured.err
 
 
 @pytest.mark.parametrize(
@@ -1073,10 +1091,23 @@ def test_hermite_center_outside_the_window_or_fractional_order_names_its_line(
          "gaussian-hermite order '-111111111'... (301 chars) outside 0..150"),
         (f"gaussian-hermite order={'7' * 5000}",
          "gaussian-hermite order '7777777777'... (5000 chars) outside 0..150"),
+        ("kink center=0 center=1 width=1", "duplicate key 'center'"),
+        ("kink center=0 width=1 form=slope", "form must be step/deriv"),
+        ("kink width=1", "missing key 'center'"),
+        ("kink center=0 width=0", "width must be positive"),
+        ("kink center=100 width=1 compact=false",
+         "arctan kink center 100 not inside the window [-32, 32]"),
+        ("kink center=32 width=1 compact=false",
+         "arctan kink center 32 not inside the window [-32, 32]"),
+        (f"kink center=0 width=1 {'a' * 300}", "expected key=value, got 'aaaaaaaaaa'... (300 chars)"),
+        (f"kink center=0 width=1 {'a' * 300}=1", "unknown key 'aaaaaaaaaa'... (300 chars) for kink"),
+        (f"{'a' * 300} center=0", "unknown function kind 'aaaaaaaaaa'... (300 chars)"),
     ],
     ids=["width-abc", "width-300-chars", "center-1/0", "values-a", "window-three-parts",
          "window-one-part", "limits-three-parts", "limits-one-part", "order-300-digits",
-         "order-minus-300-digits", "order-5000-digits"],
+         "order-minus-300-digits", "order-5000-digits", "duplicate-key", "form-slope",
+         "missing-center", "width-0", "arctan-center-outside", "arctan-center-on-the-edge",
+         "token-300-chars", "key-300-chars", "kind-300-chars"],
 )
 def test_bad_registry_value_names_its_line_and_key_in_short(fn, cause, tmp_path, capsys):
     """A value the registry cannot read gives one line that names the line
@@ -1089,6 +1120,86 @@ def test_bad_registry_value_names_its_line_and_key_in_short(fn, cause, tmp_path,
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: line 1: {cause}\n")
     assert len(err.encode()) <= 200
+
+
+A300 = "a" * 300
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("fn\n", "line 1: missing name"),
+        ("fn x\n", "line 1: fn needs a kind"),
+        ("fn g grid window=-4:4 limits=0:1 values=0,0,0,0,0,0,0,1 integral=1\npair x f0=g\n",
+         "slot-0 function 'x.0' must have zero limits"),
+        (f"fn {A300} constant value=1\nfn {A300} constant value=1\n",
+         "line 2: duplicate fn 'aaaaaaaaaa'... (300 chars)"),
+        (f"fn o constant value=1\npair {A300} f1=o\npair {A300} f1=o\n",
+         "line 3: duplicate pair 'aaaaaaaaaa'... (300 chars)"),
+        (f"pair p f1={A300}\n", "line 1: unknown fn 'aaaaaaaaaa'... (300 chars)"),
+        (f"{A300} x\n", "line 1: unknown record 'aaaaaaaaaa'... (300 chars)"),
+        (f"fn h constant value=1\npair {A300} f0=h\n",
+         "slot-0 function 'aaaaaaaaaa'... (302 chars) needs a declared integral"),
+        (f"fn g grid window=-4:4 limits=0:1 values=0,0,0,0,0,0,0,1 integral=1\npair {A300} f0=g\n",
+         "slot-0 function 'aaaaaaaaaa'... (302 chars) must have zero limits"),
+    ],
+    ids=["bare-fn", "fn-without-kind", "slot-0-limits", "duplicate-fn-300-chars",
+         "duplicate-pair-300-chars", "unknown-fn-300-chars", "unknown-record-300-chars",
+         "slot-0-integral-300-chars", "slot-0-limits-300-chars"],
+)
+def test_bad_registry_record_names_its_cause_in_short(text, cause, tmp_path, capsys):
+    """A registry record or pair the loader refuses gives one line naming
+    its cause, and a long name in short form, as a bad value does."""
+    path = tmp_path / "bad.registry"
+    path.write_text(text)
+    assert run(["--registry", str(path), "--suite", "nets"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {cause}\n")
+    assert len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (" * W[aC]", "empty coefficient"),
+        ("abc  * W[aC]", "bad coefficient 'abc'"),  # the stripped token
+        (f"W[{'x' * 300}]", "unknown generator 'xxxxxxxxxx'... (300 chars); registered: "
+                            "T, T0, T3, aL, aC, aR, n1, q0, q3, c0, c1, c2"),
+    ],
+    ids=["empty-coefficient", "bad-coefficient", "generator-300-chars"],
+)
+def test_bad_element_names_its_cause_in_short(text, cause, capsys):
+    assert run(["state", "eval", "--kind", "field_f", "--element", text]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {cause}\n")
+    assert len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("action", [["gauge", "--n", "0.5"],
+                                    ["sector", "--element", "q0", "--interval=-9/8:9/8"]])
+@pytest.mark.parametrize("element, printed", [("W[aC] - W[aC]", "WeylElement(0)"),
+                                              ("W[0]", "WeylElement((1+0j)W[SymVector(0)])")])
+def test_apply_prints_the_zero_and_the_identity(action, element, printed, capsys):
+    assert run(["net"] + action + ["--apply", element]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_finite_number_flag_names_its_token(capsys):
+    assert exit_code(["net", "gauge", "--n", "abc", "--apply", "W[T]"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "weylnet net gauge: error: argument --n: must be a finite number, got 'abc'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "nets", "--seed", "7"],
+    ["net", "sector", "--element", "q0", "--interval=-9/8:9/8", "--apply", "W[c1]"],
+    ["net", "diagram", "--regularizer", "T0", "--interval=-9/8:9/8"],
+], ids=["nets-suite", "sector", "diagram"])
+def test_kinks_localize_on_a_million_point_grid(argv, capsys):
+    """At 2^20 points, one-sided edge stencils once left a rounding residue
+    above TOL_SUPP on flat tails: q0 and T0 localized to the whole window, the
+    sector command and the diagram exited 2 and the nets suite read 3/5."""
+    assert run(["--grid-points", str(2**20)] + argv) == 0
 
 
 def test_zero_padded_hermite_order_reads_as_its_value():

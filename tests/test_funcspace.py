@@ -100,6 +100,17 @@ def test_kink_width_guard():
         make_kink(Fraction(0), Fraction(1, 100), True)
 
 
+@pytest.mark.parametrize("center", [Fraction(-32), Fraction(32), Fraction(100), Fraction(-1, 10**30) - 32])
+@pytest.mark.parametrize("form", ["step", "deriv"])
+def test_arctan_kink_center_must_lie_inside_the_window(center, form):
+    """On the edge the rescaling divided by arctan(0); outside it, the far
+    edge missed its limit.  Inside, both edges read the limits exactly."""
+    with pytest.raises(errors.BadGrid, match="arctan kink center .* not inside the window"):
+        make_kink(center, Fraction(1), False, form=form)
+    k = make_kink(Fraction(63, 2), Fraction(1), False)
+    assert (k.samples[0], k.samples[-1]) == (-0.5, 0.5)
+
+
 def test_compact_kink_support():
     k = make_kink(Fraction(3), Fraction(1), True)
     xs = G.xs()
@@ -270,6 +281,35 @@ def test_derivative_fourth_order_scaling():
         )
     )
     assert e_coarse / e_fine > 8.0  # ~16 for a clean 4th-order method
+
+
+def _stencil_kink(points):
+    """The compact unit kink step on `points` points with its closed-form
+    derivative dropped, so that derivative() runs the stencil."""
+    grid = Grid(Fraction(-32), Fraction(32), points)
+    step = make_kink(Fraction(0), Fraction(1), True, grid=grid)
+    return funcspace.TestFunction(grid, step.samples, Fraction(-1, 2), Fraction(1, 2), None)
+
+
+@pytest.mark.parametrize("points", [1024, 4096, 16384])
+def test_stencil_reads_a_flat_edge_as_exactly_flat(points):
+    """The stencil runs on samples extended by the constant tails, so the
+    two edge samples at each end of a flat tail differentiate to exactly 0:
+    one-sided edge stencils left 1.8e-15 to 2.8e-14 there."""
+    d = derivative(_stencil_kink(points)).samples
+    assert d[:2].tolist() == [0.0, 0.0] and d[-2:].tolist() == [0.0, 0.0]
+
+
+def test_stencil_kink_localizes_to_its_support_on_a_million_points():
+    """One-sided edge stencils' rounding residue grows as 1/h and crosses
+    TOL_SUPP on flat tails at 2^20 points: the kink localized to the whole
+    window.  Now it reaches past [-1, 1] only by the last sample inside the
+    support, the stencil's two and the one sample localization pads with."""
+    f1 = _stencil_kink(2**20)
+    loc = localization(zero_function(f1.grid), f1)
+    three = 3 * f1.grid.step_exact
+    assert Interval(-1 - three, 1 + three).contains(loc)
+    assert Interval(loc.a, loc.b).contains(Interval(Fraction(-1), Fraction(1)))
 
 
 # --- Fourier norms ----------------------------------------------------------
