@@ -176,7 +176,7 @@ def constant_function(value: Fraction, grid: Grid = DEFAULT_GRID) -> TestFunctio
 # charges at declared-rational accuracy on the default grid.
 _BUMP_EXPONENT = 8
 # integral of (1-u^2)^8 over [-1, 1]
-_BUMP_MASS = Fraction(2 * 65536, 109395)
+_BUMP_MASS = Fraction(65536, 109395)
 
 
 def _bump_poly(u: np.ndarray) -> np.ndarray:
@@ -248,7 +248,7 @@ def make_kink(
         # the limits off the support; the polynomial only on it
         s = np.where(u > 0.0, 0.5, -0.5)
         inside = np.abs(u) < 1.0
-        s[inside] = float(Fraction(109395, 65536)) * _bump_antideriv(u[inside]) - 0.5
+        s[inside] = float(1 / _BUMP_MASS) * _bump_antideriv(u[inside]) - 0.5
     else:
         s = np.clip(scale * np.arctan(u), -0.5, 0.5)
         s[0], s[-1] = -0.5, 0.5

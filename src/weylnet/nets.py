@@ -60,12 +60,11 @@ def net_generators(space: Space, kind: str, I: Interval) -> Tuple[SymVector, ...
     return tuple(out)
 
 
-def disjoint_sigma(space: Space, F: SymVector, G: SymVector, f_left: bool) -> float:
-    """Closed form of sigma_f(F, G) for disjointly localized F, G."""
+def disjoint_sigma(space: Space, F: SymVector, G: SymVector) -> float:
+    """Closed form of sigma_f(F, G) for F localized left of G; the other
+    orientation is -disjoint_sigma(space, G, F)."""
     f, g = space.charges(F), space.charges(G)
-    if f_left:
-        return (g.minus * f.c - f.plus * g.c) / (f.den * g.den)
-    return (g.plus * f.c - f.minus * g.c) / (f.den * g.den)
+    return (g.minus * f.c - f.plus * g.c) / (f.den * g.den)
 
 
 def locality_report(space: Space, kind: str, I1: Interval, I2: Interval) -> float:
@@ -75,13 +74,13 @@ def locality_report(space: Space, kind: str, I1: Interval, I2: Interval) -> floa
         raise BadIntervals(f"{I1} and {I2} are not disjoint")
     gens1 = net_generators(space, kind, I1)
     gens2 = net_generators(space, kind, I2)
-    f_left = I1.left_of(I2)
-    local = kind in LOCAL_KINDS
-    defects = (
-        abs(space.sigma(F, G) - (0.0 if local else disjoint_sigma(space, F, G, f_left)))
-        for F in gens1 for G in gens2
-    )
-    return largest(defects)
+
+    def closed_form(F: SymVector, G: SymVector) -> float:
+        if kind in LOCAL_KINDS:
+            return 0.0
+        return disjoint_sigma(space, F, G) if I1.left_of(I2) else -disjoint_sigma(space, G, F)
+
+    return largest(abs(space.sigma(F, G) - closed_form(F, G)) for F in gens1 for G in gens2)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ A registry file declares named test functions and named Cauchy-data pairs:
     pair n1 f0=0    f1=one
 
 Each kind takes only the keys FN_KEYS lists for it, and a pair only f0 and
-f1; any other key is a parse error.  Rationals are written p/q.
-load_registry returns a Space built from the pairs, one generator each, all
-functions resampled onto the requested grid.
+f1; any other key is a parse error.  Rationals are written p/q.  Each load
+rule is checked at its line, and its error names the line: `grid` samples
+resampled onto the requested grid must be finite, a zero function fills a
+0 slot, and a slot-0 function declares its integral and zero limits.
+load_registry returns the Space of the pairs, one generator each.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadGrid, RegistryParseError, WeylnetError, clip
+from .errors import BadGrid, RegistryParseError, clip
 from .funcspace import (
     DEFAULT_GRID,
     HERMITE_MAX_ORDER,
@@ -38,6 +40,7 @@ from .funcspace import (
     hermite_gaussian,
     make_grid_function,
     make_kink,
+    resample,
 )
 from .symplectic import Space
 
@@ -121,7 +124,7 @@ def _build_function(
         g = Grid(w0, w1, len(values))
         l0, l1 = _parse_range(kv["limits"], "limits")
         integral = _parse(kv["integral"], "integral") if "integral" in kv else None
-        return make_grid_function(values, g, l0, l1, integral)
+        return resample(make_grid_function(values, g, l0, l1, integral), grid)
     except RegistryParseError:
         raise
     except KeyError as e:
@@ -156,30 +159,28 @@ def parse_registry(text: str, grid: Grid = DEFAULT_GRID, source: str = "<string>
                 raise RegistryParseError(f"line {lineno}: unknown function kind {clip(kind)}")
             kv = _parse_kv(tokens[3:], FN_KEYS[kind], kind, lineno)
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite sample
-                fn = functions[name] = _build_function(kind, kv, grid, lineno, steps)
+                fn = _build_function(kind, kv, grid, lineno, steps)
             for part, what in ((fn, "function"), (fn.deriv, "derivative")):
                 if part is not None and not np.isfinite(part.samples).all():
                     raise RegistryParseError(f"line {lineno}: {what} has a non-finite sample")
+            functions[name] = None if fn.is_zero() else fn  # a zero function fills a 0 slot
         elif record == "pair":
             if name in pairs:
                 raise RegistryParseError(f"line {lineno}: duplicate pair {clip(name)}")
             kv = _parse_kv(tokens[2:], PAIR_KEYS, "pair", lineno)
-            slots = []
-            for key in PAIR_KEYS:
-                ref = kv.get(key, "0")
-                if ref == "0":
-                    slots.append(None)
-                elif ref in functions:
-                    slots.append(functions[ref])
-                else:
+            refs = [kv.get(key, "0") for key in PAIR_KEYS]
+            for ref in refs:
+                if ref != "0" and ref not in functions:
                     raise RegistryParseError(f"line {lineno}: unknown fn {clip(ref)}")
-            pairs[name] = tuple(slots)
+            f0, _ = pairs[name] = tuple(None if ref == "0" else functions[ref] for ref in refs)
+            what = f"line {lineno}: slot-0 function {clip(name + '.0')}"
+            if f0 is not None and f0.integral is None:
+                raise RegistryParseError(f"{what} needs a declared integral")
+            if f0 is not None and (f0.left_limit or f0.right_limit):
+                raise RegistryParseError(f"{what} must have zero limits")
         else:
             raise RegistryParseError(f"line {lineno}: unknown record {clip(record)}")
-    try:
-        return Space(grid, pairs, source)
-    except WeylnetError as e:
-        raise RegistryParseError(str(e)) from None
+    return Space(grid, pairs, source)
 
 
 def load_registry(path: Optional[str] = None, grid: Grid = DEFAULT_GRID) -> Space:

@@ -37,7 +37,6 @@ from .funcspace import (
     fock_column,
     kink_spectral,
     localization,
-    resample,
 )
 
 
@@ -218,14 +217,14 @@ def sigma_plane(a: Tuple, b: Tuple) -> float:
 
 class Space:
     """Generators, atoms, charges and the symplectic form are fixed at
-    construction.  There is one atom per (slot, TestFunction object), named
-    after the first generator slot that holds it: q0 = (0, tk0) reads T0.1,
-    the atom of T0 = (dtk0, tk0).  Memos fill in as they are read: the Fock
-    form's per-atom tables in the Cauchy-data and the mover basis, the
-    slot-0 movers (an FFT each), each `psi_T` regularizer's per-atom plane
-    moments, and the localization of each vector read.  Arrays are read-only.
-    `source` names where the pairs came from (a registry path, or "default"
-    for the packaged registry)."""
+    construction, from the pairs as given: nonzero functions on `grid`, None
+    for a 0 slot, whose slot rules the registry has checked.  One atom per
+    (slot, TestFunction object), named after the first generator slot that
+    holds it: q0 = (0, tk0) reads T0.1, the atom of T0 = (dtk0, tk0).  Memos
+    fill in as they are read: the Fock form's per-atom tables in the
+    Cauchy-data and the mover basis, the slot-0 movers (an FFT each), each
+    `psi_T` regularizer's plane moments and the localization of each vector
+    read.  Arrays are read-only.  `source` is the registry path or "default"."""
 
     def __init__(
         self,
@@ -240,10 +239,10 @@ class Space:
         for name, (f0, f1) in pairs.items():
             parts = []
             for slot, fn in ((0, f0), (1, f1)):
-                if fn is not None and not fn.is_zero():
+                if fn is not None:
                     if (slot, id(fn)) not in placed:
                         placed[slot, id(fn)] = len(atoms)
-                        atoms.append(self._atom(f"{name}.{slot}", slot, resample(fn, grid)))
+                        atoms.append(Atom(f"{name}.{slot}", slot, fn))
                     parts.append((placed[slot, id(fn)], Fraction(1)))
             self._generators[name] = SymVector(parts)
         for unit, atom in enumerate(atoms):
@@ -251,7 +250,7 @@ class Space:
                 break
         else:
             unit = len(atoms)
-            atoms.append(self._atom("__unit__", 1, constant_function(Fraction(1), grid)))
+            atoms.append(Atom("__unit__", 1, constant_function(Fraction(1), grid)))
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
         self._unit = SymVector([(unit, Fraction(1))])
         self._slots = tuple(atom.slot for atom in atoms)
@@ -273,6 +272,9 @@ class Space:
             for i in range(n) for j in range(n) if self._slots[i] < self._slots[j]}
         rows = [[0.0] * n for _ in range(n)]
         for (i, j), g in self._gram.items():
+            if not math.isfinite(g):
+                names = f"{clip(atoms[i].name)} and {clip(atoms[j].name)}"
+                raise FloatOverflow(f"Gram entry of {names} is {g}")
             rows[i][j], rows[j][i] = g, -g
         self._sigma_rows = tuple(tuple(row) for row in rows)
         # the Fock form's rows Q(a, b) on Cauchy data and on movers (slot 1 shared)
@@ -281,14 +283,6 @@ class Space:
         self._antideriv: Dict[int, np.ndarray] = {}
         self._regularizers: Dict[SymVector, Tuple[float, ...]] = {}
         self._localizations: Dict[SymVector, Optional[Interval]] = {}
-
-    def _atom(self, name: str, slot: int, fn: TestFunction) -> Atom:
-        if slot == 0:
-            if fn.integral is None:
-                raise NotInDomain(f"slot-0 function {clip(name)} needs a declared integral")
-            if fn.left_limit != 0 or fn.right_limit != 0:
-                raise NotInDomain(f"slot-0 function {clip(name)} must have zero limits")
-        return Atom(name, slot, fn)
 
     def generator(self, name: str) -> SymVector:
         try:

@@ -662,7 +662,7 @@ def test_report_with_a_nan_is_refused_at_serialization():
 
 def test_locality_with_a_nan_closed_form_exits_2(monkeypatch, capsys):
     """A NaN defect is an error naming it, not a FAIL line with a nan in it."""
-    monkeypatch.setattr(nets, "disjoint_sigma", lambda space, F, G, f_left: math.nan)
+    monkeypatch.setattr(nets, "disjoint_sigma", lambda space, F, G: math.nan)
     assert exit_code(NARROW_LOCALITY) == 2
     assert capsys.readouterr() == ("", "error: non-finite defect nan\n")
 
@@ -1131,7 +1131,7 @@ A300 = "a" * 300
         ("fn\n", "line 1: missing name"),
         ("fn x\n", "line 1: fn needs a kind"),
         ("fn g grid window=-4:4 limits=0:1 values=0,0,0,0,0,0,0,1 integral=1\npair x f0=g\n",
-         "slot-0 function 'x.0' must have zero limits"),
+         "line 2: slot-0 function 'x.0' must have zero limits"),
         (f"fn {A300} constant value=1\nfn {A300} constant value=1\n",
          "line 2: duplicate fn 'aaaaaaaaaa'... (300 chars)"),
         (f"fn o constant value=1\npair {A300} f1=o\npair {A300} f1=o\n",
@@ -1139,13 +1139,16 @@ A300 = "a" * 300
         (f"pair p f1={A300}\n", "line 1: unknown fn 'aaaaaaaaaa'... (300 chars)"),
         (f"{A300} x\n", "line 1: unknown record 'aaaaaaaaaa'... (300 chars)"),
         (f"fn h constant value=1\npair {A300} f0=h\n",
-         "slot-0 function 'aaaaaaaaaa'... (302 chars) needs a declared integral"),
+         "line 2: slot-0 function 'aaaaaaaaaa'... (302 chars) needs a declared integral"),
         (f"fn g grid window=-4:4 limits=0:1 values=0,0,0,0,0,0,0,1 integral=1\npair {A300} f0=g\n",
-         "slot-0 function 'aaaaaaaaaa'... (302 chars) must have zero limits"),
+         "line 2: slot-0 function 'aaaaaaaaaa'... (302 chars) must have zero limits"),
+        # the slot rule is checked at its own line, before a later line is read
+        ("fn h constant value=1\npair p f0=h\npair r f1=nope\n",
+         "line 2: slot-0 function 'p.0' needs a declared integral"),
     ],
     ids=["bare-fn", "fn-without-kind", "slot-0-limits", "duplicate-fn-300-chars",
          "duplicate-pair-300-chars", "unknown-fn-300-chars", "unknown-record-300-chars",
-         "slot-0-integral-300-chars", "slot-0-limits-300-chars"],
+         "slot-0-integral-300-chars", "slot-0-limits-300-chars", "slot-0-before-unknown-fn"],
 )
 def test_bad_registry_record_names_its_cause_in_short(text, cause, tmp_path, capsys):
     """A registry record or pair the loader refuses gives one line naming
@@ -1153,6 +1156,47 @@ def test_bad_registry_record_names_its_cause_in_short(text, cause, tmp_path, cap
     path = tmp_path / "bad.registry"
     path.write_text(text)
     assert run(["--registry", str(path), "--suite", "nets"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {cause}\n")
+    assert len(err.encode()) <= 200
+
+
+def test_zero_function_in_slot_0_fills_the_0_slot(tmp_path, capsys):
+    """A zero function needs no declared integral: it is the 0 slot."""
+    path = tmp_path / "zero.registry"
+    path.write_text("fn z constant value=0\npair z f0=z\n")
+    assert run(["--registry", str(path), "state", "eval", "--kind", "fock_a", "--element", "W[z]"]) == 0
+    assert capsys.readouterr() == ("1+0i\n", "")
+    space = load_registry(str(path))
+    assert space.generator("z").is_zero() and [a.name for a in space.atoms] == ["__unit__"]
+
+
+# finite samples on their own grid that overflow once resampled onto the default grid
+RESAMPLE_OVERFLOW = ("fn x grid window=-4:4 limits=0:0 values=0,1.7e308,1.7e308,1.7e308,"
+                     "1.7e308,1.7e308,1.7e308,0 integral=0\npair x f0=x\n")
+# finite once resampled, but the Simpson sum of x against the kink overflows
+GRAM_OVERFLOW = ("fn x grid window=-4:4 limits=0:0 values=0,1.7e308,0,0,0,0,-1.7e308,0 integral=0\n"
+                 "fn tk kink center=0 width=1\npair x f0=x\npair q f1=tk\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "weyl-axioms"],
+    ["state", "eval", "--kind", "fock_a", "--element", "W[x]"],
+    ["state", "gram", "--kind", "nonregular_elementary", "--count", "4"],
+], ids=["weyl-axioms", "state-eval", "state-gram"])
+@pytest.mark.parametrize("text, cause", [
+    (RESAMPLE_OVERFLOW, "line 1: function has a non-finite sample"),
+    (GRAM_OVERFLOW, "Gram entry of 'x.0' and 'q.1' is -inf"),
+], ids=["resample-overflow", "gram-overflow"])
+def test_overflow_at_load_names_its_line_or_its_atoms(text, cause, argv, tmp_path, capsys):
+    """Resampled samples are checked at their registry line, and the Gram
+    table when it is built: the resampled inf once reached the Space, with
+    numpy's overflow text on stderr, and an inf Gram entry reached the
+    checks (with a constant pair beside q, `state gram` then ended in a
+    LinAlgError traceback)."""
+    path = tmp_path / "overflow.registry"
+    path.write_text(text)
+    assert run(["--registry", str(path)] + argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {cause}\n")
     assert len(err.encode()) <= 200

@@ -128,6 +128,13 @@ def test_compact_kink_support_must_fit_the_window():
     assert abs(simpson(d) - 1.0) < 1e-14
 
 
+def test_bump_mass_is_the_integral_of_the_bump():
+    """_BUMP_MASS is the integral of (1-u^2)^8 over [-1, 1], summed exactly
+    term by term: sum_k C(8, k) (-1)^k 2 / (2k + 1)."""
+    exact = sum(Fraction(math.comb(8, k) * (-1) ** k * 2, 2 * k + 1) for k in range(9))
+    assert funcspace._BUMP_MASS == exact == Fraction(65536, 109395)
+
+
 def _full_grid_compact_step(center, width, grid):
     """The compact step evaluated on every sample: the antiderivative of
     (1-u^2)^8 at the clipped u, then the limits written over |u| >= 1."""

@@ -126,7 +126,7 @@ def test_locality_rejects_overlap():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_locality_refuses_a_non_finite_closed_form(bad, monkeypatch):
     """max() returned a NaN defect that came first and dropped a later one."""
-    monkeypatch.setattr(nets, "disjoint_sigma", lambda space, F, G, f_left: bad)
+    monkeypatch.setattr(nets, "disjoint_sigma", lambda space, F, G: bad)
     with pytest.raises(NonFiniteDefect):
         locality_report(sp(), "F", iv("-17/8", "-7/8"), iv("7/8", "17/8"))
 
@@ -160,8 +160,9 @@ def test_charge_floats_equal_the_fraction_formulas():
         f = fraction_sums(space, F)
         for G in vs[::3]:
             g = fraction_sums(space, G)
-            assert disjoint_sigma(space, F, G, True) == float(g.minus * f.c - f.plus * g.c)
-            assert disjoint_sigma(space, F, G, False) == float(g.plus * f.c - f.minus * g.c)
+            assert disjoint_sigma(space, F, G) == float(g.minus * f.c - f.plus * g.c)
+            # the right-of closed form, G_+ F_c - F_- G_c, read with G on the left
+            assert -disjoint_sigma(space, G, F) == float(g.plus * f.c - f.minus * g.c)
         n, r = (float(x) for x in rng.standard_normal(2) * 10.0 ** rng.integers(-3, 4, size=2))
         a = complex(*rng.standard_normal(2))
         (_, got), = gauge_apply(space, GaugeElement(n, r), weyl_word(F, a)).terms()
@@ -317,12 +318,25 @@ def test_diagram_check_containment():
         diagram_check(space, space.generator("T0"), iv(2, 3))
 
 
+def test_locality_reads_the_same_either_way_round():
+    """The closed form has one orientation, F left of G: with I1 right of
+    I2 the report reads -disjoint_sigma(space, G, F).  F(L) x F(R) holds 6
+    pairs, 5 with a nonzero closed form, and the report is the same float
+    bit for bit with L and R either way round."""
+    space = sp()
+    L, R = I_MID, iv("15/8", "33/8")
+    closed = [disjoint_sigma(space, F, G)
+              for F in net_generators(space, "F", L) for G in net_generators(space, "F", R)]
+    assert len(closed) == 6 and sum(c != 0 for c in closed) == 5
+    assert locality_report(space, "F", R, L) == locality_report(space, "F", L, R) <= 1e-6
+
+
 def test_disjoint_sigma_matches_quadrature():
     space = sp()
     F = space.generator("c2")
     G = space.generator("q0")
     lhs = space.sigma(F, G)
-    rhs = disjoint_sigma(space, F, G, f_left=True)
+    rhs = disjoint_sigma(space, F, G)
     assert abs(lhs - rhs) < 1e-6
 
 
